@@ -16,9 +16,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO, Union
 
-from .padic import parse_rational, vp
+from .padic import PadicError, parse_rational, vp
 from .hyper import (
     FrobeniusSpec,
     HGParams,
@@ -63,6 +63,8 @@ CHECK_NAMES = (
 _NEEDS_Q = {"hat", "beta-pairing", "main-congruence", "interpolation", "integrality"}
 # Checks that ignore the Frobenius constant entirely.
 _NO_C = {"dwork", "dwork-transform", "braced", "section-sums", "ratio-identity"}
+# Checks that ignore n: expanded at the first n only.
+_NO_N = {"ratio-identity"}
 
 
 class ConfigInvalid(ValueError):
@@ -79,9 +81,7 @@ class SuiteConfig:
     s_list: list[int] = field(default_factory=lambda: [1])
     c_list: list[Fraction] = field(default_factory=lambda: [Fraction(1)])
     checks: list[str] = field(default_factory=list)
-    prec: Optional[int] = None
     out: Optional[str] = None
-    fmt: str = "jsonl"
     jobs: int = 1
 
     def validate(self) -> None:
@@ -90,8 +90,6 @@ class SuiteConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigInvalid(f"unknown check {name!r}")
-        if self.fmt not in ("jsonl", "csv"):
-            raise ConfigInvalid(f"unknown format {self.fmt!r}")
         for group, label in ((self.p_list, "p"), (self.n_list, "n"), (self.s_list, "s")):
             if not group or any(v < 1 for v in group):
                 raise ConfigInvalid(f"{label} values must be positive")
@@ -142,12 +140,21 @@ def _run_cell(task: tuple) -> CheckReport:
     raise ConfigInvalid(f"unknown check {check!r}")
 
 
+def _cell_outcome(task: tuple) -> Union[CheckReport, str]:
+    """The cell's report, or the error it raised as one line of text."""
+    try:
+        return _run_cell(task)
+    except Exception as exc:  # noqa: BLE001 - recorded as an error cell
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _grid_cells(config: SuiteConfig) -> tuple[list[tuple], int]:
     """Expand the grid; returns (runnable cells, skipped cell count)."""
     cells: list[tuple] = []
     skipped = 0
     for check in config.checks:
         c_values: Sequence[Fraction] = [Fraction(1)] if check in _NO_C else config.c_list
+        n_values = config.n_list[:1] if check in _NO_N else config.n_list
         for p in config.p_list:
             for a in config.a_list:
                 for s in config.s_list:
@@ -155,7 +162,7 @@ def _grid_cells(config: SuiteConfig) -> tuple[list[tuple], int]:
                         if not _cell_compatible(check, p, a, c):
                             skipped += 1
                             continue
-                        for n in config.n_list:
+                        for n in n_values:
                             cells.append((check, p, str(a), s, n, str(c)))
     return cells, skipped
 
@@ -164,18 +171,13 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
     stream = stream if stream is not None else sys.stdout
     config.validate()
     cells, skipped = _grid_cells(config)
-    reports: list[tuple[tuple, CheckReport]] = []
-    errors: list[tuple[tuple, str]] = []
     if config.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for task, outcome in zip(cells, pool.map(_run_cell, cells)):
-                reports.append((task, outcome))
+            outcomes = list(pool.map(_cell_outcome, cells))
     else:
-        for task in cells:
-            try:
-                reports.append((task, _run_cell(task)))
-            except Exception as exc:  # noqa: BLE001 - recorded as a failed cell
-                errors.append((task, f"{type(exc).__name__}: {exc}"))
+        outcomes = list(map(_cell_outcome, cells))
+    reports = [(t, o) for t, o in zip(cells, outcomes) if isinstance(o, CheckReport)]
+    errors = [(t, o) for t, o in zip(cells, outcomes) if isinstance(o, str)]
 
     lines = [rep.to_json() for _, rep in reports]
     for task, msg in errors:
@@ -301,15 +303,9 @@ def _build_suite_config(args: argparse.Namespace) -> SuiteConfig:
     cfg.c_list = pick("c", args.c, parse_rational, cfg.c_list)
     cfg.checks = [str(v) for v in (pick("check", args.check, str, []) or [])]
 
-    scalar = _layered("prec", [str(args.prec)] if args.prec is not None else None, file_values)
-    if scalar is not None:
-        cfg.prec = int(scalar[0])
     out = _layered("out", [args.out] if args.out else None, file_values)
     if out is not None:
         cfg.out = out[0]
-    fmt = _layered("format", [args.format] if args.format else None, file_values)
-    if fmt is not None:
-        cfg.fmt = fmt[0]
     jobs = _layered("jobs", [str(args.jobs)] if args.jobs is not None else None, file_values)
     if jobs is not None:
         cfg.jobs = int(jobs[0])
@@ -333,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--s", nargs="+", type=int, help="multiplicities")
     suite.add_argument("--c", nargs="+", help="Frobenius constants as n/d strings")
     suite.add_argument("--check", nargs="+", choices=CHECK_NAMES, help="checks to run")
-    suite.add_argument("--prec", type=int, help="precision override")
     suite.add_argument("--out", help="report path (default: stdout)")
-    suite.add_argument("--format", choices=("jsonl", "csv"), help="report format")
     suite.add_argument("--jobs", type=int, help="worker processes")
     suite.add_argument("--config", help="key: value config file")
 
@@ -392,7 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, PadicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

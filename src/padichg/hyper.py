@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 from .padic import (
     DworkChain,
@@ -126,14 +126,6 @@ def coeff_exact(params: HGParams, k: int, level: int = 0) -> Fraction:
     return _ratio_table(a, k + 1)[k] ** params.s
 
 
-def coeff_exact_multi(a_values: Sequence[Rational], k: int) -> Fraction:
-    """Product of (a_i)_k / k! over a general parameter tuple."""
-    out = Fraction(1)
-    for a in a_values:
-        out *= _ratio_table(Fraction(a), k + 1)[k]
-    return out
-
-
 def b_exact(params: HGParams, frob: FrobeniusSpec, k: int) -> Fraction:
     """B_k = (A_k - c^{k/p} A^{(1)}_{k/p}) / k for k >= 1, exactly."""
     if k < 1:
@@ -202,11 +194,6 @@ def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> TruncS
         [coeff_exact(params, k, level) for k in range(order)], params.p, prec)
 
 
-def hg_series_multi(a_values: Sequence[Rational], order: int, p: int, prec: int) -> TruncSeries:
-    return TruncSeries.from_rationals(
-        [coeff_exact_multi(a_values, k) for k in range(order)], p, prec)
-
-
 def dwork_truncation_pair(params: HGParams, n: int, prec: int) -> tuple[TruncSeries, TruncSeries]:
     """(P, Q) = ([F_a]_{<p^n}, [F_{a'}]_{<p^{n-1}}): Dwork's congruence says
     F_a / F_{a'}(t^p) agrees with P(t)/Q(t^p) mod p^n."""
@@ -253,12 +240,10 @@ def log_type_series(params: HGParams, frob: FrobeniusSpec, order: int, prec: int
     f1 = hg_series(params, ceil(order / p) if order else 1, w, level=1)
     c_emb = embed_rational(frob.c_eff, p, w)
     f1_sigma = frobenius_substitute(f1, c_emb, order)
-    tail = log_integral(f_full - f1_sigma)
-    coeffs = [b0_constant(params, frob, prec)]
-    coeffs.extend(c.reduce(prec) for c in tail.coeffs[1:])
-    g = TruncSeries(p, tuple(coeffs))
-    f = TruncSeries(p, tuple(c.reduce(prec) for c in f_full.coeffs))
-    return g, f
+    tail = log_integral(f_full - f1_sigma).reduce(prec)
+    b0 = b0_constant(params, frob, prec)
+    g = TruncSeries(p, prec, (b0.residue,) + tail.residues[1:])
+    return g, f_full.reduce(prec)
 
 
 def hat_series(params: HGParams, frob: FrobeniusSpec, order: int, prec: int
@@ -281,8 +266,7 @@ def hat_series(params: HGParams, frob: FrobeniusSpec, order: int, prec: int
         integrand[p * j + l] -= sign * coeff_exact(params, j, 1) * cp
         j += 1
     f_emb = TruncSeries.from_rationals(integrand, p, w)
-    ghat = log_integral(f_emb, twist=a)
-    ghat = TruncSeries(p, tuple(c.reduce(prec) for c in ghat.coeffs))
+    ghat = log_integral(f_emb, twist=a).reduce(prec)
     f = hg_series(params, order, prec)
     return ghat, f
 

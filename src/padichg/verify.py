@@ -16,16 +16,14 @@ from math import ceil
 from typing import Optional, Sequence
 
 from .padic import (
-    Padic,
     PadicError,
     Rational,
     braced_table,
-    dwork_chain,
     embed_rational,
     one,
     vp,
 )
-from .series import LaurentPoly, TruncSeries, frobenius_substitute, laurent_reverse
+from .series import TruncSeries, frobenius_substitute, polymul
 from .hyper import (
     SIGMA,
     SIGMA_HAT,
@@ -35,11 +33,9 @@ from .hyper import (
     b_coefficients,
     bhat_coefficients,
     coeff_exact,
-    coeff_exact_multi,
     hat_series,
     hg_coefficients,
     hg_series,
-    hg_series_multi,
     log_type_series,
     twist_pair,
 )
@@ -87,10 +83,9 @@ def _series_match(lhs: TruncSeries, rhs: TruncSeries, n: int, limit: int) -> Opt
     """First index < limit where lhs != rhs mod p^n, or None."""
     if n <= 0:
         return None
-    m = min(lhs.order, rhs.order, limit)
     q = lhs.p ** n
-    for k in range(m):
-        l, r = lhs.coeffs[k].residue % q, rhs.coeffs[k].residue % q
+    for k, (l, r) in enumerate(zip(lhs.residues[:limit], rhs.residues[:limit])):
+        l, r = l % q, r % q
         if l != r:
             return {"index": k, "left": l, "right": r}
     return None
@@ -101,8 +96,7 @@ def _series_match(lhs: TruncSeries, rhs: TruncSeries, n: int, limit: int) -> Opt
 
 
 def check_congruence_relation(kind: str, params: HGParams, frob: Optional[FrobeniusSpec],
-                              n: int, M: Optional[int] = None,
-                              a_values: Optional[Sequence[Rational]] = None) -> CheckReport:
+                              n: int, M: Optional[int] = None) -> CheckReport:
     """The congruence F-hat ≡ truncated-numerator / truncated-denominator
     mod p^n, in cross-multiplied form on coefficients 0..M-1.
 
@@ -119,14 +113,8 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     info = _params_dict(params, n=n, M=M, kind=kind)
 
     if kind == "dwork":
-        if a_values is None:
-            f = hg_series(params, M, n)
-            f1 = hg_series(params, ceil(M / p), n, level=1)
-        else:
-            primes = [dwork_chain(Fraction(a), p).chain[1] for a in a_values]
-            f = hg_series_multi(a_values, M, p, n)
-            f1 = hg_series_multi(primes, ceil(M / p), p, n)
-            info["a"] = ",".join(str(a) for a in a_values)
+        f = hg_series(params, M, n)
+        f1 = hg_series(params, ceil(M / p), n, level=1)
         f1p = frobenius_substitute(f1, one(p, n), M)
         num, den = f, f1p
     elif kind in ("log", "hat"):
@@ -169,23 +157,13 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     q = p ** n  # comparison modulus
     a_res = [embed_rational(coeff_exact(params, k), p, n).residue for k in range(pn)]
     a1_res = [embed_rational(coeff_exact(params, k, 1), p, n).residue for k in range(pn // p)]
+    spread = [0] * (pn - p + 1)  # Q(t^p); reversed, it is revQ
+    spread[::p] = a1_res
 
     deg = 2 * pn - 2  # covers both sides
-    lhs = [0] * (deg + 1)
-    rhs = [0] * (deg + 1)
     shift = p - 1 - l
-    for i, pi in enumerate(a_res):
-        if pi == 0:
-            continue
-        for k, qk in enumerate(a1_res):
-            # lhs: t^{p-1-l} * P(t) * revQ(t), revQ has Q_k at degree p^n-p-pk
-            dl = shift + i + (pn - p - p * k)
-            if 0 <= dl <= deg:
-                lhs[dl] = (lhs[dl] + pi * qk) % q
-            # rhs: revP(t) * Q(t^p), revP has P_i at degree p^n-1-i
-            dr = (pn - 1 - i) + p * k
-            if 0 <= dr <= deg:
-                rhs[dr] = (rhs[dr] + pi * qk) % q
+    lhs = [0] * shift + polymul(a_res, spread[::-1], q, deg + 1 - shift)
+    rhs = polymul(a_res[::-1], spread, q, deg + 1)
     info = _params_dict(params, n=n, l=l)
 
     sign = None
@@ -363,37 +341,18 @@ def _main_tables(params: HGParams, c: Rational, n: int) -> tuple[CoeffTable, Coe
 def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     """sum_{i+j=m} B_i A_{p^n-j-1} + Bhat_{p^n-j-1} A_i ≡ 0 mod p^n for
     every m in [0, 2(p^n-1)]; B along sigma, Bhat along sigma-hat."""
-    p = params.p
-    pn = p ** n
-    q = p ** n
-    a_tab, b_tab, bhat_tab = _main_tables(params, c, n)
+    q = params.p ** n
+    a, b, bhat = ([v.residue for v in tab.values] for tab in _main_tables(params, c, n))
     info = _params_dict(params, n=n, c=Fraction(c))
-    for m in range(2 * (pn - 1) + 1):
-        total = 0
-        for i in range(max(0, m - pn + 1), min(m, pn - 1) + 1):
-            j = m - i
-            total += (b_tab[i].residue * a_tab[pn - 1 - j].residue
-                      + bhat_tab[pn - 1 - j].residue * a_tab[i].residue)
-        if total % q:
+    # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
+    left = polymul(b, a[::-1], q, 2 * q - 1)
+    right = polymul(bhat[::-1], a, q, 2 * q - 1)
+    for m, (x, y) in enumerate(zip(left, right)):
+        total = (x + y) % q
+        if total:
             return CheckReport(check="main-congruence", params=info, passed=False,
-                               modulus=n, first_failure={"m": m, "sum": total % q})
+                               modulus=n, first_failure={"m": m, "sum": total})
     return CheckReport(check="main-congruence", params=info, passed=True, modulus=n)
-
-
-def main_congruence_laurent(params: HGParams, c: Rational, n: int) -> bool:
-    """Equivalent Laurent-polynomial form of check_main_congruence:
-    [G]_{<p^n} t^{p^n-1} rev([F]_{<p^n}) + rev([Ghat]_{<p^n}) t^{p^n-1} [F]_{<p^n}
-    vanishes mod p^n."""
-    pn = params.p ** n
-    frob, frob_hat = twist_pair(c)
-    g, f = log_type_series(params, frob, pn, n)
-    ghat, _ = hat_series(params, frob_hat, pn, n)
-    sf = LaurentPoly.from_series(f)
-    sg = LaurentPoly.from_series(g)
-    rev_f = laurent_reverse(f).shift(pn - 1)
-    rev_ghat = laurent_reverse(ghat).shift(pn - 1)
-    total = sg * rev_f + rev_ghat * sf
-    return total.is_zero_mod(n)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,41 @@ class TestSuite:
         assert len(rows) == 2
 
 
+    def test_jobs_serial_and_parallel_reports_identical(self, tmp_path, capsys):
+        # p = 4 is no prime: its cell is recorded as an error line
+        reports = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            code, _, _ = run(["suite", "--p", "3", "4", "--a", "1/2",
+                              "--check", "dwork", "dwork-transform", "--n", "1",
+                              "--jobs", jobs, "--out", str(path)], capsys)
+            assert code == EXIT_FAIL
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        rows = [json.loads(line) for line in reports[0].decode().splitlines()]
+        assert [r["check"] for r in rows if "error" in r] == ["dwork", "dwork-transform"]
+
+    def test_n_independent_check_expanded_once(self, capsys):
+        code, out, _ = run(["suite", "--p", "3", "--a", "1/2", "--s", "1", "2",
+                            "--check", "ratio-identity", "--n", "1", "2"], capsys)
+        assert code == EXIT_PASS
+        rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        assert [r["params"]["s"] for r in rows] == ["1", "2"]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["interp", "--a", "1/2", "--lam", "1/3", "--p", "3"],
+        ["table", "--kind", "beta", "--a", "1/2", "--c", "2", "--p", "3", "--points", "3"],
+        ["suite", "--config", "/nonexistent"],
+        ["suite", "--check", "dwork", "--out", "/nonexistent/dir/x.jsonl"],
+    ])
+    def test_exit_config_with_one_line(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestTable:
     def test_kind_a_all_ones(self, capsys):
         code, out, _ = run(["table", "--kind", "A", "--a", "1", "--p", "3",

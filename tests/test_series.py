@@ -3,13 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padichg import (
     HGParams,
     LaurentPoly,
-    NonUnitConstantTerm,
     NonzeroConstantTerm,
     TruncSeries,
     embed_rational,
@@ -17,6 +16,7 @@ from padichg import (
     hg_series,
     laurent_reverse,
     log_integral,
+    polymul,
 )
 
 PRIMES = st.sampled_from([2, 3, 5])
@@ -34,30 +34,57 @@ def rational_series(p, order, prec=4):
     ).map(lambda vals: TruncSeries.from_rationals(vals, p, prec))
 
 
-class TestRingOps:
-    def test_geometric_inverse(self):
-        f = series_from_ints([1, -1, 0, 0], 5)
-        inv = f.inverse()
-        assert [c.residue for c in inv.coeffs] == [1, 1, 1, 1]
+def schoolbook(a, b, modulus, n_out):
+    """Reference product: the O(len(a) len(b)) convolution loop."""
+    out = [0] * n_out
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n_out:
+                out[i + j] = (out[i + j] + x * y) % modulus
+    return out
 
+
+class TestPolymul:
+    @settings(max_examples=200)
+    @given(PRIMES.flatmap(lambda p: st.integers(0, 14).map(lambda e: p ** e)).flatmap(
+        lambda m: st.tuples(st.just(m),
+                            st.lists(st.integers(0, m - 1), max_size=12),
+                            st.lists(st.integers(0, m - 1), max_size=12),
+                            st.integers(0, 30))))
+    def test_matches_schoolbook(self, case):
+        modulus, a, b, n_out = case
+        assert polymul(a, b, modulus, n_out) == schoolbook(a, b, modulus, n_out)
+
+    @pytest.mark.parametrize("a,b,n_out,expect", [
+        ([], [1, 2], 3, [0, 0, 0]),
+        ([3], [], 2, [0, 0]),
+        ([4], [5], 1, [20]),
+        ([4], [5], 4, [20, 0, 0, 0]),
+        ([26, 26], [26, 26], 5, [1, 2, 1, 0, 0]),
+    ])
+    def test_edge_lengths(self, a, b, n_out, expect):
+        assert polymul(a, b, 27, n_out) == expect
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_largest_residues(self, p):
+        # every slot of the exact product at its largest value
+        for e in range(15):
+            m = p ** e
+            for length in (1, 2, 12, 40):
+                a = [m - 1] * length
+                assert polymul(a, a, m, 2 * length) == schoolbook(a, a, m, 2 * length)
+
+    def test_modulus_one(self):
+        assert polymul([0, 0], [0], 1, 3) == [0, 0, 0]
+
+
+class TestRingOps:
     def test_product_one_minus_t_squared(self):
         f = series_from_ints([1, 1, 0], 5)
         g = series_from_ints([1, -1, 0], 5)
         prod = f * g
         m = 5 ** 4
         assert [c.residue for c in prod.coeffs] == [1, 0, m - 1]
-
-    def test_inverse_of_hypergeometric(self):
-        params = HGParams.create(Fraction(1, 2), 1, 3)
-        f = hg_series(params, 3, 4)
-        inv = f.inverse()
-        expect = [Fraction(1), Fraction(-1, 2), Fraction(-1, 8)]
-        for c, e in zip(inv.coeffs, expect):
-            assert c == embed_rational(e, 3, 4)
-
-    def test_inverse_requires_unit(self):
-        with pytest.raises(NonUnitConstantTerm):
-            series_from_ints([3, 1], 3).inverse()
 
     def test_mul_poly_full_degree(self):
         f = series_from_ints([1, 1], 3)
@@ -70,14 +97,6 @@ class TestRingOps:
     def test_mul_commutes(self, pair):
         f, g = pair
         assert (f * g).coeffs == (g * f).coeffs
-
-    @given(PRIMES.flatmap(lambda p: rational_series(p, 5)))
-    def test_inverse_round_trip(self, f):
-        if not f.coeffs[0].is_unit():
-            return
-        prod = f * f.inverse()
-        assert prod.coeffs[0].residue == 1
-        assert all(c.residue == 0 for c in prod.coeffs[1:])
 
 
 class TestTruncation:

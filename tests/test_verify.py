@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from padichg import (
     FrobeniusSpec,
     HGParams,
+    LaurentPoly,
     PreconditionViolated,
     check_beta_pairing,
     check_braced_congruence,
@@ -19,7 +20,9 @@ from padichg import (
     check_main_congruence,
     check_ratio_interpolation,
     check_section_congruence,
-    main_congruence_laurent,
+    hat_series,
+    laurent_reverse,
+    log_type_series,
     sweep_beta_pairing,
     sweep_braced,
     sweep_ratio,
@@ -55,12 +58,6 @@ class TestCongruenceRelations:
         P = HGParams.create(Fraction(1, 5), 1, 2)
         rep = check_congruence_relation("log", P, FrobeniusSpec(Fraction(3)), 2)
         assert rep.passed and rep.modulus == 1
-
-    def test_distinct_parameters_dwork(self):
-        P = params(Fraction(1, 2), p=5)
-        rep = check_congruence_relation("dwork", P, None, 1,
-                                        a_values=(Fraction(1, 2), Fraction(1, 4)))
-        assert rep.passed
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -185,11 +182,37 @@ class TestMainCongruence:
                                     Fraction(6), 1)
         assert rep.passed
 
+    def test_failing_report_pinned(self):
+        P = HGParams.create(Fraction(1, 3), 1, 2)
+        rep = check_main_congruence(P, Fraction(3), 2)
+        assert not rep.passed
+        assert rep.first_failure == {"m": 0, "sum": 2}
+        assert main_congruence_laurent(P, Fraction(3), 2) is False
+
     def test_laurent_wrapper_agrees(self):
-        P = params(Fraction(1, 2))
-        for c in (Fraction(1), Fraction(4)):
-            direct = check_main_congruence(P, c, 2)
-            assert main_congruence_laurent(P, c, 2) == direct.passed
+        for p in (3, 5):
+            for a in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
+                if a.denominator % p == 0:
+                    continue
+                P = params(a, p=p)
+                for c in (Fraction(1), Fraction(1 + p), Fraction(1 - p)):
+                    for n in (1, 2):
+                        direct = check_main_congruence(P, c, n)
+                        assert main_congruence_laurent(P, c, n) == direct.passed
+
+
+def main_congruence_laurent(params, c, n):
+    """Laurent-polynomial form of check_main_congruence, kept as its oracle:
+    [G]_{<p^n} t^{p^n-1} rev([F]_{<p^n}) + rev([Ghat]_{<p^n}) t^{p^n-1} [F]_{<p^n}
+    vanishes mod p^n, with G and Ghat built by the integral routes."""
+    pn = params.p ** n
+    frob, frob_hat = twist_pair(c)
+    g, f = log_type_series(params, frob, pn, n)
+    ghat, _ = hat_series(params, frob_hat, pn, n)
+    rev_f = laurent_reverse(f).shift(pn - 1)
+    rev_ghat = laurent_reverse(ghat).shift(pn - 1)
+    total = LaurentPoly.from_series(g) * rev_f + rev_ghat * LaurentPoly.from_series(f)
+    return total.is_zero_mod(n)
 
 
 class TestRatioAndInterp:
