@@ -8,32 +8,22 @@ from .padic import (
     Padic,
     PadicError,
     PrecisionExhausted,
-    binomial,
-    braced_product,
     braced_table,
-    c_power,
     c_power_frac,
     dwork_chain,
     embed_rational,
     iwasawa_log,
-    padic_binomial,
     parse_rational,
-    pochhammer,
     vp,
 )
 from .series import (
-    LaurentPoly,
-    NonzeroConstantTerm,
     TruncSeries,
     frobenius_substitute,
-    laurent_reverse,
-    log_integral,
     polymul,
 )
 from .hyper import (
     SIGMA,
     SIGMA_HAT,
-    CoeffTable,
     FrobeniusSpec,
     HGParams,
     NoPeriod,
@@ -41,14 +31,10 @@ from .hyper import (
     b_coefficients,
     bhat_coefficients,
     compute_h,
-    dwork_truncation_pair,
-    hat_series,
-    hg_coefficients,
     hg_series,
-    log_type_series,
     twist_pair,
 )
-from .interp import InterpPoint, beta_at, ratio_identity_check, witness_for
+from .interp import beta_at, ratio_identity_check, witness_for
 from .verify import (
     CheckReport,
     NoUnitCoefficient,

@@ -24,7 +24,7 @@ from .hyper import (
     HGParams,
     b_coefficients,
     bhat_coefficients,
-    hg_coefficients,
+    hg_series,
     twist_pair,
 )
 from .interp import beta_at
@@ -35,6 +35,7 @@ from .verify import (
     check_integrality,
     check_main_congruence,
     check_ratio_interpolation,
+    effective_exponent,
     sweep_beta_pairing,
     sweep_braced,
     sweep_ratio,
@@ -163,6 +164,9 @@ def _grid_cells(config: SuiteConfig) -> tuple[list[tuple], int]:
                             skipped += 1
                             continue
                         for n in n_values:
+                            if effective_exponent(check, p, c, n) < 1:
+                                skipped += 1
+                                continue
                             cells.append((check, p, str(a), s, n, str(c)))
     return cells, skipped
 
@@ -221,19 +225,18 @@ def _summary(stream: TextIO, checks: Sequence[str],
 def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
                fmt: str, stream: TextIO, lambdas: Sequence[Fraction] = ()) -> None:
     rows: list[dict]
-    if kind == "A":
-        tab = hg_coefficients(params, count, prec)
-        rows = [{"k": k, "residue": v.residue, "prec": v.prec}
-                for k, v in enumerate(tab.values)]
-    elif kind == "B":
-        tab = b_coefficients(params, FrobeniusSpec(c), count, prec)
-        rows = [{"k": k, "residue": v.residue, "prec": v.prec}
-                for k, v in enumerate(tab.values)]
-    elif kind == "Bhat":
-        _, frob_hat = twist_pair(c)
-        tab = bhat_coefficients(params, frob_hat, count, prec)
-        rows = [{"k": k, "residue": v.residue, "prec": v.prec}
-                for k, v in enumerate(tab.values)]
+    if kind in ("A", "B", "Bhat"):
+        if count < 1:
+            raise ValueError("count must be positive")
+        frob, frob_hat = twist_pair(c)
+        if kind == "A":
+            series = hg_series(params, count, prec)
+        elif kind == "B":
+            series = b_coefficients(params, frob, count, prec)
+        else:
+            series = bhat_coefficients(params, frob_hat, count, prec)
+        rows = [{"k": k, "residue": r, "prec": series.prec}
+                for k, r in enumerate(series.residues)]
     elif kind == "beta":
         frob = FrobeniusSpec(c)
         rows = []

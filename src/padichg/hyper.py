@@ -1,19 +1,17 @@
-"""Hypergeometric coefficient sequences and assembled function families.
+"""Hypergeometric coefficient sequences and the polynomial h.
 
 Computes A_k (and the Dwork-prime levels A_k^{(i)}), the logarithmic-type
-coefficients B_k with their constant term, the hatted coefficients, and
-the series F, G, Ghat together with the truncation pairs entering Dwork's
-congruence.  Exact rational arithmetic is used internally; results are
-embedded at the caller's target precision.
+coefficients B_k with their constant term and the hatted coefficients
+Bhat_k.  Each sequence has one builder returning a residue vector: the
+series F (`hg_series`), G (`b_coefficients`) and Ghat
+(`bhat_coefficients`).  Exact rational arithmetic is used internally;
+results are embedded at the caller's target precision.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Iterator
 
 from .padic import (
     DworkChain,
@@ -26,7 +24,7 @@ from .padic import (
     embed_rational,
     vp,
 )
-from .series import TruncSeries, frobenius_substitute, log_integral
+from .series import TruncSeries
 
 SIGMA = "sigma"
 SIGMA_HAT = "sigma_hat"
@@ -156,52 +154,14 @@ def bhat_approx(params: HGParams, frob: FrobeniusSpec, k: int, prec: int) -> Fra
 
 
 # ---------------------------------------------------------------------------
-# tables and series
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """A computed run of coefficients of one kind (A, A1, B or Bhat)."""
-
-    kind: str
-    p: int
-    values: tuple[Padic, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> Padic:
-        return self.values[k]
-
-    def to_json_lines(self) -> Iterator[str]:
-        for k, v in enumerate(self.values):
-            yield json.dumps({"k": k, "kind": self.kind, "residue": str(v.residue), "prec": v.prec})
-
-
-def hg_coefficients(params: HGParams, count: int, prec: int, level: int = 0) -> CoeffTable:
-    """A_k for k < count at the given Dwork-prime level."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    kind = "A" if level == 0 else f"A{level}"
-    vals = tuple(embed_rational(coeff_exact(params, k, level), params.p, prec)
-                 for k in range(count))
-    return CoeffTable(kind=kind, p=params.p, values=vals)
+# series builders: exact coefficients are embedded one at a time, so that
+# no run of large rationals is held at once
 
 
 def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> TruncSeries:
-    """F at the given level, truncated at t^order."""
+    """F at the given Dwork-prime level, truncated at t^order."""
     return TruncSeries.from_rationals(
-        [coeff_exact(params, k, level) for k in range(order)], params.p, prec)
-
-
-def dwork_truncation_pair(params: HGParams, n: int, prec: int) -> tuple[TruncSeries, TruncSeries]:
-    """(P, Q) = ([F_a]_{<p^n}, [F_{a'}]_{<p^{n-1}}): Dwork's congruence says
-    F_a / F_{a'}(t^p) agrees with P(t)/Q(t^p) mod p^n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    p = params.p
-    return (hg_series(params, p ** n, prec, level=0),
-            hg_series(params, p ** (n - 1), prec, level=1))
+        (coeff_exact(params, k, level) for k in range(order)), params.p, prec)
 
 
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
@@ -214,61 +174,18 @@ def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
     return embed_rational(value, params.p, prec)
 
 
-def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> CoeffTable:
-    """B_k for k < count; index 0 is the interpolated constant term."""
-    vals = [b0_constant(params, frob, prec)]
-    for k in range(1, count):
-        vals.append(embed_rational(b_exact(params, frob, k), params.p, prec))
-    return CoeffTable(kind="B", p=params.p, values=tuple(vals[:count]))
-
-
-def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> CoeffTable:
-    """Bhat_k for k < count via the closed coefficient formula."""
-    vals = tuple(embed_rational(bhat_approx(params, frob, k, prec), params.p, prec)
-                 for k in range(count))
-    return CoeffTable(kind="Bhat", p=params.p, values=vals)
-
-
-def log_type_series(params: HGParams, frob: FrobeniusSpec, order: int, prec: int
-                    ) -> tuple[TruncSeries, TruncSeries]:
-    """(G, F) with G built through the logarithmic integral route:
-    G = B_0 + int_0^t (F - F^{(1)} composed with sigma) dt/t."""
+def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:
+    """G: B_k for k < count; index 0 is the interpolated constant term."""
     p = params.p
-    guard = max(((vp(k, p) or 0) for k in range(1, order)), default=0)
-    w = prec + guard
-    f_full = hg_series(params, order, w)
-    f1 = hg_series(params, ceil(order / p) if order else 1, w, level=1)
-    c_emb = embed_rational(frob.c_eff, p, w)
-    f1_sigma = frobenius_substitute(f1, c_emb, order)
-    tail = log_integral(f_full - f1_sigma).reduce(prec)
-    b0 = b0_constant(params, frob, prec)
-    g = TruncSeries(p, prec, (b0.residue,) + tail.residues[1:])
-    return g, f_full.reduce(prec)
+    b0 = b0_constant(params, frob, prec).residue
+    rest = (embed_rational(b_exact(params, frob, k), p, prec).residue for k in range(1, count))
+    return TruncSeries(p, prec, (b0, *rest)[:count])
 
 
-def hat_series(params: HGParams, frob: FrobeniusSpec, order: int, prec: int
-               ) -> tuple[TruncSeries, TruncSeries]:
-    """(Ghat, F) with Ghat built through the twisted-integral route.
-
-    The integrand coefficient at the symbol t^{k+a} collects A_k from
-    t^a F and A^{(1)}_j c^{j+a'} placed at k = pj + l from the sigma-image
-    of t^{a'} F^{(1)}; the twisted integral then divides by k + a.  This is
-    an independent path from the closed formula in bhat_coefficients."""
-    p, a, l = params.p, params.a, params.l
-    a1 = params.chain.a_at(1)
-    guard = max(((vp(k + a, p) or 0) for k in range(order)), default=0)
-    w = prec + guard + 1
-    sign = params.sign_se()
-    integrand = [coeff_exact(params, k) for k in range(order)]
-    j = 0
-    while p * j + l < order:
-        cp = c_power_frac(frob.c_eff, j + a1, p, w)
-        integrand[p * j + l] -= sign * coeff_exact(params, j, 1) * cp
-        j += 1
-    f_emb = TruncSeries.from_rationals(integrand, p, w)
-    ghat = log_integral(f_emb, twist=a).reduce(prec)
-    f = hg_series(params, order, prec)
-    return ghat, f
+def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:
+    """Ghat: Bhat_k for k < count via the closed coefficient formula."""
+    return TruncSeries.from_rationals(
+        (bhat_approx(params, frob, k, prec) for k in range(count)), params.p, prec)
 
 
 def compute_h(params: HGParams, prec: int) -> TruncSeries:

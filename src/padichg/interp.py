@@ -7,32 +7,18 @@ lambda mod p^n gives the interpolated value mod p^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional
 
-from .padic import Padic, Rational, embed_rational, vp
+from .padic import Padic, Rational, braced_table, embed_rational, vp
 from .hyper import FrobeniusSpec, HGParams, b_exact, bhat_approx, coeff_exact
-
-
-@dataclass(frozen=True)
-class InterpPoint:
-    """A target point lambda with its chosen positive integer witness."""
-
-    lam: Fraction
-    n: int
-    k_witness: int
 
 
 def witness_for(lam: Rational, p: int, n: int) -> int:
     """Smallest positive integer congruent to lambda mod p^n."""
     r = embed_rational(lam, p, n).residue
     return r if r >= 1 else p ** n
-
-
-def interp_point(lam: Rational, p: int, n: int) -> InterpPoint:
-    lam = Fraction(lam)
-    return InterpPoint(lam=lam, n=n, k_witness=witness_for(lam, p, n))
 
 
 def _ratio_at(k: int, params: HGParams, frob: FrobeniusSpec, n: int, hat: bool) -> Padic:
@@ -54,6 +40,7 @@ def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
     by p^n and the two are asserted congruent."""
     if n < 1:
         raise ValueError("n must be positive")
+    frob.validate(params.p)
     k = witness_for(lam, params.p, n)
     out = _ratio_at(k, params, frob, n, hat)
     if check_witness:
@@ -64,7 +51,8 @@ def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
     return out
 
 
-def ratio_identity_check(x: int, params: HGParams) -> bool:
+def ratio_identity_check(x: int, params: HGParams,
+                         tables: Optional[tuple[list, list]] = None) -> bool:
     """Exact identity linking A^{(1)} to braced-product ratios.
 
     For p | x (and likewise x ≡ l mod p) this is the bare ratio
@@ -74,17 +62,18 @@ def ratio_identity_check(x: int, params: HGParams) -> bool:
     identity carries the correction (m_a!/m!) p^{m_a - m}:
 
         A^{(1)}_{m_a} ({a}_x)^s (m_a!/m! * p^{m_a-m})^s = A_x ({1}_x)^s
-    """
-    from math import factorial
 
-    from .padic import braced_product
-
+    tables, when given, are (braced_table(1, top, p), braced_table(a, top, p))
+    with top >= x, shared across a sweep over x."""
     if x < 1:
         raise ValueError("x must be positive")
     p, s, a, l = params.p, params.s, params.a, params.l
+    if tables is None:
+        tables = (braced_table(1, x, p), braced_table(a, x, p))
+    b1, ba = tables
     m = x // p
     m_a = (x - 1 - l) // p + 1 if x - 1 >= l else 0
     corr = Fraction(factorial(m_a), factorial(m)) * Fraction(p) ** (m_a - m)
-    lhs = coeff_exact(params, m_a, 1) * braced_product(a, x, p) ** s * corr ** s
-    rhs = coeff_exact(params, x) * braced_product(1, x, p) ** s
+    lhs = coeff_exact(params, m_a, 1) * ba[x] ** s * corr ** s
+    rhs = coeff_exact(params, x) * b1[x] ** s
     return lhs == rhs

@@ -2,8 +2,8 @@
 
 Values of Z_p are represented by a residue known modulo p^prec.  All
 number-theoretic primitives used elsewhere in the package live here:
-rational embedding, exact division, binomials and Pochhammer symbols,
-Dwork prime chains, braced products and the Iwasawa logarithm.
+rational embedding, exact division, fractional powers of the twist
+constant, Dwork prime chains, braced products and the Iwasawa logarithm.
 
 Rational parameters are plain ``fractions.Fraction`` objects throughout;
 a parameter is embeddable at p iff p does not divide its denominator.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -203,14 +203,6 @@ class Padic:
             raise PrecisionExhausted(f"need {n} digits to compare")
         return self.residue % self.p ** n == 0
 
-    def digits(self) -> list[int]:
-        """Base-p digits, little-endian, length prec."""
-        out, r = [], self.residue
-        for _ in range(self.prec):
-            out.append(r % self.p)
-            r //= self.p
-        return out
-
     def __str__(self) -> str:
         return f"{self.residue} mod {self.p}^{self.prec}"
 
@@ -235,39 +227,6 @@ def one(p: int, prec: int) -> Padic:
 
 
 # ---------------------------------------------------------------------------
-# binomials and Pochhammer symbols
-
-
-def pochhammer(alpha: Rational, k: int) -> Fraction:
-    """Rising factorial alpha(alpha+1)...(alpha+k-1), with ()_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = Fraction(1)
-    a = Fraction(alpha)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def binomial(alpha: Rational, i: int) -> Fraction:
-    """Generalized binomial coefficient alpha(alpha-1)...(alpha-i+1)/i!."""
-    if i < 0:
-        raise ValueError("i must be nonnegative")
-    a = Fraction(alpha)
-    out = Fraction(1)
-    for j in range(i):
-        out *= (a - j) / (j + 1)
-    return out
-
-
-def padic_binomial(alpha: Rational, i: int, p: int, prec: int, *, rising: bool = False) -> Padic:
-    """binom(alpha, i) (or the Pochhammer symbol (alpha)_i with rising=True)
-    embedded at full precision; alpha must have p-free denominator."""
-    value = pochhammer(alpha, i) if rising else binomial(alpha, i)
-    return embed_rational(value, p, prec)
-
-
-# ---------------------------------------------------------------------------
 # powers of the twist constant and the Iwasawa logarithm
 
 
@@ -288,24 +247,13 @@ def c_power_frac(c: Rational, alpha: Rational, p: int, prec: int) -> Fraction:
     if v is None or v < 1:
         raise CNotOneModP(f"c = {c} is not in 1 + {p}Z_{p}")
     total = Fraction(1)
-    xi = Fraction(1)
+    term = Fraction(1)  # binom(alpha, i) x^i, built from its predecessor
     i = 1
     while i * v < prec:
-        xi *= x
-        total += binomial(alpha, i) * xi
+        term *= (alpha - i + 1) * x / i
+        total += term
         i += 1
     return total
-
-
-def c_power(c: Padic, alpha: Rational, prec: Optional[int] = None) -> Padic:
-    """c^alpha for c ≡ 1 mod p, as a Padic at min(prec of c, prec)."""
-    p = c.p
-    n = c.prec if prec is None else min(prec, c.prec)
-    alpha = Fraction(alpha)
-    if alpha.denominator == 1:
-        return (c ** int(alpha)).reduce(n)
-    approx = c_power_frac(Fraction(c.residue), alpha, p, n)
-    return embed_rational(approx, p, n)
 
 
 def iwasawa_log(c: Padic) -> Padic:
@@ -340,20 +288,6 @@ def iwasawa_log(c: Padic) -> Padic:
 
 # ---------------------------------------------------------------------------
 # braced products
-
-
-def braced_product(alpha: Rational, n: int, p: int) -> Fraction:
-    """{alpha}_n: product of alpha + i - 1 over 1 <= i <= n, omitting the
-    factors of positive p-adic valuation.  {alpha}_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = Fraction(1)
-    a = Fraction(alpha)
-    for i in range(1, n + 1):
-        f = a + i - 1
-        if f != 0 and vp(f, p) == 0:
-            out *= f
-    return out
 
 
 def braced_table(alpha: Rational, n_max: int, p: int) -> list[Fraction]:

@@ -1,33 +1,18 @@
-"""Truncated power series and Laurent polynomials over Z/p^N.
+"""Truncated power series over Z/p^N.
 
 A series stores its coefficients as a residue vector: ints mod p^prec,
 one precision for the whole series.  Every product goes through
 `polymul`, a Kronecker-substitution kernel.  Provides the operators the
-congruence machinery needs: truncation below a degree, ring arithmetic
-up to the truncation order, the Frobenius substitution t -> c t^p, the
-logarithmic integral (plain and a-twisted) and t -> 1/t reversal on
-finite Laurent objects.
+congruence machinery needs: truncation below a degree, the polynomial
+product and the Frobenius substitution t -> c t^p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Sequence
 
-from .padic import (
-    NotDivisible,
-    Padic,
-    PadicError,
-    PrecisionExhausted,
-    Rational,
-    embed_rational,
-    vp,
-)
-
-
-class NonzeroConstantTerm(PadicError):
-    """The untwisted logarithmic integral needs a vanishing constant term."""
+from .padic import Padic, PrecisionExhausted, Rational, embed_rational
 
 
 def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> list[int]:
@@ -62,7 +47,8 @@ class TruncSeries:
     residues: tuple[int, ...]
 
     @classmethod
-    def from_rationals(cls, values: Sequence[Rational], p: int, prec: int) -> "TruncSeries":
+    def from_rationals(cls, values: Iterable[Rational], p: int, prec: int) -> "TruncSeries":
+        """Embed exact coefficients, consumed one at a time."""
         return cls(p, prec, tuple(embed_rational(v, p, prec).residue for v in values))
 
     @property
@@ -87,26 +73,10 @@ class TruncSeries:
             raise ValueError(f"only {self.order} coefficients known, {m} requested")
         return TruncSeries(self.p, self.prec, self.residues[:m])
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        prec = min(self.prec, other.prec)
-        m = self.p ** prec
-        return TruncSeries(self.p, prec, tuple((x + y) % m for x, y in zip(self.residues, other.residues)))
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        prec = min(self.prec, other.prec)
-        m = self.p ** prec
-        return TruncSeries(self.p, prec, tuple((x - y) % m for x, y in zip(self.residues, other.residues)))
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        return self._product(other, min(self.order, other.order))
-
     def mul_poly(self, other: "TruncSeries") -> "TruncSeries":
         """Full polynomial product, no truncation to the minimum order."""
-        both = self.order and other.order
-        return self._product(other, self.order + other.order - 1 if both else 0)
-
-    def _product(self, other: "TruncSeries", n: int) -> "TruncSeries":
         prec = min(self.prec, other.prec)
+        n = self.order + other.order - 1 if self.order and other.order else 0
         a, b = self.reduce(prec).residues, other.reduce(prec).residues
         return TruncSeries(self.p, prec, tuple(polymul(a, b, self.p ** prec, n)))
 
@@ -126,99 +96,3 @@ def frobenius_substitute(f: TruncSeries, c: Padic, out_order: int) -> TruncSerie
         out[i * p] = r * power % m
         power = power * c.residue % m
     return TruncSeries(p, prec, tuple(out))
-
-
-def log_integral(f: TruncSeries, twist: Optional[Rational] = None) -> TruncSeries:
-    """The operator int_0^t (.) dt/t on coefficients.
-
-    Untwisted: c_k -> c_k / k for k >= 1 (the constant term must vanish and
-    maps to 0).  Twisted by a: c_k -> c_k / (k + a), realizing
-    t^{-a} int t^a (.) dt/t coefficientwise.  The result carries the
-    input precision less the largest valuation of a divisor."""
-    p = f.p
-    if twist is None:
-        if f.order and f.residues[0] != 0:
-            raise NonzeroConstantTerm("constant term must vanish")
-        start, a = 1, Fraction(0)
-    else:
-        a = Fraction(twist)
-        if (a.denominator == 1 and a <= 0) or a.denominator % p == 0:
-            raise ValueError("twist must lie in Z_p and avoid nonpositive integers")
-        start = 0
-    divisors = [k + a for k in range(start, f.order)]
-    loss = max((vp(d, p) for d in divisors), default=0)
-    prec = f.prec - loss
-    if divisors and prec <= 0:
-        raise PrecisionExhausted("division leaves no digits")
-    m = p ** prec
-    out = [0] * start
-    for r, d in zip(f.residues[start:], divisors):
-        v = vp(d, p)
-        quotient, rest = divmod(r, p ** v)
-        if rest:
-            raise NotDivisible(f"residue not divisible by {p}^{v}")
-        unit = d / p ** v
-        out.append(quotient * unit.denominator * pow(unit.numerator, -1, m) % m)
-    return TruncSeries(p, prec, tuple(out))
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """A finite Laurent polynomial, residues mod p^prec from t^min_deg upward."""
-
-    p: int
-    prec: int
-    min_deg: int
-    residues: tuple[int, ...]
-
-    @classmethod
-    def from_series(cls, f: TruncSeries, min_deg: int = 0) -> "LaurentPoly":
-        return cls(f.p, f.prec, min_deg, f.residues)
-
-    @property
-    def coeffs(self) -> tuple[Padic, ...]:
-        return tuple(Padic(self.p, self.prec, r) for r in self.residues)
-
-    @property
-    def max_deg(self) -> int:
-        return self.min_deg + len(self.residues) - 1
-
-    def reverse(self) -> "LaurentPoly":
-        """Substitute t -> 1/t: the coefficient at degree d moves to -d."""
-        return LaurentPoly(self.p, self.prec, -self.max_deg, self.residues[::-1])
-
-    def shift(self, m: int) -> "LaurentPoly":
-        """Multiply by t^m."""
-        return LaurentPoly(self.p, self.prec, self.min_deg + m, self.residues)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        lo = min(self.min_deg, other.min_deg)
-        n = max(self.max_deg, other.max_deg) - lo + 1
-        prec = min(self.prec, other.prec)
-        m = self.p ** prec
-        out = [0] * n
-        for poly in (self, other):
-            for i, r in enumerate(poly.residues, poly.min_deg - lo):
-                out[i] = (out[i] + r) % m
-        return LaurentPoly(self.p, prec, lo, tuple(out))
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        prec = min(self.prec, other.prec)
-        if not self.residues or not other.residues:
-            return LaurentPoly(self.p, prec, 0, ())
-        m = self.p ** prec
-        a, b = [r % m for r in self.residues], [r % m for r in other.residues]
-        prod = polymul(a, b, m, len(a) + len(b) - 1)
-        return LaurentPoly(self.p, prec, self.min_deg + other.min_deg, tuple(prod))
-
-    def is_zero_mod(self, n: int) -> bool:
-        if n > self.prec:
-            raise PrecisionExhausted(f"need {n} digits to compare")
-        return all(r % self.p ** n == 0 for r in self.residues)
-
-
-def laurent_reverse(f: Union[TruncSeries, LaurentPoly]) -> LaurentPoly:
-    """t -> 1/t on a finite series or Laurent polynomial."""
-    if isinstance(f, TruncSeries):
-        f = LaurentPoly.from_series(f)
-    return f.reverse()

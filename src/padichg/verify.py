@@ -10,7 +10,7 @@ N1*D2 = N2*D1 on coefficients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
@@ -27,16 +27,12 @@ from .series import TruncSeries, frobenius_substitute, polymul
 from .hyper import (
     SIGMA,
     SIGMA_HAT,
-    CoeffTable,
     FrobeniusSpec,
     HGParams,
     b_coefficients,
     bhat_coefficients,
     coeff_exact,
-    hat_series,
-    hg_coefficients,
     hg_series,
-    log_type_series,
     twist_pair,
 )
 from .interp import beta_at, ratio_identity_check
@@ -81,8 +77,6 @@ def _params_dict(params: HGParams, **extra) -> dict:
 
 def _series_match(lhs: TruncSeries, rhs: TruncSeries, n: int, limit: int) -> Optional[dict]:
     """First index < limit where lhs != rhs mod p^n, or None."""
-    if n <= 0:
-        return None
     q = lhs.p ** n
     for k, (l, r) in enumerate(zip(lhs.residues[:limit], rhs.residues[:limit])):
         l, r = l % q, r % q
@@ -95,43 +89,52 @@ def _series_match(lhs: TruncSeries, rhs: TruncSeries, n: int, limit: int) -> Opt
 # congruence relations (Dwork / logarithmic / hat)
 
 
+def effective_exponent(kind: str, p: int, c: Fraction, n: int) -> int:
+    """The exponent e at which check_congruence_relation decides its
+    congruence mod p^e: n, except for kind="log" at p = 2 with c in 1+2W
+    but not 1+4W, where the theorem only asserts mod p^{n-1}."""
+    if kind == "log" and p == 2 and c != 1 and vp(c - 1, p) == 1:
+        return n - 1
+    return n
+
+
 def check_congruence_relation(kind: str, params: HGParams, frob: Optional[FrobeniusSpec],
                               n: int, M: Optional[int] = None) -> CheckReport:
     """The congruence F-hat ≡ truncated-numerator / truncated-denominator
     mod p^n, in cross-multiplied form on coefficients 0..M-1.
 
-    kind: "dwork" (no frob needed), "log" or "hat".  For p = 2 with
-    c in 1+2W but not 1+4W, kind="log" is checked at the weakened
-    modulus p^{n-1}."""
+    kind: "dwork" (F over F^{(1)}(t^p), no frob needed), "log" (G over F)
+    or "hat" (Ghat over F).  The modulus is effective_exponent(kind, p,
+    c, n); an exponent below 1 would decide nothing and is rejected."""
     p = params.p
     pn = p ** n
     if M is None:
         M = 2 * pn
     if M < pn:
         raise ValueError("M must cover the truncation order p^n")
-    n_eff = n
+    if kind not in ("dwork", "log", "hat"):
+        raise ValueError(f"unknown kind {kind!r}")
     info = _params_dict(params, n=n, M=M, kind=kind)
-
-    if kind == "dwork":
-        f = hg_series(params, M, n)
-        f1 = hg_series(params, ceil(M / p), n, level=1)
-        f1p = frobenius_substitute(f1, one(p, n), M)
-        num, den = f, f1p
-    elif kind in ("log", "hat"):
+    c = Fraction(1)
+    if kind != "dwork":
         if frob is None:
             raise ValueError(f"kind={kind} needs a Frobenius twist")
-        info["c"] = frob.c
+        info["c"] = c = frob.c
         info["direction"] = frob.direction
-        if kind == "log":
-            cv = vp(frob.c - 1, p) if frob.c != 1 else None
-            if p == 2 and cv == 1:
-                n_eff = n - 1  # theorem only asserts mod p^{n-1} here
-            num, den = log_type_series(params, frob, M, n)
-        else:
-            frob.validate(p, require_q=True)
-            num, den = hat_series(params, frob, M, n)
+    n_eff = effective_exponent(kind, p, c, n)
+    if n_eff < 1:
+        raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
+    if kind == "hat":
+        frob.validate(p, require_q=True)
+
+    f = hg_series(params, M, n)
+    if kind == "dwork":
+        f1 = hg_series(params, ceil(M / p), n, level=1)
+        num, den = f, frobenius_substitute(f1, one(p, n), M)
+    elif kind == "log":
+        num, den = b_coefficients(params, frob, M, n), f
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        num, den = bhat_coefficients(params, frob, M, n), f
 
     lhs = num.mul_poly(den.truncate_below(pn)).truncate_below(M)
     rhs = den.mul_poly(num.truncate_below(pn)).truncate_below(M)
@@ -155,10 +158,9 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     p, l = params.p, params.l
     pn = p ** n
     q = p ** n  # comparison modulus
-    a_res = [embed_rational(coeff_exact(params, k), p, n).residue for k in range(pn)]
-    a1_res = [embed_rational(coeff_exact(params, k, 1), p, n).residue for k in range(pn // p)]
+    a_res = hg_series(params, pn, n).residues
     spread = [0] * (pn - p + 1)  # Q(t^p); reversed, it is revQ
-    spread[::p] = a1_res
+    spread[::p] = hg_series(params, pn // p, n, level=1).residues
 
     deg = 2 * pn - 2  # covers both sides
     shift = p - 1 - l
@@ -329,20 +331,14 @@ def sweep_section(params: HGParams, n: int) -> CheckReport:
 # main theorem congruence
 
 
-def _main_tables(params: HGParams, c: Rational, n: int) -> tuple[CoeffTable, CoeffTable, CoeffTable]:
-    frob, frob_hat = twist_pair(c)
-    count = params.p ** n
-    a_tab = hg_coefficients(params, count, n)
-    b_tab = b_coefficients(params, frob, count, n)
-    bhat_tab = bhat_coefficients(params, frob_hat, count, n)
-    return a_tab, b_tab, bhat_tab
-
-
 def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     """sum_{i+j=m} B_i A_{p^n-j-1} + Bhat_{p^n-j-1} A_i ≡ 0 mod p^n for
     every m in [0, 2(p^n-1)]; B along sigma, Bhat along sigma-hat."""
     q = params.p ** n
-    a, b, bhat = ([v.residue for v in tab.values] for tab in _main_tables(params, c, n))
+    frob, frob_hat = twist_pair(c)
+    a = hg_series(params, q, n).residues
+    b = b_coefficients(params, frob, q, n).residues
+    bhat = bhat_coefficients(params, frob_hat, q, n).residues
     info = _params_dict(params, n=n, c=Fraction(c))
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
     left = polymul(b, a[::-1], q, 2 * q - 1)
@@ -361,8 +357,10 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
 
 def sweep_ratio(params: HGParams, x_max: int = 200) -> CheckReport:
     info = _params_dict(params, x_max=x_max)
+    p = params.p
+    tables = (braced_table(1, x_max, p), braced_table(params.a, x_max, p))
     for x in range(1, x_max + 1):
-        if not ratio_identity_check(x, params):
+        if not ratio_identity_check(x, params, tables):
             return CheckReport(check="ratio-identity", params=info, passed=False,
                                modulus=0, first_failure={"x": x})
     return CheckReport(check="ratio-identity", params=info, passed=True, modulus=0)

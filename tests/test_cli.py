@@ -107,6 +107,15 @@ class TestSuite:
         rows = [json.loads(line) for line in reports[0].decode().splitlines()]
         assert [r["check"] for r in rows if "error" in r] == ["dwork", "dwork-transform"]
 
+    def test_modulus_zero_log_cell_skipped(self, capsys):
+        # p = 2, c = 3: log is decided mod 2^{n-1}, so n = 1 decides nothing
+        code, out, _ = run(["suite", "--p", "2", "--a", "1/3", "--c", "3",
+                            "--n", "1", "2", "--check", "log"], capsys)
+        assert code == EXIT_PASS
+        rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        assert [(r["params"]["n"], r["modulus"]) for r in rows] == [("2", 1)]
+        assert "skipped 1 incompatible grid cells" in out
+
     def test_n_independent_check_expanded_once(self, capsys):
         code, out, _ = run(["suite", "--p", "3", "--a", "1/2", "--s", "1", "2",
                             "--check", "ratio-identity", "--n", "1", "2"], capsys)
@@ -121,6 +130,8 @@ class TestInputErrors:
         ["table", "--kind", "beta", "--a", "1/2", "--c", "2", "--p", "3", "--points", "3"],
         ["suite", "--config", "/nonexistent"],
         ["suite", "--check", "dwork", "--out", "/nonexistent/dir/x.jsonl"],
+        ["interp", "--a", "1/2", "--p", "3", "--c", "2", "--lam", "1", "2"],
+        ["table", "--kind", "beta", "--a", "1/2", "--c", "2", "--p", "3", "--points", "1"],
     ])
     def test_exit_config_with_one_line(self, argv, capsys):
         code, _, err = run(argv, capsys)
@@ -148,6 +159,13 @@ class TestTable:
                             "--points", "1", "--prec", "2"], capsys)
         rows = [json.loads(l) for l in out.splitlines()]
         assert rows[0]["residue"] == 1
+
+    @pytest.mark.parametrize("kind", ["A", "B", "Bhat"])
+    def test_count_zero_rejected(self, kind, capsys):
+        code, out, err = run(["table", "--kind", kind, "--a", "1/2", "--p", "3",
+                              "--count", "0"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "error: count must be positive\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(["table", "--kind", "A", "--a", "1/2", "--p", "3",

@@ -1,6 +1,8 @@
-"""Tests for coefficient sequences, series assembly and the two Ghat routes."""
+"""Tests for coefficient sequences, their series builders and the integral
+routes to G and Ghat that cross-check them."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -14,16 +16,14 @@ from padichg import (
     b_coefficients,
     bhat_coefficients,
     compute_h,
-    dwork_truncation_pair,
     embed_rational,
-    hat_series,
-    hg_coefficients,
     hg_series,
     iwasawa_log,
-    log_type_series,
     twist_pair,
 )
 from padichg.hyper import b_exact, bhat_approx, coeff_exact
+
+from oracle import hat_series, log_type_series, pochhammer
 
 
 def params(a, s=1, p=3):
@@ -82,23 +82,33 @@ class TestACoefficients:
         step = ((P.a + k - 1) / k) ** P.s
         assert coeff_exact(P, k) == coeff_exact(P, k - 1) * step
 
+    @given(st.integers(0, 60), st.integers(0, 2),
+           st.sampled_from([(Fraction(2, 3), 5), (Fraction(1, 3), 2), (Fraction(1, 4), 3)]))
+    def test_matches_pochhammer_oracle(self, k, level, pair):
+        a, p = pair
+        P = HGParams.create(a, 2, p)
+        a_level = P.chain.a_at(level)
+        assert coeff_exact(P, k, level) == (pochhammer(a_level, k) / factorial(k)) ** 2
+
 
 class TestTruncationPair:
+    """([F]_{<p^n}, [F^{(1)}]_{<p^{n-1}}), the pair the Dwork checks build."""
+
     def test_p2_a1(self):
         P = HGParams.create(1, 1, 2)
-        f, g = dwork_truncation_pair(P, 1, 3)
-        assert [c.residue for c in f.coeffs] == [1, 1]
-        assert [c.residue for c in g.coeffs] == [1]
+        f, g = hg_series(P, 2, 3), hg_series(P, 1, 3, level=1)
+        assert list(f.residues) == [1, 1]
+        assert list(g.residues) == [1]
 
     def test_a1_odd_p(self):
         P = params(1, p=5)
-        f, g = dwork_truncation_pair(P, 2, 2)
+        f, g = hg_series(P, 25, 2), hg_series(P, 5, 2, level=1)
         assert f.order == 25 and g.order == 5
-        assert all(c.residue == 1 for c in f.coeffs)
+        assert set(f.residues) == {1}
 
     def test_half_n1(self):
         P = params(Fraction(1, 2))
-        f, _ = dwork_truncation_pair(P, 1, 4)
+        f = hg_series(P, 3, 4)
         expect = [Fraction(1), Fraction(1, 2), Fraction(3, 8)]
         assert list(f.coeffs) == [embed_rational(e, 3, 4) for e in expect]
 
@@ -124,7 +134,7 @@ class TestBCoefficients:
     def test_table_prepends_constant(self):
         P = params(1)
         tab = b_coefficients(P, FrobeniusSpec(Fraction(1)), 4, 3)
-        assert [v.residue for v in tab.values] == [
+        assert list(tab.residues) == [
             0, 1, embed_rational(Fraction(1, 2), 3, 3).residue, 0]
 
 
@@ -165,17 +175,40 @@ class TestBhatCoefficients:
         tab = bhat_coefficients(P, frob, 6, 2)
         for k in range(6):
             direct = embed_rational(bhat_approx(P, frob, k, 5), 3, 5)
-            assert tab[k].congruent(direct.reduce(2), 2)
+            assert tab.coeffs[k] == direct.reduce(2)
+
+
+def route_cases():
+    """(params, c) over p in {2,3,5}, s in {1,2}, every admissible grid a
+    and c in {1, 1+q}."""
+    for p in (2, 3, 5):
+        for a in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
+            if a.denominator % p == 0:
+                continue
+            for s in (1, 2):
+                P = HGParams.create(a, s, p)
+                for c in (Fraction(1), Fraction(1 + P.q)):
+                    yield P, c
 
 
 class TestSeriesRoutes:
+    """The integral routes of the oracle module against the closed-formula
+    builders, on coefficients 0..2p^2-1."""
+
     def test_g_matches_b_table(self):
-        P = params(Fraction(1, 2))
-        frob = FrobeniusSpec(Fraction(4))
-        g, _ = log_type_series(P, frob, 10, 2)
-        tab = b_coefficients(P, frob, 10, 2)
-        for k in range(10):
-            assert g.coeffs[k].congruent(tab[k], 2)
+        for P, c in route_cases():
+            frob = FrobeniusSpec(c)
+            order = 2 * P.p ** 2
+            g, f = log_type_series(P, frob, order, 3)
+            assert g.residues == b_coefficients(P, frob, order, 3).residues, (P, c)
+            assert f.residues == hg_series(P, order, 3).residues
+
+    def test_ghat_routes_agree(self):
+        for P, c in route_cases():
+            frob = FrobeniusSpec(c, SIGMA_HAT)
+            order = 2 * P.p ** 2
+            ghat, _ = hat_series(P, frob, order, 3)
+            assert ghat.residues == bhat_coefficients(P, frob, order, 3).residues, (P, c)
 
     def test_g_closed_form_a1(self):
         P = params(1)
@@ -184,15 +217,6 @@ class TestSeriesRoutes:
             expect = Fraction(0) if k % 3 == 0 else Fraction(1, k)
             assert g.coeffs[k].congruent(embed_rational(expect, 3, 2), 2)
         assert all(c.residue == 1 for c in f.coeffs)
-
-    def test_ghat_routes_agree(self):
-        P = params(Fraction(1, 2))
-        for c in (Fraction(1), Fraction(4)):
-            frob = FrobeniusSpec(c, SIGMA_HAT)
-            ghat, _ = hat_series(P, frob, 10, 2)
-            tab = bhat_coefficients(P, frob, 10, 2)
-            for k in range(10):
-                assert ghat.coeffs[k].congruent(tab[k], 2)
 
     def test_ghat_constant_term(self):
         P = params(Fraction(1, 2))
@@ -224,18 +248,9 @@ class TestComputeH:
 
 
 class TestCoefficientTables:
-    def test_kind_labels(self):
-        P = params(Fraction(1, 2))
-        assert hg_coefficients(P, 3, 2).kind == "A"
-        assert hg_coefficients(P, 3, 2, level=1).kind == "A1"
-
-    def test_json_lines(self):
-        P = params(1)
-        lines = list(hg_coefficients(P, 2, 2).to_json_lines())
-        assert len(lines) == 2 and '"k": 0' in lines[0]
-
     def test_series_matches_table(self):
-        P = params(Fraction(1, 2), s=2)
-        f = hg_series(P, 6, 3)
-        tab = hg_coefficients(P, 6, 3)
-        assert list(f.coeffs) == list(tab.values)
+        P = params(Fraction(2, 3), s=2, p=5)
+        for level in (0, 1):
+            f = hg_series(P, 6, 3, level=level)
+            assert f.residues == tuple(embed_rational(coeff_exact(P, k, level), 5, 3).residue
+                                       for k in range(6))

@@ -1,6 +1,7 @@
 """Tests for the interpolated functions beta and beta-hat."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -10,12 +11,14 @@ from padichg import (
     FrobeniusSpec,
     HGParams,
     beta_at,
+    braced_table,
     embed_rational,
     ratio_identity_check,
     witness_for,
 )
-from padichg.hyper import SIGMA_HAT
-from padichg.interp import interp_point
+from padichg.hyper import SIGMA_HAT, coeff_exact
+
+from oracle import braced_product
 
 
 def params(a, s=1, p=3):
@@ -31,10 +34,6 @@ class TestWitness:
 
     def test_rational_point(self):
         assert witness_for(Fraction(1, 2), 3, 2) == 5
-
-    def test_interp_point_record(self):
-        pt = interp_point(Fraction(1, 2), 3, 2)
-        assert (pt.lam, pt.n, pt.k_witness) == (Fraction(1, 2), 2, 5)
 
     @given(st.fractions(max_denominator=20), st.integers(1, 4))
     def test_witness_congruent_to_lambda(self, lam, n):
@@ -76,6 +75,12 @@ class TestBeta:
         for lam in (Fraction(0), Fraction(1, 2), Fraction(2)):
             beta_at(lam, P, frob, 2, check_witness=True)
 
+    def test_rejects_c_outside_one_plus_p(self):
+        for hat in (False, True):
+            with pytest.raises(ValueError, match=r"not in 1 \+ 3W"):
+                beta_at(Fraction(1), params(Fraction(1, 2)), FrobeniusSpec(Fraction(2)), 2,
+                        hat=hat)
+
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             beta_at(Fraction(1), params(1), FrobeniusSpec(Fraction(1)), 0)
@@ -106,3 +111,33 @@ class TestRatioIdentity:
     def test_holds_across_grid(self, x, pair, s):
         a, p = pair
         assert ratio_identity_check(x, HGParams.create(a, s, p))
+
+
+def ratio_identity_per_x(x, params):
+    """The ratio identity with {1}_x and {a}_x rebuilt for this x alone."""
+    p, s, a, l = params.p, params.s, params.a, params.l
+    m = x // p
+    m_a = (x - 1 - l) // p + 1 if x - 1 >= l else 0
+    corr = Fraction(factorial(m_a), factorial(m)) * Fraction(p) ** (m_a - m)
+    lhs = coeff_exact(params, m_a, 1) * braced_product(a, x, p) ** s * corr ** s
+    rhs = coeff_exact(params, x) * braced_product(1, x, p) ** s
+    return lhs == rhs
+
+
+class TestRatioIdentityTables:
+    @pytest.mark.parametrize("a,p", [(Fraction(1, 2), 3), (Fraction(2, 3), 5),
+                                     (Fraction(1, 3), 2), (Fraction(1, 4), 3)])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_shared_table_matches_per_x_oracle(self, a, p, s):
+        P = HGParams.create(a, s, p)
+        tables = (braced_table(1, 60, p), braced_table(a, 60, p))
+        for x in range(1, 61):
+            shared = ratio_identity_check(x, P, tables)
+            assert shared == ratio_identity_check(x, P) == ratio_identity_per_x(x, P)
+            assert shared
+
+    def test_other_parameter_table_breaks_identity(self):
+        # the table argument is read: {a}_x of another a makes it fail
+        P = HGParams.create(Fraction(1, 2), 1, 3)
+        wrong = (braced_table(1, 10, 3), braced_table(Fraction(1, 4), 10, 3))
+        assert not all(ratio_identity_check(x, P, wrong) for x in range(1, 11))

@@ -12,19 +12,16 @@ from padichg import (
     NotDivisible,
     Padic,
     PrecisionExhausted,
-    binomial,
-    braced_product,
     braced_table,
-    c_power,
     c_power_frac,
     dwork_chain,
     embed_rational,
     iwasawa_log,
-    padic_binomial,
     parse_rational,
-    pochhammer,
     vp,
 )
+
+from oracle import braced_product, pochhammer
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -111,7 +108,31 @@ class TestExactDivide:
         assert emb.exact_divide(d) == embed_rational(x / d, p, 4)
 
 
+def binomial(alpha, i):
+    """Generalized binomial coefficient alpha(alpha-1)...(alpha-i+1)/i!."""
+    out = Fraction(1)
+    for j in range(i):
+        out *= (Fraction(alpha) - j) / (j + 1)
+    return out
+
+
+def binomial_sum_power(c, alpha, p, prec):
+    """Oracle for c_power_frac at non-integral alpha: the binomial series in
+    c - 1, each binom(alpha, i) rebuilt from scratch."""
+    x = Fraction(c) - 1
+    if x == 0:
+        return Fraction(1)
+    v = vp(x, p)
+    total, i = Fraction(1), 1
+    while i * v < prec:
+        total += binomial(alpha, i) * x ** i
+        i += 1
+    return total
+
+
 class TestPochhammerBinomial:
+    """The Pochhammer and binomial oracles."""
+
     def test_pochhammer_half_two(self):
         assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
 
@@ -120,12 +141,6 @@ class TestPochhammerBinomial:
 
     def test_binomial_half_two(self):
         assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
-        assert padic_binomial(Fraction(1, 2), 2, 3, 3) == embed_rational(
-            Fraction(-1, 8), 3, 3)
-
-    def test_padic_binomial_rising(self):
-        assert padic_binomial(Fraction(1, 2), 2, 3, 3, rising=True) == \
-            embed_rational(Fraction(3, 4), 3, 3)
 
     @given(frac(), st.integers(0, 8))
     def test_pascal_recurrence(self, a, i):
@@ -134,13 +149,11 @@ class TestPochhammerBinomial:
 
 class TestCPower:
     def test_exponent_zero_and_one(self):
-        c = embed_rational(4, 3, 3)
-        assert c_power(c, 0).residue == 1
-        assert c_power(c, 1) == c
+        assert c_power_frac(4, 0, 3, 3) == 1
+        assert c_power_frac(4, 1, 3, 3) == 4
 
     def test_square_root_of_four(self):
-        c = embed_rational(4, 3, 2)
-        x = c_power(c, Fraction(1, 2))
+        x = embed_rational(c_power_frac(4, Fraction(1, 2), 3, 2), 3, 2)
         assert x.residue == 7
         assert (x * x).residue == 4 % 9 and x.residue % 3 == 1
 
@@ -156,6 +169,23 @@ class TestCPower:
         lhs = c_power_frac(c, a1, p, prec) * c_power_frac(c, a2, p, prec)
         rhs = c_power_frac(c, a1 + a2, p, prec)
         assert vp(lhs - rhs, p) is None or vp(lhs - rhs, p) >= prec
+
+    @settings(max_examples=150)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+               st.just(p),
+               st.builds(Fraction, st.integers(-40, 40),
+                         st.sampled_from([d for d in (1, 2, 3, 4, 5, 7, 9) if d % p])),
+               st.integers(-30, 30).filter(lambda m: m != 0).map(
+                   lambda m: Fraction(1 + (4 if p == 2 else p) * m, 1)),
+               st.integers(0, 12))))
+    def test_matches_binomial_sum(self, case):
+        # the incremental series is the same exact rational as the
+        # term-by-term binomial sum
+        p, alpha, c, prec = case
+        if alpha.denominator == 1:
+            assert c_power_frac(c, alpha, p, prec) == c ** int(alpha)
+        else:
+            assert c_power_frac(c, alpha, p, prec) == binomial_sum_power(c, alpha, p, prec)
 
 
 class TestIwasawaLog:
@@ -186,13 +216,13 @@ class TestIwasawaLog:
 
 class TestBracedProduct:
     def test_empty(self):
-        assert braced_product(Fraction(5, 7), 0, 3) == 1
+        assert braced_table(Fraction(5, 7), 0, 3) == [1]
 
     def test_one_five_at_five(self):
-        assert braced_product(1, 5, 5) == 24
+        assert braced_table(1, 5, 5)[5] == 24
 
     def test_half_three_at_three(self):
-        assert braced_product(Fraction(1, 2), 3, 3) == Fraction(5, 4)
+        assert braced_table(Fraction(1, 2), 3, 3)[3] == Fraction(5, 4)
 
     @given(frac(st.integers(-20, 20), st.integers(1, 10)), st.integers(0, 25), PRIMES)
     def test_table_matches_direct(self, a, n, p):
@@ -252,7 +282,6 @@ class TestMisc:
     def test_str_and_digits(self):
         x = Padic(3, 3, 14)
         assert str(x) == "14 mod 3^3"
-        assert x.digits() == [2, 1, 1]
 
     def test_congruent_requires_precision(self):
         with pytest.raises(PrecisionExhausted):

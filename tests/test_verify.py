@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from padichg import (
     FrobeniusSpec,
     HGParams,
-    LaurentPoly,
     PreconditionViolated,
     check_beta_pairing,
     check_braced_congruence,
@@ -20,9 +19,6 @@ from padichg import (
     check_main_congruence,
     check_ratio_interpolation,
     check_section_congruence,
-    hat_series,
-    laurent_reverse,
-    log_type_series,
     sweep_beta_pairing,
     sweep_braced,
     sweep_ratio,
@@ -30,6 +26,8 @@ from padichg import (
     twist_pair,
 )
 from padichg.hyper import SIGMA_HAT
+
+from oracle import hat_series, log_type_series, schoolbook
 
 
 def params(a, s=1, p=3):
@@ -58,6 +56,16 @@ class TestCongruenceRelations:
         P = HGParams.create(Fraction(1, 5), 1, 2)
         rep = check_congruence_relation("log", P, FrobeniusSpec(Fraction(3)), 2)
         assert rep.passed and rep.modulus == 1
+
+    def test_modulus_below_one_rejected(self):
+        # log at p = 2 with c in 1+2W but not 1+4W and n = 1 would compare
+        # mod 2^0, which decides nothing
+        P = HGParams.create(Fraction(1, 3), 1, 2)
+        for c in (Fraction(3), Fraction(7)):
+            with pytest.raises(PreconditionViolated):
+                check_congruence_relation("log", P, FrobeniusSpec(c), 1)
+        with pytest.raises(PreconditionViolated):
+            check_congruence_relation("dwork", params(1), None, 0)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -204,15 +212,16 @@ class TestMainCongruence:
 def main_congruence_laurent(params, c, n):
     """Laurent-polynomial form of check_main_congruence, kept as its oracle:
     [G]_{<p^n} t^{p^n-1} rev([F]_{<p^n}) + rev([Ghat]_{<p^n}) t^{p^n-1} [F]_{<p^n}
-    vanishes mod p^n, with G and Ghat built by the integral routes."""
+    vanishes mod p^n, with G and Ghat built by the integral routes.  For a
+    polynomial of degree < p^n, t^{p^n-1} rev(.) reverses its coefficient
+    list, so both products are plain schoolbook products."""
     pn = params.p ** n
     frob, frob_hat = twist_pair(c)
     g, f = log_type_series(params, frob, pn, n)
     ghat, _ = hat_series(params, frob_hat, pn, n)
-    rev_f = laurent_reverse(f).shift(pn - 1)
-    rev_ghat = laurent_reverse(ghat).shift(pn - 1)
-    total = LaurentPoly.from_series(g) * rev_f + rev_ghat * LaurentPoly.from_series(f)
-    return total.is_zero_mod(n)
+    left = schoolbook(g.residues, f.residues[::-1], pn, 2 * pn - 1)
+    right = schoolbook(ghat.residues[::-1], f.residues, pn, 2 * pn - 1)
+    return all((x + y) % pn == 0 for x, y in zip(left, right))
 
 
 class TestRatioAndInterp:
