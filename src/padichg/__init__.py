@@ -8,6 +8,7 @@ from .padic import (
     Padic,
     PadicError,
     PrecisionExhausted,
+    PreconditionViolated,
     braced_table,
     c_power_frac,
     dwork_chain,
@@ -38,7 +39,6 @@ from .interp import beta_at, ratio_identity_check, witness_for
 from .verify import (
     CheckReport,
     NoUnitCoefficient,
-    PreconditionViolated,
     check_beta_pairing,
     check_braced_congruence,
     check_congruence_relation,

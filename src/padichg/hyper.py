@@ -4,24 +4,35 @@ Computes A_k (and the Dwork-prime levels A_k^{(i)}), the logarithmic-type
 coefficients B_k with their constant term and the hatted coefficients
 Bhat_k.  Each sequence has one builder returning a residue vector: the
 series F (`hg_series`), G (`b_coefficients`) and Ghat
-(`bhat_coefficients`).  Exact rational arithmetic is used internally;
-results are embedded at the caller's target precision.
+(`bhat_coefficients`).
+
+The coefficients are p-integral, so each is fixed by a unit mod p^w and an
+exact valuation.  The builders walk the recurrence (a+k-1)/k with the
+p-parts split off exactly, form numerators at a guard precision w read
+off those valuations, and divide exactly.  Tables are built per call;
+nothing is cached.  Exact rationals remain only in `exact_a_table`, for
+the two exact identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .padic import (
     DworkChain,
+    NotDivisible,
     Padic,
     PadicError,
+    PreconditionViolated,
     Rational,
     c_power_frac,
     check_prime,
     dwork_chain,
     embed_rational,
+    ratio_valuation,
+    split_p,
     vp,
 )
 from .series import TruncSeries
@@ -95,7 +106,7 @@ class FrobeniusSpec:
                 need = 2 if (require_q and p == 2) else 1
                 if v is None or v < need:
                     depth = 4 if need == 2 else p
-                    raise ValueError(f"c = {self.c} is not in 1 + {depth}W")
+                    raise PreconditionViolated(f"c = {self.c} is not in 1 + {depth}W")
 
 
 def twist_pair(c: Rational) -> tuple[FrobeniusSpec, FrobeniusSpec]:
@@ -104,88 +115,173 @@ def twist_pair(c: Rational) -> tuple[FrobeniusSpec, FrobeniusSpec]:
 
 
 # ---------------------------------------------------------------------------
-# exact coefficients
-
-_RATIO_CACHE: dict[Fraction, list[Fraction]] = {}
+# the residue engine: (a)_k/k! as a unit mod p^w times an exact power of p
 
 
-def _ratio_table(a: Fraction, count: int) -> list[Fraction]:
-    """[(a)_k / k! for k < count], extended incrementally and cached."""
-    table = _RATIO_CACHE.setdefault(a, [Fraction(1)])
-    while len(table) < count:
-        k = len(table)
-        table.append(table[-1] * (a + k - 1) / k)
-    return table
+def _ratio_units(a: Fraction, p: int, count: int, w: int) -> tuple[list[int], list[int]]:
+    """(units, valuations) with (a)_k/k! = p^{valuations[k]} units[k] and
+    units[k] a unit mod p^w, for k < count.
+
+    Walks the recurrence (a)_k/k! = (a)_{k-1}/(k-1)! * (a+k-1)/k, with
+    a + k - 1 = (n + (k-1)d)/d, splitting the p-part off each numerator
+    and denominator exactly."""
+    m = p ** w
+    n, d = a.numerator, a.denominator
+    d_inv = pow(d, -1, m)
+    units, vals = [1], [0]
+    u, v = 1, 0
+    for k in range(1, count):
+        vn, un = split_p(n + (k - 1) * d, p)
+        vk, uk = split_p(k, p)
+        u = u * un * d_inv * pow(uk, -1, m) % m
+        v += vn - vk
+        units.append(u)
+        vals.append(v)
+    return units[:count], vals[:count]
 
 
-def coeff_exact(params: HGParams, k: int, level: int = 0) -> Fraction:
-    """A_k at Dwork-prime level: ((a^{(level)})_k / k!)^s."""
-    a = params.chain.a_at(level)
-    return _ratio_table(a, k + 1)[k] ** params.s
+def _powers(units: list[int], vals: list[int], s: int, p: int, w: int) -> list[int]:
+    """(p^v u)^s mod p^w for each unit u and valuation v."""
+    m = p ** w
+    return [pow(u, s, m) * p ** (s * v) % m if s * v < w else 0
+            for u, v in zip(units, vals)]
 
 
-def b_exact(params: HGParams, frob: FrobeniusSpec, k: int) -> Fraction:
-    """B_k = (A_k - c^{k/p} A^{(1)}_{k/p}) / k for k >= 1, exactly."""
-    if k < 1:
-        raise ValueError("closed formula applies for k >= 1 only")
+def _a_residues(params: HGParams, count: int, w: int, level: int = 0) -> list[int]:
+    """A_k^{(level)} = ((a^{(level)})_k/k!)^s mod p^w for k < count."""
+    units, vals = _ratio_units(params.chain.a_at(level), params.p, count, w)
+    return _powers(units, vals, params.s, params.p, w)
+
+
+def _numerators(params: HGParams, frob: FrobeniusSpec, a_res: list[int], w: int,
+                hat: bool) -> list[int]:
+    """k·B_k (or (k+a)·Bhat_k with hat=True) mod p^w for k < len(a_res),
+    given the A_k residues mod p^w.
+
+    B: A_k - c^{k/p} A^{(1)}_{k/p} at p | k.  Bhat: A_k - (-1)^{se}
+    c^{(k+a)/p} A^{(1)}_j at k = l + jp, where c^{(k+a)/p} = c^{a^{(1)}} c^j,
+    so the one fractional power is taken once per table."""
     p = params.p
-    term = Fraction(0)
-    if k % p == 0:
-        term = frob.c_eff ** (k // p) * coeff_exact(params, k // p, 1)
-    return (coeff_exact(params, k) - term) / k
+    m = p ** w
+    count = len(a_res)
+    start = params.l if hat else 0
+    if count <= start:
+        return list(a_res)
+    c = embed_rational(frob.c_eff, p, w).residue
+    factor = 1
+    if hat:
+        c_a1 = c_power_frac(frob.c_eff, params.chain.a_at(1), p, w)
+        factor = params.sign_se() * embed_rational(c_a1, p, w).residue
+    a1_res = _a_residues(params, (count - 1 - start) // p + 1, w, level=1)
+    out = list(a_res)
+    for j, x in enumerate(a1_res):
+        k = start + j * p
+        out[k] = (out[k] - factor * x) % m
+        factor = factor * c % m
+    return out
 
 
-def bhat_approx(params: HGParams, frob: FrobeniusSpec, k: int, prec: int) -> Fraction:
-    """A rational congruent to Bhat_k mod p^prec.
+def _exact_quotient(num: int, den: int, p: int, prec: int) -> int:
+    """num/den mod p^prec, for num known mod p^(prec + v_p(den)).  Raises
+    NotDivisible when p^{v_p(den)} does not divide num, i.e. when the
+    quotient is not p-integral."""
+    v, u = split_p(den, p)
+    q, r = divmod(num, p ** v)
+    if r:
+        raise NotDivisible(f"numerator not divisible by {p}^{v}")
+    m = p ** prec
+    return q * pow(u, -1, m) % m
 
-    Bhat_k = (A_k - (-1)^{se} A^{(1)}_{(k-l)/p} c^{(k+a)/p}) / (k + a) with
-    the A^{(1)} factor zero when k - l is negative or not divisible by p.
-    The fractional c-power is the only approximated quantity."""
-    p, a, l = params.p, params.a, params.l
-    ka = k + a
-    term = Fraction(0)
-    if k >= l and (k - l) % p == 0:
-        j = (k - l) // p
-        loss = vp(ka, p)
-        assert loss is not None and loss >= 0
-        cp = c_power_frac(frob.c_eff, ka / p, p, prec + loss + 1)
-        term = params.sign_se() * coeff_exact(params, j, 1) * cp
-    return (coeff_exact(params, k) - term) / ka
+
+def _divisor(params: HGParams, k: int, hat: bool) -> tuple[int, int]:
+    """(D, d): the exact divisor k + a = D/d of Bhat_k, or k = k/1 of B_k."""
+    a = params.a
+    return (k * a.denominator + a.numerator, a.denominator) if hat else (k, 1)
 
 
 # ---------------------------------------------------------------------------
-# series builders: exact coefficients are embedded one at a time, so that
-# no run of large rationals is held at once
+# series builders: residues mod p^prec, formed at the guard precision the
+# exact valuations call for
 
 
 def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> TruncSeries:
     """F at the given Dwork-prime level, truncated at t^order."""
-    return TruncSeries.from_rationals(
-        (coeff_exact(params, k, level) for k in range(order)), params.p, prec)
+    return TruncSeries(params.p, prec, tuple(_a_residues(params, order, prec, level)))
+
+
+def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], n: int,
+                       hat: bool = False) -> list[int]:
+    """B_k/A_k (Bhat_k/A_k with hat=True) mod p^n at each k >= 1 in ks.
+
+    The numerator is formed mod p^w with w = n + v_p(k) + v_p(A_k) (v_p(k+a)
+    for Bhat), the largest over ks, and divided by k A_k exactly."""
+    frob.validate(params.p)
+    if not ks:
+        return []
+    p, s, a = params.p, params.s, params.a
+    w = n + max(split_p(_divisor(params, k, hat)[0], p)[0] + s * ratio_valuation(a, p, k)
+                for k in ks)
+    units, vals = _ratio_units(a, p, max(ks) + 1, w)
+    nums = _numerators(params, frob, _powers(units, vals, s, p, w), w, hat)
+    out = []
+    for k in ks:
+        den, d = _divisor(params, k, hat)
+        # the exact divisor k·A_k, its unit part known mod p^w
+        den *= p ** (s * vals[k]) * pow(units[k], s, p ** w)
+        out.append(_exact_quotient(nums[k] * d, den, p, n))
+    return out
 
 
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
-    """B_0, computed by interpolation: B_0 ≡ B_{p^N}/A_{p^N} mod p^N."""
+    """B_0, computed by interpolation: B_0 ≡ B_{p^N}/A_{p^N} mod p^N, so its
+    guard is w = 2N + v_p(A_{p^N})."""
     if prec < 1:
         raise ValueError("precision must be positive")
+    return Padic(params.p, prec, coefficient_ratios(params, frob, [params.p ** prec], prec)[0])
+
+
+def _divided_table(params: HGParams, frob: FrobeniusSpec, count: int, prec: int,
+                   hat: bool) -> list[int]:
+    """k·B_k or (k+a)·Bhat_k formed mod p^(prec + largest divisor valuation)
+    and divided exactly, for k < count."""
     frob.validate(params.p)
-    k = params.p ** prec
-    value = b_exact(params, frob, k) / coeff_exact(params, k)
-    return embed_rational(value, params.p, prec)
+    p = params.p
+    ks = range(0 if hat else 1, count)
+    w = prec + max((split_p(_divisor(params, k, hat)[0], p)[0] for k in ks), default=0)
+    nums = _numerators(params, frob, _a_residues(params, count, w), w, hat)
+    out = []
+    for k in ks:
+        den, d = _divisor(params, k, hat)
+        out.append(_exact_quotient(nums[k] * d, den, p, prec))
+    return out
 
 
 def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:
-    """G: B_k for k < count; index 0 is the interpolated constant term."""
-    p = params.p
+    """G: B_k for k < count; index 0 is the interpolated constant term.
+    A numerator not divisible by p^{v_p(k)} raises NotDivisible."""
     b0 = b0_constant(params, frob, prec).residue
-    rest = (embed_rational(b_exact(params, frob, k), p, prec).residue for k in range(1, count))
-    return TruncSeries(p, prec, (b0, *rest)[:count])
+    rest = _divided_table(params, frob, count, prec, hat=False)
+    return TruncSeries(params.p, prec, (b0, *rest)[:count])
 
 
 def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:
     """Ghat: Bhat_k for k < count via the closed coefficient formula."""
-    return TruncSeries.from_rationals(
-        (bhat_approx(params, frob, k, prec) for k in range(count)), params.p, prec)
+    return TruncSeries(params.p, prec, tuple(_divided_table(params, frob, count, prec, hat=True)))
+
+
+def exact_a_table(params: HGParams, count: int, level: int = 0) -> list[Fraction]:
+    """[A_k^{(level)} for k < count] as exact rationals, for the two exact
+    identities; built afresh on each call."""
+    a, s = params.chain.a_at(level), params.s
+    n, d = a.numerator, a.denominator
+    num = den = 1  # (a)_k = num / d^k and k! d^k = den
+    out: list[Fraction] = []
+    for k in range(count):
+        if k:
+            num *= n + (k - 1) * d
+            den *= k * d
+        out.append(Fraction(num, den) ** s)
+    return out
 
 
 def compute_h(params: HGParams, prec: int) -> TruncSeries:

@@ -11,25 +11,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .padic import Padic, Rational, braced_table, embed_rational, vp
-from .hyper import FrobeniusSpec, HGParams, b_exact, bhat_approx, coeff_exact
+from .padic import Padic, Rational, braced_table, embed_rational
+from .hyper import FrobeniusSpec, HGParams, coefficient_ratios, exact_a_table
 
 
 def witness_for(lam: Rational, p: int, n: int) -> int:
     """Smallest positive integer congruent to lambda mod p^n."""
     r = embed_rational(lam, p, n).residue
     return r if r >= 1 else p ** n
-
-
-def _ratio_at(k: int, params: HGParams, frob: FrobeniusSpec, n: int, hat: bool) -> Padic:
-    ak = coeff_exact(params, k)
-    loss = vp(ak, params.p)
-    assert loss is not None
-    if hat:
-        value = bhat_approx(params, frob, k, n + loss + 1) / ak
-    else:
-        value = b_exact(params, frob, k) / ak
-    return embed_rational(value, params.p, n)
 
 
 def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
@@ -42,17 +31,24 @@ def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
         raise ValueError("n must be positive")
     frob.validate(params.p)
     k = witness_for(lam, params.p, n)
-    out = _ratio_at(k, params, frob, n, hat)
-    if check_witness:
-        other = _ratio_at(k + params.p ** n, params, frob, n, hat)
-        if not out.congruent(other, n):
-            raise AssertionError(
-                f"witness dependence at lambda={lam}: {out} vs {other}")
-    return out
+    ks = [k, k + params.p ** n] if check_witness else [k]
+    values = [Padic(params.p, n, r) for r in coefficient_ratios(params, frob, ks, n, hat)]
+    if check_witness and not values[0].congruent(values[1], n):
+        raise AssertionError(
+            f"witness dependence at lambda={lam}: {values[0]} vs {values[1]}")
+    return values[0]
+
+
+def ratio_tables(params: HGParams, top: int) -> tuple[list, list, list, list]:
+    """The exact tables the ratio identity reads for x <= top:
+    {1}_x, {a}_x, A_x and A^{(1)}_x."""
+    p = params.p
+    return (braced_table(1, top, p), braced_table(params.a, top, p),
+            exact_a_table(params, top + 1), exact_a_table(params, top // p + 2, level=1))
 
 
 def ratio_identity_check(x: int, params: HGParams,
-                         tables: Optional[tuple[list, list]] = None) -> bool:
+                         tables: Optional[tuple[list, list, list, list]] = None) -> bool:
     """Exact identity linking A^{(1)} to braced-product ratios.
 
     For p | x (and likewise x ≡ l mod p) this is the bare ratio
@@ -63,17 +59,17 @@ def ratio_identity_check(x: int, params: HGParams,
 
         A^{(1)}_{m_a} ({a}_x)^s (m_a!/m! * p^{m_a-m})^s = A_x ({1}_x)^s
 
-    tables, when given, are (braced_table(1, top, p), braced_table(a, top, p))
-    with top >= x, shared across a sweep over x."""
+    tables, when given, are ratio_tables(params, top) with top >= x, shared
+    across a sweep over x."""
     if x < 1:
         raise ValueError("x must be positive")
     p, s, a, l = params.p, params.s, params.a, params.l
     if tables is None:
-        tables = (braced_table(1, x, p), braced_table(a, x, p))
-    b1, ba = tables
+        tables = ratio_tables(params, x)
+    b1, ba, a0, a1 = tables
     m = x // p
     m_a = (x - 1 - l) // p + 1 if x - 1 >= l else 0
     corr = Fraction(factorial(m_a), factorial(m)) * Fraction(p) ** (m_a - m)
-    lhs = coeff_exact(params, m_a, 1) * ba[x] ** s * corr ** s
-    rhs = coeff_exact(params, x) * b1[x] ** s
+    lhs = a1[m_a] * ba[x] ** s * corr ** s
+    rhs = a0[x] * b1[x] ** s
     return lhs == rhs

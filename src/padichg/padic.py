@@ -2,8 +2,9 @@
 
 Values of Z_p are represented by a residue known modulo p^prec.  All
 number-theoretic primitives used elsewhere in the package live here:
-rational embedding, exact division, fractional powers of the twist
-constant, Dwork prime chains, braced products and the Iwasawa logarithm.
+rational embedding, exact division, splitting the p-part off an integer,
+the valuation of (a)_k/k!, fractional powers of the twist constant, Dwork
+prime chains, braced products and the Iwasawa logarithm.
 
 Rational parameters are plain ``fractions.Fraction`` objects throughout;
 a parameter is embeddable at p iff p does not divide its denominator.
@@ -36,6 +37,10 @@ class PrecisionExhausted(PadicError):
 
 class CNotOneModP(PadicError):
     """The twist constant c is not congruent to 1 at the required depth."""
+
+
+class PreconditionViolated(PadicError):
+    """A function was invoked outside its stated hypotheses."""
 
 
 _KNOWN_PRIMES: set[int] = set()
@@ -83,6 +88,17 @@ def vp(x: Rational, p: int) -> Optional[int]:
     return v
 
 
+def split_p(x: int, p: int) -> tuple[int, int]:
+    """(v, u) with x = p^v u and u prime to p, for a nonzero integer x."""
+    if x == 0:
+        raise ZeroDivisionError("zero has no unit part")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
 def _inv_mod(u: int, m: int) -> int:
     return pow(u, -1, m)
 
@@ -125,19 +141,6 @@ class Padic:
 
     def __neg__(self) -> "Padic":
         return Padic(self.p, self.prec, (-self.residue) % self.modulus)
-
-    def __pow__(self, k: int) -> "Padic":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return Padic(self.p, self.prec, pow(self.residue, k, self.modulus))
-
-    def is_unit(self) -> bool:
-        return self.prec > 0 and self.residue % self.p != 0
-
-    def inverse(self) -> "Padic":
-        if not self.is_unit():
-            raise NotDivisible("cannot invert a non-unit")
-        return Padic(self.p, self.prec, _inv_mod(self.residue, self.modulus))
 
     def valuation(self) -> tuple[int, bool]:
         """(v, exact): v = min(v_p(residue), prec); exact is False when the
@@ -314,6 +317,18 @@ def _l_for(a: Fraction, p: int, modulus: int) -> int:
     return (-a.numerator * _inv_mod(a.denominator % modulus, modulus)) % modulus
 
 
+def ratio_valuation(a: Fraction, p: int, k: int) -> int:
+    """v_p((a)_k / k!) in closed form: for each power p^j, the factors a + i
+    (0 <= i < k) it divides, less the multiples of p^j up to k."""
+    v, pj = 0, p
+    while True:
+        lj = _l_for(a, p, pj)  # a + i ≡ 0 mod p^j iff i ≡ lj
+        if pj > k and lj >= k:
+            return v
+        v += (k - lj + pj - 1) // pj - k // pj
+        pj *= p
+
+
 @dataclass(frozen=True)
 class DworkChain:
     """The Dwork-prime orbit of a, together with l, l', q and e."""
@@ -338,9 +353,6 @@ class DworkChain:
         if cycle <= 0:
             raise ValueError("Dwork chain did not close; increase max_steps")
         return self.chain[start + (i - start) % cycle]
-
-    def l_at(self, i: int) -> int:
-        return _l_for(self.a_at(i), self.p, self.p)
 
 
 def dwork_chain(a: Rational, p: int, max_steps: int = 64) -> DworkChain:

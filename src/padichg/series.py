@@ -10,9 +10,9 @@ product and the Frobenius substitution t -> c t^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .padic import Padic, PrecisionExhausted, Rational, embed_rational
+from .padic import Padic, PrecisionExhausted
 
 
 def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> list[int]:
@@ -45,11 +45,6 @@ class TruncSeries:
     p: int
     prec: int
     residues: tuple[int, ...]
-
-    @classmethod
-    def from_rationals(cls, values: Iterable[Rational], p: int, prec: int) -> "TruncSeries":
-        """Embed exact coefficients, consumed one at a time."""
-        return cls(p, prec, tuple(embed_rational(v, p, prec).residue for v in values))
 
     @property
     def order(self) -> int:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .padic import (
     PadicError,
+    PreconditionViolated,
     Rational,
     braced_table,
     embed_rational,
@@ -31,15 +32,12 @@ from .hyper import (
     HGParams,
     b_coefficients,
     bhat_coefficients,
-    coeff_exact,
+    coefficient_ratios,
+    exact_a_table,
     hg_series,
     twist_pair,
 )
-from .interp import beta_at, ratio_identity_check
-
-
-class PreconditionViolated(PadicError):
-    """A checker was invoked outside its stated hypotheses."""
+from .interp import beta_at, ratio_identity_check, ratio_tables
 
 
 class NoUnitCoefficient(PadicError):
@@ -287,20 +285,26 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int,
 # coefficient-sum lemma (section congruence)
 
 
-def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int) -> CheckReport:
+def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int,
+                             table: Optional[list[Fraction]] = None) -> CheckReport:
     """The two residue-class-restricted sums of A_i A_{p^n-j-1} agree
     mod p^{d+1}; classes are taken mod p^{n-d}, with the rational class
-    -k-a decided by p-adic congruence."""
+    -k-a decided by p-adic congruence.
+
+    table, when given, is exact_a_table(params, p^n), shared across a
+    sweep."""
     p, a = params.p, params.a
     if not (0 <= m <= p ** n - 1 and 0 <= d <= n and 0 <= k < p ** (n - d)):
         raise PreconditionViolated("indices out of range")
     mod = n - d
     pn = p ** n
+    if table is None:
+        table = exact_a_table(params, pn)
     s1 = Fraction(0)
     s2 = Fraction(0)
     for i in range(m + 1):
         j = m - i
-        prod = coeff_exact(params, i) * coeff_exact(params, pn - j - 1)
+        prod = table[i] * table[pn - j - 1]
         if (i - k) % p ** mod == 0:
             s1 += prod
         # class membership of p^n - j - 1 in -k-a mod p^{n-d}
@@ -318,10 +322,11 @@ def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int) -
 def sweep_section(params: HGParams, n: int) -> CheckReport:
     info = _params_dict(params, n=n)
     p = params.p
+    table = exact_a_table(params, p ** n)
     for d in range(n + 1):
         for k in range(p ** (n - d)):
             for m in range(p ** n):
-                rep = check_section_congruence(params, n, d, k, m)
+                rep = check_section_congruence(params, n, d, k, m, table)
                 if not rep.passed:
                     return rep
     return CheckReport(check="section-sums", params=info, passed=True, modulus=n + 1)
@@ -357,8 +362,7 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
 
 def sweep_ratio(params: HGParams, x_max: int = 200) -> CheckReport:
     info = _params_dict(params, x_max=x_max)
-    p = params.p
-    tables = (braced_table(1, x_max, p), braced_table(params.a, x_max, p))
+    tables = ratio_tables(params, x_max)
     for x in range(1, x_max + 1):
         if not ratio_identity_check(x, params, tables):
             return CheckReport(check="ratio-identity", params=info, passed=False,
@@ -370,30 +374,33 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
                               k_max: Optional[int] = None) -> CheckReport:
     """B_k/A_k and Bhat_k/A_k agree mod p^n whenever k ≡ k' mod p^n
     (pairs with k' = k + p^n, covering k, k' <= k_max)."""
-    from .interp import _ratio_at
-
     p = params.p
     pn = p ** n
     if k_max is None:
         k_max = 2 * pn
     frob, frob_hat = twist_pair(c)
     info = _params_dict(params, n=n, c=Fraction(c), k_max=k_max)
-    for k in range(1, k_max - pn + 1):
-        for hat, fr in ((False, frob), (True, frob_hat)):
-            left = _ratio_at(k, params, fr, n, hat)
-            right = _ratio_at(k + pn, params, fr, n, hat)
-            if not left.congruent(right, n):
+    lows = range(1, k_max - pn + 1)
+    ks = [*lows, *(k + pn for k in lows)]
+    ratios = {hat: dict(zip(ks, coefficient_ratios(params, fr, ks, n, hat)))
+              for hat, fr in ((False, frob), (True, frob_hat))}
+    for k in lows:
+        for hat in (False, True):
+            left, right = ratios[hat][k], ratios[hat][k + pn]
+            if left != right:
                 return CheckReport(check="interpolation", params=info, passed=False,
                                    modulus=n,
                                    first_failure={"k": k, "hat": hat,
-                                                  "left": str(left), "right": str(right)})
+                                                  "left": f"{left} mod {p}^{n}",
+                                                  "right": f"{right} mod {p}^{n}"})
     return CheckReport(check="interpolation", params=info, passed=True, modulus=n)
 
 
 def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
-    """Every B_k and Bhat_k for k <= 2 p^n embeds with valuation >= 0;
-    a non-integral value surfaces as an embedding failure."""
+    """Every B_k and Bhat_k for k <= 2 p^n is p-integral; a non-integral
+    value surfaces as a failed exact division (NotDivisible)."""
     frob, frob_hat = twist_pair(c)
+    frob.validate(params.p)  # a bad c is an error, not an integrality failure
     count = 2 * params.p ** n + 1
     info = _params_dict(params, n=n, c=Fraction(c))
     try:

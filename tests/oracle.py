@@ -1,8 +1,9 @@
 """Second routes to quantities that padichg builds one way, kept as test
 oracles.
 
-A_k is the Pochhammer ratio ((a)_k/k!)^s rebuilt for each k (the
-production route extends a cached ratio table); G and Ghat come from
+A_k, B_k and Bhat_k are exact rationals (the production route keeps a
+unit mod p^w and an exact valuation per coefficient); A_k is also the
+Pochhammer ratio ((a)_k/k!)^s rebuilt for each k; G and Ghat come from
 the logarithmic and twisted integrals of the defining series (the
 closed formulas are `b_coefficients` and `bhat_coefficients`); braced
 products are rebuilt for each n (the production route is the
@@ -28,7 +29,75 @@ from padichg import (
     hg_series,
     vp,
 )
-from padichg.hyper import coeff_exact
+
+
+# ---------------------------------------------------------------------------
+# exact coefficients
+
+_RATIO_TABLES: dict[Fraction, list[Fraction]] = {}
+
+
+def _ratio_table(a: Fraction, count: int) -> list[Fraction]:
+    """[(a)_k / k! for k < count], extended incrementally and kept for the
+    test session."""
+    table = _RATIO_TABLES.setdefault(a, [Fraction(1)])
+    while len(table) < count:
+        k = len(table)
+        table.append(table[-1] * (a + k - 1) / k)
+    return table
+
+
+def coeff_exact(params, k: int, level: int = 0) -> Fraction:
+    """A_k at Dwork-prime level: ((a^{(level)})_k / k!)^s."""
+    a = params.chain.a_at(level)
+    return _ratio_table(a, k + 1)[k] ** params.s
+
+
+def b_exact(params, frob, k: int) -> Fraction:
+    """B_k = (A_k - c^{k/p} A^{(1)}_{k/p}) / k for k >= 1, exactly."""
+    if k < 1:
+        raise ValueError("closed formula applies for k >= 1 only")
+    p = params.p
+    term = Fraction(0)
+    if k % p == 0:
+        term = frob.c_eff ** (k // p) * coeff_exact(params, k // p, 1)
+    return (coeff_exact(params, k) - term) / k
+
+
+def bhat_approx(params, frob, k: int, prec: int) -> Fraction:
+    """A rational congruent to Bhat_k mod p^prec.
+
+    Bhat_k = (A_k - (-1)^{se} A^{(1)}_{(k-l)/p} c^{(k+a)/p}) / (k + a) with
+    the A^{(1)} factor zero when k - l is negative or not divisible by p.
+    The fractional c-power is the only approximated quantity."""
+    p, a, l = params.p, params.a, params.l
+    ka = k + a
+    term = Fraction(0)
+    if k >= l and (k - l) % p == 0:
+        j = (k - l) // p
+        loss = vp(ka, p)
+        assert loss is not None and loss >= 0
+        cp = c_power_frac(frob.c_eff, ka / p, p, prec + loss + 1)
+        term = params.sign_se() * coeff_exact(params, j, 1) * cp
+    return (coeff_exact(params, k) - term) / ka
+
+
+def ratio_at(k: int, params, frob, n: int, hat: bool) -> Fraction:
+    """A rational congruent to B_k/A_k (Bhat_k/A_k with hat=True) mod p^n."""
+    ak = coeff_exact(params, k)
+    if hat:
+        return bhat_approx(params, frob, k, n + vp(ak, params.p) + 1) / ak
+    return b_exact(params, frob, k) / ak
+
+
+def b0_exact(params, frob, prec: int) -> Fraction:
+    """B_{p^N}/A_{p^N}, the rational whose residue mod p^N is B_0."""
+    return ratio_at(params.p ** prec, params, frob, prec, hat=False)
+
+
+def series_from_rationals(values, p: int, prec: int) -> TruncSeries:
+    """The series whose coefficients are the given exact rationals mod p^prec."""
+    return TruncSeries(p, prec, tuple(embed_rational(v, p, prec).residue for v in values))
 
 
 class NonzeroConstantTerm(PadicError):
@@ -136,7 +205,7 @@ def hat_series(params, frob, order: int, prec: int) -> tuple[TruncSeries, TruncS
         cp = c_power_frac(frob.c_eff, j + a1, p, w)
         integrand[p * j + l] -= sign * coeff_exact(params, j, 1) * cp
         j += 1
-    f_emb = TruncSeries.from_rationals(integrand, p, w)
+    f_emb = series_from_rationals(integrand, p, w)
     ghat = log_integral(f_emb, twist=a).reduce(prec)
     f = hg_series(params, order, prec)
     return ghat, f

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padichg import (
     FrobeniusSpec,
     HGParams,
+    PreconditionViolated,
     SIGMA_HAT,
     b0_constant,
     b_coefficients,
@@ -21,9 +22,14 @@ from padichg import (
     iwasawa_log,
     twist_pair,
 )
-from padichg.hyper import b_exact, bhat_approx, coeff_exact
-
-from oracle import hat_series, log_type_series, pochhammer
+from oracle import (
+    b_exact,
+    bhat_approx,
+    coeff_exact,
+    hat_series,
+    log_type_series,
+    pochhammer,
+)
 
 
 def params(a, s=1, p=3):
@@ -51,7 +57,7 @@ class TestParams:
         assert frob_hat.c_eff == Fraction(1, 4)
 
     def test_validate_depth_at_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             FrobeniusSpec(Fraction(3)).validate(2, require_q=True)
         FrobeniusSpec(Fraction(5)).validate(2, require_q=True)
 

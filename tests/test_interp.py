@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from padichg import (
     FrobeniusSpec,
     HGParams,
+    PreconditionViolated,
     beta_at,
     braced_table,
     embed_rational,
     ratio_identity_check,
     witness_for,
 )
-from padichg.hyper import SIGMA_HAT, coeff_exact
+from padichg.hyper import SIGMA_HAT
+from padichg.interp import ratio_tables
 
-from oracle import braced_product
+from oracle import braced_product, coeff_exact
 
 
 def params(a, s=1, p=3):
@@ -77,7 +79,7 @@ class TestBeta:
 
     def test_rejects_c_outside_one_plus_p(self):
         for hat in (False, True):
-            with pytest.raises(ValueError, match=r"not in 1 \+ 3W"):
+            with pytest.raises(PreconditionViolated, match=r"not in 1 \+ 3W"):
                 beta_at(Fraction(1), params(Fraction(1, 2)), FrobeniusSpec(Fraction(2)), 2,
                         hat=hat)
 
@@ -130,7 +132,7 @@ class TestRatioIdentityTables:
     @pytest.mark.parametrize("s", [1, 2])
     def test_shared_table_matches_per_x_oracle(self, a, p, s):
         P = HGParams.create(a, s, p)
-        tables = (braced_table(1, 60, p), braced_table(a, 60, p))
+        tables = ratio_tables(P, 60)
         for x in range(1, 61):
             shared = ratio_identity_check(x, P, tables)
             assert shared == ratio_identity_check(x, P) == ratio_identity_per_x(x, P)
@@ -139,5 +141,6 @@ class TestRatioIdentityTables:
     def test_other_parameter_table_breaks_identity(self):
         # the table argument is read: {a}_x of another a makes it fail
         P = HGParams.create(Fraction(1, 2), 1, 3)
-        wrong = (braced_table(1, 10, 3), braced_table(Fraction(1, 4), 10, 3))
+        wrong = (braced_table(1, 10, 3), braced_table(Fraction(1, 4), 10, 3),
+                 *ratio_tables(P, 10)[2:])
         assert not all(ratio_identity_check(x, P, wrong) for x in range(1, 11))

@@ -15,13 +15,13 @@ from padichg import (
     polymul,
 )
 
-from oracle import NonzeroConstantTerm, log_integral, schoolbook
+from oracle import NonzeroConstantTerm, log_integral, schoolbook, series_from_rationals
 
 PRIMES = st.sampled_from([2, 3, 5])
 
 
 def series_from_ints(values, p, prec=4):
-    return TruncSeries.from_rationals(values, p, prec)
+    return series_from_rationals(values, p, prec)
 
 
 def rational_series(p, order, prec=4):
@@ -29,7 +29,7 @@ def rational_series(p, order, prec=4):
         st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 7])
                   if p not in (2, 7) else st.just(1)),
         min_size=order, max_size=order,
-    ).map(lambda vals: TruncSeries.from_rationals(vals, p, prec))
+    ).map(lambda vals: series_from_rationals(vals, p, prec))
 
 
 class TestPolymul:

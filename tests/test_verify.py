@@ -11,6 +11,10 @@ from padichg import (
     FrobeniusSpec,
     HGParams,
     PreconditionViolated,
+    b0_constant,
+    b_coefficients,
+    beta_at,
+    bhat_coefficients,
     check_beta_pairing,
     check_braced_congruence,
     check_congruence_relation,
@@ -235,3 +239,32 @@ class TestRatioAndInterp:
     def test_integrality(self):
         rep = check_integrality(params(Fraction(1, 2), s=2), Fraction(4), 2)
         assert rep.passed
+
+    def test_integrality_detects_non_integral(self, monkeypatch):
+        # only a c outside 1 + pW makes coefficients non-integral; let one
+        # through validation to see the failure reported
+        monkeypatch.setattr(FrobeniusSpec, "validate", lambda self, p, require_q=False: None)
+        rep = check_integrality(params(Fraction(1, 2)), Fraction(2), 1)
+        assert not rep.passed and "not divisible" in rep.first_failure["error"]
+
+
+class TestTwistValidation:
+    """c = 2 is not in 1 + 3W: every entry point that reads c rejects it as
+    a failed hypothesis, and check_integrality does not report it as a
+    failed congruence."""
+
+    @pytest.mark.parametrize("call", [
+        lambda P, c: check_congruence_relation("log", P, FrobeniusSpec(c), 1),
+        lambda P, c: check_congruence_relation("hat", P, FrobeniusSpec(c), 1),
+        lambda P, c: check_integrality(P, c, 1),
+        lambda P, c: check_ratio_interpolation(P, c, 1),
+        lambda P, c: check_main_congruence(P, c, 1),
+        lambda P, c: sweep_beta_pairing(P, c, 1),
+        lambda P, c: b0_constant(P, FrobeniusSpec(c), 2),
+        lambda P, c: b_coefficients(P, FrobeniusSpec(c), 4, 2),
+        lambda P, c: bhat_coefficients(P, FrobeniusSpec(c, SIGMA_HAT), 4, 2),
+        lambda P, c: beta_at(Fraction(1), P, FrobeniusSpec(c), 2, hat=True),
+    ])
+    def test_rejected_at_entry(self, call):
+        with pytest.raises(PreconditionViolated, match=r"c = 2 is not in 1 \+ 3W"):
+            call(params(Fraction(1, 2)), Fraction(2))
