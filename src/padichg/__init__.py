@@ -17,11 +17,7 @@ from .padic import (
     parse_rational,
     vp,
 )
-from .series import (
-    TruncSeries,
-    frobenius_substitute,
-    polymul,
-)
+from .series import TruncSeries, polymul
 from .hyper import (
     SIGMA,
     SIGMA_HAT,

@@ -11,7 +11,7 @@ exact valuation.  The builders walk the recurrence (a+k-1)/k with the
 p-parts split off exactly, form numerators at a guard precision w read
 off those valuations, and divide exactly.  Tables are built per call;
 nothing is cached.  Exact rationals remain only in `exact_a_table`, for
-the two exact identities.
+the ratio identity.
 """
 
 from __future__ import annotations
@@ -270,8 +270,8 @@ def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: i
 
 
 def exact_a_table(params: HGParams, count: int, level: int = 0) -> list[Fraction]:
-    """[A_k^{(level)} for k < count] as exact rationals, for the two exact
-    identities; built afresh on each call."""
+    """[A_k^{(level)} for k < count] as exact rationals, for the exact
+    ratio identity; built afresh on each call."""
     a, s = params.chain.a_at(level), params.s
     n, d = a.numerator, a.denominator
     num = den = 1  # (a)_k = num / d^k and k! d^k = den

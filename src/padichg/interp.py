@@ -22,21 +22,13 @@ def witness_for(lam: Rational, p: int, n: int) -> int:
 
 
 def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
-            *, hat: bool = False, check_witness: bool = False) -> Padic:
-    """beta_lambda (or beta-hat with hat=True) mod p^n.
-
-    With check_witness=True the value is recomputed at the witness shifted
-    by p^n and the two are asserted congruent."""
+            *, hat: bool = False) -> Padic:
+    """beta_lambda (or beta-hat with hat=True) mod p^n."""
     if n < 1:
         raise ValueError("n must be positive")
     frob.validate(params.p)
     k = witness_for(lam, params.p, n)
-    ks = [k, k + params.p ** n] if check_witness else [k]
-    values = [Padic(params.p, n, r) for r in coefficient_ratios(params, frob, ks, n, hat)]
-    if check_witness and not values[0].congruent(values[1], n):
-        raise AssertionError(
-            f"witness dependence at lambda={lam}: {values[0]} vs {values[1]}")
-    return values[0]
+    return Padic(params.p, n, coefficient_ratios(params, frob, [k], n, hat)[0])
 
 
 def ratio_tables(params: HGParams, top: int) -> tuple[list, list, list, list]:

@@ -142,34 +142,12 @@ class Padic:
     def __neg__(self) -> "Padic":
         return Padic(self.p, self.prec, (-self.residue) % self.modulus)
 
-    def valuation(self) -> tuple[int, bool]:
-        """(v, exact): v = min(v_p(residue), prec); exact is False when the
-        residue vanishes, meaning only v >= prec is known."""
-        if self.residue == 0:
-            return self.prec, False
-        v = vp(self.residue, self.p)
-        assert v is not None
-        return min(v, self.prec), v < self.prec
-
-    def exact_divide(self, d: Union["Padic", Rational]) -> "Padic":
-        """Divide by d, shifting out its p-part and reducing precision by
-        v_p(d).  Raises NotDivisible when the quotient is not in Z_p at the
-        known precision, PrecisionExhausted when no digits would remain."""
+    def exact_divide(self, d: Rational) -> "Padic":
+        """Divide by the rational d, shifting out its p-part and reducing
+        precision by v_p(d).  Raises NotDivisible when the quotient is not in
+        Z_p at the known precision, PrecisionExhausted when no digits would
+        remain."""
         p = self.p
-        if isinstance(d, Padic):
-            if d.p != p:
-                raise ValueError("prime mismatch")
-            v, exact = d.valuation()
-            if not exact:
-                raise NotDivisible("divisor is indistinguishable from zero")
-            unit = d.residue // p ** v
-            new_prec = min(self.prec, d.prec - v) - v
-            if new_prec <= 0:
-                raise PrecisionExhausted("division leaves no digits")
-            r = (self.residue * _inv_mod(unit % p ** self.prec, p ** self.prec)) % p ** self.prec
-            if r % p ** v:
-                raise NotDivisible(f"residue not divisible by {p}^{v}")
-            return Padic(p, new_prec, (r // p ** v) % p ** new_prec)
         d = Fraction(d)
         if d == 0:
             raise ZeroDivisionError("division by zero")
@@ -200,11 +178,6 @@ class Padic:
         if min(self.prec, other.prec) < n:
             raise PrecisionExhausted(f"need {n} digits to compare")
         return (self.residue - other.residue) % self.p ** n == 0
-
-    def is_zero_mod(self, n: int) -> bool:
-        if self.prec < n:
-            raise PrecisionExhausted(f"need {n} digits to compare")
-        return self.residue % self.p ** n == 0
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.p}^{self.prec}"

@@ -2,9 +2,8 @@
 
 A series stores its coefficients as a residue vector: ints mod p^prec,
 one precision for the whole series.  Every product goes through
-`polymul`, a Kronecker-substitution kernel.  Provides the operators the
-congruence machinery needs: truncation below a degree, the polynomial
-product and the Frobenius substitution t -> c t^p.
+`polymul`, a Kronecker-substitution kernel, which the checkers also
+call on bare residue lists.
 """
 
 from __future__ import annotations
@@ -60,34 +59,9 @@ class TruncSeries:
         m = self.p ** prec
         return TruncSeries(self.p, prec, tuple(r % m for r in self.residues))
 
-    def truncate_below(self, m: int) -> "TruncSeries":
-        """[f]_{<m}: drop coefficients of t^m and above."""
-        if m < 0:
-            m = 0
-        if m > self.order:
-            raise ValueError(f"only {self.order} coefficients known, {m} requested")
-        return TruncSeries(self.p, self.prec, self.residues[:m])
-
     def mul_poly(self, other: "TruncSeries") -> "TruncSeries":
         """Full polynomial product, no truncation to the minimum order."""
         prec = min(self.prec, other.prec)
         n = self.order + other.order - 1 if self.order and other.order else 0
         a, b = self.reduce(prec).residues, other.reduce(prec).residues
         return TruncSeries(self.p, prec, tuple(polymul(a, b, self.p ** prec, n)))
-
-
-def frobenius_substitute(f: TruncSeries, c: Padic, out_order: int) -> TruncSeries:
-    """Apply sigma: coefficient a_i moves to index i*p scaled by c^i.
-    Coefficients act through the identity Frobenius, matching
-    Z_p-restricted scalars."""
-    p = f.p
-    prec = min(f.prec, c.prec) if f.order else c.prec
-    m = p ** prec
-    out = [0] * out_order
-    power = 1
-    for i, r in enumerate(f.residues):
-        if i * p >= out_order:
-            break
-        out[i * p] = r * power % m
-        power = power * c.residue % m
-    return TruncSeries(p, prec, tuple(out))

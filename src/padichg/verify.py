@@ -5,6 +5,8 @@ parameters and modulus and returns a CheckReport.  Cross-multiplied forms
 are used throughout so that no series division is needed: a congruence
 of quotients N1/D1 = N2/D2 with unit denominators becomes
 N1*D2 = N2*D1 on coefficients.
+Congruences are decided on residues, every product goes through
+`polymul`, and a single-cell checker shares its sweep's helper.
 """
 
 from __future__ import annotations
@@ -15,16 +17,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
-from .padic import (
-    PadicError,
-    PreconditionViolated,
-    Rational,
-    braced_table,
-    embed_rational,
-    one,
-    vp,
-)
-from .series import TruncSeries, frobenius_substitute, polymul
+from .padic import PadicError, PreconditionViolated, Rational, _l_for, braced_table, vp
+from .series import polymul
 from .hyper import (
     SIGMA,
     SIGMA_HAT,
@@ -33,7 +27,6 @@ from .hyper import (
     b_coefficients,
     bhat_coefficients,
     coefficient_ratios,
-    exact_a_table,
     hg_series,
     twist_pair,
 )
@@ -73,10 +66,9 @@ def _params_dict(params: HGParams, **extra) -> dict:
     return d
 
 
-def _series_match(lhs: TruncSeries, rhs: TruncSeries, n: int, limit: int) -> Optional[dict]:
-    """First index < limit where lhs != rhs mod p^n, or None."""
-    q = lhs.p ** n
-    for k, (l, r) in enumerate(zip(lhs.residues[:limit], rhs.residues[:limit])):
+def _first_mismatch(lhs: Sequence[int], rhs: Sequence[int], q: int) -> Optional[dict]:
+    """First index where lhs != rhs mod q, or None."""
+    for k, (l, r) in enumerate(zip(lhs, rhs)):
         l, r = l % q, r % q
         if l != r:
             return {"index": k, "left": l, "right": r}
@@ -125,18 +117,18 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     if kind == "hat":
         frob.validate(p, require_q=True)
 
-    f = hg_series(params, M, n)
+    f = hg_series(params, M, n).residues
     if kind == "dwork":
-        f1 = hg_series(params, ceil(M / p), n, level=1)
-        num, den = f, frobenius_substitute(f1, one(p, n), M)
+        num, den = f, [0] * M  # F over F^{(1)}(t^p), spread by slicing
+        den[::p] = hg_series(params, ceil(M / p), n, level=1).residues
     elif kind == "log":
-        num, den = b_coefficients(params, frob, M, n), f
+        num, den = b_coefficients(params, frob, M, n).residues, f
     else:
-        num, den = bhat_coefficients(params, frob, M, n), f
+        num, den = bhat_coefficients(params, frob, M, n).residues, f
 
-    lhs = num.mul_poly(den.truncate_below(pn)).truncate_below(M)
-    rhs = den.mul_poly(num.truncate_below(pn)).truncate_below(M)
-    fail = _series_match(lhs, rhs, n_eff, M)
+    lhs = polymul(num, den[:pn], pn, M)
+    rhs = polymul(den, num[:pn], pn, M)
+    fail = _first_mismatch(lhs, rhs, p ** n_eff)
     return CheckReport(check=f"congruence-{kind}", params=info,
                        passed=fail is None, modulus=n_eff, first_failure=fail)
 
@@ -199,48 +191,50 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
 # braced-product lemma
 
 
-def _sign_exponent(x: int, p: int, q: int) -> int:
-    lx = x % q
-    return lx - lx // p
+def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
+    """(-1)^{f_x} {1}_x/{a}_x mod p^n for x <= top, reduced once per x from
+    the exact braced tables (both products are p-adic units)."""
+    p, q = params.p, params.q
+    m = p ** n
+    out = []
+    for x, (b1, ba) in enumerate(zip(braced_table(1, top, p),
+                                     braced_table(params.a, top, p))):
+        r = (b1.numerator % m * (ba.denominator % m)
+             * pow(b1.denominator % m * (ba.numerator % m), -1, m) % m)
+        f_x = x % q - x % q // p
+        out.append(-r % m if f_x % 2 else r)
+    return out
 
 
-def check_braced_congruence(params: HGParams, x: int, y: int, n: int,
-                            tables: Optional[tuple[list, list]] = None) -> CheckReport:
+def _braced_report(info: dict, n: int, residues: list[int], pairs) -> CheckReport:
+    """Fails at the first (x, y) pair whose residues differ."""
+    for x, y in pairs:
+        if residues[x] != residues[y]:
+            return CheckReport(check="braced", params=info, passed=False, modulus=n,
+                               first_failure={"x": x, "y": y, "left": residues[x],
+                                              "right": residues[y]})
+    return CheckReport(check="braced", params=info, passed=True, modulus=n)
+
+
+def check_braced_congruence(params: HGParams, x: int, y: int, n: int) -> CheckReport:
     """(-1)^{f_x} {1}_x/{a}_x ≡ (-1)^{f_y} {1}_y/{a}_y mod p^n, assuming
     x + y + a ≡ 0 mod p^n."""
-    p, a, q = params.p, params.a, params.q
-    v = vp(x + y + a, p)
-    if v is not None and v < n:
-        raise PreconditionViolated(f"v_p(x+y+a) = {v} < {n}")
-    if tables is None:
-        top = max(x, y)
-        tables = (braced_table(1, top, p), braced_table(a, top, p))
-    b1, ba = tables
-    lhs = (-1) ** _sign_exponent(x, p, q) * b1[x] / ba[x]
-    rhs = (-1) ** _sign_exponent(y, p, q) * b1[y] / ba[y]
-    diff = lhs - rhs
-    ok = diff == 0 or (vp(diff, p) or 0) >= n
-    info = _params_dict(params, n=n, x=x, y=y)
-    fail = None if ok else {"left": str(lhs), "right": str(rhs)}
-    return CheckReport(check="braced", params=info, passed=ok, modulus=n,
-                       first_failure=fail)
+    pn = params.p ** n
+    if (x + y - _l_for(params.a, params.p, pn)) % pn:
+        raise PreconditionViolated(f"x + y + a is not divisible by {pn}")
+    return _braced_report(_params_dict(params, n=n, x=x, y=y), n,
+                          braced_residues(params, max(x, y), n), [(x, y)])
 
 
 def sweep_braced(params: HGParams, n: int) -> CheckReport:
     """All pairs 0 <= x, y <= p^{2n} with v_p(x+y+a) >= n."""
-    p, a = params.p, params.a
-    top = p ** (2 * n)
-    tables = (braced_table(1, top, p), braced_table(a, top, p))
-    info = _params_dict(params, n=n, range=top)
-    pn = p ** n
-    for x in range(top + 1):
-        y0 = embed_rational(-x - a, p, n).residue
-        for y in range(y0, top + 1, pn):
-            rep = check_braced_congruence(params, x, y, n, tables=tables)
-            if not rep.passed:
-                rep.params = info
-                return rep
-    return CheckReport(check="braced", params=info, passed=True, modulus=n)
+    p = params.p
+    pn, top = p ** n, p ** (2 * n)
+    l_n = _l_for(params.a, p, pn)  # y ≡ l_n - x mod p^n
+    pairs = ((x, y) for x in range(top + 1)
+             for y in range((l_n - x) % pn, top + 1, pn))
+    return _braced_report(_params_dict(params, n=n, range=top), n,
+                          braced_residues(params, top, n), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +252,7 @@ def check_beta_pairing(lam: Rational, params: HGParams,
     lam = Fraction(lam)
     b = beta_at(lam, params, frob, n)
     bh = beta_at(-lam - params.a, params, frob_hat, n, hat=True)
-    total = b + bh
-    ok = total.is_zero_mod(n)
+    ok = (b + bh).residue == 0
     info = _params_dict(params, n=n, c=frob.c, lam=lam)
     fail = None if ok else {"beta": str(b), "beta_hat": str(bh)}
     return CheckReport(check="beta-pairing", params=info, passed=ok, modulus=n,
@@ -285,51 +278,53 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int,
 # coefficient-sum lemma (section congruence)
 
 
-def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int,
-                             table: Optional[list[Fraction]] = None) -> CheckReport:
+def section_sums(params: HGParams, a_res: Sequence[int], n: int, d: int,
+                 k: int) -> tuple[list[int], list[int]]:
+    """(s1, s2) mod p^{d+1} for every m < p^n: the sums of A_i A_{p^n-1-j}
+    over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2) mod p^{n-d},
+    as the products (masked A) rev(A) and A rev(masked A)."""
+    p = params.p
+    pn, cls, mod = p ** n, p ** (n - d), p ** (d + 1)
+    a = [r % mod for r in a_res]
+
+    def masked(r: int) -> list[int]:
+        return [x if i % cls == r else 0 for i, x in enumerate(a)]
+
+    s1 = polymul(masked(k), a[::-1], mod, pn)
+    s2 = polymul(a, masked((_l_for(params.a, p, cls) - k) % cls)[::-1], mod, pn)
+    return s1, s2
+
+
+def _section_report(params: HGParams, n: int, d: int, k: int, m: int,
+                    s1: int, s2: int) -> CheckReport:
+    info = _params_dict(params, n=n, d=d, k=k, m=m)
+    fail = None if s1 == s2 else {"s1": s1, "s2": s2}
+    return CheckReport(check="section-sums", params=info, passed=fail is None,
+                       modulus=d + 1, first_failure=fail)
+
+
+def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int) -> CheckReport:
     """The two residue-class-restricted sums of A_i A_{p^n-j-1} agree
     mod p^{d+1}; classes are taken mod p^{n-d}, with the rational class
-    -k-a decided by p-adic congruence.
-
-    table, when given, is exact_a_table(params, p^n), shared across a
-    sweep."""
-    p, a = params.p, params.a
+    -k-a decided by p-adic congruence."""
+    p = params.p
     if not (0 <= m <= p ** n - 1 and 0 <= d <= n and 0 <= k < p ** (n - d)):
         raise PreconditionViolated("indices out of range")
-    mod = n - d
-    pn = p ** n
-    if table is None:
-        table = exact_a_table(params, pn)
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    for i in range(m + 1):
-        j = m - i
-        prod = table[i] * table[pn - j - 1]
-        if (i - k) % p ** mod == 0:
-            s1 += prod
-        # class membership of p^n - j - 1 in -k-a mod p^{n-d}
-        val = vp(pn - j - 1 + k + a, p)
-        if mod == 0 or val is None or val >= mod:
-            s2 += prod
-    diff = s1 - s2
-    ok = diff == 0 or (vp(diff, p) or 0) >= d + 1
-    info = _params_dict(params, n=n, d=d, k=k, m=m)
-    fail = None if ok else {"s1": str(s1), "s2": str(s2)}
-    return CheckReport(check="section-sums", params=info, passed=ok, modulus=d + 1,
-                       first_failure=fail)
+    s1, s2 = section_sums(params, hg_series(params, p ** n, n + 1).residues, n, d, k)
+    return _section_report(params, n, d, k, m, s1[m], s2[m])
 
 
 def sweep_section(params: HGParams, n: int) -> CheckReport:
-    info = _params_dict(params, n=n)
     p = params.p
-    table = exact_a_table(params, p ** n)
+    a_res = hg_series(params, p ** n, n + 1).residues
     for d in range(n + 1):
         for k in range(p ** (n - d)):
-            for m in range(p ** n):
-                rep = check_section_congruence(params, n, d, k, m, table)
-                if not rep.passed:
-                    return rep
-    return CheckReport(check="section-sums", params=info, passed=True, modulus=n + 1)
+            s1, s2 = section_sums(params, a_res, n, d, k)
+            for m, (x, y) in enumerate(zip(s1, s2)):
+                if x != y:
+                    return _section_report(params, n, d, k, m, x, y)
+    return CheckReport(check="section-sums", params=_params_dict(params, n=n),
+                       passed=True, modulus=n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ the logarithmic and twisted integrals of the defining series (the
 closed formulas are `b_coefficients` and `bhat_coefficients`); braced
 products are rebuilt for each n (the production route is the
 incremental `braced_table`); products of residue vectors use the
-schoolbook loop (the production route is `polymul`).
+schoolbook loop (the production route is `polymul`); the braced lemma
+and the section sums are decided on exact rationals with `vp` of a
+difference (the production checkers compare residues); the Frobenius
+substitution t -> c t^p is a loop over coefficients (the checkers spread
+residues by slicing, at c = 1 only).
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from padichg import (
     NotDivisible,
     PadicError,
     PrecisionExhausted,
+    Padic,
     TruncSeries,
     b0_constant,
     c_power_frac,
     embed_rational,
-    frobenius_substitute,
     hg_series,
     vp,
 )
@@ -134,6 +138,81 @@ def braced_product(alpha, n, p):
         if f != 0 and vp(f, p) == 0:
             out *= f
     return out
+
+
+def frobenius_substitute(f: TruncSeries, c: Padic, out_order: int) -> TruncSeries:
+    """Apply sigma: coefficient a_i moves to index i*p scaled by c^i.
+    Coefficients act through the identity Frobenius, matching
+    Z_p-restricted scalars."""
+    p = f.p
+    prec = min(f.prec, c.prec) if f.order else c.prec
+    m = p ** prec
+    out = [0] * out_order
+    power = 1
+    for i, r in enumerate(f.residues):
+        if i * p >= out_order:
+            break
+        out[i * p] = r * power % m
+        power = power * c.residue % m
+    return TruncSeries(p, prec, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# the braced lemma and the section sums on exact rationals
+
+
+def braced_ratio(params, x: int, b1, ba) -> Fraction:
+    """(-1)^{f_x} {1}_x/{a}_x exactly, read from braced tables b1, ba."""
+    lx = x % params.q
+    return (-1) ** (lx - lx // params.p) * b1[x] / ba[x]
+
+
+def braced_sweep_failure(params, n: int, b1, ba):
+    """The first (x, y), in the order of `sweep_braced`, with x + y + a ≡ 0
+    mod p^n and the braced ratios of x and y not congruent mod p^n; None
+    when every pair agrees."""
+    p, a = params.p, params.a
+    top = p ** (2 * n)
+    for x in range(top + 1):
+        y0 = embed_rational(-x - a, p, n).residue
+        for y in range(y0, top + 1, p ** n):
+            diff = braced_ratio(params, x, b1, ba) - braced_ratio(params, y, b1, ba)
+            if diff != 0 and vp(diff, p) < n:
+                return x, y
+    return None
+
+
+def section_sums_exact(params, table, n: int, d: int, k: int, m: int) -> tuple[Fraction, Fraction]:
+    """(s1, s2): the sums of A_i A_{p^n-j-1} over i + j = m restricted to
+    i ≡ k and to p^n-j-1 ≡ -k-a mod p^{n-d}, from the exact A table."""
+    p, a = params.p, params.a
+    mod = n - d
+    pn = p ** n
+    s1 = Fraction(0)
+    s2 = Fraction(0)
+    for i in range(m + 1):
+        j = m - i
+        prod = table[i] * table[pn - j - 1]
+        if (i - k) % p ** mod == 0:
+            s1 += prod
+        # class membership of p^n - j - 1 in -k-a mod p^{n-d}
+        val = vp(pn - j - 1 + k + a, p)
+        if mod == 0 or val is None or val >= mod:
+            s2 += prod
+    return s1, s2
+
+
+def section_sweep_failure(params, n: int, table):
+    """The first (d, k, m, s1, s2), in the order of `sweep_section`, whose
+    exact sums are not congruent mod p^{d+1}; None when all agree."""
+    p = params.p
+    for d in range(n + 1):
+        for k in range(p ** (n - d)):
+            for m in range(p ** n):
+                s1, s2 = section_sums_exact(params, table, n, d, k, m)
+                if s1 != s2 and vp(s1 - s2, p) < d + 1:
+                    return d, k, m, s1, s2
+    return None
 
 
 def log_integral(f: TruncSeries, twist: Optional[Fraction] = None) -> TruncSeries:

@@ -17,7 +17,7 @@ from padichg import (
     ratio_identity_check,
     witness_for,
 )
-from padichg.hyper import SIGMA_HAT
+from padichg.hyper import SIGMA_HAT, coefficient_ratios
 from padichg.interp import ratio_tables
 
 from oracle import braced_product, coeff_exact
@@ -72,10 +72,14 @@ class TestBeta:
         assert got.residue == 0
 
     def test_witness_independence(self):
+        # the witness shifted by p^n gives the same ratio mod p^n
         P = params(Fraction(1, 2), s=2)
-        frob = FrobeniusSpec(Fraction(4))
-        for lam in (Fraction(0), Fraction(1, 2), Fraction(2)):
-            beta_at(lam, P, frob, 2, check_witness=True)
+        for hat, frob in ((False, FrobeniusSpec(Fraction(4))),
+                          (True, FrobeniusSpec(Fraction(4), SIGMA_HAT))):
+            for lam in (Fraction(0), Fraction(1, 2), Fraction(2)):
+                k = witness_for(lam, 3, 2)
+                first, shifted = coefficient_ratios(P, frob, [k, k + 9], 2, hat)
+                assert first == shifted == beta_at(lam, P, frob, 2, hat=hat).residue
 
     def test_rejects_c_outside_one_plus_p(self):
         for hat in (False, True):

@@ -11,10 +11,12 @@ from padichg import (
     FrobeniusSpec,
     HGParams,
     PreconditionViolated,
+    TruncSeries,
     b0_constant,
     b_coefficients,
     beta_at,
     bhat_coefficients,
+    braced_table,
     check_beta_pairing,
     check_braced_congruence,
     check_congruence_relation,
@@ -23,15 +25,29 @@ from padichg import (
     check_main_congruence,
     check_ratio_interpolation,
     check_section_congruence,
+    embed_rational,
+    hg_series,
     sweep_beta_pairing,
     sweep_braced,
     sweep_ratio,
     sweep_section,
     twist_pair,
 )
+from padichg import verify
 from padichg.hyper import SIGMA_HAT
+from padichg.verify import braced_residues, section_sums
 
-from oracle import hat_series, log_type_series, schoolbook
+from oracle import (
+    braced_product,
+    braced_ratio,
+    braced_sweep_failure,
+    coeff_exact,
+    hat_series,
+    log_type_series,
+    schoolbook,
+    section_sums_exact,
+    section_sweep_failure,
+)
 
 
 def params(a, s=1, p=3):
@@ -129,6 +145,115 @@ class TestBraced:
         a, p = pair
         rep = sweep_braced(HGParams.create(a, 1, p), n)
         assert rep.passed
+
+
+def admissible_params(p, s):
+    """A strategy over HGParams at p with multiplicity s and a grid a."""
+    grid = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2), Fraction(2, 3)]
+    return st.sampled_from([a for a in grid if a.denominator % p]).map(
+        lambda a: HGParams.create(a, s, p))
+
+
+class TestBracedAgainstOracle:
+    """The residues the braced checkers compare against the exact ratios
+    {1}_x/{a}_x of the oracle, and the first failing pair of a corrupted
+    table against the oracle's sweep."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+        admissible_params(p, 1), st.integers(1, 3), st.integers(0, 150))))
+    def test_residues_match_exact_ratio(self, case):
+        P, n, top = case
+        b1 = [braced_product(1, x, P.p) for x in range(top + 1)]
+        ba = [braced_product(P.a, x, P.p) for x in range(top + 1)]
+        expect = [embed_rational(braced_ratio(P, x, b1, ba), P.p, n).residue
+                  for x in range(top + 1)]
+        assert braced_residues(P, top, n) == expect
+
+    @pytest.mark.parametrize("a,p,n,x0", [
+        (Fraction(1, 2), 3, 1, 2), (Fraction(1, 3), 2, 2, 3), (Fraction(2), 5, 1, 4),
+        (Fraction(1, 2), 3, 2, 10), (Fraction(1, 5), 2, 2, 6), (Fraction(1, 3), 2, 1, 3),
+    ])
+    def test_corrupted_entry_fails_at_oracle_pair(self, monkeypatch, a, p, n, x0):
+        # {1}_{x0} with its sign flipped: a unit, so only the lemma breaks
+        P = HGParams.create(a, 1, p)
+
+        def corrupted(alpha, n_max, prime):
+            table = braced_table(alpha, n_max, prime)
+            if alpha == 1 and n_max >= x0:
+                table[x0] = -table[x0]
+            return table
+
+        top = p ** (2 * n)
+        b1, ba = corrupted(1, top, p), corrupted(a, top, p)
+        expect = braced_sweep_failure(P, n, b1, ba)
+        monkeypatch.setattr(verify, "braced_table", corrupted)
+        rep = sweep_braced(P, n)
+        if expect is None:  # at p^1 = 2 every unit is 1
+            assert rep.passed
+            return
+        x, y = expect
+        payload = {"x": x, "y": y,
+                   "left": embed_rational(braced_ratio(P, x, b1, ba), p, n).residue,
+                   "right": embed_rational(braced_ratio(P, y, b1, ba), p, n).residue}
+        assert not rep.passed and rep.first_failure == payload
+        single = check_braced_congruence(P, x, y, n)
+        assert not single.passed and single.first_failure == payload
+
+
+class TestSectionAgainstOracle:
+    """The class sums of the section checkers, formed as two products mod
+    p^{d+1}, against the oracle's exact sums, and the first failing
+    (d, k, m) of a corrupted coefficient against the oracle's sweep."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+        st.integers(1, 2).flatmap(lambda s: admissible_params(p, s)),
+        st.integers(1, 3).flatmap(lambda n: st.tuples(
+            st.just(n), st.integers(0, n).flatmap(lambda d: st.tuples(
+                st.just(d), st.integers(0, p ** (n - d) - 1))))))))
+    def test_class_sums_match_exact(self, case):
+        P, (n, (d, k)) = case
+        p = P.p
+        table = [coeff_exact(P, i) for i in range(p ** n)]
+        s1, s2 = section_sums(P, hg_series(P, p ** n, n + 1).residues, n, d, k)
+        for m in range(p ** n):
+            e1, e2 = section_sums_exact(P, table, n, d, k, m)
+            assert (s1[m], s2[m]) == (embed_rational(e1, p, d + 1).residue,
+                                      embed_rational(e2, p, d + 1).residue)
+
+    @pytest.mark.parametrize("a,s,p,n,idx,delta", [
+        (Fraction(1, 2), 1, 3, 2, 4, 1), (Fraction(1, 3), 2, 2, 2, 1, 1),
+        (Fraction(1, 2), 1, 3, 2, 4, 3), (Fraction(1, 2), 2, 5, 2, 7, 5),
+        (Fraction(1, 5), 1, 2, 3, 5, 4), (Fraction(1, 3), 1, 2, 3, 6, 4),
+        (Fraction(1, 3), 2, 2, 2, 1, 2), (Fraction(1, 2), 1, 3, 2, 4, 9),
+    ])
+    def test_corrupted_coefficient_fails_at_oracle_class(self, monkeypatch, a, s, p, n,
+                                                         idx, delta):
+        P = HGParams.create(a, s, p)
+        table = [coeff_exact(P, i) for i in range(p ** n)]
+        table[idx] += delta
+        expect = section_sweep_failure(P, n, table)
+
+        def corrupted(params, order, prec, level=0):
+            f = hg_series(params, order, prec, level)
+            res = list(f.residues)
+            res[idx] = (res[idx] + delta) % p ** prec
+            return TruncSeries(f.p, f.prec, tuple(res))
+
+        monkeypatch.setattr(verify, "hg_series", corrupted)
+        rep = sweep_section(P, n)
+        if expect is None:  # delta vanishes in every compared sum
+            assert rep.passed
+            return
+        d, k, m, e1, e2 = expect
+        payload = {"s1": embed_rational(e1, p, d + 1).residue,
+                   "s2": embed_rational(e2, p, d + 1).residue}
+        assert not rep.passed and rep.modulus == d + 1
+        assert (rep.params["d"], rep.params["k"], rep.params["m"]) == (d, k, m)
+        assert rep.first_failure == payload
+        single = check_section_congruence(P, n, d, k, m)
+        assert not single.passed and single.first_failure == payload
 
 
 class TestBetaPairing:
