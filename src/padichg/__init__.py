@@ -9,7 +9,6 @@ from .padic import (
     PadicError,
     PrecisionExhausted,
     PreconditionViolated,
-    braced_table,
     c_power_frac,
     dwork_chain,
     embed_rational,

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO, Union
@@ -176,6 +175,10 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
     config.validate()
     cells, skipped = _grid_cells(config)
     if config.jobs > 1 and len(cells) > 1:
+        # imported here, not at module level: it is about a quarter of the
+        # import time of this module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_cell_outcome, cells))
     else:

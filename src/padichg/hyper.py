@@ -10,8 +10,8 @@ The coefficients are p-integral, so each is fixed by a unit mod p^w and an
 exact valuation.  The builders walk the recurrence (a+k-1)/k with the
 p-parts split off exactly, form numerators at a guard precision w read
 off those valuations, and divide exactly.  Tables are built per call;
-nothing is cached.  Exact rationals remain only in `exact_a_table`, for
-the ratio identity.
+nothing is cached.  No coefficient is formed as an exact rational: the
+exact routes to A_k, B_k and Bhat_k are test oracles.
 """
 
 from __future__ import annotations
@@ -267,21 +267,6 @@ def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int)
 def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:
     """Ghat: Bhat_k for k < count via the closed coefficient formula."""
     return TruncSeries(params.p, prec, tuple(_divided_table(params, frob, count, prec, hat=True)))
-
-
-def exact_a_table(params: HGParams, count: int, level: int = 0) -> list[Fraction]:
-    """[A_k^{(level)} for k < count] as exact rationals, for the exact
-    ratio identity; built afresh on each call."""
-    a, s = params.chain.a_at(level), params.s
-    n, d = a.numerator, a.denominator
-    num = den = 1  # (a)_k = num / d^k and k! d^k = den
-    out: list[Fraction] = []
-    for k in range(count):
-        if k:
-            num *= n + (k - 1) * d
-            den *= k * d
-        out.append(Fraction(num, den) ** s)
-    return out
 
 
 def compute_h(params: HGParams, prec: int) -> TruncSeries:

@@ -1,18 +1,20 @@
-"""Interpolated functions beta and beta-hat on Z_p.
+"""Interpolated functions beta and beta-hat on Z_p, and the ratio identity.
 
 The coefficient ratios B_k/A_k and Bhat_k/A_k are p-adically continuous
 in k, so evaluating at the smallest positive integer witness congruent to
 lambda mod p^n gives the interpolated value mod p^n.
+
+The ratio identity linking A^{(1)} to braced products is an exact identity
+of rationals; it is decided on integers, cross-multiplied, from running
+products shared by the single-x check and the sweep.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from typing import Optional
+from typing import Iterator
 
-from .padic import Padic, Rational, braced_table, embed_rational
-from .hyper import FrobeniusSpec, HGParams, coefficient_ratios, exact_a_table
+from .padic import Padic, Rational, embed_rational
+from .hyper import FrobeniusSpec, HGParams, coefficient_ratios
 
 
 def witness_for(lam: Rational, p: int, n: int) -> int:
@@ -31,19 +33,10 @@ def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
     return Padic(params.p, n, coefficient_ratios(params, frob, [k], n, hat)[0])
 
 
-def ratio_tables(params: HGParams, top: int) -> tuple[list, list, list, list]:
-    """The exact tables the ratio identity reads for x <= top:
-    {1}_x, {a}_x, A_x and A^{(1)}_x."""
-    p = params.p
-    return (braced_table(1, top, p), braced_table(params.a, top, p),
-            exact_a_table(params, top + 1), exact_a_table(params, top // p + 2, level=1))
+def ratio_identity_holds(params: HGParams, x_max: int) -> Iterator[bool]:
+    """Whether the ratio identity holds at x, for x = 1, ..., x_max in turn.
 
-
-def ratio_identity_check(x: int, params: HGParams,
-                         tables: Optional[tuple[list, list, list, list]] = None) -> bool:
-    """Exact identity linking A^{(1)} to braced-product ratios.
-
-    For p | x (and likewise x ≡ l mod p) this is the bare ratio
+    For p | x (and likewise x ≡ l mod p) the identity is the bare ratio
     A^{(1)}_{x/p}/A_x = ({1}_x/{a}_x)^s.  For the remaining residues the
     p-divisible factor counts m = floor(x/p) of (1)_x and
     m_a = #{0 <= j : l + jp <= x-1} of (a)_x differ by one, and the exact
@@ -51,17 +44,49 @@ def ratio_identity_check(x: int, params: HGParams,
 
         A^{(1)}_{m_a} ({a}_x)^s (m_a!/m! * p^{m_a-m})^s = A_x ({1}_x)^s
 
-    tables, when given, are ratio_tables(params, top) with top >= x, shared
-    across a sweep over x."""
+    Both sides are s-th powers, L^s = R^s.  With a = n/d and
+    a^{(1)} = n'/d', and the m_a! of A^{(1)}_{m_a} cancelled against the
+    correction,
+
+        L = (a^{(1)})_{m_a} d'^{m_a} {a}_x d^{c_x} p^{m_a-m} / (d'^{m_a} d^{c_x} m!)
+        R = (a)_x d^x {1}_x / (x! d^x)
+
+    where {a}_x d^{c_x} is the product of the c_x factors n + jd (j < x)
+    prime to p.  Every numerator and denominator is an integer, and
+    L^s = R^s is decided in the cross-multiplied form
+    (N_L D_R)^s = (N_R D_L)^s.  Both cross products, less the factor
+    p^{m_a-m}, are running products that each step multiplies by small
+    integers."""
+    p, s, l = params.p, params.s, params.l
+    n, d = params.a.numerator, params.a.denominator
+    a1 = params.chain.a_at(1)
+    n1, d1 = a1.numerator, a1.denominator
+    left = right = 1  # N_L D_R / p^{m_a-m} and N_R D_L
+    m = m_a = 0
+    for x in range(1, x_max + 1):
+        f = n + (x - 1) * d  # d (a + x - 1)
+        left *= x * d  # x! d^x
+        right *= f  # (a)_x d^x
+        if x % p:
+            right *= x  # {1}_x
+        if f % p:
+            left *= f  # {a}_x d^{c_x}
+            right *= d  # d^{c_x}
+        if x % p == 0:
+            m += 1
+            right *= m  # m!
+        if (x - 1) % p == l:  # x - 1 = l + m_a p
+            left *= n1 + m_a * d1  # (a^{(1)})_{m_a} d'^{m_a}
+            right *= d1  # d'^{m_a}
+            m_a += 1
+        cross = left * p ** (m_a - m)
+        # X^s = Y^s: X = Y, or X = -Y when s is even
+        yield cross == right or (s % 2 == 0 and cross == -right)
+
+
+def ratio_identity_check(x: int, params: HGParams) -> bool:
+    """The ratio identity of `ratio_identity_holds` at one x."""
     if x < 1:
         raise ValueError("x must be positive")
-    p, s, a, l = params.p, params.s, params.a, params.l
-    if tables is None:
-        tables = ratio_tables(params, x)
-    b1, ba, a0, a1 = tables
-    m = x // p
-    m_a = (x - 1 - l) // p + 1 if x - 1 >= l else 0
-    corr = Fraction(factorial(m_a), factorial(m)) * Fraction(p) ** (m_a - m)
-    lhs = a1[m_a] * ba[x] ** s * corr ** s
-    rhs = a0[x] * b1[x] ** s
-    return lhs == rhs
+    *_, holds = ratio_identity_holds(params, x)
+    return holds

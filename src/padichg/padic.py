@@ -4,10 +4,12 @@ Values of Z_p are represented by a residue known modulo p^prec.  All
 number-theoretic primitives used elsewhere in the package live here:
 rational embedding, exact division, splitting the p-part off an integer,
 the valuation of (a)_k/k!, fractional powers of the twist constant, Dwork
-prime chains, braced products and the Iwasawa logarithm.
+prime chains and the Iwasawa logarithm.
 
-Rational parameters are plain ``fractions.Fraction`` objects throughout;
-a parameter is embeddable at p iff p does not divide its denominator.
+Rational parameters (a, c, lambda) are plain ``fractions.Fraction``
+objects; a parameter is embeddable at p iff p does not divide its
+denominator.  Exact rationals are otherwise used only by `c_power_frac`
+and `iwasawa_log`.
 """
 
 from __future__ import annotations
@@ -43,20 +45,14 @@ class PreconditionViolated(PadicError):
     """A function was invoked outside its stated hypotheses."""
 
 
-_KNOWN_PRIMES: set[int] = set()
-
-
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p in _KNOWN_PRIMES:
-        return True
     d = 2
     while d * d <= p:
         if p % d == 0:
             return False
         d += 1
-    _KNOWN_PRIMES.add(p)
     return True
 
 
@@ -171,14 +167,6 @@ class Padic:
             raise PrecisionExhausted(f"only {self.prec} digits known, {prec} requested")
         return Padic(self.p, prec, self.residue % self.p ** prec)
 
-    def congruent(self, other: "Padic", n: int) -> bool:
-        """True iff self ≡ other mod p^n (both must carry >= n digits)."""
-        if self.p != other.p:
-            return False
-        if min(self.prec, other.prec) < n:
-            raise PrecisionExhausted(f"need {n} digits to compare")
-        return (self.residue - other.residue) % self.p ** n == 0
-
     def __str__(self) -> str:
         return f"{self.residue} mod {self.p}^{self.prec}"
 
@@ -196,10 +184,6 @@ def embed_rational(r: Rational, p: int, prec: int) -> Padic:
 
 def zero(p: int, prec: int) -> Padic:
     return Padic(p, prec, 0)
-
-
-def one(p: int, prec: int) -> Padic:
-    return embed_rational(1, p, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +244,6 @@ def iwasawa_log(c: Padic) -> Padic:
         total += Fraction((-1) ** (i + 1) * xi, i)
         i += 1
     return embed_rational(total, p, n)
-
-
-# ---------------------------------------------------------------------------
-# braced products
-
-
-def braced_table(alpha: Rational, n_max: int, p: int) -> list[Fraction]:
-    """[{alpha}_0, ..., {alpha}_n_max] built incrementally."""
-    a = Fraction(alpha)
-    out = [Fraction(1)]
-    acc = Fraction(1)
-    for i in range(1, n_max + 1):
-        f = a + i - 1
-        if f != 0 and vp(f, p) == 0:
-            acc *= f
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ are used throughout so that no series division is needed: a congruence
 of quotients N1/D1 = N2/D2 with unit denominators becomes
 N1*D2 = N2*D1 on coefficients.
 Congruences are decided on residues, every product goes through
-`polymul`, and a single-cell checker shares its sweep's helper.
+`polymul`, and a single-cell checker shares its sweep's helper.  The
+braced sweep decides its pairs class by class mod p^n; the exact ratio
+identity is decided on integers (`interp.ratio_identity_holds`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
-from .padic import PadicError, PreconditionViolated, Rational, _l_for, braced_table, vp
+from .padic import PadicError, PreconditionViolated, Rational, _l_for, vp
 from .series import polymul
 from .hyper import (
     SIGMA,
@@ -30,7 +32,7 @@ from .hyper import (
     hg_series,
     twist_pair,
 )
-from .interp import beta_at, ratio_identity_check, ratio_tables
+from .interp import beta_at, ratio_identity_holds
 
 
 class NoUnitCoefficient(PadicError):
@@ -192,15 +194,20 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
 
 
 def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
-    """(-1)^{f_x} {1}_x/{a}_x mod p^n for x <= top, reduced once per x from
-    the exact braced tables (both products are p-adic units)."""
+    """(-1)^{f_x} {1}_x/{a}_x mod p^n for x <= top.  Both braced products
+    are p-adic units, so the ratio is a running unit product: by x when
+    p does not divide x, and by d/(n + (x-1)d) = 1/(a + x - 1), with
+    a = n/d, when p does not divide n + (x-1)d."""
     p, q = params.p, params.q
     m = p ** n
-    out = []
-    for x, (b1, ba) in enumerate(zip(braced_table(1, top, p),
-                                     braced_table(params.a, top, p))):
-        r = (b1.numerator % m * (ba.denominator % m)
-             * pow(b1.denominator % m * (ba.numerator % m), -1, m) % m)
+    num, d = params.a.numerator, params.a.denominator
+    out, r = [], 1 % m  # {1}_0/{a}_0 = 1, which is 0 mod p^0
+    for x in range(top + 1):
+        f = num + (x - 1) * d  # d (a + x - 1)
+        if x % p:
+            r = r * x % m
+        if x and f % p:
+            r = r * d * pow(f, -1, m) % m
         f_x = x % q - x % q // p
         out.append(-r % m if f_x % 2 else r)
     return out
@@ -227,14 +234,22 @@ def check_braced_congruence(params: HGParams, x: int, y: int, n: int) -> CheckRe
 
 
 def sweep_braced(params: HGParams, n: int) -> CheckReport:
-    """All pairs 0 <= x, y <= p^{2n} with v_p(x+y+a) >= n."""
+    """All pairs 0 <= x, y <= p^{2n} with v_p(x+y+a) >= n.
+
+    The partners y of x form the class l_n - x mod p^n, so x passes all
+    its pairs at once when that class is constant and equal to the residue
+    of x; only the other x scan their partners, in order, so the first
+    failing pair is the first in (x, y) order."""
     p = params.p
     pn, top = p ** n, p ** (2 * n)
     l_n = _l_for(params.a, p, pn)  # y ≡ l_n - x mod p^n
-    pairs = ((x, y) for x in range(top + 1)
+    residues = braced_residues(params, top, n)
+    # the residue of each class mod p^n when it is constant on the class
+    constant = [residues[c] if len(set(residues[c::pn])) == 1 else None
+                for c in range(pn)]
+    pairs = ((x, y) for x in range(top + 1) if constant[(l_n - x) % pn] != residues[x]
              for y in range((l_n - x) % pn, top + 1, pn))
-    return _braced_report(_params_dict(params, n=n, range=top), n,
-                          braced_residues(params, top, n), pairs)
+    return _braced_report(_params_dict(params, n=n, range=top), n, residues, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +281,8 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int,
         lambdas = [0, 1, 2, Fraction(1, 2), -params.a - 1]
         if params.p == 2:
             lambdas.remove(Fraction(1, 2))
+    if not lambdas:
+        raise PreconditionViolated("no lambda to compare")
     info = _params_dict(params, n=n, c=Fraction(c))
     for lam in lambdas:
         rep = check_beta_pairing(lam, params, pair, n)
@@ -357,9 +374,8 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
 
 def sweep_ratio(params: HGParams, x_max: int = 200) -> CheckReport:
     info = _params_dict(params, x_max=x_max)
-    tables = ratio_tables(params, x_max)
-    for x in range(1, x_max + 1):
-        if not ratio_identity_check(x, params, tables):
+    for x, holds in enumerate(ratio_identity_holds(params, x_max), 1):
+        if not holds:
             return CheckReport(check="ratio-identity", params=info, passed=False,
                                modulus=0, first_failure={"x": x})
     return CheckReport(check="ratio-identity", params=info, passed=True, modulus=0)
@@ -376,6 +392,8 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
     frob, frob_hat = twist_pair(c)
     info = _params_dict(params, n=n, c=Fraction(c), k_max=k_max)
     lows = range(1, k_max - pn + 1)
+    if not lows:
+        raise PreconditionViolated(f"k_max = {k_max} leaves no pair k, k + {pn} to compare")
     ks = [*lows, *(k + pn for k in lows)]
     ratios = {hat: dict(zip(ks, coefficient_ratios(params, fr, ks, n, hat)))
               for hat, fr in ((False, frob), (True, frob_hat))}

@@ -6,13 +6,14 @@ unit mod p^w and an exact valuation per coefficient); A_k is also the
 Pochhammer ratio ((a)_k/k!)^s rebuilt for each k; G and Ghat come from
 the logarithmic and twisted integrals of the defining series (the
 closed formulas are `b_coefficients` and `bhat_coefficients`); braced
-products are rebuilt for each n (the production route is the
-incremental `braced_table`); products of residue vectors use the
-schoolbook loop (the production route is `polymul`); the braced lemma
-and the section sums are decided on exact rationals with `vp` of a
-difference (the production checkers compare residues); the Frobenius
-substitution t -> c t^p is a loop over coefficients (the checkers spread
-residues by slicing, at c = 1 only).
+products are exact rationals, rebuilt for each n or built as one table,
+and A tables are exact rationals built afresh per call (the production
+routes are running units mod p^n and running integer products);
+products of residue vectors use the schoolbook loop (the production
+route is `polymul`); the braced lemma and the section sums are decided
+on exact rationals with `vp` of a difference (the production checkers
+compare residues); the Frobenius substitution t -> c t^p is a loop over
+coefficients (the checkers spread residues by slicing, at c = 1 only).
 """
 
 from __future__ import annotations
@@ -99,6 +100,21 @@ def b0_exact(params, frob, prec: int) -> Fraction:
     return ratio_at(params.p ** prec, params, frob, prec, hat=False)
 
 
+def exact_a_table(params, count: int, level: int = 0) -> list[Fraction]:
+    """[A_k^{(level)} for k < count] as exact rationals, built afresh on
+    each call."""
+    a, s = params.chain.a_at(level), params.s
+    n, d = a.numerator, a.denominator
+    num = den = 1  # (a)_k = num / d^k and k! d^k = den
+    out: list[Fraction] = []
+    for k in range(count):
+        if k:
+            num *= n + (k - 1) * d
+            den *= k * d
+        out.append(Fraction(num, den) ** s)
+    return out
+
+
 def series_from_rationals(values, p: int, prec: int) -> TruncSeries:
     """The series whose coefficients are the given exact rationals mod p^prec."""
     return TruncSeries(p, prec, tuple(embed_rational(v, p, prec).residue for v in values))
@@ -137,6 +153,20 @@ def braced_product(alpha, n, p):
         f = a + i - 1
         if f != 0 and vp(f, p) == 0:
             out *= f
+    return out
+
+
+def braced_table(alpha, n_max: int, p: int) -> list[Fraction]:
+    """[{alpha}_0, ..., {alpha}_n_max] as exact rationals, built
+    incrementally."""
+    a = Fraction(alpha)
+    out = [Fraction(1)]
+    acc = Fraction(1)
+    for i in range(1, n_max + 1):
+        f = a + i - 1
+        if f != 0 and vp(f, p) == 0:
+            acc *= f
+        out.append(acc)
     return out
 
 

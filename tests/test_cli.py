@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +109,16 @@ class TestSuite:
         assert reports[0] == reports[1]
         rows = [json.loads(line) for line in reports[0].decode().splitlines()]
         assert [r["check"] for r in rows if "error" in r] == ["dwork", "dwork-transform"]
+
+    def test_serial_run_does_not_import_process_pool(self):
+        # the process pool is imported only for --jobs > 1
+        code = ("import sys; from padichg.cli import main; "
+                "main(['suite', '--check', 'braced', '--n', '1']); "
+                "assert 'concurrent.futures.process' not in sys.modules")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_modulus_zero_log_cell_skipped(self, capsys):
         # p = 2, c = 3: log is decided mod 2^{n-1}, so n = 1 decides nothing

@@ -1,10 +1,11 @@
 """Tests for the interpolated functions beta and beta-hat."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padichg import (
@@ -12,15 +13,15 @@ from padichg import (
     HGParams,
     PreconditionViolated,
     beta_at,
-    braced_table,
+    dwork_chain,
     embed_rational,
     ratio_identity_check,
+    sweep_ratio,
     witness_for,
 )
 from padichg.hyper import SIGMA_HAT, coefficient_ratios
-from padichg.interp import ratio_tables
 
-from oracle import braced_product, coeff_exact
+from oracle import braced_product, exact_a_table
 
 
 def params(a, s=1, p=3):
@@ -120,14 +121,28 @@ class TestRatioIdentity:
 
 
 def ratio_identity_per_x(x, params):
-    """The ratio identity with {1}_x and {a}_x rebuilt for this x alone."""
+    """The ratio identity on exact rationals, with {1}_x, {a}_x, A_x and
+    A^{(1)}_{m_a} rebuilt for this x alone."""
     p, s, a, l = params.p, params.s, params.a, params.l
     m = x // p
     m_a = (x - 1 - l) // p + 1 if x - 1 >= l else 0
     corr = Fraction(factorial(m_a), factorial(m)) * Fraction(p) ** (m_a - m)
-    lhs = coeff_exact(params, m_a, 1) * braced_product(a, x, p) ** s * corr ** s
-    rhs = coeff_exact(params, x) * braced_product(1, x, p) ** s
+    a1 = exact_a_table(params, m_a + 1, level=1)[m_a]
+    lhs = a1 * braced_product(a, x, p) ** s * corr ** s
+    rhs = exact_a_table(params, x + 1)[x] * braced_product(1, x, p) ** s
     return lhs == rhs
+
+
+GRID_A = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2), Fraction(2, 3),
+          Fraction(-1, 2)]  # a < 0: negative factors n + jd on both sides
+
+
+def chained(a, s, p, chain_a):
+    """Parameters at (a, s, p) whose Dwork chain starts at a but carries
+    the l and the later primes a^{(1)}, ... of chain_a: for chain_a != a a
+    wrong chain, hence a wrong A^{(1)}."""
+    other = dwork_chain(chain_a, p)
+    return HGParams(a=a, s=s, p=p, chain=replace(other, a=a, chain=(a, *other.chain[1:])))
 
 
 class TestRatioIdentityTables:
@@ -135,16 +150,44 @@ class TestRatioIdentityTables:
                                      (Fraction(1, 3), 2), (Fraction(1, 4), 3)])
     @pytest.mark.parametrize("s", [1, 2])
     def test_shared_table_matches_per_x_oracle(self, a, p, s):
+        # the sweep and the single-x check share one route of running products
         P = HGParams.create(a, s, p)
-        tables = ratio_tables(P, 60)
+        assert sweep_ratio(P, 60).passed
         for x in range(1, 61):
-            shared = ratio_identity_check(x, P, tables)
-            assert shared == ratio_identity_check(x, P) == ratio_identity_per_x(x, P)
-            assert shared
+            assert ratio_identity_check(x, P) and ratio_identity_per_x(x, P)
 
-    def test_other_parameter_table_breaks_identity(self):
-        # the table argument is read: {a}_x of another a makes it fail
+    @settings(deadline=None)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+        st.just(p), st.sampled_from([a for a in GRID_A if a.denominator % p]),
+        st.sampled_from([a for a in GRID_A if a.denominator % p]),
+        st.integers(1, 3), st.integers(1, 300))))
+    def test_integer_form_matches_exact_oracle(self, case):
+        p, a, chain_a, s, x = case
+        P = chained(a, s, p, chain_a)
+        assert ratio_identity_check(x, P) == ratio_identity_per_x(x, P)
+
+    def test_negated_dwork_prime_matches_exact_oracle(self):
+        # with -a^{(1)} in place of a^{(1)} the two sides first differ by the
+        # sign (-1)^s only (at m_a = 1), which an even power does not see
         P = HGParams.create(Fraction(1, 2), 1, 3)
-        wrong = (braced_table(1, 10, 3), braced_table(Fraction(1, 4), 10, 3),
-                 *ratio_tables(P, 10)[2:])
-        assert not all(ratio_identity_check(x, P, wrong) for x in range(1, 11))
+        first = {}
+        for s in (1, 2):
+            chain = replace(P.chain, chain=(P.a, -P.chain.a_at(1)))
+            Q = HGParams(a=P.a, s=s, p=3, chain=chain)
+            holds = [ratio_identity_check(x, Q) for x in range(1, 31)]
+            assert holds == [ratio_identity_per_x(x, Q) for x in range(1, 31)]
+            first[s] = holds.index(False) + 1
+        assert first[1] < first[2]
+
+    @pytest.mark.parametrize("a,p,chain_a", [
+        (Fraction(1, 2), 3, Fraction(1, 4)), (Fraction(2, 3), 5, Fraction(1, 3)),
+        (Fraction(1, 3), 2, Fraction(1, 5)), (Fraction(1, 2), 5, Fraction(2)),
+    ])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_wrong_dwork_chain_fails_at_oracle_x(self, a, p, chain_a, s):
+        P = chained(a, s, p, chain_a)
+        first = next(x for x in range(1, 61) if not ratio_identity_per_x(x, P))
+        rep = sweep_ratio(P, 60)
+        assert not rep.passed and rep.first_failure == {"x": first}
+        assert all(ratio_identity_check(x, P) for x in range(1, first))
+        assert not ratio_identity_check(first, P)

@@ -16,7 +16,6 @@ from padichg import (
     b_coefficients,
     beta_at,
     bhat_coefficients,
-    braced_table,
     check_beta_pairing,
     check_braced_congruence,
     check_congruence_relation,
@@ -41,6 +40,7 @@ from oracle import (
     braced_product,
     braced_ratio,
     braced_sweep_failure,
+    braced_table,
     coeff_exact,
     hat_series,
     log_type_series,
@@ -170,24 +170,40 @@ class TestBracedAgainstOracle:
                   for x in range(top + 1)]
         assert braced_residues(P, top, n) == expect
 
+    @pytest.mark.parametrize("a,n", [(a, n) for a in (Fraction(1, 2), Fraction(1, 5), Fraction(2))
+                                     for n in (1, 2, 3)])
+    def test_residues_match_exact_table_to_sweep_range(self, a, n):
+        # every x the sweep reads at p = 3
+        P, top = HGParams.create(a, 1, 3), 3 ** (2 * n)
+        b1, ba = braced_table(1, top, 3), braced_table(a, top, 3)
+        expect = [embed_rational(braced_ratio(P, x, b1, ba), 3, n).residue
+                  for x in range(top + 1)]
+        assert braced_residues(P, top, n) == expect
+
     @pytest.mark.parametrize("a,p,n,x0", [
         (Fraction(1, 2), 3, 1, 2), (Fraction(1, 3), 2, 2, 3), (Fraction(2), 5, 1, 4),
         (Fraction(1, 2), 3, 2, 10), (Fraction(1, 5), 2, 2, 6), (Fraction(1, 3), 2, 1, 3),
+        # x0 deep in the partner class of a smaller x: that x scans its
+        # partners and fails at y = x0 after passing the ones before it
+        (Fraction(1, 2), 3, 1, 7), (Fraction(1, 2), 3, 2, 50), (Fraction(2), 5, 1, 17),
+        (Fraction(1, 5), 3, 2, 76),
     ])
     def test_corrupted_entry_fails_at_oracle_pair(self, monkeypatch, a, p, n, x0):
-        # {1}_{x0} with its sign flipped: a unit, so only the lemma breaks
+        # the residue of x0 with its sign flipped, as if {1}_{x0} were
+        # negated: a unit, so only the lemma breaks
         P = HGParams.create(a, 1, p)
-
-        def corrupted(alpha, n_max, prime):
-            table = braced_table(alpha, n_max, prime)
-            if alpha == 1 and n_max >= x0:
-                table[x0] = -table[x0]
-            return table
-
         top = p ** (2 * n)
-        b1, ba = corrupted(1, top, p), corrupted(a, top, p)
+        b1, ba = braced_table(1, top, p), braced_table(a, top, p)
+        b1[x0] = -b1[x0]
         expect = braced_sweep_failure(P, n, b1, ba)
-        monkeypatch.setattr(verify, "braced_table", corrupted)
+
+        def corrupted(params, top, n):
+            res = braced_residues(params, top, n)
+            if top >= x0:
+                res[x0] = -res[x0] % params.p ** n
+            return res
+
+        monkeypatch.setattr(verify, "braced_residues", corrupted)
         rep = sweep_braced(P, n)
         if expect is None:  # at p^1 = 2 every unit is 1
             assert rep.passed
@@ -281,6 +297,10 @@ class TestBetaPairing:
         rep = sweep_beta_pairing(params(Fraction(1, 2)), Fraction(4), 2)
         assert rep.passed
 
+    def test_sweep_without_lambdas_rejected(self):
+        with pytest.raises(PreconditionViolated, match="no lambda"):
+            sweep_beta_pairing(params(Fraction(1, 2)), Fraction(4), 2, lambdas=[])
+
 
 class TestSectionSums:
     def test_hand_m0(self):
@@ -360,6 +380,12 @@ class TestRatioAndInterp:
     def test_interpolation(self):
         rep = check_ratio_interpolation(params(Fraction(1, 2)), Fraction(4), 2)
         assert rep.passed
+
+    def test_interpolation_without_pairs_rejected(self):
+        # k_max = p^n leaves no k with k + p^n <= k_max
+        with pytest.raises(PreconditionViolated, match="no pair"):
+            check_ratio_interpolation(params(Fraction(1, 2)), Fraction(1), 2, k_max=9)
+        assert check_ratio_interpolation(params(Fraction(1, 2)), Fraction(1), 2, k_max=10).passed
 
     def test_integrality(self):
         rep = check_integrality(params(Fraction(1, 2), s=2), Fraction(4), 2)
