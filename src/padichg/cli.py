@@ -15,9 +15,10 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO, Union
+from itertools import repeat
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .padic import PadicError, parse_rational, vp
+from .padic import Padic, PadicError, parse_rational, vp
 from .hyper import (
     FrobeniusSpec,
     HGParams,
@@ -26,7 +27,7 @@ from .hyper import (
     hg_series,
     twist_pair,
 )
-from .interp import beta_at
+from .interp import beta_values
 from .verify import (
     CheckReport,
     check_congruence_relation,
@@ -227,7 +228,6 @@ def _summary(stream: TextIO, checks: Sequence[str],
 
 def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
                fmt: str, stream: TextIO, lambdas: Sequence[Fraction] = ()) -> None:
-    rows: list[dict]
     if kind in ("A", "B", "Bhat"):
         if count < 1:
             raise ValueError("count must be positive")
@@ -238,24 +238,33 @@ def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
             series = b_coefficients(params, frob, count, prec)
         else:
             series = bhat_coefficients(params, frob_hat, count, prec)
-        rows = [{"k": k, "residue": r, "prec": series.prec}
-                for k, r in enumerate(series.residues)]
+        rows = zip(range(count), series.residues, repeat(series.prec))
+        _write_rows("k", rows, fmt, stream)
     elif kind == "beta":
-        frob = FrobeniusSpec(c)
-        rows = []
-        for lam in lambdas:
-            v = beta_at(lam, params, frob, prec)
-            rows.append({"lambda": str(lam), "residue": v.residue, "prec": v.prec})
+        _write_beta(lambdas, beta_values(lambdas, params, FrobeniusSpec(c), prec), fmt, stream)
     else:
         raise ConfigInvalid(f"unknown table kind {kind!r}")
 
+
+def _write_beta(lambdas: Sequence[Fraction], values: Sequence[Padic], fmt: str,
+                stream: TextIO) -> None:
+    rows = [(str(lam), v.residue, v.prec) for lam, v in zip(lambdas, values)]
+    _write_rows("lambda", rows, fmt, stream)
+
+
+def _write_rows(key: str, rows: Iterable[tuple], fmt: str, stream: TextIO) -> None:
+    """(key, residue, prec) rows as CSV with a header, or as JSON lines
+    holding the bytes of json.dumps(row, sort_keys=True), written by
+    template."""
     if fmt == "csv":
-        writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()) if rows else ["k"])
-        writer.writeheader()
+        writer = csv.writer(stream)
+        writer.writerow((key, "residue", "prec"))
         writer.writerows(rows)
-    else:
-        for row in rows:
-            stream.write(json.dumps(row, sort_keys=True) + "\n")
+        return
+    line = '{"%s": %%s, "prec": %%d, "residue": %%d}\n' % key
+    if key == "lambda":
+        rows = ((json.dumps(lam), r, prec) for lam, r, prec in rows)
+    stream.writelines(line % (x, prec, r) for x, r, prec in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "interp":
             params = HGParams.create(parse_rational(args.a), args.s, args.p)
             frob = FrobeniusSpec(parse_rational(args.c))
-            for lam_str in args.lam:
-                lam = parse_rational(lam_str)
-                value = beta_at(lam, params, frob, args.n, hat=args.hat)
-                print(json.dumps({"lambda": str(lam), "residue": value.residue,
-                                  "prec": value.prec}, sort_keys=True))
+            lambdas = [parse_rational(v) for v in args.lam]
+            values = beta_values(lambdas, params, frob, args.n, hat=args.hat)
+            _write_beta(lambdas, values, "json", sys.stdout)
             return EXIT_PASS
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

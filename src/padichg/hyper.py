@@ -9,7 +9,8 @@ series F (`hg_series`), G (`b_coefficients`) and Ghat
 The coefficients are p-integral, so each is fixed by a unit mod p^w and an
 exact valuation.  The builders walk the recurrence (a+k-1)/k with the
 p-parts split off exactly, form numerators at a guard precision w read
-off those valuations, and divide exactly.  Tables are built per call;
+off those valuations, and divide exactly; the walk and the divisions
+each take one modular inversion per table.  Tables are built per call;
 nothing is cached.  No coefficient is formed as an exact rational: the
 exact routes to A_k, B_k and Bhat_k are test oracles.
 """
@@ -124,25 +125,41 @@ def _ratio_units(a: Fraction, p: int, count: int, w: int) -> tuple[list[int], li
 
     Walks the recurrence (a)_k/k! = (a)_{k-1}/(k-1)! * (a+k-1)/k, with
     a + k - 1 = (n + (k-1)d)/d, splitting the p-part off each numerator
-    and denominator exactly."""
+    and denominator exactly.  The unit parts of the numerators and of the
+    denominators k d are kept as two running products; the last
+    denominator product is inverted once, and walking back from it gives
+    every quotient."""
     m = p ** w
     n, d = a.numerator, a.denominator
-    d_inv = pow(d, -1, m)
-    units, vals = [1], [0]
-    u, v = 1, 0
+    units, factors, vals = [1] * count, [1] * count, [0] * count
+    num = den = 1
+    v = 0
     for k in range(1, count):
-        vn, un = split_p(n + (k - 1) * d, p)
-        vk, uk = split_p(k, p)
-        u = u * un * d_inv * pow(uk, -1, m) % m
-        v += vn - vk
-        units.append(u)
-        vals.append(v)
-    return units[:count], vals[:count]
+        f = n + (k - 1) * d
+        if f % p == 0:
+            vf, f = split_p(f, p)
+            v += vf
+        num = num * f % m
+        if k % p:
+            uk = k
+        else:
+            vk, uk = split_p(k, p)
+            v -= vk
+        factors[k] = uk * d
+        den = den * factors[k] % m
+        units[k], vals[k] = num, v
+    inv = pow(den, -1, m)  # 1/(the product of factors[1..k]), from k = count-1 down
+    for k in range(count - 1, 0, -1):
+        units[k] = units[k] * inv % m
+        inv = inv * factors[k] % m
+    return units, vals
 
 
 def _powers(units: list[int], vals: list[int], s: int, p: int, w: int) -> list[int]:
     """(p^v u)^s mod p^w for each unit u and valuation v."""
     m = p ** w
+    if s == 1:
+        return [u * p ** v % m if v < w else 0 for u, v in zip(units, vals)]
     return [pow(u, s, m) * p ** (s * v) % m if s * v < w else 0
             for u, v in zip(units, vals)]
 
@@ -181,22 +198,37 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, a_res: list[int], w: int,
     return out
 
 
-def _exact_quotient(num: int, den: int, p: int, prec: int) -> int:
-    """num/den mod p^prec, for num known mod p^(prec + v_p(den)).  Raises
-    NotDivisible when p^{v_p(den)} does not divide num, i.e. when the
-    quotient is not p-integral."""
-    v, u = split_p(den, p)
-    q, r = divmod(num, p ** v)
-    if r:
-        raise NotDivisible(f"numerator not divisible by {p}^{v}")
+def _exact_quotients(nums: list[int], dens: list[int], p: int, prec: int) -> list[int]:
+    """nums[i]/dens[i] mod p^prec, for each nums[i] known mod
+    p^(prec + v_p(dens[i])).  Raises NotDivisible at the first i whose
+    numerator p^{v_p(dens[i])} does not divide, i.e. whose quotient is not
+    p-integral.  The unit parts of dens are inverted through one modular
+    inversion of their product, walking back over the prefix products."""
     m = p ** prec
-    return q * pow(u, -1, m) % m
+    quots, units, prefix = [], [], []
+    acc = 1
+    for num, den in zip(nums, dens):
+        if den % p == 0:
+            v, den = split_p(den, p)
+            num, r = divmod(num, p ** v)
+            if r:
+                raise NotDivisible(f"numerator not divisible by {p}^{v}")
+        quots.append(num)
+        units.append(den)
+        prefix.append(acc)  # the product of the unit parts before i
+        acc = acc * den % m
+    inv = pow(acc, -1, m)  # 1/(the product of the unit parts up to i), i descending
+    for i in range(len(quots) - 1, -1, -1):
+        quots[i] = quots[i] * prefix[i] * inv % m
+        inv = inv * units[i] % m
+    return quots
 
 
-def _divisor(params: HGParams, k: int, hat: bool) -> tuple[int, int]:
-    """(D, d): the exact divisor k + a = D/d of Bhat_k, or k = k/1 of B_k."""
+def _divisor(params: HGParams, k: int, hat: bool) -> int:
+    """D with the exact divisor k + a = D/d of Bhat_k, where a = n/d, or
+    D = k for B_k; the numerators are multiplied by d."""
     a = params.a
-    return (k * a.denominator + a.numerator, a.denominator) if hat else (k, 1)
+    return k * a.denominator + a.numerator if hat else k
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +251,15 @@ def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int],
     if not ks:
         return []
     p, s, a = params.p, params.s, params.a
-    w = n + max(split_p(_divisor(params, k, hat)[0], p)[0] + s * ratio_valuation(a, p, k)
+    w = n + max(split_p(_divisor(params, k, hat), p)[0] + s * ratio_valuation(a, p, k)
                 for k in ks)
     units, vals = _ratio_units(a, p, max(ks) + 1, w)
     nums = _numerators(params, frob, _powers(units, vals, s, p, w), w, hat)
-    out = []
-    for k in ks:
-        den, d = _divisor(params, k, hat)
-        # the exact divisor k·A_k, its unit part known mod p^w
-        den *= p ** (s * vals[k]) * pow(units[k], s, p ** w)
-        out.append(_exact_quotient(nums[k] * d, den, p, n))
-    return out
+    d = params.a.denominator if hat else 1
+    # the exact divisor k·A_k, its unit part known mod p^w
+    dens = [_divisor(params, k, hat) * p ** (s * vals[k]) * pow(units[k], s, p ** w)
+            for k in ks]
+    return _exact_quotients([nums[k] * d for k in ks], dens, p, n)
 
 
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
@@ -247,13 +277,11 @@ def _divided_table(params: HGParams, frob: FrobeniusSpec, count: int, prec: int,
     frob.validate(params.p)
     p = params.p
     ks = range(0 if hat else 1, count)
-    w = prec + max((split_p(_divisor(params, k, hat)[0], p)[0] for k in ks), default=0)
+    dens = [_divisor(params, k, hat) for k in ks]
+    w = prec + max((split_p(den, p)[0] for den in dens if den % p == 0), default=0)
     nums = _numerators(params, frob, _a_residues(params, count, w), w, hat)
-    out = []
-    for k in ks:
-        den, d = _divisor(params, k, hat)
-        out.append(_exact_quotient(nums[k] * d, den, p, prec))
-    return out
+    d = params.a.denominator if hat else 1
+    return _exact_quotients([nums[k] * d for k in ks], dens, p, prec)
 
 
 def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:

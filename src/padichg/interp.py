@@ -11,7 +11,7 @@ products shared by the single-x check and the sweep.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .padic import Padic, Rational, embed_rational
 from .hyper import FrobeniusSpec, HGParams, coefficient_ratios
@@ -23,14 +23,21 @@ def witness_for(lam: Rational, p: int, n: int) -> int:
     return r if r >= 1 else p ** n
 
 
-def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
-            *, hat: bool = False) -> Padic:
-    """beta_lambda (or beta-hat with hat=True) mod p^n."""
+def beta_values(lams: Sequence[Rational], params: HGParams, frob: FrobeniusSpec, n: int,
+                *, hat: bool = False) -> list[Padic]:
+    """beta_lambda (or beta-hat with hat=True) mod p^n at each lambda in
+    lams, from one walk over the largest witness."""
     if n < 1:
         raise ValueError("n must be positive")
     frob.validate(params.p)
-    k = witness_for(lam, params.p, n)
-    return Padic(params.p, n, coefficient_ratios(params, frob, [k], n, hat)[0])
+    ks = [witness_for(lam, params.p, n) for lam in lams]
+    return [Padic(params.p, n, r) for r in coefficient_ratios(params, frob, ks, n, hat)]
+
+
+def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
+            *, hat: bool = False) -> Padic:
+    """beta_lambda (or beta-hat with hat=True) mod p^n."""
+    return beta_values([lam], params, frob, n, hat=hat)[0]
 
 
 def ratio_identity_holds(params: HGParams, x_max: int) -> Iterator[bool]:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .padic import PadicError, PreconditionViolated, Rational, _l_for, vp
 from .series import polymul
@@ -32,7 +32,7 @@ from .hyper import (
     hg_series,
     twist_pair,
 )
-from .interp import beta_at, ratio_identity_holds
+from .interp import beta_values, ratio_identity_holds
 
 
 class NoUnitCoefficient(PadicError):
@@ -213,6 +213,12 @@ def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
     return out
 
 
+def _require_modulus(n: int) -> None:
+    """Mod p^0 every residue is 0 and the lemma would pass vacuously."""
+    if n < 1:
+        raise PreconditionViolated(f"the braced lemma at n = {n} compares mod p^{n}")
+
+
 def _braced_report(info: dict, n: int, residues: list[int], pairs) -> CheckReport:
     """Fails at the first (x, y) pair whose residues differ."""
     for x, y in pairs:
@@ -226,6 +232,7 @@ def _braced_report(info: dict, n: int, residues: list[int], pairs) -> CheckRepor
 def check_braced_congruence(params: HGParams, x: int, y: int, n: int) -> CheckReport:
     """(-1)^{f_x} {1}_x/{a}_x ≡ (-1)^{f_y} {1}_y/{a}_y mod p^n, assuming
     x + y + a ≡ 0 mod p^n."""
+    _require_modulus(n)
     pn = params.p ** n
     if (x + y - _l_for(params.a, params.p, pn)) % pn:
         raise PreconditionViolated(f"x + y + a is not divisible by {pn}")
@@ -240,6 +247,7 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
     its pairs at once when that class is constant and equal to the residue
     of x; only the other x scan their partners, in order, so the first
     failing pair is the first in (x, y) order."""
+    _require_modulus(n)
     p = params.p
     pn, top = p ** n, p ** (2 * n)
     l_n = _l_for(params.a, p, pn)  # y ≡ l_n - x mod p^n
@@ -256,6 +264,22 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
 # beta pairing
 
 
+def _beta_pairings(params: HGParams, frob_pair: tuple[FrobeniusSpec, FrobeniusSpec], n: int,
+                   lambdas: Sequence[Rational]) -> Iterator[CheckReport]:
+    """The pairing report at each lambda in turn; the values of each
+    direction come from one `beta_values` call."""
+    frob, frob_hat = frob_pair
+    lambdas = [Fraction(lam) for lam in lambdas]
+    betas = beta_values(lambdas, params, frob, n)
+    beta_hats = beta_values([-lam - params.a for lam in lambdas], params, frob_hat, n, hat=True)
+    for lam, b, bh in zip(lambdas, betas, beta_hats):
+        ok = (b + bh).residue == 0
+        info = _params_dict(params, n=n, c=frob.c, lam=lam)
+        fail = None if ok else {"beta": str(b), "beta_hat": str(bh)}
+        yield CheckReport(check="beta-pairing", params=info, passed=ok, modulus=n,
+                          first_failure=fail)
+
+
 def check_beta_pairing(lam: Rational, params: HGParams,
                        frob_pair: tuple[FrobeniusSpec, FrobeniusSpec],
                        n: int) -> CheckReport:
@@ -264,31 +288,23 @@ def check_beta_pairing(lam: Rational, params: HGParams,
     frob, frob_hat = frob_pair
     if frob.direction != SIGMA or frob_hat.direction != SIGMA_HAT:
         raise PreconditionViolated("frob_pair must be (sigma, sigma-hat)")
-    lam = Fraction(lam)
-    b = beta_at(lam, params, frob, n)
-    bh = beta_at(-lam - params.a, params, frob_hat, n, hat=True)
-    ok = (b + bh).residue == 0
-    info = _params_dict(params, n=n, c=frob.c, lam=lam)
-    fail = None if ok else {"beta": str(b), "beta_hat": str(bh)}
-    return CheckReport(check="beta-pairing", params=info, passed=ok, modulus=n,
-                       first_failure=fail)
+    return next(_beta_pairings(params, frob_pair, n, [lam]))
 
 
 def sweep_beta_pairing(params: HGParams, c: Rational, n: int,
                        lambdas: Optional[Sequence[Rational]] = None) -> CheckReport:
-    pair = twist_pair(c)
+    """The beta pairing at each lambda; the first failing one is reported."""
     if lambdas is None:
         lambdas = [0, 1, 2, Fraction(1, 2), -params.a - 1]
         if params.p == 2:
             lambdas.remove(Fraction(1, 2))
     if not lambdas:
         raise PreconditionViolated("no lambda to compare")
-    info = _params_dict(params, n=n, c=Fraction(c))
-    for lam in lambdas:
-        rep = check_beta_pairing(lam, params, pair, n)
+    for rep in _beta_pairings(params, twist_pair(c), n, lambdas):
         if not rep.passed:
             return rep
-    return CheckReport(check="beta-pairing", params=info, passed=True, modulus=n)
+    return CheckReport(check="beta-pairing", params=_params_dict(params, n=n, c=Fraction(c)),
+                       passed=True, modulus=n)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +389,8 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
 
 
 def sweep_ratio(params: HGParams, x_max: int = 200) -> CheckReport:
+    if x_max < 1:
+        raise PreconditionViolated(f"x_max = {x_max} leaves no x to compare")
     info = _params_dict(params, x_max=x_max)
     for x, holds in enumerate(ratio_identity_holds(params, x_max), 1):
         if not holds:

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import csv
 import io
 import json
 import os
@@ -7,7 +8,17 @@ import subprocess
 import sys
 
 import pytest
+from fractions import Fraction
 
+from padichg import (
+    FrobeniusSpec,
+    HGParams,
+    b_coefficients,
+    beta_at,
+    bhat_coefficients,
+    hg_series,
+    twist_pair,
+)
 from padichg.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -185,6 +196,69 @@ class TestTable:
                             "--count", "2", "--format", "csv"], capsys)
         lines = out.strip().splitlines()
         assert lines[0].startswith("k,") and len(lines) == 3
+
+
+def _old_rendering(rows, fmt):
+    """Table rows as json.dumps(row, sort_keys=True) lines or through
+    csv.DictWriter: the rendering the template must reproduce byte for byte."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+class TestTableBytes:
+    P = HGParams.create(Fraction(1, 2), 2, 3)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("count", [1, 30])
+    @pytest.mark.parametrize("kind", ["A", "B", "Bhat"])
+    def test_coefficient_table(self, kind, count, fmt, tmp_path, capsys):
+        out = tmp_path / "table"
+        code, _, _ = run(["table", "--kind", kind, "--a", "1/2", "--s", "2", "--p", "3",
+                          "--c", "-2", "--count", str(count), "--prec", "4",
+                          "--format", fmt, "--out", str(out)], capsys)
+        frob, frob_hat = twist_pair(Fraction(-2))
+        series = {"A": lambda: hg_series(self.P, count, 4),
+                  "B": lambda: b_coefficients(self.P, frob, count, 4),
+                  "Bhat": lambda: bhat_coefficients(self.P, frob_hat, count, 4)}[kind]()
+        rows = [{"k": k, "residue": r, "prec": 4} for k, r in enumerate(series.residues)]
+        assert code == EXIT_PASS
+        assert out.read_bytes() == _old_rendering(rows, fmt).encode()
+
+    # nonnegative: argparse reads "--points -7/4" as a flag
+    POINTS = ["0", "1", "2", "1/2", "7/4", "5/11"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("points", [POINTS, ["1/2"]])
+    def test_beta_table_is_per_point_beta_at(self, points, fmt, tmp_path, capsys):
+        out = tmp_path / "table"
+        code, _, _ = run(["table", "--kind", "beta", "--a", "1/2", "--s", "2", "--p", "3",
+                          "--c", "-2", "--prec", "4", "--format", fmt, "--out", str(out),
+                          "--points", *points], capsys)
+        values = [beta_at(Fraction(v), self.P, FrobeniusSpec(Fraction(-2)), 4) for v in points]
+        rows = [{"lambda": v, "residue": b.residue, "prec": b.prec}
+                for v, b in zip(points, values)]
+        assert code == EXIT_PASS
+        assert out.read_bytes() == _old_rendering(rows, fmt).encode()
+
+    def test_beta_table_without_points_has_its_header(self, capsys):
+        code, out, _ = run(["table", "--kind", "beta", "--a", "1/2", "--p", "3",
+                            "--format", "csv"], capsys)
+        assert code == EXIT_PASS and out.splitlines() == ["lambda,residue,prec"]
+
+    @pytest.mark.parametrize("hat", [False, True])
+    def test_interp_is_per_point_beta_at(self, hat, capsys):
+        argv = ["interp", "--a", "1/2", "--s", "2", "--p", "3", "--c", "-2", "--n", "4"]
+        code, out, _ = run(argv + ["--hat"] * hat + ["--lam", *self.POINTS], capsys)
+        frob = FrobeniusSpec(Fraction(-2))
+        rows = [{"lambda": v, "residue": b.residue, "prec": b.prec}
+                for v in self.POINTS
+                for b in [beta_at(Fraction(v), self.P, frob, 4, hat=hat)]]
+        assert code == EXIT_PASS and out == _old_rendering(rows, "json")
 
 
 class TestInterp:

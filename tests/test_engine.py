@@ -1,6 +1,7 @@
 """The residue engine (units mod p^w with exact valuations) against the
 exact-rational oracle, its guard precisions, and its memory footprint."""
 
+import re
 import sys
 from fractions import Fraction
 from math import factorial
@@ -12,17 +13,20 @@ from hypothesis import strategies as st
 from padichg import (
     FrobeniusSpec,
     HGParams,
+    NotDivisible,
     SIGMA,
     SIGMA_HAT,
     b0_constant,
     b_coefficients,
     beta_at,
     bhat_coefficients,
+    check_integrality,
     embed_rational,
     hg_series,
     vp,
     witness_for,
 )
+from padichg import hyper
 from padichg.padic import ratio_valuation, split_p
 
 from oracle import b0_exact, b_exact, bhat_approx, coeff_exact, pochhammer, ratio_at
@@ -110,6 +114,58 @@ class TestAgainstOracle:
         assert deep  # the case is not vacuous
         residues = hg_series(P, 300, prec).residues
         assert all(residues[k] == 0 for k in deep)
+
+
+# Tables at p = 2 to precision 14 with s = 2, and at negative a.  Count 1
+# has no k >= 1; the longer counts cross p, p^2, ..., where the divisor
+# valuations, and so the guard precision, change.
+DEEP_CASES = [(Fraction(1, 3), 2, 2, 14), (Fraction(-1, 3), 2, 2, 14),
+              (Fraction(-1, 2), 1, 3, 6), (Fraction(-2, 3), 2, 5, 4)]
+DEEP_TOP = {2: 9, 3: 5, 5: 3}
+
+
+class TestDeepAgainstOracle:
+    @pytest.mark.parametrize("a,s,p,prec", DEEP_CASES)
+    @pytest.mark.parametrize("top", [None, 1, 0])
+    def test_tables(self, a, s, p, prec, top):
+        P = HGParams.create(a, s, p)
+        count = 1 if top is None else p ** (DEEP_TOP[p] - top) + 1
+        c = Fraction(1 - P.q)
+        frob, frob_hat = FrobeniusSpec(c, SIGMA), FrobeniusSpec(c, SIGMA_HAT)
+        assert hg_series(P, count, prec).residues == \
+            embedded((coeff_exact(P, k) for k in range(count)), p, prec)
+        b = b_coefficients(P, frob, count, prec).residues
+        # the B_0 oracle walks p^prec exact terms: only where that is quick
+        if prec <= B0_PREC[p]:
+            assert b[0] == embed_rational(b0_exact(P, frob, prec), p, prec).residue
+        assert b[1:] == embedded((b_exact(P, frob, k) for k in range(1, count)), p, prec)
+        assert bhat_coefficients(P, frob_hat, count, prec).residues == \
+            embedded((bhat_approx(P, frob_hat, k, prec) for k in range(count)), p, prec)
+
+
+class TestNotDivisible:
+    """A non-integral quotient is reported at its smallest k, whatever the
+    divisor valuations of later k."""
+
+    @pytest.mark.parametrize("bad", [(9, 12), (3, 9), (18, 15, 12)])
+    def test_smallest_k_named(self, bad, monkeypatch):
+        original = hyper._numerators
+        count = 2 * 3 ** 2 + 1  # the B table of check_integrality at n = 2
+
+        def corrupted(params, frob, a_res, w, hat):
+            nums = original(params, frob, a_res, w, hat)
+            if not hat and len(nums) == count:  # not the B_0 walk
+                for k in bad:
+                    nums[k] += 1  # the true numerator is divisible by p^{v_p(k)}
+            return nums
+
+        monkeypatch.setattr(hyper, "_numerators", corrupted)
+        P = HGParams.create(Fraction(1, 2), 1, 3)
+        message = f"numerator not divisible by 3^{vp(min(bad), 3)}"
+        with pytest.raises(NotDivisible, match=re.escape(message)):
+            b_coefficients(P, FrobeniusSpec(Fraction(4)), count, 2)
+        rep = check_integrality(P, Fraction(4), 2)
+        assert not rep.passed and rep.first_failure == {"error": message}
 
 
 class TestValuations:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from padichg import (
     FrobeniusSpec,
     HGParams,
+    Padic,
     PreconditionViolated,
     TruncSeries,
     b0_constant,
     b_coefficients,
     beta_at,
+    beta_values,
     bhat_coefficients,
     check_beta_pairing,
     check_braced_congruence,
@@ -137,6 +139,15 @@ class TestBraced:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             check_braced_congruence(params(Fraction(1, 2)), 1, 1, 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_modulus_below_one_rejected(self, n):
+        # mod p^0 every residue is 0, so any pair would pass
+        P = params(Fraction(1, 2))
+        with pytest.raises(PreconditionViolated, match=f"n = {n}"):
+            check_braced_congruence(P, 0, 1, n)
+        with pytest.raises(PreconditionViolated, match=f"n = {n}"):
+            sweep_braced(P, n)
 
     @settings(deadline=None)
     @given(st.sampled_from([(Fraction(1, 2), 3), (Fraction(2), 5), (Fraction(1), 2)]),
@@ -297,6 +308,34 @@ class TestBetaPairing:
         rep = sweep_beta_pairing(params(Fraction(1, 2)), Fraction(4), 2)
         assert rep.passed
 
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_corrupted_beta_hat_fails_at_its_lambda(self, index, monkeypatch):
+        # one beta-values call per direction; a wrong beta-hat at one lambda
+        # fails the sweep there, with the payload of the single-point check
+        P, c = params(Fraction(1, 2)), Fraction(4)
+        lam = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), -P.a - 1][index]
+        calls = []
+
+        def corrupted(lams, params_, frob, n, *, hat=False):
+            calls.append(hat)
+            values = beta_values(lams, params_, frob, n, hat=hat)
+            if hat:
+                v = values[index]
+                values[index] = Padic(v.p, v.prec, (v.residue + 1) % v.p ** v.prec)
+            return values
+
+        monkeypatch.setattr(verify, "beta_values", corrupted)
+        rep = sweep_beta_pairing(P, c, 2)
+        assert calls == [False, True]
+        frob, frob_hat = twist_pair(c)
+        b = beta_at(lam, P, frob, 2)
+        bh = beta_at(-lam - P.a, P, frob_hat, 2, hat=True)
+        bad = Padic(bh.p, bh.prec, (bh.residue + 1) % 9)
+        assert not rep.passed and rep.params["lam"] == lam
+        assert rep.first_failure == {"beta": str(b), "beta_hat": str(bad)}
+        monkeypatch.undo()
+        assert sweep_beta_pairing(P, c, 2).passed
+
     def test_sweep_without_lambdas_rejected(self):
         with pytest.raises(PreconditionViolated, match="no lambda"):
             sweep_beta_pairing(params(Fraction(1, 2)), Fraction(4), 2, lambdas=[])
@@ -376,6 +415,11 @@ def main_congruence_laurent(params, c, n):
 class TestRatioAndInterp:
     def test_ratio_sweep(self):
         assert sweep_ratio(params(Fraction(1, 2), s=2), x_max=60).passed
+
+    @pytest.mark.parametrize("x_max", [0, -3])
+    def test_ratio_sweep_without_x_rejected(self, x_max):
+        with pytest.raises(PreconditionViolated, match="no x"):
+            sweep_ratio(params(Fraction(1, 2)), x_max)
 
     def test_interpolation(self):
         rep = check_ratio_interpolation(params(Fraction(1, 2)), Fraction(4), 2)
