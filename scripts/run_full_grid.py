@@ -2,8 +2,9 @@
 """Run the full verification grid through the CLI and collect a report.
 
 Covers every check on the standard grid p in {2,3,5}, a in {1/2, 1/3, 1/5},
-s in {1,2}, n up to 2, with twist constants 1 and 1+q.  Incompatible cells
-(p dividing a denominator, too-shallow c) are skipped by the runner.
+s in {1,2}, n up to 2, with twist constants 1 and 1+q.  Cells outside
+their check's hypotheses (p dividing a denominator, too-shallow c) are
+skipped: the checker raises PreconditionViolated.
 
 Usage: python3 scripts/run_full_grid.py [report-path]
 """

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .padic import Padic, PadicError, parse_rational, vp
+from .padic import Padic, PadicError, PreconditionViolated, parse_rational
 from .hyper import (
     FrobeniusSpec,
     HGParams,
@@ -35,7 +35,6 @@ from .verify import (
     check_integrality,
     check_main_congruence,
     check_ratio_interpolation,
-    effective_exponent,
     sweep_beta_pairing,
     sweep_braced,
     sweep_ratio,
@@ -46,26 +45,23 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-CHECK_NAMES = (
-    "dwork",
-    "log",
-    "hat",
-    "dwork-transform",
-    "braced",
-    "beta-pairing",
-    "section-sums",
-    "main-congruence",
-    "ratio-identity",
-    "integrality",
-    "interpolation",
-)
-
-# Checks whose hypotheses need c in 1 + qW rather than just 1 + pW.
-_NEEDS_Q = {"hat", "beta-pairing", "main-congruence", "interpolation", "integrality"}
-# Checks that ignore the Frobenius constant entirely.
-_NO_C = {"dwork", "dwork-transform", "braced", "section-sums", "ratio-identity"}
-# Checks that ignore n: expanded at the first n only.
-_NO_N = {"ratio-identity"}
+# name -> (runner (params, c, n) -> CheckReport, whether the check reads c,
+# whether it reads n).  The checker decides which cells it accepts.  Each
+# runner looks its checker up by name when called, so that a patched
+# module attribute is the one that runs.
+CHECKS = {
+    "dwork": (lambda P, c, n: check_congruence_relation("dwork", P, None, n), False, True),
+    "log": (lambda P, c, n: check_congruence_relation("log", P, FrobeniusSpec(c), n), True, True),
+    "hat": (lambda P, c, n: check_congruence_relation("hat", P, FrobeniusSpec(c), n), True, True),
+    "dwork-transform": (lambda P, c, n: check_dwork_transformation(P, n), False, True),
+    "braced": (lambda P, c, n: sweep_braced(P, n), False, True),
+    "beta-pairing": (lambda P, c, n: sweep_beta_pairing(P, c, n), True, True),
+    "section-sums": (lambda P, c, n: sweep_section(P, n), False, True),
+    "main-congruence": (lambda P, c, n: check_main_congruence(P, c, n), True, True),
+    "ratio-identity": (lambda P, c, n: sweep_ratio(P), False, False),
+    "integrality": (lambda P, c, n: check_integrality(P, c, n), True, True),
+    "interpolation": (lambda P, c, n: check_ratio_interpolation(P, c, n), True, True),
+}
 
 
 class ConfigInvalid(ValueError):
@@ -89,7 +85,7 @@ class SuiteConfig:
         if not self.checks:
             raise ConfigInvalid("no checks requested")
         for name in self.checks:
-            if name not in CHECK_NAMES:
+            if name not in CHECKS:
                 raise ConfigInvalid(f"unknown check {name!r}")
         for group, label in ((self.p_list, "p"), (self.n_list, "n"), (self.s_list, "s")):
             if not group or any(v < 1 for v in group):
@@ -100,81 +96,36 @@ class SuiteConfig:
             raise ConfigInvalid("a and c lists must be nonempty")
 
 
-def _cell_compatible(check: str, p: int, a: Fraction, c: Fraction) -> bool:
-    """Whether a grid cell satisfies the hypotheses of its check."""
-    if a.denominator % p == 0:
-        return False
-    if a.denominator == 1 and a <= 0:
-        return False
-    if check not in _NO_C and c != 1:
-        v = vp(c - 1, p)
-        need = 2 if (p == 2 and check in _NEEDS_Q) else 1
-        if v is None or v < need:
-            return False
-    return True
-
-
-def _run_cell(task: tuple) -> CheckReport:
-    """Evaluate one grid cell; the arguments are primitives for pickling."""
-    check, p, a_str, s, n, c_str = task
-    a, c = Fraction(a_str), Fraction(c_str)
-    params = HGParams.create(a, s, p)
-    if check in ("dwork", "log", "hat"):
-        frob = None if check == "dwork" else FrobeniusSpec(c)
-        return check_congruence_relation(check, params, frob, n)
-    if check == "dwork-transform":
-        return check_dwork_transformation(params, n)
-    if check == "braced":
-        return sweep_braced(params, n)
-    if check == "beta-pairing":
-        return sweep_beta_pairing(params, c, n)
-    if check == "section-sums":
-        return sweep_section(params, n)
-    if check == "main-congruence":
-        return check_main_congruence(params, c, n)
-    if check == "ratio-identity":
-        return sweep_ratio(params)
-    if check == "integrality":
-        return check_integrality(params, c, n)
-    if check == "interpolation":
-        return check_ratio_interpolation(params, c, n)
-    raise ConfigInvalid(f"unknown check {check!r}")
-
-
-def _cell_outcome(task: tuple) -> Union[CheckReport, str]:
-    """The cell's report, or the error it raised as one line of text."""
+def _cell_outcome(task: tuple) -> Union[CheckReport, str, None]:
+    """The cell's report; None when its checker raises PreconditionViolated
+    (the cell is skipped); any other error as one line of text."""
+    check, p, a, s, n, c = task
     try:
-        return _run_cell(task)
+        return CHECKS[check][0](HGParams.create(a, s, p), c, n)
+    except PreconditionViolated:
+        return None
     except Exception as exc:  # noqa: BLE001 - recorded as an error cell
         return f"{type(exc).__name__}: {exc}"
 
 
-def _grid_cells(config: SuiteConfig) -> tuple[list[tuple], int]:
-    """Expand the grid; returns (runnable cells, skipped cell count)."""
-    cells: list[tuple] = []
-    skipped = 0
+def _grid_cells(config: SuiteConfig) -> list[tuple]:
+    """Every cell of the grid, in report order; a check that reads no c
+    runs at c = 1 only, and one that reads no n at the first n only."""
+    cells = []
     for check in config.checks:
-        c_values: Sequence[Fraction] = [Fraction(1)] if check in _NO_C else config.c_list
-        n_values = config.n_list[:1] if check in _NO_N else config.n_list
-        for p in config.p_list:
-            for a in config.a_list:
-                for s in config.s_list:
-                    for c in c_values:
-                        if not _cell_compatible(check, p, a, c):
-                            skipped += 1
-                            continue
-                        for n in n_values:
-                            if effective_exponent(check, p, c, n) < 1:
-                                skipped += 1
-                                continue
-                            cells.append((check, p, str(a), s, n, str(c)))
-    return cells, skipped
+        _, reads_c, reads_n = CHECKS[check]
+        c_values = config.c_list if reads_c else [Fraction(1)]
+        n_values = config.n_list if reads_n else config.n_list[:1]
+        cells += [(check, p, a, s, n, c)
+                  for p in config.p_list for a in config.a_list for s in config.s_list
+                  for c in c_values for n in n_values]
+    return cells
 
 
 def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
     stream = stream if stream is not None else sys.stdout
     config.validate()
-    cells, skipped = _grid_cells(config)
+    cells = _grid_cells(config)
     if config.jobs > 1 and len(cells) > 1:
         # imported here, not at module level: it is about a quarter of the
         # import time of this module
@@ -186,12 +137,14 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
         outcomes = list(map(_cell_outcome, cells))
     reports = [(t, o) for t, o in zip(cells, outcomes) if isinstance(o, CheckReport)]
     errors = [(t, o) for t, o in zip(cells, outcomes) if isinstance(o, str)]
+    skipped = outcomes.count(None)
 
     lines = [rep.to_json() for _, rep in reports]
     for task, msg in errors:
         lines.append(json.dumps({
             "check": task[0],
-            "params": {"p": task[1], "a": task[2], "s": task[3], "n": task[4], "c": task[5]},
+            "params": {"p": task[1], "a": str(task[2]), "s": task[3], "n": task[4],
+                       "c": str(task[5])},
             "passed": False,
             "error": msg,
         }, sort_keys=True))
@@ -343,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--a", nargs="+", help="parameters a as n/d strings")
     suite.add_argument("--s", nargs="+", type=int, help="multiplicities")
     suite.add_argument("--c", nargs="+", help="Frobenius constants as n/d strings")
-    suite.add_argument("--check", nargs="+", choices=CHECK_NAMES, help="checks to run")
+    suite.add_argument("--check", nargs="+", choices=CHECKS, help="checks to run")
     suite.add_argument("--out", help="report path (default: stdout)")
     suite.add_argument("--jobs", type=int, help="worker processes")
     suite.add_argument("--config", help="key: value config file")

@@ -57,12 +57,15 @@ class HGParams:
 
     @classmethod
     def create(cls, a: Rational, s: int, p: int) -> "HGParams":
+        """A p that is not prime raises ValueError; an a that is a
+        nonpositive integer or has p in its denominator is outside the
+        hypotheses and raises PreconditionViolated (also a ValueError)."""
         check_prime(p)
         a = Fraction(a)
         if a.denominator == 1 and a <= 0:
-            raise ValueError("a must avoid the nonpositive integers")
+            raise PreconditionViolated("a must avoid the nonpositive integers")
         if a.denominator % p == 0:
-            raise ValueError(f"denominator of a = {a} is divisible by {p}")
+            raise PreconditionViolated(f"denominator of a = {a} is divisible by {p}")
         if s < 1:
             raise ValueError("s must be positive")
         return cls(a=a, s=s, p=p, chain=dwork_chain(a, p))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 Rational = Union[int, Fraction]
@@ -41,7 +42,7 @@ class CNotOneModP(PadicError):
     """The twist constant c is not congruent to 1 at the required depth."""
 
 
-class PreconditionViolated(PadicError):
+class PreconditionViolated(PadicError, ValueError):
     """A function was invoked outside its stated hypotheses."""
 
 
@@ -295,26 +296,34 @@ class DworkChain:
         return self.chain[start + (i - start) % cycle]
 
 
+# bounded: a suite builds the params of the same few (a, p) at every cell
+@lru_cache(maxsize=256)
 def dwork_chain(a: Rational, p: int, max_steps: int = 64) -> DworkChain:
     """Iterate a -> (a + l)/p, detecting the period r with a^{(r)} = a when
-    it exists within max_steps."""
+    it exists within max_steps.
+
+    Every term keeps the denominator d of a = n/d: with m/d a term,
+    m + l d is divisible by p and prime to d.  So the walk runs on the
+    numerators, m -> (m + l d)/p with l = -m/d mod p."""
     check_prime(p)
     a = Fraction(a)
     q = 4 if p == 2 else p
     l = _l_for(a, p, p)
     l_prime = _l_for(a, p, q)
     e = l_prime - l_prime // p
-    chain = [a]
-    seen = {a}
+    n, d = a.numerator, a.denominator
+    minus_inv_d = -pow(d, -1, p)
+    nums = [n]
+    seen = {n}
     period = None
-    cur = a
+    m = n
     for step in range(1, max_steps + 1):
-        cur = (cur + _l_for(cur, p, p)) / p
-        chain.append(cur)
-        if period is None and cur == a:
+        m = (m + m * minus_inv_d % p * d) // p
+        nums.append(m)
+        if period is None and m == n:
             period = step
-        if cur in seen:
+        if m in seen:
             break
-        seen.add(cur)
+        seen.add(m)
     return DworkChain(a=a, p=p, l=l, q=q, l_prime=l_prime, e=e,
-                      chain=tuple(chain), period=period)
+                      chain=tuple(Fraction(m, d) for m in nums), period=period)

@@ -5,6 +5,10 @@ parameters and modulus and returns a CheckReport.  Cross-multiplied forms
 are used throughout so that no series division is needed: a congruence
 of quotients N1/D1 = N2/D2 with unit denominators becomes
 N1*D2 = N2*D1 on coefficients.
+Each checker validates its hypotheses on entry, before it builds any
+table, and raises PreconditionViolated outside them: a in HGParams, c in
+1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check that reads the
+hatted side.  The suite runner skips the cells whose checker raises it.
 Congruences are decided on residues, every product goes through
 `polymul`, and a single-cell checker shares its sweep's helper.  The
 braced sweep decides its pairs class by class mod p^n; the exact ratio
@@ -81,23 +85,16 @@ def _first_mismatch(lhs: Sequence[int], rhs: Sequence[int], q: int) -> Optional[
 # congruence relations (Dwork / logarithmic / hat)
 
 
-def effective_exponent(kind: str, p: int, c: Fraction, n: int) -> int:
-    """The exponent e at which check_congruence_relation decides its
-    congruence mod p^e: n, except for kind="log" at p = 2 with c in 1+2W
-    but not 1+4W, where the theorem only asserts mod p^{n-1}."""
-    if kind == "log" and p == 2 and c != 1 and vp(c - 1, p) == 1:
-        return n - 1
-    return n
-
-
 def check_congruence_relation(kind: str, params: HGParams, frob: Optional[FrobeniusSpec],
                               n: int, M: Optional[int] = None) -> CheckReport:
     """The congruence F-hat ≡ truncated-numerator / truncated-denominator
     mod p^n, in cross-multiplied form on coefficients 0..M-1.
 
-    kind: "dwork" (F over F^{(1)}(t^p), no frob needed), "log" (G over F)
-    or "hat" (Ghat over F).  The modulus is effective_exponent(kind, p,
-    c, n); an exponent below 1 would decide nothing and is rejected."""
+    kind: "dwork" (F over F^{(1)}(t^p), no frob needed), "log" (G over F,
+    c in 1 + pW) or "hat" (Ghat over F, c in 1 + qW).  The modulus is n,
+    except for kind="log" at p = 2 with c in 1+2W but not 1+4W, where the
+    theorem only asserts mod p^{n-1}; an exponent below 1 would decide
+    nothing and is rejected."""
     p = params.p
     pn = p ** n
     if M is None:
@@ -107,17 +104,15 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     if kind not in ("dwork", "log", "hat"):
         raise ValueError(f"unknown kind {kind!r}")
     info = _params_dict(params, n=n, M=M, kind=kind)
-    c = Fraction(1)
     if kind != "dwork":
         if frob is None:
             raise ValueError(f"kind={kind} needs a Frobenius twist")
-        info["c"] = c = frob.c
+        info["c"] = frob.c
         info["direction"] = frob.direction
-    n_eff = effective_exponent(kind, p, c, n)
+        frob.validate(p, require_q=kind == "hat")
+    n_eff = n - 1 if kind == "log" and p == 2 and vp(frob.c - 1, p) == 1 else n
     if n_eff < 1:
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
-    if kind == "hat":
-        frob.validate(p, require_q=True)
 
     f = hg_series(params, M, n).residues
     if kind == "dwork":
@@ -267,8 +262,10 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
 def _beta_pairings(params: HGParams, frob_pair: tuple[FrobeniusSpec, FrobeniusSpec], n: int,
                    lambdas: Sequence[Rational]) -> Iterator[CheckReport]:
     """The pairing report at each lambda in turn; the values of each
-    direction come from one `beta_values` call."""
+    direction come from one `beta_values` call.  beta-hat needs c in
+    1 + qW."""
     frob, frob_hat = frob_pair
+    frob.validate(params.p, require_q=True)
     lambdas = [Fraction(lam) for lam in lambdas]
     betas = beta_values(lambdas, params, frob, n)
     beta_hats = beta_values([-lam - params.a for lam in lambdas], params, frob_hat, n, hat=True)
@@ -366,9 +363,11 @@ def sweep_section(params: HGParams, n: int) -> CheckReport:
 
 def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     """sum_{i+j=m} B_i A_{p^n-j-1} + Bhat_{p^n-j-1} A_i ≡ 0 mod p^n for
-    every m in [0, 2(p^n-1)]; B along sigma, Bhat along sigma-hat."""
-    q = params.p ** n
+    every m in [0, 2(p^n-1)]; B along sigma, Bhat along sigma-hat, with c
+    in 1 + qW."""
     frob, frob_hat = twist_pair(c)
+    frob.validate(params.p, require_q=True)
+    q = params.p ** n
     a = hg_series(params, q, n).residues
     b = b_coefficients(params, frob, q, n).residues
     bhat = bhat_coefficients(params, frob_hat, q, n).residues
@@ -402,12 +401,13 @@ def sweep_ratio(params: HGParams, x_max: int = 200) -> CheckReport:
 def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
                               k_max: Optional[int] = None) -> CheckReport:
     """B_k/A_k and Bhat_k/A_k agree mod p^n whenever k ≡ k' mod p^n
-    (pairs with k' = k + p^n, covering k, k' <= k_max)."""
+    (pairs with k' = k + p^n, covering k, k' <= k_max), with c in 1 + qW."""
+    frob, frob_hat = twist_pair(c)
+    frob.validate(params.p, require_q=True)
     p = params.p
     pn = p ** n
     if k_max is None:
         k_max = 2 * pn
-    frob, frob_hat = twist_pair(c)
     info = _params_dict(params, n=n, c=Fraction(c), k_max=k_max)
     lows = range(1, k_max - pn + 1)
     if not lows:
@@ -428,10 +428,11 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
 
 
 def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
-    """Every B_k and Bhat_k for k <= 2 p^n is p-integral; a non-integral
-    value surfaces as a failed exact division (NotDivisible)."""
+    """Every B_k and Bhat_k for k <= 2 p^n is p-integral, with c in 1 + qW;
+    a non-integral value surfaces as a failed exact division (NotDivisible)."""
     frob, frob_hat = twist_pair(c)
-    frob.validate(params.p)  # a bad c is an error, not an integrality failure
+    # a bad c is outside the hypotheses, not an integrality failure
+    frob.validate(params.p, require_q=True)
     count = 2 * params.p ** n + 1
     info = _params_dict(params, n=n, c=Fraction(c))
     try:

@@ -13,7 +13,9 @@ products of residue vectors use the schoolbook loop (the production
 route is `polymul`); the braced lemma and the section sums are decided
 on exact rationals with `vp` of a difference (the production checkers
 compare residues); the Frobenius substitution t -> c t^p is a loop over
-coefficients (the checkers spread residues by slicing, at c = 1 only).
+coefficients (the checkers spread residues by slicing, at c = 1 only);
+the Dwork-prime orbit is walked on exact rationals (the production route
+walks the numerators over the fixed denominator).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from math import ceil
 from typing import Optional
 
 from padichg import (
+    DworkChain,
     NotDivisible,
     PadicError,
     PrecisionExhausted,
@@ -34,6 +37,30 @@ from padichg import (
     hg_series,
     vp,
 )
+from padichg.padic import _l_for
+
+
+# ---------------------------------------------------------------------------
+# Dwork-prime orbit
+
+
+def dwork_chain_exact(a: Fraction, p: int, max_steps: int = 64) -> DworkChain:
+    """The orbit a -> (a + l)/p as Fractions, with l = _l_for(term, p, p)
+    recomputed at each step and terms compared by value."""
+    q = 4 if p == 2 else p
+    l = _l_for(a, p, p)
+    l_prime = _l_for(a, p, q)
+    chain, seen, period, cur = [a], {a}, None, a
+    for step in range(1, max_steps + 1):
+        cur = (cur + _l_for(cur, p, p)) / p
+        chain.append(cur)
+        if period is None and cur == a:
+            period = step
+        if cur in seen:
+            break
+        seen.add(cur)
+    return DworkChain(a=a, p=p, l=l, q=q, l_prime=l_prime, e=l_prime - l_prime // p,
+                      chain=tuple(chain), period=period)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from padichg import (
     hg_series,
     twist_pair,
 )
+from padichg import cli
 from padichg.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_PASS,
+    CheckReport,
     ConfigInvalid,
     SuiteConfig,
     main,
@@ -108,18 +110,29 @@ class TestSuite:
 
 
     def test_jobs_serial_and_parallel_reports_identical(self, tmp_path, capsys):
-        # p = 4 is no prime: its cell is recorded as an error line
-        reports = []
+        # p = 4 is no prime: its cells are recorded as error lines.  a = 1/2
+        # at p = 2 is inadmissible and c = 3 is too shallow for hat at
+        # p = 2: those cells are skipped
+        reports, summaries = [], []
         for jobs in ("1", "2"):
             path = tmp_path / f"jobs{jobs}.jsonl"
-            code, _, _ = run(["suite", "--p", "3", "4", "--a", "1/2",
-                              "--check", "dwork", "dwork-transform", "--n", "1",
-                              "--jobs", jobs, "--out", str(path)], capsys)
+            code, out, _ = run(["suite", "--p", "2", "3", "4", "--a", "1/2", "1/3",
+                                "--c", "1", "3",
+                                "--check", "dwork", "dwork-transform", "hat", "--n", "1",
+                                "--jobs", jobs, "--out", str(path)], capsys)
             assert code == EXIT_FAIL
             reports.append(path.read_bytes())
-        assert reports[0] == reports[1]
+            summaries.append(out)
+        assert reports[0] == reports[1] and summaries[0] == summaries[1]
         rows = [json.loads(line) for line in reports[0].decode().splitlines()]
-        assert [r["check"] for r in rows if "error" in r] == ["dwork", "dwork-transform"]
+        assert [r["check"] for r in rows if "error" in r] == (
+            ["dwork"] * 2 + ["dwork-transform"] * 2 + ["hat"] * 4)
+        assert [(r["params"]["p"], r["params"]["a"], r["params"]["c"])
+                for r in rows if r["check"] == "congruence-hat"] == [
+            ("2", "1/3", "1"), ("3", "1/2", "1")]
+        # dwork and dwork-transform: a = 1/2 at p = 2 and a = 1/3 at p = 3;
+        # hat: those two at c = 1 and c = 3, and the other two at c = 3
+        assert "skipped 10 incompatible grid cells" in summaries[0]
 
     def test_serial_run_does_not_import_process_pool(self):
         # the process pool is imported only for --jobs > 1
@@ -139,6 +152,54 @@ class TestSuite:
         rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         assert [(r["params"]["n"], r["modulus"]) for r in rows] == [("2", 1)]
         assert "skipped 1 incompatible grid cells" in out
+
+    def test_skip_count_is_per_cell(self, capsys):
+        # a = 1/3 is inadmissible at p = 3: one skipped cell per n
+        code, out, _ = run(["suite", "--p", "3", "--a", "1/3", "--n", "1", "2",
+                            "--check", "dwork"], capsys)
+        assert code == EXIT_PASS
+        assert "skipped 2 incompatible grid cells" in out
+
+    def test_non_prime_is_an_error_line(self, capsys):
+        # p = 4 is no prime, whatever a is: an error line, not a skipped cell
+        code, out, _ = run(["suite", "--p", "4", "--a", "1/4", "--n", "1",
+                            "--check", "dwork"], capsys)
+        assert code == EXIT_FAIL
+        rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        assert [r["error"] for r in rows] == ["ValueError: 4 is not prime"]
+        assert "skipped" not in out
+
+    def test_suite_calls_patched_checker(self, capsys, monkeypatch):
+        # the runner looks its checker up when the cell runs
+        seen = []
+
+        def fake(params, c, n):
+            seen.append((params.p, params.a, c, n))
+            return CheckReport(check="main-congruence", params={"p": params.p},
+                               passed=True, modulus=n)
+
+        monkeypatch.setattr(cli, "check_main_congruence", fake)
+        code, out, _ = run(["suite", "--p", "3", "--a", "1/2", "--c", "4", "--n", "2",
+                            "--check", "main-congruence"], capsys)
+        assert code == EXIT_PASS
+        assert seen == [(3, Fraction(1, 2), Fraction(4), 2)]
+        assert out.splitlines()[0] == fake(HGParams.create(Fraction(1, 2), 1, 3),
+                                           Fraction(4), 2).to_json()
+
+    def test_grid_expanded_over_c_and_n_where_read(self, capsys):
+        # 2 c x 2 n cells for a check that reads both, 2 for one that reads
+        # only n, 1 for the ratio identity
+        code, out, _ = run(["suite", "--p", "3", "--a", "1/2", "--c", "1", "4",
+                            "--n", "1", "2", "--check", *cli.CHECKS], capsys)
+        assert code == EXIT_PASS and "skipped" not in out
+        rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        counts = {}
+        for r in rows:
+            counts[r["check"]] = counts.get(r["check"], 0) + 1
+        assert counts == {
+            "congruence-dwork": 2, "congruence-log": 4, "congruence-hat": 4,
+            "dwork-transform": 2, "braced": 2, "beta-pairing": 4, "section-sums": 2,
+            "main-congruence": 4, "ratio-identity": 1, "integrality": 4, "interpolation": 4}
 
     def test_n_independent_check_expanded_once(self, capsys):
         code, out, _ = run(["suite", "--p", "3", "--a", "1/2", "--s", "1", "2",

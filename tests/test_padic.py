@@ -22,7 +22,7 @@ from padichg import (
 
 from padichg.padic import _l_for
 
-from oracle import braced_product, braced_table, pochhammer
+from oracle import braced_product, braced_table, dwork_chain_exact, pochhammer
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -273,6 +273,14 @@ class TestDworkChain:
         for k in range(len(ch.chain) + 3):
             cur = ch.a_at(k)
             assert p * ch.a_at(k + 1) == cur + _l_for(cur, p, p)
+
+    @given(frac(st.integers(-60, 60), st.integers(1, 40)), PRIMES, st.integers(1, 64))
+    def test_matches_fraction_walk(self, a, p, max_steps):
+        # the numerator walk over the fixed denominator against the walk
+        # on Fractions: same orbit, period, l, l', e and q
+        if a.denominator % p == 0:
+            return
+        assert dwork_chain(a, p, max_steps) == dwork_chain_exact(a, p, max_steps)
 
 
 class TestMisc:

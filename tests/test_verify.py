@@ -34,7 +34,7 @@ from padichg import (
     sweep_section,
     twist_pair,
 )
-from padichg import verify
+from padichg import cli, verify
 from padichg.hyper import SIGMA_HAT
 from padichg.verify import braced_residues, section_sums
 
@@ -378,12 +378,32 @@ class TestMainCongruence:
                                     Fraction(6), 1)
         assert rep.passed
 
-    def test_failing_report_pinned(self):
+    def test_failing_report_pinned(self, monkeypatch):
+        # c = 3 is in 1 + 2W but not in 1 + 4W: outside the hypothesis,
+        # where the congruence really fails
         P = HGParams.create(Fraction(1, 3), 1, 2)
-        rep = check_main_congruence(P, Fraction(3), 2)
-        assert not rep.passed
-        assert rep.first_failure == {"m": 0, "sum": 2}
+        with pytest.raises(PreconditionViolated, match=r"c = 3 is not in 1 \+ 4W"):
+            check_main_congruence(P, Fraction(3), 2)
         assert main_congruence_laurent(P, Fraction(3), 2) is False
+        # a failure payload, pinned on c = 5 with B_1 shifted by 1
+        monkeypatch.setattr(verify, "b_coefficients", shifted_b(1, 1))
+        rep = check_main_congruence(P, Fraction(5), 2)
+        assert not rep.passed and rep.modulus == 2
+        assert rep.first_failure == {"m": 1, "sum": 2}  # A_3 = 2 mod 4
+        assert main_congruence_failure(P, Fraction(5), 2, (1, 1)) == rep.first_failure
+
+    @pytest.mark.parametrize("a, s, p, c, n, idx, delta", [
+        (Fraction(1, 3), 1, 2, 5, 2, 0, 2), (Fraction(1, 3), 2, 2, -3, 2, 3, 1),
+        (Fraction(1, 2), 1, 3, 4, 2, 4, 3), (Fraction(1, 2), 2, 3, -2, 2, 8, 1),
+        (Fraction(1, 3), 2, 5, 6, 1, 2, 1), (Fraction(1, 2), 1, 5, -4, 1, 0, 1),
+    ])
+    def test_corrupted_b_fails_at_oracle_m(self, monkeypatch, a, s, p, c, n, idx, delta):
+        P = HGParams.create(a, s, p)
+        expect = main_congruence_failure(P, Fraction(c), n, (idx, delta))
+        assert expect is not None
+        monkeypatch.setattr(verify, "b_coefficients", shifted_b(idx, delta))
+        rep = check_main_congruence(P, Fraction(c), n)
+        assert not rep.passed and rep.first_failure == expect
 
     def test_laurent_wrapper_agrees(self):
         for p in (3, 5):
@@ -403,13 +423,35 @@ def main_congruence_laurent(params, c, n):
     vanishes mod p^n, with G and Ghat built by the integral routes.  For a
     polynomial of degree < p^n, t^{p^n-1} rev(.) reverses its coefficient
     list, so both products are plain schoolbook products."""
+    return main_congruence_failure(params, c, n) is None
+
+
+def main_congruence_failure(params, c, n, shift=(0, 0)):
+    """The first {"m", "sum"} whose sum in main_congruence_laurent is
+    nonzero mod p^n, with B_idx shifted by delta for shift = (idx, delta);
+    None when every sum vanishes."""
     pn = params.p ** n
     frob, frob_hat = twist_pair(c)
     g, f = log_type_series(params, frob, pn, n)
     ghat, _ = hat_series(params, frob_hat, pn, n)
-    left = schoolbook(g.residues, f.residues[::-1], pn, 2 * pn - 1)
+    g = list(g.residues)
+    g[shift[0]] += shift[1]
+    left = schoolbook(g, f.residues[::-1], pn, 2 * pn - 1)
     right = schoolbook(ghat.residues[::-1], f.residues, pn, 2 * pn - 1)
-    return all((x + y) % pn == 0 for x, y in zip(left, right))
+    for m, (x, y) in enumerate(zip(left, right)):
+        if (x + y) % pn:
+            return {"m": m, "sum": (x + y) % pn}
+    return None
+
+
+def shifted_b(idx, delta):
+    """b_coefficients with B_idx shifted by delta."""
+    def build(params, frob, count, prec):
+        g = b_coefficients(params, frob, count, prec)
+        res = list(g.residues)
+        res[idx] = (res[idx] + delta) % g.p ** prec
+        return TruncSeries(g.p, g.prec, tuple(res))
+    return build
 
 
 class TestRatioAndInterp:
@@ -463,3 +505,37 @@ class TestTwistValidation:
     def test_rejected_at_entry(self, call):
         with pytest.raises(PreconditionViolated, match=r"c = 2 is not in 1 \+ 3W"):
             call(params(Fraction(1, 2)), Fraction(2))
+
+
+class TestHatSideTwistAtTwo:
+    """Bhat, beta-hat and the main congruence need c in 1 + 4W at p = 2.
+    A c in 1 + 2W but not 1 + 4W is rejected before any table is built;
+    c in 1 + 4W passes.  The checks run through the suite's runners."""
+
+    CHECKS = ["beta-pairing", "integrality", "interpolation", "main-congruence"]
+
+    @pytest.mark.parametrize("c", [3, 7, -1])
+    @pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(1)])
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_shallow_c_rejected_before_tables(self, check, a, c, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        for name in ("hg_series", "b_coefficients", "bhat_coefficients",
+                     "coefficient_ratios", "beta_values"):
+            monkeypatch.setattr(verify, name, no_table)
+        with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+ 4W"):
+            cli.CHECKS[check][0](params(a, p=2), Fraction(c), 2)
+
+    @pytest.mark.parametrize("c", [5, -3])
+    @pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(1)])
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_deep_c_passes(self, check, a, c):
+        assert cli.CHECKS[check][0](params(a, p=2), Fraction(c), 2).passed
+
+    @pytest.mark.parametrize("kind, c", [("log", 2), ("hat", 2), ("hat", 3)])
+    def test_relation_rejects_c_before_tables(self, kind, c, monkeypatch):
+        # log needs c in 1 + 2W at p = 2, hat c in 1 + 4W
+        monkeypatch.setattr(verify, "hg_series", lambda *args: pytest.fail("F was built"))
+        with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+"):
+            check_congruence_relation(kind, params(Fraction(1, 3), p=2), FrobeniusSpec(c), 2)
