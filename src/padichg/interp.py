@@ -26,7 +26,8 @@ def witness_for(lam: Rational, p: int, n: int) -> int:
 def beta_values(lams: Sequence[Rational], params: HGParams, frob: FrobeniusSpec, n: int,
                 *, hat: bool = False) -> list[Padic]:
     """beta_lambda (or beta-hat with hat=True) mod p^n at each lambda in
-    lams, from one walk over the largest witness."""
+    lams, from one `coefficient_ratios` call whose walk visits only the
+    witnesses, jumping the gaps between them."""
     if n < 1:
         raise ValueError("n must be positive")
     frob.validate(params.p)

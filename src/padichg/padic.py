@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -258,15 +258,17 @@ def _l_for(a: Fraction, p: int, modulus: int) -> int:
     return (-a.numerator * _inv_mod(a.denominator % modulus, modulus)) % modulus
 
 
-def ratio_valuation(a: Fraction, p: int, k: int) -> int:
-    """v_p((a)_k / k!) in closed form: for each power p^j, the factors a + i
-    (0 <= i < k) it divides, less the multiples of p^j up to k."""
-    v, pj = 0, p
+def ratio_valuations(a: Fraction, p: int, ks: Sequence[int]) -> list[int]:
+    """v_p((a)_k / k!) at each k in ks, in closed form: for each power p^j,
+    the factors a + i (0 <= i < k) it divides, less the multiples of p^j up
+    to k.  Each p^j is handled once for all ks."""
+    vals = [0] * len(ks)
+    top, pj = max(ks, default=0), p
     while True:
-        lj = _l_for(a, p, pj)  # a + i ≡ 0 mod p^j iff i ≡ lj
-        if pj > k and lj >= k:
-            return v
-        v += (k - lj + pj - 1) // pj - k // pj
+        lj = _l_for(a, p, pj)  # a + i ≡ 0 mod p^j iff i ≡ lj; lj grows with j
+        if pj > top and lj >= top:
+            return vals
+        vals = [v + (k - lj + pj - 1) // pj - k // pj for v, k in zip(vals, ks)]
         pj *= p
 
 

@@ -345,10 +345,20 @@ class TestInterp:
 
 
 class TestRunSuiteApi:
-    def test_failing_cell_sets_exit(self):
-        # braced check at n with an incompatible hand-tuned failure is hard to
-        # stage; instead exercise the error path with an a that explodes only
-        # at runtime via direct config use
+    def test_failing_cell_sets_exit(self, monkeypatch):
+        # one failing report among passing ones makes the run exit 1
+        def half_failing(params, n):
+            return CheckReport(check="braced", params={"n": n}, passed=n == 1, modulus=n,
+                               first_failure=None if n == 1 else {"x": 0, "y": 1})
+
+        monkeypatch.setattr(cli, "sweep_braced", half_failing)
+        cfg = SuiteConfig(p_list=[3], n_list=[1, 2], checks=["braced"])
+        buf = io.StringIO()
+        assert run_suite(cfg, stream=buf) == EXIT_FAIL
+        rows = [json.loads(l) for l in buf.getvalue().splitlines() if l.startswith("{")]
+        assert [(r["params"]["n"], r["passed"]) for r in rows] == [("1", True), ("2", False)]
+
+    def test_empty_a_list_is_config_error(self):
         cfg = SuiteConfig(p_list=[3], a_list=[], checks=["braced"])
         with pytest.raises(ConfigInvalid):
             cfg.validate()

@@ -3,8 +3,11 @@ exact-rational oracle, its guard precisions, and its memory footprint."""
 
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from padichg import (
     b0_constant,
     b_coefficients,
     beta_at,
+    beta_values,
     bhat_coefficients,
     check_integrality,
     embed_rational,
@@ -27,7 +31,7 @@ from padichg import (
     witness_for,
 )
 from padichg import hyper
-from padichg.padic import ratio_valuation, split_p
+from padichg.padic import ratio_valuations, split_p
 
 from oracle import b0_exact, b_exact, bhat_approx, coeff_exact, pochhammer, ratio_at
 
@@ -143,6 +147,96 @@ class TestDeepAgainstOracle:
             embedded((bhat_approx(P, frob_hat, k, prec) for k in range(count)), p, prec)
 
 
+# a at every sign, a = 1, and denominators 3 and 4
+WALK_A = [Fraction(-1, 2), Fraction(1), Fraction(-5, 3), Fraction(-1, 3), Fraction(1, 3),
+          Fraction(2, 3), Fraction(7, 4)]
+WALK_TOP = {2: 10, 3: 6, 5: 4, 7: 3}  # the largest n with p^n among the ks
+
+
+@st.composite
+def walk_params(draw):
+    """HGParams over p in {2,3,5,7}, the a of WALK_A admissible at p and s <= 3."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    a = draw(st.sampled_from([a for a in WALK_A if a.denominator % p]))
+    return HGParams.create(a, draw(st.integers(1, 3)), p)
+
+
+@st.composite
+def walks(draw):
+    """(params, ks): ascending ks whose gaps lie on both sides of the jump
+    threshold, with k = 0 and k = p^n among them when drawn."""
+    P = draw(walk_params())
+    jump = hyper._JUMP
+    gaps = draw(st.lists(st.one_of(st.integers(1, 4), st.sampled_from([jump - 1, jump, jump + 1]),
+                                   st.integers(jump + 2, 700)), min_size=1, max_size=5))
+    ks = set(accumulate(gaps, initial=draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        ks.add(0)
+    if draw(st.booleans()):
+        ks.add(P.p ** draw(st.integers(1, WALK_TOP[P.p])))
+    return P, sorted(ks)
+
+
+def ratio_units_exact(a, p, ks, w):
+    """(units, vals) of (a)_k/k! at each k, from the oracle's exact ratios."""
+    ratios = [coeff_exact(HGParams.create(a, 1, p), k) for k in ks]
+    vals = [vp(r, p) for r in ratios]
+    return [embed_rational(r / Fraction(p) ** v, p, w).residue for r, v in zip(ratios, vals)], vals
+
+
+NO_JUMPS = 10 ** 9
+
+
+class TestWalk:
+    """The ratio walk over sparse ascending ks, with every gap jumped (the
+    threshold at 0) and with none jumped."""
+
+    @patch.object(hyper, "_JUMP", 32)
+    def test_runs_and_picks(self):
+        # steps to 3, a jump to 40 and a step to 41, a jump to 200
+        assert hyper._walk([0, 3, 40, 41, 200]) == ([[0, 3], [40, 41], [200, 200]],
+                                                    [0, 3, 4, 5, 6])
+        assert hyper._walk([5, 40]) == ([[0, 5], [40, 40]], [5, 6])
+        assert hyper._walk(range(100)) == ([[0, 99]], range(100))
+        assert hyper._walk(range(33, 36)) == ([[0, 0], [33, 35]], [1, 2, 3])
+
+    @SLOW
+    @given(walks(), st.integers(1, 12))
+    def test_jumped_and_stepped_match_oracle(self, case, w):
+        P, ks = case
+        expect = ratio_units_exact(P.a, P.p, ks, w)
+        powers = embedded((coeff_exact(P, k) for k in ks), P.p, w)
+        for jump in (0, NO_JUMPS):
+            with patch.object(hyper, "_JUMP", jump):
+                assert hyper._ratio_units(P.a, P.p, ks, w) == expect
+                assert tuple(hyper._a_residues(P, ks, w)) == powers
+
+    @SLOW
+    @given(walks(), st.integers(1, 9), st.sampled_from([0, hyper._JUMP, NO_JUMPS]))
+    def test_raising_the_guard(self, case, w, jump):
+        P, ks = case
+        m = P.p ** w
+        with patch.object(hyper, "_JUMP", jump):
+            units, vals = hyper._ratio_units(P.a, P.p, ks, w)
+            deeper, deeper_vals = hyper._ratio_units(P.a, P.p, ks, w + 3)
+        assert [u % m for u in deeper] == units and deeper_vals == vals
+
+    @SLOW
+    @given(walk_params(), st.integers(0, 2), st.integers(1, 3), st.booleans(),
+           st.lists(st.integers(0, 300), min_size=1, max_size=3),
+           st.lists(st.integers(1, 1500), max_size=3))
+    def test_coefficient_ratios_at_sparse_ks(self, P, ci, n, hat, js, others):
+        # k = l + jp are where Bhat reads A^(1); p^n is the B_0 witness;
+        # unsorted, and a repeated k
+        c = (Fraction(1), Fraction(1 + P.q), Fraction(1 - P.q))[ci]
+        frob = FrobeniusSpec(c, SIGMA_HAT if hat else SIGMA)
+        start = P.l if hat else 0
+        ks = [k for k in (start + j * P.p for j in js) if k >= 1] + others + [P.p ** n]
+        ks += ks[:1]
+        got = hyper.coefficient_ratios(P, frob, ks, n, hat)
+        assert got == [embed_rational(ratio_at(k, P, frob, n, hat), P.p, n).residue for k in ks]
+
+
 class TestNotDivisible:
     """A non-integral quotient is reported at its smallest k, whatever the
     divisor valuations of later k."""
@@ -152,11 +246,12 @@ class TestNotDivisible:
         original = hyper._numerators
         count = 2 * 3 ** 2 + 1  # the B table of check_integrality at n = 2
 
-        def corrupted(params, frob, a_res, w, hat):
-            nums = original(params, frob, a_res, w, hat)
-            if not hat and len(nums) == count:  # not the B_0 walk
-                for k in bad:
-                    nums[k] += 1  # the true numerator is divisible by p^{v_p(k)}
+        def corrupted(params, frob, ks, a_res, w, hat):
+            nums = original(params, frob, ks, a_res, w, hat)
+            if not hat and len(ks) == count:  # the B table, not the B_0 witness
+                for i, k in enumerate(ks):
+                    if k in bad:
+                        nums[i] += 1  # the true numerator is divisible by p^{v_p(k)}
             return nums
 
         monkeypatch.setattr(hyper, "_numerators", corrupted)
@@ -171,11 +266,13 @@ class TestNotDivisible:
 class TestValuations:
     @given(st.sampled_from([2, 3, 5]), st.sampled_from(A_VALUES + [Fraction(1), Fraction(7, 4),
                                                                   Fraction(-1, 2)]),
-           st.integers(0, 400))
-    def test_ratio_valuation_closed_form(self, p, a, k):
+           st.lists(st.integers(0, 400), max_size=5))
+    def test_ratio_valuation_closed_form(self, p, a, ks):
+        # ks in any order, repeats included: each k is read on its own
         if a.denominator % p == 0:
             return
-        assert ratio_valuation(a, p, k) == vp(pochhammer(a, k) / factorial(k), p)
+        assert ratio_valuations(a, p, ks) == [vp(pochhammer(a, k) / factorial(k), p)
+                                              for k in ks]
 
     @given(st.integers(1, 10 ** 6), st.sampled_from([2, 3, 5]))
     def test_split_p(self, x, p):
@@ -235,3 +332,19 @@ def test_large_table_leaves_no_module_state():
     grown = {key: (before.get(key, 0), size) for key, size in sizes().items()
              if size > before.get(key, 0)}
     assert not grown
+
+
+def test_witness_walks_hold_no_table():
+    # B_0 at 3^8 and beta-hat at witnesses up to 3^8: a list of 3^8 ints
+    # alone would take over 50 KB; a walk over every index takes 0.8 MB
+    P = HGParams.create(Fraction(1, 2), 1, 3)
+    frob = FrobeniusSpec(Fraction(4))
+    tracemalloc.start()
+    try:
+        b0_constant(P, frob, 8)
+        beta_values([0, 1, 2, Fraction(1, 2)], P, FrobeniusSpec(Fraction(4), SIGMA_HAT), 8,
+                    hat=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
