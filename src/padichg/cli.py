@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -284,7 +285,10 @@ def _build_suite_config(args: argparse.Namespace) -> SuiteConfig:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `padic-hg` parser, built once per process: parsing leaves it
+    unchanged, and building it costs about ten parses."""
     parser = argparse.ArgumentParser(
         prog="padic-hg",
         description="p-adic hypergeometric congruence toolkit")

@@ -37,6 +37,19 @@ def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> lis
     return out + [0] * (n_out - slots)
 
 
+def polymul_spread(a: Sequence[int], b: Sequence[int], p: int, modulus: int,
+                   n_out: int) -> list[int]:
+    """Coefficients 0..n_out-1 of a(t)*b(t^p) mod modulus.
+
+    Class r mod p of the product is class r of a times b, so the product
+    is p `polymul` calls on vectors 1/p as long, and the zeros of b(t^p)
+    are never packed."""
+    out = [0] * n_out
+    for r in range(min(p, n_out)):
+        out[r::p] = polymul(a[r::p], b, modulus, len(range(r, n_out, p)))
+    return out
+
+
 @dataclass(frozen=True)
 class TruncSeries:
     """A power series truncated at t^order, coefficients in Z/p^prec."""

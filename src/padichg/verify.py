@@ -24,7 +24,7 @@ from math import ceil
 from typing import Iterator, Optional, Sequence
 
 from .padic import PadicError, PreconditionViolated, Rational, _l_for, vp
-from .series import polymul
+from .series import polymul, polymul_spread
 from .hyper import (
     SIGMA,
     SIGMA_HAT,
@@ -87,20 +87,25 @@ def _first_mismatch(lhs: Sequence[int], rhs: Sequence[int], q: int) -> Optional[
 
 def check_congruence_relation(kind: str, params: HGParams, frob: Optional[FrobeniusSpec],
                               n: int, M: Optional[int] = None) -> CheckReport:
-    """The congruence F-hat ≡ truncated-numerator / truncated-denominator
-    mod p^n, in cross-multiplied form on coefficients 0..M-1.
+    """The congruence N/D ≡ [N]_{<p^n}/[D]_{<p^n} mod p^n, in the
+    cross-multiplied form N [D]_{<p^n} ≡ D [N]_{<p^n} on coefficients
+    0..M-1.
 
-    kind: "dwork" (F over F^{(1)}(t^p), no frob needed), "log" (G over F,
-    c in 1 + pW) or "hat" (Ghat over F, c in 1 + qW).  The modulus is n,
-    except for kind="log" at p = 2 with c in 1+2W but not 1+4W, where the
-    theorem only asserts mod p^{n-1}; an exponent below 1 would decide
-    nothing and is rejected."""
+    kind: "dwork" (N = F, D = F^{(1)}(t^p), no frob needed), "log" (G over
+    F, c in 1 + pW) or "hat" (Ghat over F, c in 1 + qW).  Both sides equal
+    [N][D] below t^{p^n}, so only coefficients p^n..M-1 are decided: with
+    N = [N] + t^{p^n} N_hi and D likewise, these are N_hi [D] against
+    D_hi [N], truncated at M - p^n, and M <= p^n compares nothing.  A
+    failure reports both full sides, adding the one coefficient of [N][D]
+    at that index.  The modulus is n, except for kind="log" at p = 2 with
+    c in 1+2W but not 1+4W, where the theorem only asserts mod p^{n-1};
+    an exponent below 1 would decide nothing and is rejected."""
     p = params.p
     pn = p ** n
     if M is None:
         M = 2 * pn
-    if M < pn:
-        raise ValueError("M must cover the truncation order p^n")
+    if M <= pn:
+        raise PreconditionViolated(f"M = {M} leaves no coefficient above p^n = {pn} to compare")
     if kind not in ("dwork", "log", "hat"):
         raise ValueError(f"unknown kind {kind!r}")
     info = _params_dict(params, n=n, M=M, kind=kind)
@@ -114,18 +119,24 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     if n_eff < 1:
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
 
+    # D(t) = g(t^step): g = F^{(1)} at step p for "dwork", g = F at step 1
     f = hg_series(params, M, n).residues
     if kind == "dwork":
-        num, den = f, [0] * M  # F over F^{(1)}(t^p), spread by slicing
-        den[::p] = hg_series(params, ceil(M / p), n, level=1).residues
+        num, step, g = f, p, hg_series(params, ceil(M / p), n, level=1).residues
     elif kind == "log":
-        num, den = b_coefficients(params, frob, M, n).residues, f
+        num, step, g = b_coefficients(params, frob, M, n).residues, 1, f
     else:
-        num, den = bhat_coefficients(params, frob, M, n).residues, f
+        num, step, g = bhat_coefficients(params, frob, M, n).residues, 1, f
 
-    lhs = polymul(num, den[:pn], pn, M)
-    rhs = polymul(den, num[:pn], pn, M)
-    fail = _first_mismatch(lhs, rhs, p ** n_eff)
+    cut = pn // step  # [D] = g[:cut](t^step)
+    lhs = polymul_spread(num[pn:], g[:cut], step, pn, M - pn)
+    rhs = polymul_spread(num[:pn], g[cut:], step, pn, M - pn)
+    q = p ** n_eff
+    fail = _first_mismatch(lhs, rhs, q)
+    if fail is not None:
+        k = pn + fail["index"]
+        low = sum(num[k - step * j] * g[j] for j in range((k - pn) // step + 1, cut))
+        fail = {"index": k, "left": (fail["left"] + low) % q, "right": (fail["right"] + low) % q}
     return CheckReport(check=f"congruence-{kind}", params=info,
                        passed=fail is None, modulus=n_eff, first_failure=fail)
 
@@ -140,19 +151,22 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
         t^{p-1-l} P(t) revQ(t) ≡ eps revP(t) Q(t^p)  mod p^n
 
     with P = [F]_{<p^n}, Q = [F^{(1)}]_{<p^{n-1}}, revP = t^{p^n-1} P(1/t),
-    revQ = t^{p^n-p} Q(1/t^p).  eps is fitted at the first unit coefficient
-    and then verified globally; the expected value is (-1)^{sl} for odd p."""
+    revQ = t^{p^n-p} Q(1/t^p).  revP(t) Q(t^p) = t^{2p^n-p-1} C(1/t) for
+    C = P revQ, so one product C, computed as P(t) times (Q reversed)(t^p),
+    gives both sides: the left is C shifted, the right is C reversed.
+    eps is fitted at the first unit coefficient and then verified
+    globally; the expected value is (-1)^{sl} for odd p."""
     p, l = params.p, params.l
     pn = p ** n
     q = p ** n  # comparison modulus
     a_res = hg_series(params, pn, n).residues
-    spread = [0] * (pn - p + 1)  # Q(t^p); reversed, it is revQ
-    spread[::p] = hg_series(params, pn // p, n, level=1).residues
+    q_res = hg_series(params, pn // p, n, level=1).residues
+    c = polymul_spread(a_res, q_res[::-1], p, q, 2 * pn - p)
 
     deg = 2 * pn - 2  # covers both sides
     shift = p - 1 - l
-    lhs = [0] * shift + polymul(a_res, spread[::-1], q, deg + 1 - shift)
-    rhs = polymul(a_res[::-1], spread, q, deg + 1)
+    lhs = [0] * shift + c + [0] * l  # both deg + 1 long
+    rhs = c[::-1] + [0] * (p - 1)
     info = _params_dict(params, n=n, l=l)
 
     sign = None

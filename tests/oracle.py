@@ -15,7 +15,10 @@ on exact rationals with `vp` of a difference (the production checkers
 compare residues); the Frobenius substitution t -> c t^p is a loop over
 coefficients (the checkers spread residues by slicing, at c = 1 only);
 the Dwork-prime orbit is walked on exact rationals (the production route
-walks the numerators over the fixed denominator).
+walks the numerators over the fixed denominator); the congruence relation
+and the transformation formula are decided on two full products each
+(the production checkers form only the coefficients above t^{p^n}, and
+one product reversed, with t^p operands split per class mod p).
 """
 
 from __future__ import annotations
@@ -29,14 +32,17 @@ from padichg import (
     NotDivisible,
     PadicError,
     PrecisionExhausted,
+    PreconditionViolated,
     Padic,
     TruncSeries,
     b0_constant,
     c_power_frac,
     embed_rational,
     hg_series,
+    polymul,
     vp,
 )
+from padichg import verify
 from padichg.padic import _l_for
 
 
@@ -345,3 +351,80 @@ def hat_series(params, frob, order: int, prec: int) -> tuple[TruncSeries, TruncS
     ghat = log_integral(f_emb, twist=a).reduce(prec)
     f = hg_series(params, order, prec)
     return ghat, f
+
+
+# ---------------------------------------------------------------------------
+# the congruence relation and the transformation formula as two full
+# products (the production checkers form one reversed product, and only
+# the coefficients above t^{p^n})
+#
+# Both oracles read their builders through `padichg.verify`, so a test
+# that patches a builder there feeds the same tables to both routes.
+
+
+def congruence_relation_full(kind: str, params, frob, n: int, M: Optional[int] = None):
+    """`check_congruence_relation` with lhs = N [D]_{<p^n} and
+    rhs = D [N]_{<p^n} both formed in full on coefficients 0..M-1, and
+    D = F^{(1)}(t^p) spread into a dense list for kind "dwork"."""
+    p = params.p
+    pn = p ** n
+    if M is None:
+        M = 2 * pn
+    info = verify._params_dict(params, n=n, M=M, kind=kind)
+    if kind != "dwork":
+        info["c"] = frob.c
+        info["direction"] = frob.direction
+        frob.validate(p, require_q=kind == "hat")
+    n_eff = n - 1 if kind == "log" and p == 2 and vp(frob.c - 1, p) == 1 else n
+    if n_eff < 1:
+        raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
+    f = verify.hg_series(params, M, n).residues
+    if kind == "dwork":
+        num, den = f, [0] * M
+        den[::p] = verify.hg_series(params, ceil(M / p), n, level=1).residues
+    elif kind == "log":
+        num, den = verify.b_coefficients(params, frob, M, n).residues, f
+    else:
+        num, den = verify.bhat_coefficients(params, frob, M, n).residues, f
+    lhs = polymul(num, den[:pn], pn, M)
+    rhs = polymul(den, num[:pn], pn, M)
+    fail = verify._first_mismatch(lhs, rhs, p ** n_eff)
+    return verify.CheckReport(check=f"congruence-{kind}", params=info,
+                              passed=fail is None, modulus=n_eff, first_failure=fail)
+
+
+def dwork_transform_full(params, n: int):
+    """`check_dwork_transformation` with both sides formed as products:
+    t^{p-1-l} P revQ and revP Q(t^p), with Q(t^p) spread into a dense list."""
+    p, l = params.p, params.l
+    q = pn = p ** n
+    a_res = verify.hg_series(params, pn, n).residues
+    spread = [0] * (pn - p + 1)
+    spread[::p] = verify.hg_series(params, pn // p, n, level=1).residues
+    deg, shift = 2 * pn - 2, p - 1 - l
+    lhs = [0] * shift + polymul(a_res, spread[::-1], q, deg + 1 - shift)
+    rhs = polymul(a_res[::-1], spread, q, deg + 1)
+    info = verify._params_dict(params, n=n, l=l)
+    sign = None
+    for d in range(deg + 1):
+        if lhs[d] % p or rhs[d] % p:
+            if (lhs[d] - rhs[d]) % q == 0:
+                sign = 1
+            elif (lhs[d] + rhs[d]) % q == 0:
+                sign = -1
+            else:
+                return verify.CheckReport(check="dwork-transform", params=info, passed=False,
+                                          modulus=n, first_failure={"index": d, "left": lhs[d],
+                                                                    "right": rhs[d]})
+            break
+    if sign is None:
+        raise verify.NoUnitCoefficient("all compared coefficients vanish mod p")
+    for d in range(deg + 1):
+        if (lhs[d] - sign * rhs[d]) % q:
+            return verify.CheckReport(check="dwork-transform", params=info, passed=False,
+                                      modulus=n, sign=sign,
+                                      first_failure={"index": d, "left": lhs[d],
+                                                     "right": (sign * rhs[d]) % q})
+    reported = sign if p != 2 else sign * (-1) ** ((params.s * l) % 2)
+    return verify.CheckReport(check="dwork-transform", params=info, passed=True,
+                              modulus=n, sign=reported)

@@ -27,6 +27,7 @@ from padichg.cli import (
     CheckReport,
     ConfigInvalid,
     SuiteConfig,
+    build_parser,
     main,
     run_suite,
 )
@@ -222,6 +223,29 @@ class TestInputErrors:
         code, _, err = run(argv, capsys)
         assert code == EXIT_CONFIG
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestParser:
+    def test_main_reuses_one_parser(self, capsys):
+        parser = build_parser()
+        misses = build_parser.cache_info().misses
+        for _ in range(3):
+            code, out, _ = run(["table", "--kind", "A", "--a", "1", "--p", "3",
+                                "--count", "2"], capsys)
+            assert code == EXIT_PASS and len(out.splitlines()) == 2
+        assert build_parser() is parser
+        assert build_parser.cache_info().misses == misses
+
+    def test_bad_flag_exits_2_with_one_error_line(self, capsys):
+        # twice, so that a parser left changed by the first call would show
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["table", "--kind", "A", "--a", "1", "--p", "3", "--bogus"])
+            assert exc.value.code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert [l for l in err.splitlines() if "error" in l] == [
+                "padic-hg: error: unrecognized arguments: --bogus"]
+            assert "Traceback" not in err
 
 
 class TestTable:

@@ -35,7 +35,7 @@ from padichg import (
     twist_pair,
 )
 from padichg import cli, verify
-from padichg.hyper import SIGMA_HAT
+from padichg.hyper import SIGMA, SIGMA_HAT
 from padichg.verify import braced_residues, section_sums
 
 from oracle import (
@@ -44,6 +44,8 @@ from oracle import (
     braced_sweep_failure,
     braced_table,
     coeff_exact,
+    congruence_relation_full,
+    dwork_transform_full,
     hat_series,
     log_type_series,
     schoolbook,
@@ -100,6 +102,23 @@ class TestCongruenceRelations:
         payload = json.loads(rep.to_json())
         assert payload["passed"] is True and payload["check"] == "congruence-dwork"
 
+    @pytest.mark.parametrize("kind,P,c", [
+        ("dwork", HGParams.create(1, 1, 2), None),
+        ("log", params(Fraction(1, 2)), Fraction(4)),
+        ("hat", params(Fraction(1, 3), s=2, p=5), Fraction(6)),
+    ])
+    def test_comparison_needs_a_coefficient_above_pn(self, kind, P, c):
+        # below t^{p^n} both sides are [N][D], so M = p^n compares nothing
+        frob = c and FrobeniusSpec(c, SIGMA if kind == "log" else SIGMA_HAT)
+        pn = P.p ** 2
+        with pytest.raises(PreconditionViolated, match="no coefficient above"):
+            check_congruence_relation(kind, P, frob, 2, M=pn)
+        with pytest.raises(ValueError):  # PreconditionViolated is a ValueError
+            check_congruence_relation(kind, P, frob, 2, M=pn - 1)
+        rep = check_congruence_relation(kind, P, frob, 2, M=pn + 1)
+        assert rep.passed
+        assert rep.to_json() == congruence_relation_full(kind, P, frob, 2, M=pn + 1).to_json()
+
 
 class TestDworkTransformation:
     def test_counterexample_sign(self):
@@ -120,6 +139,72 @@ class TestDworkTransformation:
         P = params(Fraction(1, 4), p=5)
         rep = check_dwork_transformation(P, 2)
         assert rep.passed and rep.sign == (-1) ** P.l
+
+
+def shifted_builder(name, original, level, idx, delta):
+    """`original` with entry idx (taken mod the length) of its level-`level`
+    table shifted by delta."""
+    def build(*args, **kwargs):
+        series = original(*args, **kwargs)
+        if name == "hg_series" and kwargs.get("level", 0) != level or not series.order:
+            return series
+        res = list(series.residues)
+        i = idx % len(res)
+        res[i] = (res[i] + delta) % series.p ** series.prec
+        return TruncSeries(series.p, series.prec, tuple(res))
+    return build
+
+
+def report_or_error(run):
+    try:
+        return run().to_json()
+    except PreconditionViolated as exc:
+        return f"PreconditionViolated: {exc}"
+    except verify.NoUnitCoefficient as exc:
+        return f"NoUnitCoefficient: {exc}"
+
+
+class TestProductsAgainstFullOracle:
+    """The congruence relation, decided on the coefficients above t^{p^n},
+    and the transformation formula, decided on one reversed product,
+    against the two-full-product forms of the oracle, on tables with one
+    entry shifted: every report byte, `first_failure` and `sign`
+    included, must agree."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+        st.sampled_from([a for a in (Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                                     Fraction(1, 5), Fraction(2, 3)) if a.denominator % p]),
+        st.just(p), st.integers(1, 2), st.integers(1, 3),
+        st.sampled_from(["dwork", "log", "hat", "transform"]),
+        st.sampled_from([1, 1 + p, 1 + 2 * (4 if p == 2 else p)]),
+        st.integers(0, 2 * p ** 3 + p),  # 0: the default M; else M in p^n+1 .. 2p^n+p
+        st.sampled_from(["hg_series:0", "hg_series:1", "numerator"]),
+        st.integers(0, 10 ** 6), st.integers(0, p ** 3 - 1))))
+    def test_shifted_table_matches_oracle(self, case):
+        a, p, s, n, kind, c, extra, table, idx, delta = case
+        P = HGParams.create(a, s, p)
+        pn = p ** n
+        M = None if extra == 0 else pn + 1 + extra % (pn + p)
+        frob = None if kind in ("dwork", "transform") else FrobeniusSpec(
+            Fraction(c), SIGMA if kind == "log" else SIGMA_HAT)
+        name, _, level = table.partition(":")
+        if name == "numerator":
+            if kind in ("dwork", "transform"):
+                name, level = "hg_series", "0"
+            else:
+                name = "b_coefficients" if kind == "log" else "bhat_coefficients"
+        if kind == "transform":
+            routes = (lambda: check_dwork_transformation(P, n),
+                      lambda: dwork_transform_full(P, n))
+        else:
+            routes = (lambda: check_congruence_relation(kind, P, frob, n, M),
+                      lambda: congruence_relation_full(kind, P, frob, n, M))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, name, shifted_builder(name, getattr(verify, name),
+                                                     int(level or 0), idx, delta))
+            got, expect = (report_or_error(run) for run in routes)
+        assert got == expect
 
 
 class TestBraced:
