@@ -9,7 +9,6 @@ from .padic import (
     PadicError,
     PrecisionExhausted,
     PreconditionViolated,
-    c_power_frac,
     dwork_chain,
     embed_rational,
     iwasawa_log,

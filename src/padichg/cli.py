@@ -187,12 +187,12 @@ def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
             raise ValueError("count must be positive")
         frob, frob_hat = twist_pair(c)
         if kind == "A":
-            series = hg_series(params, count, prec)
+            residues = hg_series(params, count, prec)
         elif kind == "B":
-            series = b_coefficients(params, frob, count, prec)
+            residues = b_coefficients(params, frob, count, prec)
         else:
-            series = bhat_coefficients(params, frob_hat, count, prec)
-        rows = zip(range(count), series.residues, repeat(series.prec))
+            residues = bhat_coefficients(params, frob_hat, count, prec)
+        rows = zip(range(count), residues, repeat(prec))
         _write_rows("k", rows, fmt, stream)
     elif kind == "beta":
         _write_beta(lambdas, beta_values(lambdas, params, FrobeniusSpec(c), prec), fmt, stream)

@@ -2,9 +2,9 @@
 
 Computes A_k (and the Dwork-prime levels A_k^{(i)}), the logarithmic-type
 coefficients B_k with their constant term and the hatted coefficients
-Bhat_k.  Each sequence has one builder returning a residue vector: the
-series F (`hg_series`), G (`b_coefficients`) and Ghat
-(`bhat_coefficients`).
+Bhat_k.  Each sequence has one builder returning its residues mod p^prec
+as a list of ints, lowest degree first: the series F (`hg_series`), G
+(`b_coefficients`) and Ghat (`bhat_coefficients`).
 
 The coefficients are p-integral, so each is fixed by a unit mod p^w and an
 exact valuation.  The builders walk the recurrence (a+k-1)/k with the
@@ -15,9 +15,9 @@ wanted indices: a dense table steps through every k, while the ratios
 B_k/A_k and Bhat_k/A_k at a few witnesses (beta, B_0) multiply each long
 gap in at once as a product of an arithmetic progression, so their cost
 in Python steps and their memory grow with the number of witnesses, not
-with their size.  Tables are built per call; nothing is cached.  No
-coefficient is formed as an exact rational: the exact routes to A_k, B_k
-and Bhat_k are test oracles.
+with their size.  The twist c^{a'} of Bhat is one modular power.  Tables
+are built per call; nothing is cached.  No coefficient is formed as an
+exact rational: the exact routes to A_k, B_k and Bhat_k are test oracles.
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ from .padic import (
     PadicError,
     PreconditionViolated,
     Rational,
-    c_power_frac,
+    _residue,
     check_prime,
     dwork_chain,
-    embed_rational,
     ratio_valuations,
     split_p,
     vp,
 )
-from .series import TruncSeries
+from .series import TruncSeries, polymul
 
 SIGMA = "sigma"
 SIGMA_HAT = "sigma_hat"
@@ -268,8 +267,11 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
 
     B: A_k - c^{k/p} A^{(1)}_{k/p} at p | k.  Bhat: A_k - (-1)^{se}
     c^{(k+a)/p} A^{(1)}_j at k = l + jp, where c^{(k+a)/p} = c^{a^{(1)}} c^j,
-    so the one fractional power is taken once per call.  A^{(1)} is walked
-    at those j only, and c^j is carried across the gaps between them."""
+    so the one fractional power is taken once per call.  It is exact as an
+    integer power: c^{p^{w-1}} ≡ 1 mod p^w for c ≡ 1 mod p (and for every
+    odd c at p = 2), so c^{a^{(1)}} ≡ c^e mod p^w for any e ≡ a^{(1)} mod
+    p^{w-1}.  A^{(1)} is walked at those j only, and c^j is carried across
+    the gaps between them."""
     p = params.p
     m = p ** w
     start = params.l if hat else 0  # the k = start + jp, start < p
@@ -282,11 +284,10 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
         hits = [i for i, k in enumerate(ks) if k % p == start]
     if not hits:
         return out
-    c = embed_rational(frob.c_eff, p, w).residue
+    c = _residue(frob.c_eff, p, m)
     factor = 1
     if hat:
-        c_a1 = c_power_frac(frob.c_eff, params.chain.a_at(1), p, w)
-        factor = params.sign_se() * embed_rational(c_a1, p, w).residue
+        factor = params.sign_se() * pow(c, _residue(params.chain.a_at(1), p, m // p), m)
     js = [ks[i] // p for i in hits]
     j_prev = 0
     for i, j, x in zip(hits, js, _a_residues(params, js, w, level=1)):
@@ -334,9 +335,11 @@ def _divisor(params: HGParams, k: int, hat: bool) -> int:
 # exact valuations call for
 
 
-def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> TruncSeries:
+def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[int]:
     """F at the given Dwork-prime level, truncated at t^order."""
-    return TruncSeries(params.p, prec, tuple(_a_residues(params, range(order), prec, level)))
+    if prec < 1:
+        raise ValueError("precision must be positive")
+    return _a_residues(params, range(order), prec, level)
 
 
 def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], n: int,
@@ -369,16 +372,25 @@ def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int],
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
     """B_0, computed by interpolation: B_0 ≡ B_{p^N}/A_{p^N} mod p^N, so its
     guard is w = 2N + v_p(A_{p^N}).  The walk reads A at the one witness
-    p^N and A^{(1)} at p^{N-1}, jumping to each past the step threshold."""
+    p^N and A^{(1)} at p^{N-1}, jumping to each past the step threshold.
+
+    At p = 2 with c in 1 + 2W but not 1 + 4W, B_k/A_k mod 2^N is not a
+    function of k mod 2^N (k and k + 3·2^N differ at k ≡ 2 mod 4), and
+    B_2/A_2 is not B_0 mod 2; the witness there is 2^{N+1}, past which
+    every 2^M gives the same residue."""
     if prec < 1:
         raise ValueError("precision must be positive")
-    return Padic(params.p, prec, coefficient_ratios(params, frob, [params.p ** prec], prec)[0])
+    p = params.p
+    top = prec + 1 if p == 2 and vp(frob.c - 1, p) == 1 else prec
+    return Padic(p, prec, coefficient_ratios(params, frob, [p ** top], prec)[0])
 
 
 def _divided_table(params: HGParams, frob: FrobeniusSpec, count: int, prec: int,
                    hat: bool) -> list[int]:
     """k·B_k or (k+a)·Bhat_k formed mod p^(prec + largest divisor valuation)
     and divided exactly, for k < count."""
+    if prec < 1:
+        raise ValueError("precision must be positive")
     frob.validate(params.p)
     p = params.p
     ks = range(0 if hat else 1, count)
@@ -390,17 +402,16 @@ def _divided_table(params: HGParams, frob: FrobeniusSpec, count: int, prec: int,
     return _exact_quotients([nums[k] * d for k in ks], dens, p, prec)
 
 
-def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:
+def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> list[int]:
     """G: B_k for k < count; index 0 is the interpolated constant term.
     A numerator not divisible by p^{v_p(k)} raises NotDivisible."""
     b0 = b0_constant(params, frob, prec).residue
-    rest = _divided_table(params, frob, count, prec, hat=False)
-    return TruncSeries(params.p, prec, (b0, *rest)[:count])
+    return [b0, *_divided_table(params, frob, count, prec, hat=False)][:count]
 
 
-def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> TruncSeries:
+def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> list[int]:
     """Ghat: Bhat_k for k < count via the closed coefficient formula."""
-    return TruncSeries(params.p, prec, tuple(_divided_table(params, frob, count, prec, hat=True)))
+    return _divided_table(params, frob, count, prec, hat=True)
 
 
 def compute_h(params: HGParams, prec: int) -> TruncSeries:
@@ -411,5 +422,6 @@ def compute_h(params: HGParams, prec: int) -> TruncSeries:
         raise NoPeriod(f"no period found for a = {params.a} at p = {params.p}")
     out = hg_series(params, params.p, prec, level=0)
     for i in range(1, r):
-        out = out.mul_poly(hg_series(params, params.p, prec, level=i))
-    return out
+        f = hg_series(params, params.p, prec, level=i)
+        out = polymul(out, f, params.p ** prec, len(out) + len(f) - 1)
+    return TruncSeries(params.p, prec, tuple(out))

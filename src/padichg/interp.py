@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .padic import Padic, Rational, embed_rational
+from .padic import Padic, Rational, _residue
 from .hyper import FrobeniusSpec, HGParams, coefficient_ratios
 
 
 def witness_for(lam: Rational, p: int, n: int) -> int:
     """Smallest positive integer congruent to lambda mod p^n."""
-    r = embed_rational(lam, p, n).residue
+    r = _residue(lam, p, p ** n)
     return r if r >= 1 else p ** n
 
 

@@ -2,14 +2,14 @@
 
 Values of Z_p are represented by a residue known modulo p^prec.  All
 number-theoretic primitives used elsewhere in the package live here:
-rational embedding, exact division, splitting the p-part off an integer,
-the valuation of (a)_k/k!, fractional powers of the twist constant, Dwork
-prime chains and the Iwasawa logarithm.
+the residue of a rational mod a power of p (`_residue`, which
+`embed_rational` wraps), exact division, splitting the p-part off an
+integer, the valuation of (a)_k/k!, Dwork prime chains and the Iwasawa
+logarithm.
 
 Rational parameters (a, c, lambda) are plain ``fractions.Fraction``
 objects; a parameter is embeddable at p iff p does not divide its
-denominator.  Exact rationals are otherwise used only by `c_power_frac`
-and `iwasawa_log`.
+denominator.  Exact rationals are otherwise used only by `iwasawa_log`.
 """
 
 from __future__ import annotations
@@ -96,8 +96,13 @@ def split_p(x: int, p: int) -> tuple[int, int]:
     return v, x
 
 
-def _inv_mod(u: int, m: int) -> int:
-    return pow(u, -1, m)
+def _residue(r: Rational, p: int, modulus: int) -> int:
+    """r mod modulus, a power of p, in [0, modulus).  A rational with p in
+    its denominator is not in Z_p and raises DenominatorDivisibleByP."""
+    r = Fraction(r)
+    if r.denominator % p == 0:
+        raise DenominatorDivisibleByP(f"{r} has denominator divisible by {p}")
+    return r.numerator * pow(r.denominator, -1, modulus) % modulus
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,7 @@ class Padic:
         if new_prec <= 0:
             raise PrecisionExhausted("division leaves no digits")
         m = p ** self.prec
-        inv_unit = (unit.denominator * _inv_mod(unit.numerator % m, m)) % m
-        r = (self.residue * inv_unit) % m
+        r = self.residue * _residue(1 / unit, p, m) % m
         if v > 0:
             if r % p ** v:
                 raise NotDivisible(f"residue not divisible by {p}^{v}")
@@ -175,12 +179,7 @@ class Padic:
 def embed_rational(r: Rational, p: int, prec: int) -> Padic:
     """Embed a rational with p-free denominator into Z/p^prec."""
     check_prime(p)
-    r = Fraction(r)
-    if r.denominator % p == 0:
-        raise DenominatorDivisibleByP(f"{r} has denominator divisible by {p}")
-    m = p ** prec
-    res = (r.numerator * _inv_mod(r.denominator % m, m)) % m if prec > 0 else 0
-    return Padic(p, prec, res)
+    return Padic(p, prec, _residue(r, p, p ** max(prec, 0)))  # Padic rejects prec < 0
 
 
 def zero(p: int, prec: int) -> Padic:
@@ -188,33 +187,7 @@ def zero(p: int, prec: int) -> Padic:
 
 
 # ---------------------------------------------------------------------------
-# powers of the twist constant and the Iwasawa logarithm
-
-
-def c_power_frac(c: Rational, alpha: Rational, p: int, prec: int) -> Fraction:
-    """A rational congruent to c^alpha mod p^prec, via the binomial series
-    in c - 1.  Requires v_p(c-1) >= 1 (any alpha with p-free denominator)."""
-    c = Fraction(c)
-    alpha = Fraction(alpha)
-    if alpha.denominator == 1:
-        k = int(alpha)
-        return c ** k
-    if alpha.denominator % p == 0:
-        raise DenominatorDivisibleByP(f"exponent {alpha} not in Z_{p}")
-    x = c - 1
-    if x == 0:
-        return Fraction(1)
-    v = vp(x, p)
-    if v is None or v < 1:
-        raise CNotOneModP(f"c = {c} is not in 1 + {p}Z_{p}")
-    total = Fraction(1)
-    term = Fraction(1)  # binom(alpha, i) x^i, built from its predecessor
-    i = 1
-    while i * v < prec:
-        term *= (alpha - i + 1) * x / i
-        total += term
-        i += 1
-    return total
+# the Iwasawa logarithm
 
 
 def iwasawa_log(c: Padic) -> Padic:
@@ -251,13 +224,6 @@ def iwasawa_log(c: Padic) -> Padic:
 # Dwork prime chains
 
 
-def _l_for(a: Fraction, p: int, modulus: int) -> int:
-    """The unique l in [0, modulus) with a + l ≡ 0 mod modulus."""
-    if a.denominator % p == 0:
-        raise DenominatorDivisibleByP(f"{a} not in Z_{p}")
-    return (-a.numerator * _inv_mod(a.denominator % modulus, modulus)) % modulus
-
-
 def ratio_valuations(a: Fraction, p: int, ks: Sequence[int]) -> list[int]:
     """v_p((a)_k / k!) at each k in ks, in closed form: for each power p^j,
     the factors a + i (0 <= i < k) it divides, less the multiples of p^j up
@@ -265,7 +231,7 @@ def ratio_valuations(a: Fraction, p: int, ks: Sequence[int]) -> list[int]:
     vals = [0] * len(ks)
     top, pj = max(ks, default=0), p
     while True:
-        lj = _l_for(a, p, pj)  # a + i ≡ 0 mod p^j iff i ≡ lj; lj grows with j
+        lj = _residue(-a, p, pj)  # a + i ≡ 0 mod p^j iff i ≡ lj; lj grows with j
         if pj > top and lj >= top:
             return vals
         vals = [v + (k - lj + pj - 1) // pj - k // pj for v, k in zip(vals, ks)]
@@ -310,8 +276,8 @@ def dwork_chain(a: Rational, p: int, max_steps: int = 64) -> DworkChain:
     check_prime(p)
     a = Fraction(a)
     q = 4 if p == 2 else p
-    l = _l_for(a, p, p)
-    l_prime = _l_for(a, p, q)
+    l = _residue(-a, p, p)
+    l_prime = _residue(-a, p, q)
     e = l_prime - l_prime // p
     n, d = a.numerator, a.denominator
     minus_inv_d = -pow(d, -1, p)

@@ -1,9 +1,9 @@
-"""Truncated power series over Z/p^N.
+"""Products of truncated power series over Z/p^N.
 
-A series stores its coefficients as a residue vector: ints mod p^prec,
-one precision for the whole series.  Every product goes through
-`polymul`, a Kronecker-substitution kernel, which the checkers also
-call on bare residue lists.
+A series is a residue list: ints mod p^prec, lowest degree first, one
+precision for the whole series.  Every product goes through `polymul`,
+a Kronecker-substitution kernel.  `TruncSeries` carries p and the
+precision with the residues; it is the value type of the polynomial h.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .padic import Padic, PrecisionExhausted
+from .padic import Padic
 
 
 def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> list[int]:
@@ -52,29 +52,12 @@ def polymul_spread(a: Sequence[int], b: Sequence[int], p: int, modulus: int,
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """A power series truncated at t^order, coefficients in Z/p^prec."""
+    """A truncated power series with coefficients in Z/p^prec."""
 
     p: int
     prec: int
     residues: tuple[int, ...]
 
     @property
-    def order(self) -> int:
-        return len(self.residues)
-
-    @property
     def coeffs(self) -> tuple[Padic, ...]:
         return tuple(Padic(self.p, self.prec, r) for r in self.residues)
-
-    def reduce(self, prec: int) -> "TruncSeries":
-        if prec > self.prec:
-            raise PrecisionExhausted(f"only {self.prec} digits known, {prec} requested")
-        m = self.p ** prec
-        return TruncSeries(self.p, prec, tuple(r % m for r in self.residues))
-
-    def mul_poly(self, other: "TruncSeries") -> "TruncSeries":
-        """Full polynomial product, no truncation to the minimum order."""
-        prec = min(self.prec, other.prec)
-        n = self.order + other.order - 1 if self.order and other.order else 0
-        a, b = self.reduce(prec).residues, other.reduce(prec).residues
-        return TruncSeries(self.p, prec, tuple(polymul(a, b, self.p ** prec, n)))

@@ -6,9 +6,10 @@ are used throughout so that no series division is needed: a congruence
 of quotients N1/D1 = N2/D2 with unit denominators becomes
 N1*D2 = N2*D1 on coefficients.
 Each checker validates its hypotheses on entry, before it builds any
-table, and raises PreconditionViolated outside them: a in HGParams, c in
-1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check that reads the
-hatted side.  The suite runner skips the cells whose checker raises it.
+table, and raises PreconditionViolated outside them: n >= 1, a in
+HGParams, c in 1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check
+that reads the hatted side.  The suite runner skips the cells whose
+checker raises it.
 Congruences are decided on residues, every product goes through
 `polymul`, and a single-cell checker shares its sweep's helper.  The
 braced sweep decides its pairs class by class mod p^n; the exact ratio
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterator, Optional, Sequence
 
-from .padic import PadicError, PreconditionViolated, Rational, _l_for, vp
+from .padic import PadicError, PreconditionViolated, Rational, _residue, vp
 from .series import polymul, polymul_spread
 from .hyper import (
     SIGMA,
@@ -72,6 +73,12 @@ def _params_dict(params: HGParams, **extra) -> dict:
     return d
 
 
+def _require_modulus(n: int) -> None:
+    """Mod p^0 every residue is 0, so a check at n < 1 would pass vacuously."""
+    if n < 1:
+        raise PreconditionViolated(f"n = {n} compares mod p^{n}")
+
+
 def _first_mismatch(lhs: Sequence[int], rhs: Sequence[int], q: int) -> Optional[dict]:
     """First index where lhs != rhs mod q, or None."""
     for k, (l, r) in enumerate(zip(lhs, rhs)):
@@ -100,6 +107,7 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     at that index.  The modulus is n, except for kind="log" at p = 2 with
     c in 1+2W but not 1+4W, where the theorem only asserts mod p^{n-1};
     an exponent below 1 would decide nothing and is rejected."""
+    _require_modulus(n)
     p = params.p
     pn = p ** n
     if M is None:
@@ -120,13 +128,13 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
 
     # D(t) = g(t^step): g = F^{(1)} at step p for "dwork", g = F at step 1
-    f = hg_series(params, M, n).residues
+    f = hg_series(params, M, n)
     if kind == "dwork":
-        num, step, g = f, p, hg_series(params, ceil(M / p), n, level=1).residues
+        num, step, g = f, p, hg_series(params, ceil(M / p), n, level=1)
     elif kind == "log":
-        num, step, g = b_coefficients(params, frob, M, n).residues, 1, f
+        num, step, g = b_coefficients(params, frob, M, n), 1, f
     else:
-        num, step, g = bhat_coefficients(params, frob, M, n).residues, 1, f
+        num, step, g = bhat_coefficients(params, frob, M, n), 1, f
 
     cut = pn // step  # [D] = g[:cut](t^step)
     lhs = polymul_spread(num[pn:], g[:cut], step, pn, M - pn)
@@ -156,11 +164,12 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     gives both sides: the left is C shifted, the right is C reversed.
     eps is fitted at the first unit coefficient and then verified
     globally; the expected value is (-1)^{sl} for odd p."""
+    _require_modulus(n)
     p, l = params.p, params.l
     pn = p ** n
     q = p ** n  # comparison modulus
-    a_res = hg_series(params, pn, n).residues
-    q_res = hg_series(params, pn // p, n, level=1).residues
+    a_res = hg_series(params, pn, n)
+    q_res = hg_series(params, pn // p, n, level=1)
     c = polymul_spread(a_res, q_res[::-1], p, q, 2 * pn - p)
 
     deg = 2 * pn - 2  # covers both sides
@@ -222,12 +231,6 @@ def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
     return out
 
 
-def _require_modulus(n: int) -> None:
-    """Mod p^0 every residue is 0 and the lemma would pass vacuously."""
-    if n < 1:
-        raise PreconditionViolated(f"the braced lemma at n = {n} compares mod p^{n}")
-
-
 def _braced_report(info: dict, n: int, residues: list[int], pairs) -> CheckReport:
     """Fails at the first (x, y) pair whose residues differ."""
     for x, y in pairs:
@@ -243,7 +246,7 @@ def check_braced_congruence(params: HGParams, x: int, y: int, n: int) -> CheckRe
     x + y + a ≡ 0 mod p^n."""
     _require_modulus(n)
     pn = params.p ** n
-    if (x + y - _l_for(params.a, params.p, pn)) % pn:
+    if (x + y - _residue(-params.a, params.p, pn)) % pn:
         raise PreconditionViolated(f"x + y + a is not divisible by {pn}")
     return _braced_report(_params_dict(params, n=n, x=x, y=y), n,
                           braced_residues(params, max(x, y), n), [(x, y)])
@@ -259,7 +262,7 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
     _require_modulus(n)
     p = params.p
     pn, top = p ** n, p ** (2 * n)
-    l_n = _l_for(params.a, p, pn)  # y ≡ l_n - x mod p^n
+    l_n = _residue(-params.a, p, pn)  # y ≡ l_n - x mod p^n
     residues = braced_residues(params, top, n)
     # the residue of each class mod p^n when it is constant on the class
     constant = [residues[c] if len(set(residues[c::pn])) == 1 else None
@@ -278,6 +281,7 @@ def _beta_pairings(params: HGParams, frob_pair: tuple[FrobeniusSpec, FrobeniusSp
     """The pairing report at each lambda in turn; the values of each
     direction come from one `beta_values` call.  beta-hat needs c in
     1 + qW."""
+    _require_modulus(n)
     frob, frob_hat = frob_pair
     frob.validate(params.p, require_q=True)
     lambdas = [Fraction(lam) for lam in lambdas]
@@ -335,7 +339,7 @@ def section_sums(params: HGParams, a_res: Sequence[int], n: int, d: int,
         return [x if i % cls == r else 0 for i, x in enumerate(a)]
 
     s1 = polymul(masked(k), a[::-1], mod, pn)
-    s2 = polymul(a, masked((_l_for(params.a, p, cls) - k) % cls)[::-1], mod, pn)
+    s2 = polymul(a, masked((_residue(-params.a, p, cls) - k) % cls)[::-1], mod, pn)
     return s1, s2
 
 
@@ -351,16 +355,18 @@ def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int) -
     """The two residue-class-restricted sums of A_i A_{p^n-j-1} agree
     mod p^{d+1}; classes are taken mod p^{n-d}, with the rational class
     -k-a decided by p-adic congruence."""
+    _require_modulus(n)
     p = params.p
     if not (0 <= m <= p ** n - 1 and 0 <= d <= n and 0 <= k < p ** (n - d)):
         raise PreconditionViolated("indices out of range")
-    s1, s2 = section_sums(params, hg_series(params, p ** n, n + 1).residues, n, d, k)
+    s1, s2 = section_sums(params, hg_series(params, p ** n, n + 1), n, d, k)
     return _section_report(params, n, d, k, m, s1[m], s2[m])
 
 
 def sweep_section(params: HGParams, n: int) -> CheckReport:
+    _require_modulus(n)
     p = params.p
-    a_res = hg_series(params, p ** n, n + 1).residues
+    a_res = hg_series(params, p ** n, n + 1)
     for d in range(n + 1):
         for k in range(p ** (n - d)):
             s1, s2 = section_sums(params, a_res, n, d, k)
@@ -379,12 +385,13 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     """sum_{i+j=m} B_i A_{p^n-j-1} + Bhat_{p^n-j-1} A_i ≡ 0 mod p^n for
     every m in [0, 2(p^n-1)]; B along sigma, Bhat along sigma-hat, with c
     in 1 + qW."""
+    _require_modulus(n)
     frob, frob_hat = twist_pair(c)
     frob.validate(params.p, require_q=True)
     q = params.p ** n
-    a = hg_series(params, q, n).residues
-    b = b_coefficients(params, frob, q, n).residues
-    bhat = bhat_coefficients(params, frob_hat, q, n).residues
+    a = hg_series(params, q, n)
+    b = b_coefficients(params, frob, q, n)
+    bhat = bhat_coefficients(params, frob_hat, q, n)
     info = _params_dict(params, n=n, c=Fraction(c))
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
     left = polymul(b, a[::-1], q, 2 * q - 1)
@@ -416,6 +423,7 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
                               k_max: Optional[int] = None) -> CheckReport:
     """B_k/A_k and Bhat_k/A_k agree mod p^n whenever k ≡ k' mod p^n
     (pairs with k' = k + p^n, covering k, k' <= k_max), with c in 1 + qW."""
+    _require_modulus(n)
     frob, frob_hat = twist_pair(c)
     frob.validate(params.p, require_q=True)
     p = params.p
@@ -444,6 +452,7 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
 def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
     """Every B_k and Bhat_k for k <= 2 p^n is p-integral, with c in 1 + qW;
     a non-integral value surfaces as a failed exact division (NotDivisible)."""
+    _require_modulus(n)
     frob, frob_hat = twist_pair(c)
     # a bad c is outside the hypotheses, not an integrality failure
     frob.validate(params.p, require_q=True)

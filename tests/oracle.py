@@ -15,7 +15,9 @@ on exact rationals with `vp` of a difference (the production checkers
 compare residues); the Frobenius substitution t -> c t^p is a loop over
 coefficients (the checkers spread residues by slicing, at c = 1 only);
 the Dwork-prime orbit is walked on exact rationals (the production route
-walks the numerators over the fixed denominator); the congruence relation
+walks the numerators over the fixed denominator); c^alpha is the binomial
+series in c - 1 on exact rationals (the production route is one modular
+power of the residue of c); the congruence relation
 and the transformation formula are decided on two full products each
 (the production checkers form only the coefficients above t^{p^n}, and
 one product reversed, with t^p operands split per class mod p).
@@ -28,6 +30,8 @@ from math import ceil
 from typing import Optional
 
 from padichg import (
+    CNotOneModP,
+    DenominatorDivisibleByP,
     DworkChain,
     NotDivisible,
     PadicError,
@@ -36,14 +40,13 @@ from padichg import (
     Padic,
     TruncSeries,
     b0_constant,
-    c_power_frac,
     embed_rational,
     hg_series,
     polymul,
     vp,
 )
 from padichg import verify
-from padichg.padic import _l_for
+from padichg.padic import Rational, _residue
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +54,14 @@ from padichg.padic import _l_for
 
 
 def dwork_chain_exact(a: Fraction, p: int, max_steps: int = 64) -> DworkChain:
-    """The orbit a -> (a + l)/p as Fractions, with l = _l_for(term, p, p)
+    """The orbit a -> (a + l)/p as Fractions, with l = -term mod p
     recomputed at each step and terms compared by value."""
     q = 4 if p == 2 else p
-    l = _l_for(a, p, p)
-    l_prime = _l_for(a, p, q)
+    l = _residue(-a, p, p)
+    l_prime = _residue(-a, p, q)
     chain, seen, period, cur = [a], {a}, None, a
     for step in range(1, max_steps + 1):
-        cur = (cur + _l_for(cur, p, p)) / p
+        cur = (cur + _residue(-cur, p, p)) / p
         chain.append(cur)
         if period is None and cur == a:
             period = step
@@ -67,6 +70,36 @@ def dwork_chain_exact(a: Fraction, p: int, max_steps: int = 64) -> DworkChain:
         seen.add(cur)
     return DworkChain(a=a, p=p, l=l, q=q, l_prime=l_prime, e=l_prime - l_prime // p,
                       chain=tuple(chain), period=period)
+
+
+# ---------------------------------------------------------------------------
+# powers of the twist constant
+
+
+def c_power_frac(c: Rational, alpha: Rational, p: int, prec: int) -> Fraction:
+    """A rational congruent to c^alpha mod p^prec, via the binomial series
+    in c - 1.  Requires v_p(c-1) >= 1 (any alpha with p-free denominator)."""
+    c = Fraction(c)
+    alpha = Fraction(alpha)
+    if alpha.denominator == 1:
+        k = int(alpha)
+        return c ** k
+    if alpha.denominator % p == 0:
+        raise DenominatorDivisibleByP(f"exponent {alpha} not in Z_{p}")
+    x = c - 1
+    if x == 0:
+        return Fraction(1)
+    v = vp(x, p)
+    if v is None or v < 1:
+        raise CNotOneModP(f"c = {c} is not in 1 + {p}Z_{p}")
+    total = Fraction(1)
+    term = Fraction(1)  # binom(alpha, i) x^i, built from its predecessor
+    i = 1
+    while i * v < prec:
+        term *= (alpha - i + 1) * x / i
+        total += term
+        i += 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +162,10 @@ def ratio_at(k: int, params, frob, n: int, hat: bool) -> Fraction:
 
 
 def b0_exact(params, frob, prec: int) -> Fraction:
-    """B_{p^N}/A_{p^N}, the rational whose residue mod p^N is B_0."""
-    return ratio_at(params.p ** prec, params, frob, prec, hat=False)
+    """B_{p^M}/A_{p^M}, the rational whose residue mod p^N is B_0: M = N,
+    or M = N + 1 at p = 2 with c in 1 + 2W but not 1 + 4W."""
+    deeper = params.p == 2 and vp(frob.c - 1, 2) == 1
+    return ratio_at(params.p ** (prec + deeper), params, frob, prec, hat=False)
 
 
 def exact_a_table(params, count: int, level: int = 0) -> list[Fraction]:
@@ -208,7 +243,7 @@ def frobenius_substitute(f: TruncSeries, c: Padic, out_order: int) -> TruncSerie
     Coefficients act through the identity Frobenius, matching
     Z_p-restricted scalars."""
     p = f.p
-    prec = min(f.prec, c.prec) if f.order else c.prec
+    prec = min(f.prec, c.prec) if f.residues else c.prec
     m = p ** prec
     out = [0] * out_order
     power = 1
@@ -287,7 +322,7 @@ def log_integral(f: TruncSeries, twist: Optional[Fraction] = None) -> TruncSerie
     input precision less the largest valuation of a divisor."""
     p = f.p
     if twist is None:
-        if f.order and f.residues[0] != 0:
+        if f.residues and f.residues[0] != 0:
             raise NonzeroConstantTerm("constant term must vanish")
         start, a = 1, Fraction(0)
     else:
@@ -295,7 +330,7 @@ def log_integral(f: TruncSeries, twist: Optional[Fraction] = None) -> TruncSerie
         if (a.denominator == 1 and a <= 0) or a.denominator % p == 0:
             raise ValueError("twist must lie in Z_p and avoid nonpositive integers")
         start = 0
-    divisors = [k + a for k in range(start, f.order)]
+    divisors = [k + a for k in range(start, len(f.residues))]
     loss = max((vp(d, p) for d in divisors), default=0)
     prec = f.prec - loss
     if divisors and prec <= 0:
@@ -312,8 +347,8 @@ def log_integral(f: TruncSeries, twist: Optional[Fraction] = None) -> TruncSerie
     return TruncSeries(p, prec, tuple(out))
 
 
-def log_type_series(params, frob, order: int, prec: int) -> tuple[TruncSeries, TruncSeries]:
-    """(G, F) with G built through the logarithmic integral route:
+def log_type_series(params, frob, order: int, prec: int) -> tuple[list[int], list[int]]:
+    """(G, F) mod p^prec with G built through the logarithmic integral route:
     G = B_0 + int_0^t (F - F^{(1)} composed with sigma) dt/t."""
     p = params.p
     guard = max(((vp(k, p) or 0) for k in range(1, order)), default=0)
@@ -321,17 +356,17 @@ def log_type_series(params, frob, order: int, prec: int) -> tuple[TruncSeries, T
     f_full = hg_series(params, order, w)
     f1 = hg_series(params, ceil(order / p) if order else 1, w, level=1)
     c_emb = embed_rational(frob.c_eff, p, w)
-    f1_sigma = frobenius_substitute(f1, c_emb, order)
+    f1_sigma = frobenius_substitute(TruncSeries(p, w, tuple(f1)), c_emb, order)
     m = p ** w
-    diff = TruncSeries(p, w, tuple((x - y) % m for x, y in zip(f_full.residues, f1_sigma.residues)))
-    tail = log_integral(diff).reduce(prec)
-    b0 = b0_constant(params, frob, prec)
-    g = TruncSeries(p, prec, (b0.residue,) + tail.residues[1:])
-    return g, f_full.reduce(prec)
+    diff = TruncSeries(p, w, tuple((x - y) % m for x, y in zip(f_full, f1_sigma.residues)))
+    tail = log_integral(diff).residues
+    m = p ** prec
+    g = [b0_constant(params, frob, prec).residue, *(r % m for r in tail[1:])]
+    return g, [r % m for r in f_full]
 
 
-def hat_series(params, frob, order: int, prec: int) -> tuple[TruncSeries, TruncSeries]:
-    """(Ghat, F) with Ghat built through the twisted-integral route.
+def hat_series(params, frob, order: int, prec: int) -> tuple[list[int], list[int]]:
+    """(Ghat, F) mod p^prec with Ghat built through the twisted-integral route.
 
     The integrand coefficient at the symbol t^{k+a} collects A_k from
     t^a F and A^{(1)}_j c^{j+a'} placed at k = pj + l from the sigma-image
@@ -347,10 +382,8 @@ def hat_series(params, frob, order: int, prec: int) -> tuple[TruncSeries, TruncS
         cp = c_power_frac(frob.c_eff, j + a1, p, w)
         integrand[p * j + l] -= sign * coeff_exact(params, j, 1) * cp
         j += 1
-    f_emb = series_from_rationals(integrand, p, w)
-    ghat = log_integral(f_emb, twist=a).reduce(prec)
-    f = hg_series(params, order, prec)
-    return ghat, f
+    ghat = log_integral(series_from_rationals(integrand, p, w), twist=a).residues
+    return [r % p ** prec for r in ghat], hg_series(params, order, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +411,14 @@ def congruence_relation_full(kind: str, params, frob, n: int, M: Optional[int] =
     n_eff = n - 1 if kind == "log" and p == 2 and vp(frob.c - 1, p) == 1 else n
     if n_eff < 1:
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
-    f = verify.hg_series(params, M, n).residues
+    f = verify.hg_series(params, M, n)
     if kind == "dwork":
         num, den = f, [0] * M
-        den[::p] = verify.hg_series(params, ceil(M / p), n, level=1).residues
+        den[::p] = verify.hg_series(params, ceil(M / p), n, level=1)
     elif kind == "log":
-        num, den = verify.b_coefficients(params, frob, M, n).residues, f
+        num, den = verify.b_coefficients(params, frob, M, n), f
     else:
-        num, den = verify.bhat_coefficients(params, frob, M, n).residues, f
+        num, den = verify.bhat_coefficients(params, frob, M, n), f
     lhs = polymul(num, den[:pn], pn, M)
     rhs = polymul(den, num[:pn], pn, M)
     fail = verify._first_mismatch(lhs, rhs, p ** n_eff)
@@ -398,9 +431,9 @@ def dwork_transform_full(params, n: int):
     t^{p-1-l} P revQ and revP Q(t^p), with Q(t^p) spread into a dense list."""
     p, l = params.p, params.l
     q = pn = p ** n
-    a_res = verify.hg_series(params, pn, n).residues
+    a_res = verify.hg_series(params, pn, n)
     spread = [0] * (pn - p + 1)
-    spread[::p] = verify.hg_series(params, pn // p, n, level=1).residues
+    spread[::p] = verify.hg_series(params, pn // p, n, level=1)
     deg, shift = 2 * pn - 2, p - 1 - l
     lhs = [0] * shift + polymul(a_res, spread[::-1], q, deg + 1 - shift)
     rhs = polymul(a_res[::-1], spread, q, deg + 1)

@@ -276,6 +276,14 @@ class TestTable:
         assert code == EXIT_CONFIG and out == ""
         assert err == "error: count must be positive\n"
 
+    @pytest.mark.parametrize("prec", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["A", "B", "Bhat"])
+    def test_prec_below_one_rejected(self, kind, prec, capsys):
+        code, out, err = run(["table", "--kind", kind, "--a", "1/2", "--p", "3",
+                              "--prec", prec], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "error: precision must be positive\n"
+
     def test_csv_format(self, capsys):
         code, out, _ = run(["table", "--kind", "A", "--a", "1/2", "--p", "3",
                             "--count", "2", "--format", "csv"], capsys)
@@ -310,7 +318,7 @@ class TestTableBytes:
         series = {"A": lambda: hg_series(self.P, count, 4),
                   "B": lambda: b_coefficients(self.P, frob, count, 4),
                   "Bhat": lambda: bhat_coefficients(self.P, frob_hat, count, 4)}[kind]()
-        rows = [{"k": k, "residue": r, "prec": 4} for k, r in enumerate(series.residues)]
+        rows = [{"k": k, "residue": r, "prec": 4} for k, r in enumerate(series)]
         assert code == EXIT_PASS
         assert out.read_bytes() == _old_rendering(rows, fmt).encode()
 

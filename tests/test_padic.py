@@ -12,7 +12,6 @@ from padichg import (
     NotDivisible,
     Padic,
     PrecisionExhausted,
-    c_power_frac,
     dwork_chain,
     embed_rational,
     iwasawa_log,
@@ -20,9 +19,9 @@ from padichg import (
     vp,
 )
 
-from padichg.padic import _l_for
+from padichg.padic import _residue
 
-from oracle import braced_product, braced_table, dwork_chain_exact, pochhammer
+from oracle import braced_product, braced_table, c_power_frac, dwork_chain_exact, pochhammer
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -189,6 +188,26 @@ class TestCPower:
             assert c_power_frac(c, alpha, p, prec) == binomial_sum_power(c, alpha, p, prec)
 
 
+    @settings(max_examples=300)
+    @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+               st.just(p),
+               # c = 1 + p^v u/d in 1 + pZ_(p), or its inverse
+               st.builds(lambda v, u, d, inverse: (1 + Fraction(p ** v * u, d)) ** (-1 if inverse else 1),
+                         st.integers(1, 3), st.integers(-30, 30).filter(bool),
+                         st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % p]),
+                         st.booleans()),
+               st.builds(Fraction, st.integers(-60, 60),
+                         st.sampled_from([d for d in (1, 1, 2, 3, 4, 5, 7, 9) if d % p])),
+               st.integers(1, 24))))
+    def test_one_modular_power(self, case):
+        # Bhat's twist c^alpha mod p^w is pow(c, e, p^w) with e ≡ alpha mod
+        # p^(w-1): exact, as c^(p^(w-1)) ≡ 1 mod p^w for these c
+        p, c, alpha, w = case
+        m = p ** w
+        got = pow(_residue(c, p, m), _residue(alpha, p, m // p), m)
+        assert got == _residue(c_power_frac(c, alpha, p, w), p, m)
+
+
 class TestIwasawaLog:
     def test_log_one(self):
         assert iwasawa_log(embed_rational(1, 3, 3)).residue == 0
@@ -272,7 +291,7 @@ class TestDworkChain:
         # every step, past the end of the stored chain too, is a -> (a + l)/p
         for k in range(len(ch.chain) + 3):
             cur = ch.a_at(k)
-            assert p * ch.a_at(k + 1) == cur + _l_for(cur, p, p)
+            assert p * ch.a_at(k + 1) == cur + _residue(-cur, p, p)
 
     @given(frac(st.integers(-60, 60), st.integers(1, 40)), PRIMES, st.integers(1, 64))
     def test_matches_fraction_walk(self, a, p, max_steps):

@@ -12,7 +12,6 @@ from padichg import (
     HGParams,
     Padic,
     PreconditionViolated,
-    TruncSeries,
     b0_constant,
     b_coefficients,
     beta_at,
@@ -144,14 +143,14 @@ class TestDworkTransformation:
 def shifted_builder(name, original, level, idx, delta):
     """`original` with entry idx (taken mod the length) of its level-`level`
     table shifted by delta."""
-    def build(*args, **kwargs):
-        series = original(*args, **kwargs)
-        if name == "hg_series" and kwargs.get("level", 0) != level or not series.order:
-            return series
-        res = list(series.residues)
+    def build(params, *args, **kwargs):
+        res = original(params, *args, **kwargs)
+        if name == "hg_series" and kwargs.get("level", 0) != level or not res:
+            return res
+        prec = args[-1]  # the checkers pass the precision last, before any level=
         i = idx % len(res)
-        res[i] = (res[i] + delta) % series.p ** series.prec
-        return TruncSeries(series.p, series.prec, tuple(res))
+        res[i] = (res[i] + delta) % params.p ** prec
+        return res
     return build
 
 
@@ -328,7 +327,7 @@ class TestSectionAgainstOracle:
         P, (n, (d, k)) = case
         p = P.p
         table = [coeff_exact(P, i) for i in range(p ** n)]
-        s1, s2 = section_sums(P, hg_series(P, p ** n, n + 1).residues, n, d, k)
+        s1, s2 = section_sums(P, hg_series(P, p ** n, n + 1), n, d, k)
         for m in range(p ** n):
             e1, e2 = section_sums_exact(P, table, n, d, k, m)
             assert (s1[m], s2[m]) == (embed_rational(e1, p, d + 1).residue,
@@ -348,10 +347,9 @@ class TestSectionAgainstOracle:
         expect = section_sweep_failure(P, n, table)
 
         def corrupted(params, order, prec, level=0):
-            f = hg_series(params, order, prec, level)
-            res = list(f.residues)
+            res = hg_series(params, order, prec, level)
             res[idx] = (res[idx] + delta) % p ** prec
-            return TruncSeries(f.p, f.prec, tuple(res))
+            return res
 
         monkeypatch.setattr(verify, "hg_series", corrupted)
         rep = sweep_section(P, n)
@@ -519,10 +517,9 @@ def main_congruence_failure(params, c, n, shift=(0, 0)):
     frob, frob_hat = twist_pair(c)
     g, f = log_type_series(params, frob, pn, n)
     ghat, _ = hat_series(params, frob_hat, pn, n)
-    g = list(g.residues)
     g[shift[0]] += shift[1]
-    left = schoolbook(g, f.residues[::-1], pn, 2 * pn - 1)
-    right = schoolbook(ghat.residues[::-1], f.residues, pn, 2 * pn - 1)
+    left = schoolbook(g, f[::-1], pn, 2 * pn - 1)
+    right = schoolbook(ghat[::-1], f, pn, 2 * pn - 1)
     for m, (x, y) in enumerate(zip(left, right)):
         if (x + y) % pn:
             return {"m": m, "sum": (x + y) % pn}
@@ -532,10 +529,9 @@ def main_congruence_failure(params, c, n, shift=(0, 0)):
 def shifted_b(idx, delta):
     """b_coefficients with B_idx shifted by delta."""
     def build(params, frob, count, prec):
-        g = b_coefficients(params, frob, count, prec)
-        res = list(g.residues)
-        res[idx] = (res[idx] + delta) % g.p ** prec
-        return TruncSeries(g.p, g.prec, tuple(res))
+        res = b_coefficients(params, frob, count, prec)
+        res[idx] = (res[idx] + delta) % params.p ** prec
+        return res
     return build
 
 
@@ -624,3 +620,29 @@ class TestHatSideTwistAtTwo:
         monkeypatch.setattr(verify, "hg_series", lambda *args: pytest.fail("F was built"))
         with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+"):
             check_congruence_relation(kind, params(Fraction(1, 3), p=2), FrobeniusSpec(c), 2)
+
+
+class TestModulusBelowOne:
+    """Every checker that takes n rejects n < 1 on entry: mod p^0 every
+    residue is 0, so the check would pass vacuously.  The braced checkers
+    are covered in TestBraced."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("call", [
+        lambda P, c, n: check_congruence_relation("dwork", P, None, n),
+        lambda P, c, n: check_congruence_relation("log", P, FrobeniusSpec(c), n),
+        lambda P, c, n: check_congruence_relation("hat", P, FrobeniusSpec(c), n),
+        lambda P, c, n: check_dwork_transformation(P, n),
+        lambda P, c, n: check_beta_pairing(Fraction(1), P, twist_pair(c), n),
+        lambda P, c, n: sweep_beta_pairing(P, c, n),
+        lambda P, c, n: check_section_congruence(P, n, 0, 0, 0),
+        lambda P, c, n: sweep_section(P, n),
+        lambda P, c, n: check_main_congruence(P, c, n),
+        lambda P, c, n: check_ratio_interpolation(P, c, n),
+        lambda P, c, n: check_integrality(P, c, n),
+    ], ids=["dwork", "log", "hat", "dwork-transform", "beta-pairing", "beta-pairing-sweep",
+            "section-sums", "section-sums-sweep", "main-congruence", "interpolation",
+            "integrality"])
+    def test_rejected_at_entry(self, call, n):
+        with pytest.raises(PreconditionViolated, match=f"n = {n} compares mod p"):
+            call(params(Fraction(1, 2)), Fraction(4), n)
