@@ -272,12 +272,16 @@ def _build_suite_config(args: argparse.Namespace) -> SuiteConfig:
     cfg.c_list = pick("c", args.c, parse_rational, cfg.c_list)
     cfg.checks = [str(v) for v in (pick("check", args.check, str, []) or [])]
 
-    out = _layered("out", [args.out] if args.out else None, file_values)
-    if out is not None:
-        cfg.out = out[0]
-    jobs = _layered("jobs", [str(args.jobs)] if args.jobs is not None else None, file_values)
-    if jobs is not None:
-        cfg.jobs = int(jobs[0])
+    def pick_one(key, cli_value, cast, current):
+        got = pick(key, cli_value, cast, None)
+        if got is None:
+            return current
+        if len(got) != 1:
+            raise ConfigInvalid(f"{key} takes one value, got {len(got)}")
+        return got[0]
+
+    cfg.out = pick_one("out", [args.out] if args.out else None, str, cfg.out)
+    cfg.jobs = pick_one("jobs", None if args.jobs is None else [args.jobs], int, cfg.jobs)
     return cfg
 
 

@@ -7,10 +7,12 @@ as a list of ints, lowest degree first: the series F (`hg_series`), G
 (`b_coefficients`) and Ghat (`bhat_coefficients`).
 
 The coefficients are p-integral, so each is fixed by a unit mod p^w and an
-exact valuation.  The builders walk the recurrence (a+k-1)/k with the
-p-parts split off exactly, form numerators at a guard precision w read
-off those valuations, and divide exactly; the walk and the divisions
-each take one modular inversion per table.  The walk visits only the
+exact valuation.  A_k walks the recurrence (a+k-1)/k with the p-parts
+split off exactly.  B_k, Bhat_k and the ratios B_k/A_k and Bhat_k/A_k
+are exact quotients from one routine (`_quotients`): it splits each
+divisor once, reads a guard precision w off the valuations, forms the
+numerators mod p^w and divides exactly; the walk and the divisions each
+take one modular inversion per call.  The walk visits only the
 wanted indices: a dense table steps through every k, while the ratios
 B_k/A_k and Bhat_k/A_k at a few witnesses (beta, B_0) multiply each long
 gap in at once as a product of an arithmetic progression, so their cost
@@ -22,6 +24,7 @@ exact rational: the exact routes to A_k, B_k and Bhat_k are test oracles.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -297,39 +300,6 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
     return out
 
 
-def _exact_quotients(nums: list[int], dens: list[int], p: int, prec: int) -> list[int]:
-    """nums[i]/dens[i] mod p^prec, for each nums[i] known mod
-    p^(prec + v_p(dens[i])).  Raises NotDivisible at the first i whose
-    numerator p^{v_p(dens[i])} does not divide, i.e. whose quotient is not
-    p-integral.  The unit parts of dens are inverted through one modular
-    inversion of their product, walking back over the prefix products."""
-    m = p ** prec
-    quots, units, prefix = [], [], []
-    acc = 1
-    for num, den in zip(nums, dens):
-        if den % p == 0:
-            v, den = split_p(den, p)
-            num, r = divmod(num, p ** v)
-            if r:
-                raise NotDivisible(f"numerator not divisible by {p}^{v}")
-        quots.append(num)
-        units.append(den)
-        prefix.append(acc)  # the product of the unit parts before i
-        acc = acc * den % m
-    inv = pow(acc, -1, m)  # 1/(the product of the unit parts up to i), i descending
-    for i in range(len(quots) - 1, -1, -1):
-        quots[i] = quots[i] * prefix[i] * inv % m
-        inv = inv * units[i] % m
-    return quots
-
-
-def _divisor(params: HGParams, k: int, hat: bool) -> int:
-    """D with the exact divisor k + a = D/d of Bhat_k, where a = n/d, or
-    D = k for B_k; the numerators are multiplied by d."""
-    a = params.a
-    return k * a.denominator + a.numerator if hat else k
-
-
 # ---------------------------------------------------------------------------
 # series builders: residues mod p^prec, formed at the guard precision the
 # exact valuations call for
@@ -342,31 +312,64 @@ def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[i
     return _a_residues(params, range(order), prec, level)
 
 
+def _quotients(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], prec: int,
+               hat: bool, ratio: bool) -> list[int]:
+    """B_k (Bhat_k with hat=True) mod p^prec at each k in ks, divided by A_k
+    as well with ratio=True; ks in any order, repeats allowed, k >= 1 for B.
+
+    With a = n/d and N_k from `_numerators`, B_k = N_k/D_k with D_k = k,
+    and Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each distinct k is split
+    once, D_k = p^v u; dividing by A_k as well adds s·v_p(A_k) to v
+    (`ratio_valuations`) and the s-th power of the walk's unit to u.  The
+    numerators are formed mod p^w, w = prec + the largest v, and divided
+    exactly by p^v in ks order: the first k whose quotient is not
+    p-integral raises NotDivisible.  The unit parts are inverted through
+    one modular inversion of their product, walking back over the prefix
+    products, and d enters with that inverse."""
+    if prec < 1:
+        raise ValueError("precision must be positive")
+    frob.validate(params.p)
+    p, s, a = params.p, params.s, params.a
+    n, d = (a.numerator, a.denominator) if hat else (0, 1)
+    wanted = sorted(set(ks))
+    units = [k * d + n for k in wanted]  # D_k, then its unit part
+    vals = [0] * len(units)
+    for i, dk in enumerate(units):
+        if dk % p == 0:
+            vals[i], units[i] = split_p(dk, p)
+    if ratio:
+        vals = [v + s * va for v, va in zip(vals, ratio_valuations(a, p, wanted))]
+    w = prec + max(vals, default=0)
+    a_units, a_vals = _ratio_units(a, p, wanted, w)
+    nums = _numerators(params, frob, wanted, _powers(a_units, a_vals, s, p, w), w, hat)
+    m = p ** prec
+    if ratio:
+        units = [u * pow(ua, s, m) % m for u, ua in zip(units, a_units)]
+    if wanted != list(ks):  # back to ks order
+        at = [bisect_left(wanted, k) for k in ks]
+        nums, vals, units = ([x[i] for i in at] for x in (nums, vals, units))
+    quots = []
+    acc = 1  # the product of the unit parts before entry j
+    for num, v, u in zip(nums, vals, units):
+        if v:
+            num, r = divmod(num, p ** v)
+            if r:
+                raise NotDivisible(f"numerator not divisible by {p}^{v}")
+        quots.append(num * acc % m)
+        acc = acc * u % m
+    inv = pow(acc, -1, m) * d % m  # d/(the product of the unit parts up to entry j)
+    for j in range(len(quots) - 1, -1, -1):
+        quots[j] = quots[j] * inv % m
+        inv = inv * units[j] % m
+    return quots
+
+
 def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], n: int,
                        hat: bool = False) -> list[int]:
     """B_k/A_k (Bhat_k/A_k with hat=True) mod p^n at each k >= 1 in ks.
-
-    The numerator is formed mod p^w with w = n + v_p(k) + v_p(A_k) (v_p(k+a)
-    for Bhat), the largest over ks, and divided by k A_k exactly.  A_k and
-    A^{(1)} are walked at the distinct ks (and the j they read) only, so
-    no list grows with the size of the ks."""
-    frob.validate(params.p)
-    if not ks:
-        return []
-    p, s, a = params.p, params.s, params.a
-    wanted = sorted(set(ks))
-    divs = [_divisor(params, k, hat) for k in wanted]
-    w = n + max((split_p(dv, p)[0] if dv % p == 0 else 0) + s * v
-                for dv, v in zip(divs, ratio_valuations(a, p, wanted)))
-    units, vals = _ratio_units(a, p, wanted, w)
-    nums = _numerators(params, frob, wanted, _powers(units, vals, s, p, w), w, hat)
-    d = params.a.denominator if hat else 1
-    m = p ** w
-    # the exact divisor k·A_k, its unit part known mod p^w
-    dens = [dv * p ** (s * v) * pow(u, s, m) for dv, u, v in zip(divs, units, vals)]
-    index = {k: i for i, k in enumerate(wanted)}
-    at = [index[k] for k in ks]
-    return _exact_quotients([nums[i] * d for i in at], [dens[i] for i in at], p, n)
+    A_k and A^{(1)} are walked at the distinct ks (and the j they read)
+    only, so no list grows with the size of the ks."""
+    return _quotients(params, frob, ks, n, hat, ratio=True)
 
 
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
@@ -378,40 +381,21 @@ def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
     function of k mod 2^N (k and k + 3·2^N differ at k ≡ 2 mod 4), and
     B_2/A_2 is not B_0 mod 2; the witness there is 2^{N+1}, past which
     every 2^M gives the same residue."""
-    if prec < 1:
-        raise ValueError("precision must be positive")
     p = params.p
     top = prec + 1 if p == 2 and vp(frob.c - 1, p) == 1 else prec
     return Padic(p, prec, coefficient_ratios(params, frob, [p ** top], prec)[0])
-
-
-def _divided_table(params: HGParams, frob: FrobeniusSpec, count: int, prec: int,
-                   hat: bool) -> list[int]:
-    """k·B_k or (k+a)·Bhat_k formed mod p^(prec + largest divisor valuation)
-    and divided exactly, for k < count."""
-    if prec < 1:
-        raise ValueError("precision must be positive")
-    frob.validate(params.p)
-    p = params.p
-    ks = range(0 if hat else 1, count)
-    dens = [_divisor(params, k, hat) for k in ks]
-    w = prec + max((split_p(den, p)[0] for den in dens if den % p == 0), default=0)
-    every = range(count)
-    nums = _numerators(params, frob, every, _a_residues(params, every, w), w, hat)
-    d = params.a.denominator if hat else 1
-    return _exact_quotients([nums[k] * d for k in ks], dens, p, prec)
 
 
 def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> list[int]:
     """G: B_k for k < count; index 0 is the interpolated constant term.
     A numerator not divisible by p^{v_p(k)} raises NotDivisible."""
     b0 = b0_constant(params, frob, prec).residue
-    return [b0, *_divided_table(params, frob, count, prec, hat=False)][:count]
+    return [b0, *_quotients(params, frob, range(1, count), prec, hat=False, ratio=False)][:count]
 
 
 def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> list[int]:
     """Ghat: Bhat_k for k < count via the closed coefficient formula."""
-    return _divided_table(params, frob, count, prec, hat=True)
+    return _quotients(params, frob, range(count), prec, hat=True, ratio=False)
 
 
 def compute_h(params: HGParams, prec: int) -> TruncSeries:

@@ -27,10 +27,13 @@ def beta_values(lams: Sequence[Rational], params: HGParams, frob: FrobeniusSpec,
                 *, hat: bool = False) -> list[Padic]:
     """beta_lambda (or beta-hat with hat=True) mod p^n at each lambda in
     lams, from one `coefficient_ratios` call whose walk visits only the
-    witnesses, jumping the gaps between them."""
+    witnesses, jumping the gaps between them.  At p = 2 c must lie in
+    1 + 4W: for c in 1 + 2W only, B_k/A_k mod 2^n is not a function of k
+    mod 2^n (k and k + 3·2^n differ at every k ≡ 2 mod 4), so no witness
+    gives beta."""
     if n < 1:
         raise ValueError("n must be positive")
-    frob.validate(params.p)
+    frob.validate(params.p, require_q=True)
     ks = [witness_for(lam, params.p, n) for lam in lams]
     return [Padic(params.p, n, r) for r in coefficient_ratios(params, frob, ks, n, hat)]
 

@@ -101,6 +101,23 @@ class TestSuite:
         # the environment override wins over the file value n = 2
         assert [r["modulus"] for r in rows] == [1]
 
+    @pytest.mark.parametrize("source", ["env", "file"])
+    @pytest.mark.parametrize("key,value", [("out", ""), ("jobs", ""), ("jobs", "1 2"),
+                                           ("out", "a.jsonl b.jsonl")])
+    def test_single_value_key_needs_one_value(self, source, key, value, tmp_path, capsys,
+                                              monkeypatch):
+        # an empty value gives no value, and two are ambiguous: both exit 2
+        cfg = tmp_path / "suite.cfg"
+        text = "p: 3\na: 1/2\ncheck: braced\nn: 1\n"
+        if source == "env":
+            monkeypatch.setenv(f"PADIC_HG_{key.upper()}", value)
+        else:
+            text += f"{key}: {value}\n"
+        cfg.write_text(text)
+        code, out, err = run(["suite", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"config error: {key} takes one value, got {len(value.split())}\n"
+
     def test_jobs_parallel(self, capsys):
         code, out, _ = run(["suite", "--p", "3", "--a", "1/2", "2",
                             "--check", "dwork-transform", "--n", "1",
@@ -218,6 +235,10 @@ class TestInputErrors:
         ["suite", "--check", "dwork", "--out", "/nonexistent/dir/x.jsonl"],
         ["interp", "--a", "1/2", "--p", "3", "--c", "2", "--lam", "1", "2"],
         ["table", "--kind", "beta", "--a", "1/2", "--c", "2", "--p", "3", "--points", "1"],
+        # at p = 2 beta needs c in 1 + 4W; c = 3 is in 1 + 2W only
+        ["table", "--kind", "beta", "--a", "1/3", "--p", "2", "--c", "3", "--points", "2",
+         "--prec", "3"],
+        ["interp", "--a", "1/3", "--p", "2", "--c", "3", "--lam", "2", "--n", "3"],
     ])
     def test_exit_config_with_one_line(self, argv, capsys):
         code, _, err = run(argv, capsys)

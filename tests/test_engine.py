@@ -17,6 +17,7 @@ from padichg import (
     FrobeniusSpec,
     HGParams,
     NotDivisible,
+    PreconditionViolated,
     SIGMA,
     SIGMA_HAT,
     b0_constant,
@@ -94,9 +95,14 @@ class TestAgainstOracle:
     @given(cases(max_prec=4), st.sampled_from([Fraction(0), Fraction(1), Fraction(2),
                                                 Fraction(1, 2), Fraction(-3, 4)]),
            st.booleans())
+    @example((HGParams.create(Fraction(1, 3), 1, 2), FrobeniusSpec(3), 3), Fraction(2), False)
     def test_beta_and_beta_hat(self, case, lam, hat):
         P, frob, n = case
         if lam.denominator % P.p == 0:
+            return
+        if P.p == 2 and frob.c == 3:  # c = 1 + p is in 1 + 2W but not 1 + 4W
+            with pytest.raises(PreconditionViolated, match="not in 1 \\+ 4W"):
+                beta_at(lam, P, frob, n, hat=hat)
             return
         k = witness_for(lam, P.p, n)
         got = beta_at(lam, P, frob, n, hat=hat)
@@ -254,7 +260,7 @@ class TestNotDivisible:
 
         def corrupted(params, frob, ks, a_res, w, hat):
             nums = original(params, frob, ks, a_res, w, hat)
-            if not hat and len(ks) == count:  # the B table, not the B_0 witness
+            if not hat and len(ks) == count - 1:  # the B table k >= 1, not the B_0 witness
                 for i, k in enumerate(ks):
                     if k in bad:
                         nums[i] += 1  # the true numerator is divisible by p^{v_p(k)}
@@ -310,6 +316,16 @@ class TestGuards:
             b_coefficients(P, frob, count, prec)
         assert reduced(bhat_coefficients(P, frob, count, prec + 3)) == \
             bhat_coefficients(P, frob, count, prec)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cases(max_prec=5), st.lists(st.integers(1, 400), min_size=1, max_size=6),
+           st.booleans(), st.booleans())
+    def test_coefficient_ratios(self, case, ks, ascending, hat):
+        P, frob, prec = case
+        ks = sorted(ks + ks[:1]) if ascending else ks + ks[:1]  # with a repeat
+        deeper = hyper.coefficient_ratios(P, frob, ks, prec + 3, hat)
+        assert [r % P.p ** prec for r in deeper] == \
+            hyper.coefficient_ratios(P, frob, ks, prec, hat)
 
     @SLOW
     @given(cases(max_prec=3))
