@@ -101,20 +101,26 @@ class TestSuite:
         # the environment override wins over the file value n = 2
         assert [r["modulus"] for r in rows] == [1]
 
-    @pytest.mark.parametrize("source", ["env", "file"])
-    @pytest.mark.parametrize("key,value", [("out", ""), ("jobs", ""), ("jobs", "1 2"),
-                                           ("out", "a.jsonl b.jsonl")])
+    @pytest.mark.parametrize("key,value,source", [
+        *((key, value, source) for source in ("env", "file")
+          for key, value in [("out", ""), ("jobs", ""), ("jobs", "1 2"),
+                             ("out", "a.jsonl b.jsonl")]),
+        ("out", "", "flag"),
+    ])
     def test_single_value_key_needs_one_value(self, source, key, value, tmp_path, capsys,
                                               monkeypatch):
         # an empty value gives no value, and two are ambiguous: both exit 2
         cfg = tmp_path / "suite.cfg"
         text = "p: 3\na: 1/2\ncheck: braced\nn: 1\n"
+        flags = []
         if source == "env":
             monkeypatch.setenv(f"PADIC_HG_{key.upper()}", value)
-        else:
+        elif source == "file":
             text += f"{key}: {value}\n"
+        else:
+            flags = [f"--{key}", value]
         cfg.write_text(text)
-        code, out, err = run(["suite", "--config", str(cfg)], capsys)
+        code, out, err = run(["suite", "--config", str(cfg), *flags], capsys)
         assert code == EXIT_CONFIG and out == ""
         assert err == f"config error: {key} takes one value, got {len(value.split())}\n"
 
@@ -327,8 +333,10 @@ def _old_rendering(rows, fmt):
 class TestTableBytes:
     P = HGParams.create(Fraction(1, 2), 2, 3)
 
+    # one row, and the rows around one and two chunks of the writer
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("count", [1, 30])
+    @pytest.mark.parametrize("count", [1, 30, cli._ROWS - 1, cli._ROWS, cli._ROWS + 1,
+                                       2 * cli._ROWS + 1])
     @pytest.mark.parametrize("kind", ["A", "B", "Bhat"])
     def test_coefficient_table(self, kind, count, fmt, tmp_path, capsys):
         out = tmp_path / "table"
@@ -358,6 +366,17 @@ class TestTableBytes:
                 for v, b in zip(points, values)]
         assert code == EXIT_PASS
         assert out.read_bytes() == _old_rendering(rows, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_beta_table_keys_are_json_strings(self, fmt):
+        # keys with a slash and a sign, which argparse cannot pass as --points
+        lambdas = [Fraction(-7, 4), Fraction(1, 2), Fraction(-3), Fraction(0)]
+        buf = io.StringIO()
+        cli.emit_table("beta", self.P, Fraction(-2), 0, 4, fmt, buf, lambdas)
+        frob = FrobeniusSpec(Fraction(-2))
+        rows = [{"lambda": str(lam), "residue": b.residue, "prec": b.prec}
+                for lam in lambdas for b in [beta_at(lam, self.P, frob, 4)]]
+        assert buf.getvalue() == _old_rendering(rows, fmt)
 
     def test_beta_table_without_points_has_its_header(self, capsys):
         code, out, _ = run(["table", "--kind", "beta", "--a", "1/2", "--p", "3",

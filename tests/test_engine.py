@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 from unittest.mock import patch
 
 import pytest
@@ -197,11 +197,53 @@ def ratio_units_exact(a, p, ks, w):
 
 
 NO_JUMPS = 10 ** 9
+NO_GIANT_STEPS = 10 ** 9  # a _BSGS cut-off no class reaches
+
+
+@st.composite
+def progressions(draw):
+    """(start, step, count, p): steps prime to p of both signs, a start of
+    the sign of the step (so no term is zero), and counts whose classes mod
+    p are short, or straddle or pass the baby-step/giant-step cut-off."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    step = draw(st.integers(-60, 60).filter(lambda x: x % p))
+    cut = p * hyper._BSGS
+    count = draw(st.one_of(st.integers(0, 300), st.integers(cut - 2 * p, cut + 2 * p),
+                           st.integers(cut, 3 * cut)))
+    start = draw(st.integers(1, 10 ** 6)) * (1 if step > 0 else -1)
+    return start, step, count, p
+
+
+class TestProgression:
+    """The product of an arithmetic progression: each class mod p of a
+    long jump by baby and giant steps, against the chunked `math.prod`."""
+
+    @SLOW
+    @given(progressions(), st.integers(1, 40))
+    def test_baby_and_giant_steps_match_chunks(self, case, w):
+        with patch.object(hyper, "_BSGS", NO_GIANT_STEPS):
+            expect = hyper._progression(*case, w)
+        for cut in (0, hyper._BSGS):
+            with patch.object(hyper, "_BSGS", cut):
+                assert hyper._progression(*case, w) == expect
+        start, step, count, p = case
+        if count <= 300:
+            v, u = split_p(prod(range(start, start + count * step, step)), p)
+            assert expect == (u % p ** w, v)
+
+    @SLOW
+    @given(progressions(), st.integers(1, 37), st.sampled_from([0, hyper._BSGS]))
+    def test_raising_the_guard(self, case, w, cut):
+        with patch.object(hyper, "_BSGS", cut):
+            unit, v = hyper._progression(*case, w)
+            deeper, deeper_v = hyper._progression(*case, w + 3)
+        assert (deeper % case[3] ** w, deeper_v) == (unit, v)
 
 
 class TestWalk:
     """The ratio walk over sparse ascending ks, with every gap jumped (the
-    threshold at 0) and with none jumped."""
+    threshold at 0) and with none jumped, and every class of a jump taken
+    by baby and giant steps (the cut-off at 0) and none."""
 
     @patch.object(hyper, "_JUMP", 32)
     def test_runs_and_picks(self):
@@ -219,16 +261,18 @@ class TestWalk:
         expect = ratio_units_exact(P.a, P.p, ks, w)
         powers = embedded((coeff_exact(P, k) for k in ks), P.p, w)
         for jump in (0, NO_JUMPS):
-            with patch.object(hyper, "_JUMP", jump):
-                assert hyper._ratio_units(P.a, P.p, ks, w) == expect
-                assert hyper._a_residues(P, ks, w) == powers
+            for cut in (0, NO_GIANT_STEPS):
+                with patch.object(hyper, "_JUMP", jump), patch.object(hyper, "_BSGS", cut):
+                    assert hyper._ratio_units(P.a, P.p, ks, w) == expect
+                    assert hyper._a_residues(P, ks, w) == powers
 
     @SLOW
-    @given(walks(), st.integers(1, 9), st.sampled_from([0, hyper._JUMP, NO_JUMPS]))
-    def test_raising_the_guard(self, case, w, jump):
+    @given(walks(), st.integers(1, 9), st.sampled_from([0, hyper._JUMP, NO_JUMPS]),
+           st.sampled_from([0, NO_GIANT_STEPS]))
+    def test_raising_the_guard(self, case, w, jump, cut):
         P, ks = case
         m = P.p ** w
-        with patch.object(hyper, "_JUMP", jump):
+        with patch.object(hyper, "_JUMP", jump), patch.object(hyper, "_BSGS", cut):
             units, vals = hyper._ratio_units(P.a, P.p, ks, w)
             deeper, deeper_vals = hyper._ratio_units(P.a, P.p, ks, w + 3)
         assert [u % m for u in deeper] == units and deeper_vals == vals
@@ -247,6 +291,17 @@ class TestWalk:
         ks += ks[:1]
         got = hyper.coefficient_ratios(P, frob, ks, n, hat)
         assert got == [embed_rational(ratio_at(k, P, frob, n, hat), P.p, n).residue for k in ks]
+
+
+@pytest.mark.parametrize("hat,ks,message", [(False, [0, 1], "B needs k >= 1"),
+                                             (False, [2, -3], "B needs k >= 1"),
+                                             (True, [1, -1], "Bhat needs k >= 0")])
+def test_ratio_index_below_the_sequence_rejected(hat, ks, message):
+    # B is a quotient by D_k = k from k = 1 on (D_0 = 0), Bhat from k = 0 on
+    P = HGParams.create(Fraction(1, 2), 1, 3)
+    frob = FrobeniusSpec(Fraction(4), SIGMA_HAT if hat else SIGMA)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hyper.coefficient_ratios(P, frob, ks, 3, hat)
 
 
 class TestNotDivisible:
