@@ -2,8 +2,9 @@
 interpolation queries.
 
 The `suite` subcommand runs a Cartesian grid of congruence checks and
-writes a JSON-lines report; `table` emits coefficient or beta tables;
-`interp` evaluates the interpolated functions at chosen points.
+writes a JSON-lines report: each cell returns its report line, and one key
+table layers flag, environment and config file.  `table` emits coefficient
+or beta tables; `interp` evaluates the interpolated functions at chosen points.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Optional, Sequence, TextIO, Union
+from operator import itemgetter
+from typing import Optional, Sequence, TextIO
 
 from .padic import PadicError, PreconditionViolated, parse_rational
 from .hyper import (
@@ -97,16 +100,20 @@ class SuiteConfig:
             raise ConfigInvalid("a and c lists must be nonempty")
 
 
-def _cell_outcome(task: tuple) -> Union[CheckReport, str, None]:
-    """The cell's report; None when its checker raises PreconditionViolated
-    (the cell is skipped); any other error as one line of text."""
+def _cell_outcome(task: tuple) -> Optional[tuple[bool, bool, str]]:
+    """None when the cell's checker raises PreconditionViolated (the cell is
+    skipped); otherwise (error, passed, line), where line is the report's
+    JSON or, for any other exception, an error record."""
     check, p, a, s, n, c = task
     try:
-        return CHECKS[check][0](HGParams.create(a, s, p), c, n)
+        report = CHECKS[check][0](HGParams.create(a, s, p), c, n)
     except PreconditionViolated:
         return None
     except Exception as exc:  # noqa: BLE001 - recorded as an error cell
-        return f"{type(exc).__name__}: {exc}"
+        params = {"p": p, "a": str(a), "s": s, "n": n, "c": str(c)}
+        return True, False, json.dumps({"check": check, "params": params, "passed": False,
+                                        "error": f"{type(exc).__name__}: {exc}"}, sort_keys=True)
+    return False, report.passed, report.to_json()
 
 
 def _grid_cells(config: SuiteConfig) -> list[tuple]:
@@ -136,44 +143,20 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
             outcomes = list(pool.map(_cell_outcome, cells))
     else:
         outcomes = list(map(_cell_outcome, cells))
-    reports = [(t, o) for t, o in zip(cells, outcomes) if isinstance(o, CheckReport)]
-    errors = [(t, o) for t, o in zip(cells, outcomes) if isinstance(o, str)]
-    skipped = outcomes.count(None)
-
-    lines = [rep.to_json() for _, rep in reports]
-    for task, msg in errors:
-        lines.append(json.dumps({
-            "check": task[0],
-            "params": {"p": task[1], "a": str(task[2]), "s": task[3], "n": task[4],
-                       "c": str(task[5])},
-            "passed": False,
-            "error": msg,
-        }, sort_keys=True))
-
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        for line in lines:
-            stream.write(line + "\n")
-
-    failed = sum(1 for _, rep in reports if not rep.passed) + len(errors)
-    _summary(stream, config.checks, reports, errors, skipped)
-    return EXIT_PASS if failed == 0 else EXIT_FAIL
-
-
-def _summary(stream: TextIO, checks: Sequence[str],
-             reports: list[tuple[tuple, CheckReport]],
-             errors: list[tuple[tuple, str]], skipped: int) -> None:
+    # report lines first, then error lines, each in cell order
+    ran = sorted(((cell[0], *outcome) for cell, outcome in zip(cells, outcomes) if outcome),
+                 key=itemgetter(1))
+    out = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(stream)
+    with out as fh:
+        fh.write("".join(line + "\n" for *_, line in ran))
     stream.write(f"{'check':<18}{'pass':>6}{'fail':>6}\n")
-    for name in checks:
-        ok = sum(1 for t, r in reports if t[0] == name and r.passed)
-        bad = sum(1 for t, r in reports if t[0] == name and not r.passed)
-        bad += sum(1 for t, _ in errors if t[0] == name)
-        stream.write(f"{name:<18}{ok:>6}{bad:>6}\n")
+    for name in config.checks:
+        passed = [ok for check, _, ok, _ in ran if check == name]
+        stream.write(f"{name:<18}{sum(passed):>6}{len(passed) - sum(passed):>6}\n")
+    skipped = outcomes.count(None)
     if skipped:
         stream.write(f"skipped {skipped} incompatible grid cells\n")
+    return EXIT_FAIL if any(not ok for _, _, ok, _ in ran) else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -246,48 +229,40 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 _ENV_PREFIX = "PADIC_HG_"
 
-
-def _layered(key: str, cli_value, file_values: dict[str, str]):
-    """Precedence: explicit flag > environment > config file."""
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get(_ENV_PREFIX + key.upper().replace("-", "_"))
-    if env is not None:
-        return env.split()
-    if key in file_values:
-        return file_values[key].split()
-    return None
+# suite key -> (SuiteConfig field, cast of each value, takes exactly one value)
+_SUITE_KEYS = {
+    "p": ("p_list", int, False),
+    "n": ("n_list", int, False),
+    "a": ("a_list", parse_rational, False),
+    "s": ("s_list", int, False),
+    "c": ("c_list", parse_rational, False),
+    "check": ("checks", str, False),
+    "out": ("out", str, True),
+    "jobs": ("jobs", int, True),
+}
 
 
 def _build_suite_config(args: argparse.Namespace) -> SuiteConfig:
+    """Each key from its flag, else PADIC_HG_<KEY>, else the config file,
+    else the default.  Environment and file values are split on whitespace,
+    a flag never is; an empty value gives no values."""
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = SuiteConfig()
-
-    def pick(key, cli_value, cast, current):
-        got = _layered(key, cli_value, file_values)
-        if got is None:
-            return current
-        return [cast(v) for v in got]
-
-    cfg.p_list = pick("p", args.p, int, cfg.p_list)
-    cfg.n_list = pick("n", args.n, int, cfg.n_list)
-    cfg.a_list = pick("a", args.a, parse_rational, cfg.a_list)
-    cfg.s_list = pick("s", args.s, int, cfg.s_list)
-    cfg.c_list = pick("c", args.c, parse_rational, cfg.c_list)
-    cfg.checks = [str(v) for v in (pick("check", args.check, str, []) or [])]
-
-    def pick_one(key, cli_value, cast, current):
-        got = pick(key, cli_value, cast, None)
-        if got is None:
-            return current
-        if len(got) != 1:
-            raise ConfigInvalid(f"{key} takes one value, got {len(got)}")
-        return got[0]
-
-    # an empty --out is no value, as an empty PADIC_HG_OUT or out: line is
-    out_flag = None if args.out is None else [args.out] if args.out else []
-    cfg.out = pick_one("out", out_flag, str, cfg.out)
-    cfg.jobs = pick_one("jobs", None if args.jobs is None else [args.jobs], int, cfg.jobs)
+    for key, (attr, cast, single) in _SUITE_KEYS.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            got = flag if isinstance(flag, list) else [flag] if flag != "" else []
+        else:
+            text = os.environ.get(_ENV_PREFIX + key.upper(), file_values.get(key))
+            if text is None:
+                continue
+            got = text.split()
+        values = [cast(v) for v in got]
+        if single:
+            if len(values) != 1:
+                raise ConfigInvalid(f"{key} takes one value, got {len(values)}")
+            values = values[0]
+        setattr(cfg, attr, values)
     return cfg
 
 
@@ -343,34 +318,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "suite":
-            config = _build_suite_config(args)
-            return run_suite(config)
+            return run_suite(_build_suite_config(args))
         if args.command == "table":
             params = HGParams.create(parse_rational(args.a), args.s, args.p)
             lambdas = [parse_rational(v) for v in args.points]
-            stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-            try:
+            out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+            with out as stream:
                 emit_table(args.kind, params, parse_rational(args.c), args.count,
                            args.prec, args.format, stream, lambdas)
-            finally:
-                if args.out:
-                    stream.close()
             return EXIT_PASS
-        if args.command == "interp":
-            params = HGParams.create(parse_rational(args.a), args.s, args.p)
-            frob = FrobeniusSpec(parse_rational(args.c))
-            lambdas = [parse_rational(v) for v in args.lam]
-            values = beta_values(lambdas, params, frob, args.n, hat=args.hat)
-            _write_rows("lambda", lambdas, [v.residue for v in values], args.n, "json",
-                        sys.stdout)
-            return EXIT_PASS
+        # interp, the last of the three subcommands
+        params = HGParams.create(parse_rational(args.a), args.s, args.p)
+        frob = FrobeniusSpec(parse_rational(args.c))
+        lambdas = [parse_rational(v) for v in args.lam]
+        values = beta_values(lambdas, params, frob, args.n, hat=args.hat)
+        _write_rows("lambda", lambdas, [v.residue for v in values], args.n, "json", sys.stdout)
+        return EXIT_PASS
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, KeyError, PadicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

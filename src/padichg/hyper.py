@@ -116,13 +116,11 @@ class FrobeniusSpec:
         return self.c if self.direction == SIGMA else 1 / self.c
 
     def validate(self, p: int, *, require_q: bool = False) -> None:
-        for val in (self.c, self.c_eff):
-            if val != 1:
-                v = vp(val - 1, p)
-                need = 2 if (require_q and p == 2) else 1
-                if v is None or v < need:
-                    depth = 4 if need == 2 else p
-                    raise PreconditionViolated(f"c = {self.c} is not in 1 + {depth}W")
+        """c in 1 + pW, or 1 + 4W at p = 2 when require_q.  Then c is a unit
+        and v_p(1/c - 1) = v_p(c - 1), so c_eff is in the same set."""
+        need = 2 if (require_q and p == 2) else 1
+        if self.c != 1 and vp(self.c - 1, p) < need:
+            raise PreconditionViolated(f"c = {self.c} is not in 1 + {4 if need == 2 else p}W")
 
 
 def twist_pair(c: Rational) -> tuple[FrobeniusSpec, FrobeniusSpec]:

@@ -64,8 +64,11 @@ def check_prime(p: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n/d" or "n" into a Fraction."""
-    return Fraction(str(text).strip())
+    """Parse "n/d" or "n" into a Fraction; a zero denominator is a ValueError."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def vp(x: Rational, p: int) -> Optional[int]:
@@ -73,16 +76,7 @@ def vp(x: Rational, p: int) -> Optional[int]:
     x = Fraction(x)
     if x == 0:
         return None
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return split_p(x.numerator, p)[0] - split_p(x.denominator, p)[0]
 
 
 def split_p(x: int, p: int) -> tuple[int, int]:

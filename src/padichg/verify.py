@@ -178,27 +178,17 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     rhs = c[::-1] + [0] * (p - 1)
     info = _params_dict(params, n=n, l=l)
 
-    sign = None
-    for d in range(deg + 1):
-        if lhs[d] % p or rhs[d] % p:
-            if (lhs[d] - rhs[d]) % q == 0:
-                sign = 1
-            elif (lhs[d] + rhs[d]) % q == 0:
-                sign = -1
-            else:
-                return CheckReport(check="dwork-transform", params=info, passed=False,
-                                   modulus=n,
-                                   first_failure={"index": d, "left": lhs[d], "right": rhs[d]})
-            break
-    if sign is None:
+    d = next((d for d in range(deg + 1) if lhs[d] % p or rhs[d] % p), None)
+    if d is None:
         raise NoUnitCoefficient("all compared coefficients vanish mod p")
-
-    for d in range(deg + 1):
-        if (lhs[d] - sign * rhs[d]) % q:
-            return CheckReport(check="dwork-transform", params=info, passed=False,
-                               modulus=n, sign=sign,
-                               first_failure={"index": d, "left": lhs[d],
-                                              "right": (sign * rhs[d]) % q})
+    sign = next((e for e in (1, -1) if (lhs[d] - e * rhs[d]) % q == 0), None)
+    if sign is None:
+        failure = {"index": d, "left": lhs[d], "right": rhs[d]}
+    else:
+        failure = _first_mismatch(lhs, [sign * r for r in rhs], q)
+    if failure:
+        return CheckReport(check="dwork-transform", params=info, passed=False,
+                           modulus=n, sign=sign, first_failure=failure)
     # At p = 2 the reported sign is the +- prefactor of the transformation
     # formula itself: the fitted cross-multiplied sign differs from it by
     # (-1)^{sl}, which is what the fit absorbs for odd p.

@@ -101,6 +101,28 @@ class TestSuite:
         # the environment override wins over the file value n = 2
         assert [r["modulus"] for r in rows] == [1]
 
+        # flag > environment > file, for a list key and a single-value key
+        cfg.write_text("check: braced\njobs: 3\n")
+
+        def resolved(*flags):
+            got = cli._build_suite_config(
+                build_parser().parse_args(["suite", "--config", str(cfg), *flags]))
+            return got.checks, got.jobs
+
+        assert resolved() == (["braced"], 3)
+        monkeypatch.setenv("PADIC_HG_CHECK", "dwork log")
+        monkeypatch.setenv("PADIC_HG_JOBS", "2")
+        assert resolved() == (["dwork", "log"], 2)
+        assert resolved("--check", "hat", "--jobs", "1") == (["hat"], 1)
+
+        # a flag is never split on spaces: the report goes to one path
+        path = tmp_path / "my report.jsonl"
+        code, out, _ = run(["suite", "--config", str(cfg), "--check", "braced",
+                            "--jobs", "1", "--out", str(path)], capsys)
+        assert code == EXIT_PASS and not out.startswith("{")
+        assert [json.loads(l)["check"] for l in path.read_text().splitlines()] == ["braced"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["my report.jsonl", "suite.cfg"]
+
     @pytest.mark.parametrize("key,value,source", [
         *((key, value, source) for source in ("env", "file")
           for key, value in [("out", ""), ("jobs", ""), ("jobs", "1 2"),
@@ -245,9 +267,28 @@ class TestInputErrors:
         ["table", "--kind", "beta", "--a", "1/3", "--p", "2", "--c", "3", "--points", "2",
          "--prec", "3"],
         ["interp", "--a", "1/3", "--p", "2", "--c", "3", "--lam", "2", "--n", "3"],
+        # a zero denominator from a flag, the config file {cfg} or the
+        # environment (a leading dict)
+        ["suite", "--check", "dwork", "--a", "1/0"],
+        ["suite", "--check", "log", "--c", "1/0"],
+        ["suite", "--config", "{cfg}"],
+        [{"PADIC_HG_A": "1/0"}, "suite", "--check", "dwork"],
+        ["table", "--kind", "A", "--a", "1/0", "--p", "3"],
+        ["table", "--kind", "B", "--a", "1/2", "--p", "3", "--c", "1/0"],
+        ["table", "--kind", "beta", "--a", "1/2", "--p", "3", "--c", "4", "--points", "1/0"],
+        ["interp", "--a", "1/2", "--p", "3", "--lam", "1/0"],
+        ["interp", "--a", "1/2", "--p", "3", "--c", "1/0", "--lam", "1"],
+        # c = 0 on the hat side is rejected before 1/c is formed
+        ["table", "--kind", "Bhat", "--a", "1/2", "--p", "3", "--c", "0"],
     ])
-    def test_exit_config_with_one_line(self, argv, capsys):
-        code, _, err = run(argv, capsys)
+    def test_exit_config_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        if isinstance(argv[0], dict):
+            for name, value in argv[0].items():
+                monkeypatch.setenv(name, value)
+            argv = argv[1:]
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("check: dwork\na: 1/0\n")
+        code, _, err = run([arg.format(cfg=cfg) for arg in argv], capsys)
         assert code == EXIT_CONFIG
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

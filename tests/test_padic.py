@@ -306,6 +306,8 @@ class TestMisc:
     def test_parse_rational(self):
         assert parse_rational("3/4") == Fraction(3, 4)
         assert parse_rational(" -2 ") == Fraction(-2)
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse_rational("1/0")
 
     def test_str_and_digits(self):
         x = Padic(3, 3, 14)

@@ -587,6 +587,12 @@ class TestTwistValidation:
         with pytest.raises(PreconditionViolated, match=r"c = 2 is not in 1 \+ 3W"):
             call(params(Fraction(1, 2)), Fraction(2))
 
+    def test_zero_c_on_the_hat_side_rejected(self):
+        # c = 0 is checked before 1/c is formed
+        with pytest.raises(PreconditionViolated, match=r"c = 0 is not in 1 \+ 3W"):
+            check_congruence_relation("hat", params(Fraction(1, 2)),
+                                      FrobeniusSpec(0, SIGMA_HAT), 1)
+
 
 class TestHatSideTwistAtTwo:
     """Bhat, beta-hat and the main congruence need c in 1 + 4W at p = 2.
