@@ -98,6 +98,11 @@ class SuiteConfig:
             raise ConfigInvalid("jobs must be positive")
         if not self.a_list or not self.c_list:
             raise ConfigInvalid("a and c lists must be nonempty")
+        for key, (attr, _, single) in _SUITE_KEYS.items():
+            values = () if single else getattr(self, attr)
+            for i, value in enumerate(values):
+                if value in values[:i]:  # the same cells twice
+                    raise ConfigInvalid(f"repeated {key} value {value}")
 
 
 def _cell_outcome(task: tuple) -> Optional[tuple[bool, bool, str]]:
@@ -156,6 +161,9 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
     skipped = outcomes.count(None)
     if skipped:
         stream.write(f"skipped {skipped} incompatible grid cells\n")
+    if skipped == len(cells):  # nothing was checked
+        print("config error: no grid cell meets its check's hypotheses", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_FAIL if any(not ok for _, _, ok, _ in ran) else EXIT_PASS
 
 

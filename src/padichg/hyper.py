@@ -8,22 +8,24 @@ as a list of ints, lowest degree first: the series F (`hg_series`), G
 
 The coefficients are p-integral, so each is fixed by a unit mod p^w and an
 exact valuation.  A_k walks the recurrence (a+k-1)/k with the p-parts
-split off exactly.  B_k, Bhat_k and the ratios B_k/A_k and Bhat_k/A_k
-are exact quotients from one routine (`_quotients`): it splits each
-divisor once, reads a guard precision w off the valuations, forms the
-numerators mod p^w and divides exactly; the walk and the divisions each
-take one modular inversion per call.  The walk visits only the
-wanted indices: a dense table steps through every k, while the ratios
-B_k/A_k and Bhat_k/A_k at a few witnesses (beta, B_0) multiply each long
-gap in at once as a product of an arithmetic progression, so their
-memory grows with the number of witnesses, not with their size.  Each
-long class mod p of such a product is a baby-step/giant-step product:
-one polynomial over a block of p^e terms, truncated at the degree past
-which the giant steps vanish mod p^w, evaluated at every block.  A gap
-of J indices then costs about sqrt(J) Python steps times a small
-degree.  The twist c^{a'} of Bhat is one modular power.  Tables
-are built per call; nothing is cached.  No coefficient is formed as an
-exact rational: the exact routes to A_k, B_k and Bhat_k are test oracles.
+split off exactly.  B_k, Bhat_k and their ratios to A_k are exact
+quotients from `_quotients`, which serves all the tables of a check in one
+call: it splits each divisor once, reads one guard precision w off the
+valuations of all its requests, walks each Dwork level once over the union
+of their indices, forms the numerators mod p^w and divides exactly, with
+one modular inversion for the walk and one per request for the divisions.
+The walk visits only the wanted indices: a dense table steps through every
+k, while the ratios B_k/A_k and Bhat_k/A_k at a few witnesses (beta, B_0)
+multiply each long gap in at once as a product of an arithmetic
+progression, so their memory grows with the number of witnesses, not with
+their size.  Each long class mod p of such a product is a
+baby-step/giant-step product: one polynomial over a block of p^e terms,
+truncated at the degree past which the giant steps vanish mod p^w,
+evaluated at every block.  A gap of J indices then costs about sqrt(J)
+Python steps times a small degree.  The twist c^{a'} of Bhat is one
+modular power.  Tables are built per call; nothing is cached.  No
+coefficient is formed as an exact rational: the exact routes to A_k, B_k
+and Bhat_k are test oracles.
 """
 
 from __future__ import annotations
@@ -298,40 +300,38 @@ def _a_residues(params: HGParams, ks: Sequence[int], w: int, level: int = 0) -> 
     return _powers(units, vals, params.s, params.p, w)
 
 
+def _hits(ks: Sequence[int], start: int, p: int) -> Sequence[int]:
+    """The positions i of ascending ks with ks[i] ≡ start mod p."""
+    if ks and ks[-1] - ks[0] == len(ks) - 1:  # ks has every index in its span
+        return range((start - ks[0]) % p, len(ks), p)
+    return [i for i, k in enumerate(ks) if k % p == start]
+
+
 def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res: list[int],
-                w: int, hat: bool) -> list[int]:
+                a1: dict[int, int], w: int, hat: bool) -> list[int]:
     """k·B_k (or (k+a)·Bhat_k with hat=True) mod p^w at each k in ks
-    (ascending), given the A_k residues mod p^w at ks.
+    (ascending), given the A_k residues mod p^w at ks and a1, which maps
+    each j read to A^{(1)}_j mod p^w.
 
     B: A_k - c^{k/p} A^{(1)}_{k/p} at p | k.  Bhat: A_k - (-1)^{se}
     c^{(k+a)/p} A^{(1)}_j at k = l + jp, where c^{(k+a)/p} = c^{a^{(1)}} c^j,
     so the one fractional power is taken once per call.  It is exact as an
     integer power: c^{p^{w-1}} ≡ 1 mod p^w for c ≡ 1 mod p (and for every
     odd c at p = 2), so c^{a^{(1)}} ≡ c^e mod p^w for any e ≡ a^{(1)} mod
-    p^{w-1}.  A^{(1)} is walked at those j only, and c^j is carried across
-    the gaps between them."""
+    p^{w-1}.  c^j is carried across the gaps between the j."""
     p = params.p
     m = p ** w
-    start = params.l if hat else 0  # the k = start + jp, start < p
     out = list(a_res)
-    if not ks:
-        return out
-    if ks[-1] - ks[0] == len(ks) - 1:  # ks has every index in its span
-        hits = range((start - ks[0]) % p, len(ks), p)
-    else:
-        hits = [i for i, k in enumerate(ks) if k % p == start]
-    if not hits:
-        return out
     c = _residue(frob.c_eff, p, m)
     factor = 1
     if hat:
         factor = params.sign_se() * pow(c, _residue(params.chain.a_at(1), p, m // p), m)
-    js = [ks[i] // p for i in hits]
     j_prev = 0
-    for i, j, x in zip(hits, js, _a_residues(params, js, w, level=1)):
+    for i in _hits(ks, params.l if hat else 0, p):
+        j = ks[i] // p
         factor = factor * pow(c, j - j_prev, m) % m
         j_prev = j
-        out[i] = (out[i] - factor * x) % m
+        out[i] = (out[i] - factor * a1[j]) % m
     return out
 
 
@@ -347,58 +347,97 @@ def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[i
     return _a_residues(params, range(order), prec, level)
 
 
-def _quotients(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], prec: int,
-               hat: bool, ratio: bool) -> list[int]:
-    """B_k (Bhat_k with hat=True) mod p^prec at each k in ks, divided by A_k
-    as well with ratio=True; ks in any order, repeats allowed, k >= 1 for B.
+def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[list[int]]:
+    """The residues mod p^prec of each request (kind, frob, ks), in order.
+    Kind "A" gives A_k (frob None); "B" and "Bhat" give B_k and Bhat_k
+    along frob, "B/A" and "Bhat/A" divide them by A_k, and "G" gives B_k
+    for ks = range(count) with B_0 (`b0_constant`) at k = 0.  ks in any
+    order, repeats allowed, k >= 1 for B.
 
     With a = n/d and N_k from `_numerators`, B_k = N_k/D_k with D_k = k,
-    and Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each distinct k is split
-    once, D_k = p^v u; dividing by A_k as well adds s·v_p(A_k) to v
-    (`ratio_valuations`) and the s-th power of the walk's unit to u.  The
-    numerators are formed mod p^w, w = prec + the largest v, and divided
-    exactly by p^v in ks order: the first k whose quotient is not
-    p-integral raises NotDivisible.  The unit parts are inverted through
-    one modular inversion of their product, walking back over the prefix
-    products, and d enters with that inverse."""
+    and Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each distinct k of a
+    request is split once, D_k = p^v u; dividing by A_k as well adds
+    s·v_p(A_k) to v (`ratio_valuations`) and the s-th power of the walk's
+    unit to u.  One guard w = prec + the largest v serves every request, as
+    a unit mod p^w reduces exactly to any lower precision: (a)_k/k! is
+    walked once over the union of the ks, and A^{(1)} once over the union
+    of the j the numerators read.  The requests are divided exactly by p^v
+    in order, each in its ks order: the first k whose quotient is not
+    p-integral raises NotDivisible.  The unit parts of a request are
+    inverted through one modular inversion of their product, walking back
+    over the prefix products, and d enters with that inverse."""
     if prec < 1:
         raise ValueError("precision must be positive")
-    frob.validate(params.p)
     p, s, a = params.p, params.s, params.a
-    n, d = (a.numerator, a.denominator) if hat else (0, 1)
-    wanted = sorted(set(ks))
-    if wanted and wanted[0] < (0 if hat else 1):
-        raise ValueError("Bhat needs k >= 0" if hat else "B needs k >= 1")
-    units = [k * d + n for k in wanted]  # D_k, then its unit part
-    vals = [0] * len(units)
-    for i, dk in enumerate(units):
-        if dk % p == 0:
-            vals[i], units[i] = split_p(dk, p)
-    if ratio:
-        vals = [v + s * va for v, va in zip(vals, ratio_valuations(a, p, wanted))]
-    w = prec + max(vals, default=0)
-    a_units, a_vals = _ratio_units(a, p, wanted, w)
-    nums = _numerators(params, frob, wanted, _powers(a_units, a_vals, s, p, w), w, hat)
+    parts = []  # the requests as divided: G is B_0, B/A at its witness, then B
+    for kind, frob, ks in requests:
+        if kind == "G":
+            top = prec + 1 if p == 2 and vp(frob.c - 1, p) == 1 else prec
+            parts += [("B/A", frob, [p ** top]), ("B", frob, ks[1:])]
+        else:
+            parts.append((kind, frob, ks))
+    plans = []  # (kind, hat, frob, ks, the distinct ks ascending, their v, their u)
+    w, reads = prec, set()  # the guard; the j at which the numerators read A^{(1)}
+    for kind, frob, ks in parts:
+        hat = kind.startswith("Bhat")
+        wanted = ks if isinstance(ks, range) and ks.step == 1 else sorted(set(ks))
+        vals, units = [0] * len(wanted), [1] * len(wanted)
+        if kind != "A":
+            frob.validate(p)
+            if wanted and wanted[0] < (0 if hat else 1):
+                raise ValueError("Bhat needs k >= 0" if hat else "B needs k >= 1")
+            n, d = (a.numerator, a.denominator) if hat else (0, 1)
+            units = [k * d + n for k in wanted]  # D_k, then its unit part
+            for i, dk in enumerate(units):
+                if dk % p == 0:
+                    vals[i], units[i] = split_p(dk, p)
+            if kind.endswith("/A"):
+                vals = [v + s * va for v, va in zip(vals, ratio_valuations(a, p, wanted))]
+            reads.update(wanted[i] // p for i in _hits(wanted, params.l if hat else 0, p))
+        plans.append((kind, hat, frob, ks, wanted, vals, units))
+        w = max(w, prec + max(vals, default=0))
+    union = sorted(set().union(*(plan[4] for plan in plans)))
+    if union and union[-1] - union[0] == len(union) - 1:  # no gap: hold no list
+        union = range(union[0], union[-1] + 1)
+    a_units, a_vals = _ratio_units(a, p, union, w)
+    a_res = _powers(a_units, a_vals, s, p, w)
+    js = sorted(reads)
+    a1 = dict(zip(js, _a_residues(params, js, w, level=1)))
     m = p ** prec
-    if ratio:
-        units = [u * pow(ua, s, m) % m for u, ua in zip(units, a_units)]
-    if wanted != list(ks):  # back to ks order
-        at = [bisect_left(wanted, k) for k in ks]
-        nums, vals, units = ([x[i] for i in at] for x in (nums, vals, units))
-    quots = []
-    acc = 1  # the product of the unit parts before entry j
-    for num, v, u in zip(nums, vals, units):
-        if v:
-            num, r = divmod(num, p ** v)
-            if r:
-                raise NotDivisible(f"numerator not divisible by {p}^{v}")
-        quots.append(num * acc % m)
-        acc = acc * u % m
-    inv = pow(acc, -1, m) * d % m  # d/(the product of the unit parts up to entry j)
-    for j in range(len(quots) - 1, -1, -1):
-        quots[j] = quots[j] * inv % m
-        inv = inv * units[j] % m
-    return quots
+    out = []
+    for kind, hat, frob, ks, wanted, vals, units in plans:
+        lo = bisect_left(union, wanted[0]) if wanted else 0
+        at = range(lo, lo + len(wanted))  # the place of each wanted k in the union
+        if wanted and union[at[-1]] != wanted[-1]:  # not one slice of the union
+            at = [bisect_left(union, k) for k in wanted]
+        nums = [a_res[i] for i in at]
+        if kind != "A":
+            nums = _numerators(params, frob, wanted, nums, a1, w, hat)
+        if kind.endswith("/A"):
+            units = [u * pow(a_units[i], s, m) % m for u, i in zip(units, at)]
+        if wanted is not ks and wanted != list(ks):  # back to ks order
+            back = [bisect_left(wanted, k) for k in ks]
+            nums, vals, units = ([x[i] for i in back] for x in (nums, vals, units))
+        if kind == "A":
+            out.append([x % m for x in nums])
+            continue
+        quots = []
+        acc = 1  # the product of the unit parts before entry j
+        for num, v, u in zip(nums, vals, units):
+            if v:
+                num, r = divmod(num, p ** v)
+                if r:
+                    raise NotDivisible(f"numerator not divisible by {p}^{v}")
+            quots.append(num * acc % m)
+            acc = acc * u % m
+        inv = pow(acc, -1, m) * (a.denominator if hat else 1) % m  # d/(the unit product to j)
+        for j in range(len(quots) - 1, -1, -1):
+            quots[j] = quots[j] * inv % m
+            inv = inv * units[j] % m
+        out.append(quots)
+    tables = iter(out)  # G joins B_0 and B
+    return [(next(tables) + next(tables))[:len(ks)] if kind == "G" else next(tables)
+            for kind, _, ks in requests]
 
 
 def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], n: int,
@@ -406,7 +445,7 @@ def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int],
     """B_k/A_k (Bhat_k/A_k with hat=True) mod p^n at each k >= 1 in ks.
     A_k and A^{(1)} are walked at the distinct ks (and the j they read)
     only, so no list grows with the size of the ks."""
-    return _quotients(params, frob, ks, n, hat, ratio=True)
+    return _quotients(params, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]
 
 
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
@@ -418,21 +457,18 @@ def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:
     function of k mod 2^N (k and k + 3·2^N differ at k ≡ 2 mod 4), and
     B_2/A_2 is not B_0 mod 2; the witness there is 2^{N+1}, past which
     every 2^M gives the same residue."""
-    p = params.p
-    top = prec + 1 if p == 2 and vp(frob.c - 1, p) == 1 else prec
-    return Padic(p, prec, coefficient_ratios(params, frob, [p ** top], prec)[0])
+    return Padic(params.p, prec, _quotients(params, [("G", frob, [0])], prec)[0][0])
 
 
 def b_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> list[int]:
     """G: B_k for k < count; index 0 is the interpolated constant term.
     A numerator not divisible by p^{v_p(k)} raises NotDivisible."""
-    b0 = b0_constant(params, frob, prec).residue
-    return [b0, *_quotients(params, frob, range(1, count), prec, hat=False, ratio=False)][:count]
+    return _quotients(params, [("G", frob, range(count))], prec)[0]
 
 
 def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: int) -> list[int]:
     """Ghat: Bhat_k for k < count via the closed coefficient formula."""
-    return _quotients(params, frob, range(count), prec, hat=True, ratio=False)
+    return _quotients(params, [("Bhat", frob, range(count))], prec)[0]
 
 
 def compute_h(params: HGParams, prec: int) -> TruncSeries:

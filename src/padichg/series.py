@@ -2,13 +2,17 @@
 
 A series is a residue list: ints mod p^prec, lowest degree first, one
 precision for the whole series.  Every product goes through `polymul`,
-a Kronecker-substitution kernel.  `TruncSeries` carries p and the
-precision with the residues; it is the value type of the polynomial h.
+a Kronecker-substitution kernel that packs slots of up to 8 bytes in C.
+`TruncSeries` carries p and the precision with the residues; it is the
+value type of the polynomial h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mod
+from struct import pack, unpack
 from typing import Sequence
 
 from .padic import Padic
@@ -20,20 +24,31 @@ def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> lis
     a and b hold residues in [0, modulus), lowest degree first.  Kronecker
     substitution: each vector is packed into one integer at a byte-aligned
     slot wide enough for any coefficient of the exact product, the two
-    integers are multiplied once, and the product is unpacked by slicing
-    its bytes."""
+    integers are multiplied once, and the product is unpacked slot by slot,
+    in C through little-endian 8-byte words and strided byte slices when a
+    slot fits in a word."""
     a, b = a[:n_out], b[:n_out]
     if not a or not b:
         return [0] * n_out
     width = ((modulus - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
-
-    def pack(v: Sequence[int]) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in v), "little")
-
-    slots = min(len(a) + len(b) - 1, n_out)
-    raw = (pack(a) * pack(b)).to_bytes((len(a) + len(b) - 1) * width, "little")
-    out = [int.from_bytes(raw[i:i + width], "little") % modulus
-           for i in range(0, slots * width, width)]
+    size, cut = len(a) + len(b) - 1, len(a) * width
+    slots = min(size, n_out)
+    if width > 8:
+        buf = b"".join(r.to_bytes(width, "little") for v in (a, b) for r in v)
+    else:
+        words, buf = pack(f"<{size + 1}Q", *a, *b), bytearray((size + 1) * width)
+        for j in range(width):
+            buf[j::width] = words[j::8]
+    x, y = int.from_bytes(buf[:cut], "little"), int.from_bytes(buf[cut:], "little")
+    raw = (x * y).to_bytes(size * width, "little")
+    if width > 8:
+        out = [int.from_bytes(raw[i:i + width], "little") % modulus
+               for i in range(0, slots * width, width)]
+    else:
+        words = bytearray(8 * slots)
+        for j in range(width):
+            words[j::8] = raw[j:slots * width:width]
+        out = list(map(mod, unpack(f"<{slots}Q", words), repeat(modulus)))
     return out + [0] * (n_out - slots)
 
 

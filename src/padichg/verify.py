@@ -11,9 +11,11 @@ HGParams, c in 1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check
 that reads the hatted side.  The suite runner skips the cells whose
 checker raises it.
 Congruences are decided on residues, every product goes through
-`polymul`, and a single-cell checker shares its sweep's helper.  The
-braced sweep decides its pairs class by class mod p^n; the exact ratio
-identity is decided on integers (`interp.ratio_identity_holds`).
+`polymul`, and a single-cell checker shares its sweep's helper.  A check
+of B, Bhat or their ratios to A takes all its tables from one
+`_quotients` call, one walk per Dwork level.  The braced sweep decides
+its pairs class by class mod p^n; the exact ratio identity is decided on
+integers (`interp.ratio_identity_holds`).
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from .hyper import (
     SIGMA_HAT,
     FrobeniusSpec,
     HGParams,
-    b_coefficients,
-    bhat_coefficients,
-    coefficient_ratios,
+    _quotients,
     hg_series,
     twist_pair,
 )
-from .interp import beta_values, ratio_identity_holds
+from .interp import ratio_identity_holds, witness_for
 
 
 class NoUnitCoefficient(PadicError):
@@ -128,13 +128,12 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
 
     # D(t) = g(t^step): g = F^{(1)} at step p for "dwork", g = F at step 1
-    f = hg_series(params, M, n)
     if kind == "dwork":
-        num, step, g = f, p, hg_series(params, ceil(M / p), n, level=1)
-    elif kind == "log":
-        num, step, g = b_coefficients(params, frob, M, n), 1, f
+        num, step, g = hg_series(params, M, n), p, hg_series(params, ceil(M / p), n, level=1)
     else:
-        num, step, g = bhat_coefficients(params, frob, M, n), 1, f
+        step = 1
+        g, num = _quotients(params, [("A", None, range(M)),
+                                     ("G" if kind == "log" else "Bhat", frob, range(M))], n)
 
     cut = pn // step  # [D] = g[:cut](t^step)
     lhs = polymul_spread(num[pn:], g[:cut], step, pn, M - pn)
@@ -268,19 +267,22 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
 
 def _beta_pairings(params: HGParams, frob_pair: tuple[FrobeniusSpec, FrobeniusSpec], n: int,
                    lambdas: Sequence[Rational]) -> Iterator[CheckReport]:
-    """The pairing report at each lambda in turn; the values of each
-    direction come from one `beta_values` call.  beta-hat needs c in
-    1 + qW."""
+    """The pairing report at each lambda in turn; beta_lambda and
+    beta-hat_{-lambda-a} are B_k/A_k and Bhat_k/A_k at their witnesses
+    (`witness_for`), from one `_quotients` call.  Both need c in 1 + qW."""
     _require_modulus(n)
     frob, frob_hat = frob_pair
-    frob.validate(params.p, require_q=True)
+    p = params.p
+    for fr in frob_pair:
+        fr.validate(p, require_q=True)
     lambdas = [Fraction(lam) for lam in lambdas]
-    betas = beta_values(lambdas, params, frob, n)
-    beta_hats = beta_values([-lam - params.a for lam in lambdas], params, frob_hat, n, hat=True)
+    ks = [witness_for(lam, p, n) for lam in lambdas]
+    ks_hat = [witness_for(-lam - params.a, p, n) for lam in lambdas]
+    betas, beta_hats = _quotients(params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks_hat)], n)
     for lam, b, bh in zip(lambdas, betas, beta_hats):
-        ok = (b + bh).residue == 0
+        ok = (b + bh) % p ** n == 0
         info = _params_dict(params, n=n, c=frob.c, lam=lam)
-        fail = None if ok else {"beta": str(b), "beta_hat": str(bh)}
+        fail = None if ok else {"beta": f"{b} mod {p}^{n}", "beta_hat": f"{bh} mod {p}^{n}"}
         yield CheckReport(check="beta-pairing", params=info, passed=ok, modulus=n,
                           first_failure=fail)
 
@@ -379,9 +381,8 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     frob, frob_hat = twist_pair(c)
     frob.validate(params.p, require_q=True)
     q = params.p ** n
-    a = hg_series(params, q, n)
-    b = b_coefficients(params, frob, q, n)
-    bhat = bhat_coefficients(params, frob_hat, q, n)
+    a, b, bhat = _quotients(params, [("A", None, range(q)), ("G", frob, range(q)),
+                                     ("Bhat", frob_hat, range(q))], n)
     info = _params_dict(params, n=n, c=Fraction(c))
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
     left = polymul(b, a[::-1], q, 2 * q - 1)
@@ -425,8 +426,8 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
     if not lows:
         raise PreconditionViolated(f"k_max = {k_max} leaves no pair k, k + {pn} to compare")
     ks = [*lows, *(k + pn for k in lows)]
-    ratios = {hat: dict(zip(ks, coefficient_ratios(params, fr, ks, n, hat)))
-              for hat, fr in ((False, frob), (True, frob_hat))}
+    both = _quotients(params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks)], n)
+    ratios = {hat: dict(zip(ks, r)) for hat, r in zip((False, True), both)}
     for k in lows:
         for hat in (False, True):
             left, right = ratios[hat][k], ratios[hat][k + pn]
@@ -449,8 +450,7 @@ def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
     count = 2 * params.p ** n + 1
     info = _params_dict(params, n=n, c=Fraction(c))
     try:
-        b_coefficients(params, frob, count, n)
-        bhat_coefficients(params, frob_hat, count, n)
+        _quotients(params, [("G", frob, range(count)), ("Bhat", frob_hat, range(count))], n)
     except PadicError as exc:
         return CheckReport(check="integrality", params=info, passed=False, modulus=n,
                            first_failure={"error": str(exc)})

@@ -411,14 +411,12 @@ def congruence_relation_full(kind: str, params, frob, n: int, M: Optional[int] =
     n_eff = n - 1 if kind == "log" and p == 2 and vp(frob.c - 1, p) == 1 else n
     if n_eff < 1:
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
-    f = verify.hg_series(params, M, n)
     if kind == "dwork":
-        num, den = f, [0] * M
+        num, den = verify.hg_series(params, M, n), [0] * M
         den[::p] = verify.hg_series(params, ceil(M / p), n, level=1)
-    elif kind == "log":
-        num, den = verify.b_coefficients(params, frob, M, n), f
     else:
-        num, den = verify.bhat_coefficients(params, frob, M, n), f
+        den, num = verify._quotients(params, [("A", None, range(M)),
+                                              ("G" if kind == "log" else "Bhat", frob, range(M))], n)
     lhs = polymul(num, den[:pn], pn, M)
     rhs = polymul(den, num[:pn], pn, M)
     fail = verify._first_mismatch(lhs, rhs, p ** n_eff)

@@ -200,11 +200,34 @@ class TestSuite:
         assert "skipped 1 incompatible grid cells" in out
 
     def test_skip_count_is_per_cell(self, capsys):
-        # a = 1/3 is inadmissible at p = 3: one skipped cell per n
-        code, out, _ = run(["suite", "--p", "3", "--a", "1/3", "--n", "1", "2",
+        # a = 1/3 is inadmissible at p = 3: one skipped cell per n; the
+        # cells at p = 5 run
+        code, out, _ = run(["suite", "--p", "3", "5", "--a", "1/3", "--n", "1", "2",
                             "--check", "dwork"], capsys)
         assert code == EXIT_PASS
         assert "skipped 2 incompatible grid cells" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_every_cell_skipped_is_a_config_error(self, jobs, capsys):
+        # a = 1/2 is inadmissible at p = 2: the only cell checks nothing
+        code, out, err = run(["suite", "--check", "dwork", "--p", "2", "--a", "1/2",
+                              "--n", "1", "2", "--jobs", jobs], capsys)
+        assert code == EXIT_CONFIG
+        assert out == (f"{'check':<18}{'pass':>6}{'fail':>6}\n{'dwork':<18}{0:>6}{0:>6}\n"
+                       "skipped 2 incompatible grid cells\n")
+        assert err == "config error: no grid cell meets its check's hypotheses\n"
+
+    def test_repeated_value_runs_no_cell(self, capsys, monkeypatch):
+        # one cell four times over would write four identical lines
+        ran = []
+        monkeypatch.setattr(cli, "_cell_outcome", ran.append)
+        code, out, err = run(["suite", "--check", "dwork", "dwork", "--p", "3", "3",
+                              "--n", "1"], capsys)
+        assert code == EXIT_CONFIG and out == "" and not ran
+        # keys are checked in the order p, n, a, s, c, check
+        assert err == "config error: repeated p value 3\n"
+        with pytest.raises(ConfigInvalid, match="repeated a value 1/2"):
+            SuiteConfig(checks=["dwork"], a_list=[Fraction(1, 2), Fraction(2, 4)]).validate()
 
     def test_non_prime_is_an_error_line(self, capsys):
         # p = 4 is no prime, whatever a is: an error line, not a skipped cell
@@ -291,6 +314,27 @@ class TestInputErrors:
         code, _, err = run([arg.format(cfg=cfg) for arg in argv], capsys)
         assert code == EXIT_CONFIG
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("key,values", [("p", "3 5 3"), ("n", "1 1"), ("a", "1/2 2/4"),
+                                            ("s", "2 2"), ("c", "4 4"), ("check", "log log")])
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    def test_repeated_list_value(self, key, values, source, tmp_path, monkeypatch, capsys):
+        # the same value twice gives the same cells twice, from any source
+        cfg = tmp_path / "suite.cfg"
+        text = "check: dwork\n" if key != "check" else ""
+        flags = []
+        if source == "flag":
+            flags = [f"--{key}", *values.split()]
+        elif source == "env":
+            monkeypatch.setenv(f"PADIC_HG_{key.upper()}", values)
+        else:
+            text += f"{key}: {values}\n"
+        cfg.write_text(text)
+        code, out, err = run(["suite", "--config", str(cfg), *flags], capsys)
+        repeated = {"p": "3", "a": "1/2"}.get(key, values.split()[0])
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"config error: repeated {key} value {repeated}\n"
 
 
 class TestParser:

@@ -31,7 +31,7 @@ from padichg import (
     vp,
     witness_for,
 )
-from padichg import hyper
+from padichg import cli, hyper
 from padichg.padic import ratio_valuations, split_p
 
 from oracle import b0_exact, b_exact, bhat_approx, coeff_exact, pochhammer, ratio_at
@@ -107,6 +107,33 @@ class TestAgainstOracle:
         k = witness_for(lam, P.p, n)
         got = beta_at(lam, P, frob, n, hat=hat)
         assert got == embed_rational(ratio_at(k, P, frob, n, hat), P.p, n)
+
+    @SLOW
+    @given(cases(max_prec=5), st.lists(st.integers(1, 300), min_size=1, max_size=6),
+           st.integers(1, 120))
+    def test_requests_in_one_call(self, case, ks, count):
+        # every kind of request in one call, against the one-request builders
+        # and the oracle; ks unsorted, with a repeat
+        P, frob, prec = case
+        frob_hat = FrobeniusSpec(frob.c, SIGMA_HAT)
+        ks = ks + ks[:1]
+        top = max(ks) + 1
+        b_ratios, a_res, g, bhat, bhat_ratios, b = hyper._quotients(
+            P, [("B/A", frob, ks), ("A", None, ks), ("G", frob, range(count)),
+                ("Bhat", frob_hat, ks), ("Bhat/A", frob_hat, ks), ("B", frob, ks)], prec)
+        assert b_ratios == hyper.coefficient_ratios(P, frob, ks, prec) == \
+            embedded((ratio_at(k, P, frob, prec, False) for k in ks), P.p, prec)
+        assert bhat_ratios == hyper.coefficient_ratios(P, frob_hat, ks, prec, hat=True) == \
+            embedded((ratio_at(k, P, frob_hat, prec, True) for k in ks), P.p, prec)
+        assert a_res == [hg_series(P, top, prec)[k] for k in ks] == \
+            embedded((coeff_exact(P, k) for k in ks), P.p, prec)
+        assert g == b_coefficients(P, frob, count, prec)
+        assert g[0] == embed_rational(b0_exact(P, frob, prec), P.p, prec).residue
+        assert g[1:] == embedded((b_exact(P, frob, k) for k in range(1, count)), P.p, prec)
+        assert b == [b_coefficients(P, frob, top, prec)[k] for k in ks] == \
+            embedded((b_exact(P, frob, k) for k in ks), P.p, prec)
+        assert bhat == [bhat_coefficients(P, frob_hat, top, prec)[k] for k in ks] == \
+            embedded((bhat_approx(P, frob_hat, k, prec) for k in ks), P.p, prec)
 
     @given(cases())
     def test_b0_at_precision_one(self, case):
@@ -313,8 +340,9 @@ class TestNotDivisible:
         original = hyper._numerators
         count = 2 * 3 ** 2 + 1  # the B table of check_integrality at n = 2
 
-        def corrupted(params, frob, ks, a_res, w, hat):
-            nums = original(params, frob, ks, a_res, w, hat)
+        def corrupted(params, frob, ks, *rest):
+            nums = original(params, frob, ks, *rest)
+            hat = rest[-1]
             if not hat and len(ks) == count - 1:  # the B table k >= 1, not the B_0 witness
                 for i, k in enumerate(ks):
                     if k in bad:
@@ -414,6 +442,25 @@ def test_large_table_leaves_no_module_state():
     grown = {key: (before.get(key, 0), size) for key, size in sizes().items()
              if size > before.get(key, 0)}
     assert not grown
+
+
+@pytest.mark.parametrize("check", ["main-congruence", "log", "hat", "integrality",
+                                   "interpolation", "beta-pairing"])
+def test_one_walk_per_dwork_level(check):
+    # a = 1/3 at p = 5 has the Dwork prime a' = 2/3, so a walk names its level
+    P = HGParams.create(Fraction(1, 3), 2, 5)
+    levels = {P.chain.a_at(0), P.chain.a_at(1)}
+    assert len(levels) == 2
+    walked = []
+    original = hyper._ratio_units
+
+    def counted(a, *args):
+        walked.append(a)
+        return original(a, *args)
+
+    with patch.object(hyper, "_ratio_units", counted):
+        assert cli.CHECKS[check][0](P, Fraction(6), 2).passed
+    assert len(walked) == len(set(walked)) and set(walked) <= levels
 
 
 def test_witness_walks_hold_no_table():

@@ -37,7 +37,36 @@ def rational_series(p, order, prec=4):
     ).map(lambda vals: series_from_rationals(vals, p, prec))
 
 
+@st.composite
+def wide_slots(draw):
+    """(width, modulus, a, b, n_out) at lengths up to 300, with modulus the
+    largest power of p whose product slots are width bytes: 7 and 8 are
+    word slots, 9 is packed residue by residue.  Every entry may be the
+    largest residue m - 1, and n_out lies below, inside or past the
+    product."""
+    width, p = draw(st.sampled_from([7, 8, 9])), draw(PRIMES)
+    la, lb = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    n_out = draw(st.integers(1, la + lb + 3))
+    terms = min(la, lb, n_out)  # polymul cuts a and b at n_out
+    e = max(e for e in range(1, 80) if ((p ** e - 1) ** 2 * terms).bit_length() < 8 * width)
+    m = p ** e
+    entry = st.one_of(st.just(m - 1), st.integers(0, m - 1))
+    a = draw(st.lists(entry, min_size=la, max_size=la))
+    b = draw(st.lists(entry, min_size=lb, max_size=lb))
+    return width, m, a, b, n_out
+
+
 class TestPolymul:
+    @settings(max_examples=40, deadline=None)
+    @given(wide_slots())
+    def test_word_and_wide_slots_match_schoolbook(self, case):
+        width, modulus, a, b, n_out = case
+        terms = min(len(a), len(b), n_out)
+        assert ((modulus - 1) ** 2 * terms).bit_length() // 8 + 1 == width
+        assert polymul(a, b, modulus, n_out) == schoolbook(a, b, modulus, n_out)
+        top = [modulus - 1] * len(a)  # every slot of the exact product at its largest
+        assert polymul(top, top, modulus, n_out) == schoolbook(top, top, modulus, n_out)
+
     @settings(max_examples=200)
     @given(PRIMES.flatmap(lambda p: st.integers(0, 14).map(lambda e: p ** e)).flatmap(
         lambda m: st.tuples(st.just(m),

@@ -15,7 +15,6 @@ from padichg import (
     b0_constant,
     b_coefficients,
     beta_at,
-    beta_values,
     bhat_coefficients,
     check_beta_pairing,
     check_braced_congruence,
@@ -154,6 +153,19 @@ def shifted_builder(name, original, level, idx, delta):
     return build
 
 
+def shifted_tables(original, kind, idx, delta):
+    """`original`, a `_quotients`, with entry idx (taken mod the length) of
+    the table of each request of the given kind shifted by delta."""
+    def build(params, requests, prec):
+        tables = original(params, requests, prec)
+        for (k, _, _), res in zip(requests, tables):
+            if k == kind and res:
+                i = idx % len(res)
+                res[i] = (res[i] + delta) % params.p ** prec
+        return tables
+    return build
+
+
 def report_or_error(run):
     try:
         return run().to_json()
@@ -187,12 +199,11 @@ class TestProductsAgainstFullOracle:
         M = None if extra == 0 else pn + 1 + extra % (pn + p)
         frob = None if kind in ("dwork", "transform") else FrobeniusSpec(
             Fraction(c), SIGMA if kind == "log" else SIGMA_HAT)
+        if table == "numerator" and kind in ("dwork", "transform"):
+            table = "hg_series:0"
         name, _, level = table.partition(":")
-        if name == "numerator":
-            if kind in ("dwork", "transform"):
-                name, level = "hg_series", "0"
-            else:
-                name = "b_coefficients" if kind == "log" else "bhat_coefficients"
+        # F and the numerator of log and hat come from one `_quotients` call
+        request = {"hg_series:0": "A", "numerator": "G" if kind == "log" else "Bhat"}.get(table)
         if kind == "transform":
             routes = (lambda: check_dwork_transformation(P, n),
                       lambda: dwork_transform_full(P, n))
@@ -200,8 +211,12 @@ class TestProductsAgainstFullOracle:
             routes = (lambda: check_congruence_relation(kind, P, frob, n, M),
                       lambda: congruence_relation_full(kind, P, frob, n, M))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, name, shifted_builder(name, getattr(verify, name),
-                                                     int(level or 0), idx, delta))
+            if name == "hg_series":
+                mp.setattr(verify, name, shifted_builder(name, getattr(verify, name),
+                                                         int(level or 0), idx, delta))
+            if request is not None:
+                mp.setattr(verify, "_quotients",
+                           shifted_tables(verify._quotients, request, idx, delta))
             got, expect = (report_or_error(run) for run in routes)
         assert got == expect
 
@@ -393,23 +408,20 @@ class TestBetaPairing:
 
     @pytest.mark.parametrize("index", [0, 2, 4])
     def test_corrupted_beta_hat_fails_at_its_lambda(self, index, monkeypatch):
-        # one beta-values call per direction; a wrong beta-hat at one lambda
-        # fails the sweep there, with the payload of the single-point check
+        # one `_quotients` call for both directions; a wrong beta-hat at one
+        # lambda fails the sweep there, with the payload of the single-point check
         P, c = params(Fraction(1, 2)), Fraction(4)
         lam = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), -P.a - 1][index]
         calls = []
+        shifted = shifted_tables(verify._quotients, "Bhat/A", index, 1)
 
-        def corrupted(lams, params_, frob, n, *, hat=False):
-            calls.append(hat)
-            values = beta_values(lams, params_, frob, n, hat=hat)
-            if hat:
-                v = values[index]
-                values[index] = Padic(v.p, v.prec, (v.residue + 1) % v.p ** v.prec)
-            return values
+        def corrupted(params_, requests, n):
+            calls.append([kind for kind, _, _ in requests])
+            return shifted(params_, requests, n)
 
-        monkeypatch.setattr(verify, "beta_values", corrupted)
+        monkeypatch.setattr(verify, "_quotients", corrupted)
         rep = sweep_beta_pairing(P, c, 2)
-        assert calls == [False, True]
+        assert calls == [["B/A", "Bhat/A"]]
         frob, frob_hat = twist_pair(c)
         b = beta_at(lam, P, frob, 2)
         bh = beta_at(-lam - P.a, P, frob_hat, 2, hat=True)
@@ -469,7 +481,7 @@ class TestMainCongruence:
             check_main_congruence(P, Fraction(3), 2)
         assert main_congruence_laurent(P, Fraction(3), 2) is False
         # a failure payload, pinned on c = 5 with B_1 shifted by 1
-        monkeypatch.setattr(verify, "b_coefficients", shifted_b(1, 1))
+        monkeypatch.setattr(verify, "_quotients", shifted_b(1, 1))
         rep = check_main_congruence(P, Fraction(5), 2)
         assert not rep.passed and rep.modulus == 2
         assert rep.first_failure == {"m": 1, "sum": 2}  # A_3 = 2 mod 4
@@ -484,7 +496,7 @@ class TestMainCongruence:
         P = HGParams.create(a, s, p)
         expect = main_congruence_failure(P, Fraction(c), n, (idx, delta))
         assert expect is not None
-        monkeypatch.setattr(verify, "b_coefficients", shifted_b(idx, delta))
+        monkeypatch.setattr(verify, "_quotients", shifted_b(idx, delta))
         rep = check_main_congruence(P, Fraction(c), n)
         assert not rep.passed and rep.first_failure == expect
 
@@ -527,12 +539,8 @@ def main_congruence_failure(params, c, n, shift=(0, 0)):
 
 
 def shifted_b(idx, delta):
-    """b_coefficients with B_idx shifted by delta."""
-    def build(params, frob, count, prec):
-        res = b_coefficients(params, frob, count, prec)
-        res[idx] = (res[idx] + delta) % params.p ** prec
-        return res
-    return build
+    """`verify._quotients` with B_idx of its G table shifted by delta."""
+    return shifted_tables(verify._quotients, "G", idx, delta)
 
 
 class TestRatioAndInterp:
@@ -608,8 +616,7 @@ class TestHatSideTwistAtTwo:
         def no_table(*args, **kwargs):
             raise AssertionError("a table was built")
 
-        for name in ("hg_series", "b_coefficients", "bhat_coefficients",
-                     "coefficient_ratios", "beta_values"):
+        for name in ("hg_series", "_quotients"):
             monkeypatch.setattr(verify, name, no_table)
         with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+ 4W"):
             cli.CHECKS[check][0](params(a, p=2), Fraction(c), 2)
@@ -623,7 +630,8 @@ class TestHatSideTwistAtTwo:
     @pytest.mark.parametrize("kind, c", [("log", 2), ("hat", 2), ("hat", 3)])
     def test_relation_rejects_c_before_tables(self, kind, c, monkeypatch):
         # log needs c in 1 + 2W at p = 2, hat c in 1 + 4W
-        monkeypatch.setattr(verify, "hg_series", lambda *args: pytest.fail("F was built"))
+        for name in ("hg_series", "_quotients"):
+            monkeypatch.setattr(verify, name, lambda *args: pytest.fail("a table was built"))
         with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+"):
             check_congruence_relation(kind, params(Fraction(1, 3), p=2), FrobeniusSpec(c), 2)
 
