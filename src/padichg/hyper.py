@@ -243,6 +243,7 @@ def _ratio_units(a: Fraction, p: int, ks: Sequence[int], w: int) -> tuple[list[i
     n, d = a.numerator, a.denominator
     runs, picks = _walk(ks)
     units, vals, factors = [1], [0], [1]  # one entry per index reached, from k = 0
+    put_unit, put_val, put_factor = units.append, vals.append, factors.append
     num = den = 1
     v = done = 0
     for start, last in runs:
@@ -253,28 +254,34 @@ def _ratio_units(a: Fraction, p: int, ks: Sequence[int], w: int) -> tuple[list[i
             factor = ud * pow(d, start - done, m) % m
             den = den * factor % m
             v += vn - vd
-            units.append(num)
-            vals.append(v)
-            factors.append(factor)
+            put_unit(num)
+            put_val(v)
+            put_factor(factor)
         f = n + start * d  # the numerator of the step to start + 1
         for k in range(start + 1, last + 1):
             if f % p:
                 num = num * f % m
-            else:
-                vf, uf = split_p(f, p)
-                v += vf
-                num = num * uf % m
+            else:  # split the p-part off f
+                x = f // p
+                v += 1
+                while not x % p:
+                    x //= p
+                    v += 1
+                num = num * x % m
             f += d
             if k % p:
                 factor = k * d
-            else:
-                vk, uk = split_p(k, p)
-                v -= vk
-                factor = uk * d
+            else:  # and off k
+                x = k // p
+                v -= 1
+                while not x % p:
+                    x //= p
+                    v -= 1
+                factor = x * d
             den = den * factor % m
-            units.append(num)
-            vals.append(v)
-            factors.append(factor)
+            put_unit(num)
+            put_val(v)
+            put_factor(factor)
         done = last
     inv = pow(den, -1, m)  # 1/(the denominator product up to entry i), i descending
     for i in range(len(units) - 1, 0, -1):
@@ -286,12 +293,14 @@ def _ratio_units(a: Fraction, p: int, ks: Sequence[int], w: int) -> tuple[list[i
 
 
 def _powers(units: list[int], vals: list[int], s: int, p: int, w: int) -> list[int]:
-    """(p^v u)^s mod p^w for each unit u and valuation v."""
+    """(p^v u)^s mod p^w for each unit u and valuation v >= 0."""
     m = p ** w
+    shift = [p ** (s * v) % m for v in range(max(vals, default=0) + 1)]  # 0 at s·v >= w
     if s == 1:
-        return [u * p ** v % m if v < w else 0 for u, v in zip(units, vals)]
-    return [pow(u, s, m) * p ** (s * v) % m if s * v < w else 0
-            for u, v in zip(units, vals)]
+        return [u * shift[v] % m for u, v in zip(units, vals)]
+    if s == 2:
+        return [u * u * shift[v] % m for u, v in zip(units, vals)]
+    return [pow(u, s, m) * shift[v] % m for u, v in zip(units, vals)]
 
 
 def _a_residues(params: HGParams, ks: Sequence[int], w: int, level: int = 0) -> list[int]:
@@ -311,7 +320,7 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
                 a1: dict[int, int], w: int, hat: bool) -> list[int]:
     """k·B_k (or (k+a)·Bhat_k with hat=True) mod p^w at each k in ks
     (ascending), given the A_k residues mod p^w at ks and a1, which maps
-    each j read to A^{(1)}_j mod p^w.
+    (a dict) or indexes (a list) each j read to A^{(1)}_j mod p^w.
 
     B: A_k - c^{k/p} A^{(1)}_{k/p} at p | k.  Bhat: A_k - (-1)^{se}
     c^{(k+a)/p} A^{(1)}_j at k = l + jp, where c^{(k+a)/p} = c^{a^{(1)}} c^j,
@@ -329,7 +338,7 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
     j_prev = 0
     for i in _hits(ks, params.l if hat else 0, p):
         j = ks[i] // p
-        factor = factor * pow(c, j - j_prev, m) % m
+        factor = factor * (c if j - j_prev == 1 else pow(c, j - j_prev, m)) % m
         j_prev = j
         out[i] = (out[i] - factor * a1[j]) % m
     return out
@@ -356,12 +365,16 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
 
     With a = n/d and N_k from `_numerators`, B_k = N_k/D_k with D_k = k,
     and Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each distinct k of a
-    request is split once, D_k = p^v u; dividing by A_k as well adds
-    s·v_p(A_k) to v (`ratio_valuations`) and the s-th power of the walk's
-    unit to u.  One guard w = prec + the largest v serves every request, as
+    request with p | D_k (k ≡ 0 mod p for B, k ≡ l for Bhat) is split
+    once, D_k = p^v u; dividing by A_k as well adds s·v_p(A_k) to v
+    (`ratio_valuations`) and the s-th power of the walk's unit to u, and
+    the walk's units are let go once no ratio request is left to read
+    them.  One guard w = prec + the largest v serves every request, as
     a unit mod p^w reduces exactly to any lower precision: (a)_k/k! is
     walked once over the union of the ks, and A^{(1)} once over the union
-    of the j the numerators read.  The requests are divided exactly by p^v
+    of the j the numerators read, or not at all when a is its own Dwork
+    prime and the union holds every k from 0: then A^{(1)} = A, and each j
+    read is a k walked.  The requests are divided exactly by p^v
     in order, each in its ks order: the first k whose quotient is not
     p-integral raises NotDivisible.  The unit parts of a request are
     inverted through one modular inversion of their product, walking back
@@ -378,6 +391,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             parts.append((kind, frob, ks))
     plans = []  # (kind, hat, frob, ks, the distinct ks ascending, their v, their u)
     w, reads = prec, set()  # the guard; the j at which the numerators read A^{(1)}
+    ratios = 0  # the requests that read the walk's units
     for kind, frob, ks in parts:
         hat = kind.startswith("Bhat")
         wanted = ks if isinstance(ks, range) and ks.step == 1 else sorted(set(ks))
@@ -386,14 +400,17 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             frob.validate(p)
             if wanted and wanted[0] < (0 if hat else 1):
                 raise ValueError("Bhat needs k >= 0" if hat else "B needs k >= 1")
-            n, d = (a.numerator, a.denominator) if hat else (0, 1)
-            units = [k * d + n for k in wanted]  # D_k, then its unit part
-            for i, dk in enumerate(units):
-                if dk % p == 0:
-                    vals[i], units[i] = split_p(dk, p)
+            # D_k, then its unit part; p | D_k exactly at the k the numerators
+            # read A^{(1)} at: k ≡ 0 (B), k ≡ l = -a (Bhat) mod p
+            n, d = a.numerator, a.denominator
+            units = [k * d + n for k in wanted] if hat else list(wanted)
+            hits = _hits(wanted, params.l if hat else 0, p)
+            for i in hits:
+                vals[i], units[i] = split_p(units[i], p)
             if kind.endswith("/A"):
                 vals = [v + s * va for v, va in zip(vals, ratio_valuations(a, p, wanted))]
-            reads.update(wanted[i] // p for i in _hits(wanted, params.l if hat else 0, p))
+                ratios += 1
+            reads.update([wanted[i] // p for i in hits])
         plans.append((kind, hat, frob, ks, wanted, vals, units))
         w = max(w, prec + max(vals, default=0))
     union = sorted(set().union(*(plan[4] for plan in plans)))
@@ -401,20 +418,28 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         union = range(union[0], union[-1] + 1)
     a_units, a_vals = _ratio_units(a, p, union, w)
     a_res = _powers(a_units, a_vals, s, p, w)
-    js = sorted(reads)
-    a1 = dict(zip(js, _a_residues(params, js, w, level=1)))
+    if params.chain.a_at(1) == a and isinstance(union, range) and union.start == 0:
+        a1 = a_res  # a is its own Dwork prime: A^{(1)}_j = A_j, and each j read is walked
+    else:
+        js = sorted(reads)
+        a1 = dict(zip(js, _a_residues(params, js, w, level=1)))
     m = p ** prec
     out = []
     for kind, hat, frob, ks, wanted, vals, units in plans:
+        if not ratios:
+            a_units = None  # no request left reads them
         lo = bisect_left(union, wanted[0]) if wanted else 0
         at = range(lo, lo + len(wanted))  # the place of each wanted k in the union
         if wanted and union[at[-1]] != wanted[-1]:  # not one slice of the union
             at = [bisect_left(union, k) for k in wanted]
-        nums = [a_res[i] for i in at]
+            nums = [a_res[i] for i in at]
+        else:
+            nums = a_res[lo:lo + len(wanted)]
         if kind != "A":
             nums = _numerators(params, frob, wanted, nums, a1, w, hat)
         if kind.endswith("/A"):
             units = [u * pow(a_units[i], s, m) % m for u, i in zip(units, at)]
+            ratios -= 1
         if wanted is not ks and wanted != list(ks):  # back to ks order
             back = [bisect_left(wanted, k) for k in ks]
             nums, vals, units = ([x[i] for i in back] for x in (nums, vals, units))

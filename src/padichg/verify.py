@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import ceil
+from operator import add, mod, ne
 from typing import Iterator, Optional, Sequence
 
 from .padic import PadicError, PreconditionViolated, Rational, _residue, vp
@@ -80,12 +82,14 @@ def _require_modulus(n: int) -> None:
 
 
 def _first_mismatch(lhs: Sequence[int], rhs: Sequence[int], q: int) -> Optional[dict]:
-    """First index where lhs != rhs mod q, or None."""
-    for k, (l, r) in enumerate(zip(lhs, rhs)):
-        l, r = l % q, r % q
-        if l != r:
-            return {"index": k, "left": l, "right": r}
-    return None
+    """First index where lhs != rhs mod q, or None; lists of equal length.
+    Lists equal as ints are equal mod q.  Otherwise both sides are reduced
+    and compared term by term in C, holding no reduced copy, up to the
+    first mismatch."""
+    if lhs == rhs:
+        return None
+    k = next(compress(count(), map(ne, map(mod, lhs, repeat(q)), map(mod, rhs, repeat(q)))), None)
+    return None if k is None else {"index": k, "left": lhs[k] % q, "right": rhs[k] % q}
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +188,7 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     if sign is None:
         failure = {"index": d, "left": lhs[d], "right": rhs[d]}
     else:
-        failure = _first_mismatch(lhs, [sign * r for r in rhs], q)
+        failure = _first_mismatch(lhs, rhs if sign == 1 else [-r % q for r in rhs], q)
     if failure:
         return CheckReport(check="dwork-transform", params=info, passed=False,
                            modulus=n, sign=sign, first_failure=failure)
@@ -387,11 +391,10 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
     left = polymul(b, a[::-1], q, 2 * q - 1)
     right = polymul(bhat[::-1], a, q, 2 * q - 1)
-    for m, (x, y) in enumerate(zip(left, right)):
-        total = (x + y) % q
-        if total:
-            return CheckReport(check="main-congruence", params=info, passed=False,
-                               modulus=n, first_failure={"m": m, "sum": total})
+    m = next(compress(count(), map(mod, map(add, left, right), repeat(q))), None)
+    if m is not None:
+        return CheckReport(check="main-congruence", params=info, passed=False, modulus=n,
+                           first_failure={"m": m, "sum": (left[m] + right[m]) % q})
     return CheckReport(check="main-congruence", params=info, passed=True, modulus=n)
 
 

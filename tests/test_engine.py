@@ -320,6 +320,39 @@ class TestWalk:
         assert got == [embed_rational(ratio_at(k, P, frob, n, hat), P.p, n).residue for k in ks]
 
 
+class TestDenseWalk:
+    """The step loop of the ratio walk splits p off inline, and `_powers`
+    reads p^(s·v) from a table."""
+
+    @SLOW
+    @given(st.sampled_from([a for a in WALK_A if a.denominator % 2]), st.integers(1, 1100),
+           st.integers(1, 20))
+    def test_raising_the_guard_at_two(self, a, count, w):
+        # at p = 2 one of the numerator n + (k-1)d and k is even at every
+        # other step, so every other step splits, and k = 512 and 1024
+        # split ten times
+        ks = range(count)
+        units, vals = hyper._ratio_units(a, 2, ks, w)
+        deeper, deeper_vals = hyper._ratio_units(a, 2, ks, w + 3)
+        assert [u % 2 ** w for u in deeper] == units and deeper_vals == vals
+        assert vals == ratio_valuations(a, 2, ks)
+        assert all(u % 2 for u in units)
+        head = range(min(count, 70))
+        assert (units[:len(head)], vals[:len(head)]) == ratio_units_exact(a, 2, head, w)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("w", [6, 7])
+    def test_powers_at_and_past_w(self, p, s, w):
+        m = p ** w
+        # s·v below w, at w (w = 6), just past it and far past it
+        vals = [0, 0, w // s - 1, w // s, -(-w // s), w // s + 1, w, 3 * w]
+        units = [1, m - 1, p + 1, m - 1, 2 * p + 1, m - p - 1, 1, m - 1]
+        expect = [pow(p ** v * u, s, m) for u, v in zip(units, vals)]
+        assert hyper._powers(units, vals, s, p, w) == expect
+        assert hyper._powers([], [], s, p, w) == []
+
+
 @pytest.mark.parametrize("hat,ks,message", [(False, [0, 1], "B needs k >= 1"),
                                              (False, [2, -3], "B needs k >= 1"),
                                              (True, [1, -1], "Bhat needs k >= 0")])
@@ -461,6 +494,31 @@ def test_one_walk_per_dwork_level(check):
     with patch.object(hyper, "_ratio_units", counted):
         assert cli.CHECKS[check][0](P, Fraction(6), 2).passed
     assert len(walked) == len(set(walked)) and set(walked) <= levels
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (7, 1)])
+def test_own_dwork_prime_read_off_one_walk(p, s):
+    # a = 1/2 is its own Dwork prime at every odd p, so A^(1) = A: tables
+    # over every k from 0 read A^(1) off the walk of A, one walk in all
+    P = HGParams.create(Fraction(1, 2), s, p)
+    assert P.chain.a_at(1) == P.a
+    frob, frob_hat = FrobeniusSpec(Fraction(1 + p)), FrobeniusSpec(Fraction(1 + p), SIGMA_HAT)
+    count, prec = 3 * p + 2, 3
+    walked = []
+    original = hyper._ratio_units
+
+    def counted(a, *args):
+        walked.append(a)
+        return original(a, *args)
+
+    with patch.object(hyper, "_ratio_units", counted):
+        a_res, b, bhat = hyper._quotients(P, [("A", None, range(count)),
+                                              ("B", frob, range(1, count)),
+                                              ("Bhat", frob_hat, range(count))], prec)
+    assert walked == [P.a]
+    assert a_res == embedded((coeff_exact(P, k) for k in range(count)), p, prec)
+    assert b == embedded((b_exact(P, frob, k) for k in range(1, count)), p, prec)
+    assert bhat == embedded((bhat_approx(P, frob_hat, k, prec) for k in range(count)), p, prec)
 
 
 def test_witness_walks_hold_no_table():

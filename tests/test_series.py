@@ -1,6 +1,8 @@
 """Tests for truncated series arithmetic and the logarithmic-integral oracle."""
 
 from fractions import Fraction
+from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from padichg import (
     hg_series,
     polymul,
 )
+from padichg import series
 from padichg.series import polymul_spread
 
 from oracle import (
@@ -41,7 +44,7 @@ def rational_series(p, order, prec=4):
 def wide_slots(draw):
     """(width, modulus, a, b, n_out) at lengths up to 300, with modulus the
     largest power of p whose product slots are width bytes: 7 and 8 are
-    word slots, 9 is packed residue by residue.  Every entry may be the
+    word slots, 9 is a decimal product.  Every entry may be the
     largest residue m - 1, and n_out lies below, inside or past the
     product."""
     width, p = draw(st.sampled_from([7, 8, 9])), draw(PRIMES)
@@ -66,6 +69,45 @@ class TestPolymul:
         assert polymul(a, b, modulus, n_out) == schoolbook(a, b, modulus, n_out)
         top = [modulus - 1] * len(a)  # every slot of the exact product at its largest
         assert polymul(top, top, modulus, n_out) == schoolbook(top, top, modulus, n_out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(PRIMES, st.integers(1, 16), st.integers(1, 300), st.integers(1, 300),
+           st.integers(1, 300), st.data())
+    def test_both_paths_match_schoolbook(self, p, e, la, lb, cut, data):
+        # the decimal cut-off moved to lengths up to 300, so that a and b
+        # fall below and past it; moduli up to p^16 give slots of 1 to 10
+        # bytes, wider ones always decimal
+        m = p ** e
+        entry = st.one_of(st.just(m - 1), st.integers(0, m - 1))
+        a = data.draw(st.lists(entry, min_size=la, max_size=la))
+        b = data.draw(st.lists(entry, min_size=lb, max_size=lb))
+        n_out = data.draw(st.one_of(st.integers(1, la + lb - 1),  # inside the product
+                                    st.integers(la + lb - 1, la + lb + 3)))  # at its end or past
+        top = [m - 1] * la  # every slot of the exact product at its largest
+        with patch.object(series, "_DECIMAL_TERMS", cut):
+            assert polymul(a, b, m, n_out) == schoolbook(a, b, m, n_out)
+            assert polymul(top, top, m, n_out) == schoolbook(top, top, m, n_out)
+
+    @pytest.mark.parametrize("p,e", [(2, 20), (3, 7), (3, 12), (5, 8)])
+    def test_each_path_at_the_cut_off(self, p, e):
+        # lengths on both sides of the real cut-off, word slots; the word
+        # path forced by a cut-off no product reaches, the decimal one by 0
+        m, cut = p ** e, series._DECIMAL_TERMS
+        assert ((m - 1) ** 2 * (cut + 3)).bit_length() <= 64  # every slot fits a word
+        rng = Random(e)
+        a = [rng.choice([m - 1, rng.randrange(m)]) for _ in range(cut + 3)]
+        b = [m - 1] * (cut - 1) + [rng.randrange(m)]
+        for x, y in ((a, b), (a, a[:cut - 1]), (b[:cut - 1], a[:40])):
+            size = len(x) + len(y) - 1
+            for n_out in (1, len(y) - 1, size // 2, size, size + 2):
+                with patch.object(series, "_DECIMAL_TERMS", 10 ** 9):
+                    words = polymul(x, y, m, n_out)
+                with patch.object(series, "_DECIMAL_TERMS", 0):
+                    assert polymul(x, y, m, n_out) == words
+                assert polymul(x, y, m, n_out) == words
+        top = [m - 1] * cut  # all-(m - 1) factors: a closed-form product
+        full = polymul(top, top, m, 2 * cut - 1)
+        assert full == [(m - 1) ** 2 * min(k + 1, 2 * cut - 1 - k) % m for k in range(2 * cut - 1)]
 
     @settings(max_examples=200)
     @given(PRIMES.flatmap(lambda p: st.integers(0, 14).map(lambda e: p ** e)).flatmap(

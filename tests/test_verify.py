@@ -139,6 +139,46 @@ class TestDworkTransformation:
         assert rep.passed and rep.sign == (-1) ** P.l
 
 
+class TestFirstMismatch:
+    """Both sides are reduced mod q before they are compared: the
+    transform passes its right side times the sign -1, unreduced."""
+
+    def test_equal_mod_q_but_not_as_ints(self):
+        q = 27
+        lhs = [0, 5, 26, 100, -1]
+        rhs = [27, -22, -1, 100 - 5 * q, 26 + q]
+        assert lhs != rhs
+        assert verify._first_mismatch(lhs, rhs, q) is None
+        assert verify._first_mismatch(lhs, [-r for r in [-27, 22, 1, 5 * q - 100, -26]], q) is None
+
+    @pytest.mark.parametrize("index", [0, 3, 5])
+    def test_first_mismatch_reported_reduced(self, index):
+        q = 9
+        lhs = [10, -3, 0, 8, 4, -17]  # residues 1, 6, 0, 8, 4, 1
+        rhs = [1 - q, 6 + 2 * q, -q, -1, 4 + q, 1]
+        assert verify._first_mismatch(lhs, rhs, q) is None
+        bad = list(rhs)
+        bad[index] -= 2  # the first (and only) mismatch
+        expect = {"index": index, "left": lhs[index] % q, "right": bad[index] % q}
+        assert verify._first_mismatch(lhs, bad, q) == expect
+        later = list(bad)
+        later[-1] += 1  # a second mismatch after it is not reported
+        if index < len(lhs) - 1:
+            assert verify._first_mismatch(lhs, later, q) == expect
+
+    def test_negated_side(self):
+        # the transform's sign -1: lhs ≡ -rhs mod q
+        q = 2 ** 5
+        rhs = [3, 0, 31, 64, 17]
+        lhs = [-r + q * i for i, r in enumerate(rhs)]
+        assert verify._first_mismatch(lhs, [-r for r in rhs], q) is None
+        mismatch = verify._first_mismatch(lhs, rhs, q)
+        assert mismatch == {"index": 0, "left": 29, "right": 3}
+
+    def test_empty(self):
+        assert verify._first_mismatch([], [], 5) is None
+
+
 def shifted_builder(name, original, level, idx, delta):
     """`original` with entry idx (taken mod the length) of its level-`level`
     table shifted by delta."""
