@@ -7,13 +7,13 @@ as a list of ints, lowest degree first: the series F (`hg_series`), G
 (`b_coefficients`) and Ghat (`bhat_coefficients`).
 
 The coefficients are p-integral, so each is fixed by a unit mod p^w and an
-exact valuation.  A_k walks the recurrence (a+k-1)/k with the p-parts
-split off exactly.  B_k, Bhat_k and their ratios to A_k are exact
-quotients from `_quotients`, which serves all the tables of a check in one
-call: it splits each divisor once, reads one guard precision w off the
-valuations of all its requests, walks each Dwork level once over the union
-of their indices, forms the numerators mod p^w and divides exactly, with
-one modular inversion for the walk and one per request for the divisions.
+exact valuation.  Every table comes from `_quotients`, which serves all
+the tables of a check in one call (A_k^{(i)} at any level; B_k, Bhat_k and
+their ratios to A_k as exact quotients): it splits each divisor once, reads
+one guard precision w off the valuations of all its requests, walks
+(b)_k/k!, splitting the p-parts off exactly, once per distinct Dwork prime
+b over the union of the k read at b, forms the numerators mod p^w and
+divides exactly, with one modular inversion per walk and per request.
 The walk visits only the wanted indices: a dense table steps through every
 k, while the ratios B_k/A_k and Bhat_k/A_k at a few witnesses (beta, B_0)
 multiply each long gap in at once as a product of an arithmetic
@@ -303,12 +303,6 @@ def _powers(units: list[int], vals: list[int], s: int, p: int, w: int) -> list[i
     return [pow(u, s, m) * shift[v] % m for u, v in zip(units, vals)]
 
 
-def _a_residues(params: HGParams, ks: Sequence[int], w: int, level: int = 0) -> list[int]:
-    """A_k^{(level)} = ((a^{(level)})_k/k!)^s mod p^w at each k in ks (ascending)."""
-    units, vals = _ratio_units(params.chain.a_at(level), params.p, ks, w)
-    return _powers(units, vals, params.s, params.p, w)
-
-
 def _hits(ks: Sequence[int], start: int, p: int) -> Sequence[int]:
     """The positions i of ascending ks with ks[i] ≡ start mod p."""
     if ks and ks[-1] - ks[0] == len(ks) - 1:  # ks has every index in its span
@@ -317,10 +311,10 @@ def _hits(ks: Sequence[int], start: int, p: int) -> Sequence[int]:
 
 
 def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res: list[int],
-                a1: dict[int, int], w: int, hat: bool) -> list[int]:
+                a1: Sequence[int], w: int, hat: bool) -> list[int]:
     """k·B_k (or (k+a)·Bhat_k with hat=True) mod p^w at each k in ks
-    (ascending), given the A_k residues mod p^w at ks and a1, which maps
-    (a dict) or indexes (a list) each j read to A^{(1)}_j mod p^w.
+    (ascending), given the A_k residues mod p^w at ks and a1, which holds
+    A^{(1)}_j mod p^w at each j read, in order.
 
     B: A_k - c^{k/p} A^{(1)}_{k/p} at p | k.  Bhat: A_k - (-1)^{se}
     c^{(k+a)/p} A^{(1)}_j at k = l + jp, where c^{(k+a)/p} = c^{a^{(1)}} c^j,
@@ -336,12 +330,20 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
     if hat:
         factor = params.sign_se() * pow(c, _residue(params.chain.a_at(1), p, m // p), m)
     j_prev = 0
-    for i in _hits(ks, params.l if hat else 0, p):
+    for i, a1_j in zip(_hits(ks, params.l if hat else 0, p), a1):
         j = ks[i] // p
         factor = factor * (c if j - j_prev == 1 else pow(c, j - j_prev, m)) % m
         j_prev = j
-        out[i] = (out[i] - factor * a1[j]) % m
+        out[i] = (out[i] - factor * a1_j) % m
     return out
+
+
+def _take(union: Sequence[int], res: list[int], ks: Sequence[int]) -> list[int]:
+    """res at each k of ascending ks, all in ascending union; res itself when that is all."""
+    lo = bisect_left(union, ks[0]) if ks else 0
+    if ks and union[lo + len(ks) - 1] != ks[-1]:  # not one slice of the union
+        return [res[bisect_left(union, k)] for k in ks]
+    return res if len(ks) == len(res) else res[lo:lo + len(ks)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,102 +351,97 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
 # exact valuations call for
 
 
-def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[int]:
-    """F at the given Dwork-prime level, truncated at t^order."""
-    if prec < 1:
-        raise ValueError("precision must be positive")
-    return _a_residues(params, range(order), prec, level)
-
-
 def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[list[int]]:
-    """The residues mod p^prec of each request (kind, frob, ks), in order.
-    Kind "A" gives A_k (frob None); "B" and "Bhat" give B_k and Bhat_k
-    along frob, "B/A" and "Bhat/A" divide them by A_k, and "G" gives B_k
-    for ks = range(count) with B_0 (`b0_constant`) at k = 0.  ks in any
-    order, repeats allowed, k >= 1 for B.
+    """The residues mod p^prec of each request, in order.  ("A", level, ks)
+    gives A_k^{(level)}; (kind, frob, ks) with kind "B" or "Bhat" gives B_k
+    or Bhat_k along frob, "B/A" and "Bhat/A" divide them by A_k, and "G"
+    gives B_k for ks = range(count) with B_0 (`b0_constant`) at k = 0.  ks
+    in any order, repeats allowed, k >= 1 for B.  Each table is a new list,
+    but an "A" request reading all of a walk at w = prec gets the walk's.
 
     With a = n/d and N_k from `_numerators`, B_k = N_k/D_k with D_k = k,
     and Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each distinct k of a
     request with p | D_k (k ≡ 0 mod p for B, k ≡ l for Bhat) is split
     once, D_k = p^v u; dividing by A_k as well adds s·v_p(A_k) to v
-    (`ratio_valuations`) and the s-th power of the walk's unit to u, and
-    the walk's units are let go once no ratio request is left to read
-    them.  One guard w = prec + the largest v serves every request, as
-    a unit mod p^w reduces exactly to any lower precision: (a)_k/k! is
-    walked once over the union of the ks, and A^{(1)} once over the union
-    of the j the numerators read, or not at all when a is its own Dwork
-    prime and the union holds every k from 0: then A^{(1)} = A, and each j
-    read is a k walked.  The requests are divided exactly by p^v
-    in order, each in its ks order: the first k whose quotient is not
-    p-integral raises NotDivisible.  The unit parts of a request are
-    inverted through one modular inversion of their product, walking back
-    over the prefix products, and d enters with that inverse."""
+    (`ratio_valuations`) and the s-th power of the walk's unit to u.  One
+    guard w = prec + the largest v serves every request, as a unit mod p^w
+    reduces exactly to any lower precision.  (b)_k/k! is walked once per
+    distinct Dwork prime b, over the union of the k read at b: the ks of
+    the "A" requests at a level with prime b, of the B-type requests if
+    b = a, and the j their numerators read A^{(1)} at if b = a'; the units
+    of the walk at a are held while a ratio request is left to read them.
+    The requests are divided exactly by p^v in order, each in its ks order:
+    the first k whose quotient is not p-integral raises NotDivisible.  The
+    unit parts of a request are inverted through one modular inversion of
+    their product, walking back over the prefix products, and d enters
+    with that inverse."""
     if prec < 1:
         raise ValueError("precision must be positive")
-    p, s, a = params.p, params.s, params.a
+    p, s, a, a1 = params.p, params.s, params.a, params.chain.a_at(1)
     parts = []  # the requests as divided: G is B_0, B/A at its witness, then B
-    for kind, frob, ks in requests:
+    for kind, tag, ks in requests:
+        if kind != "A":
+            tag.validate(p)
         if kind == "G":
-            top = prec + 1 if p == 2 and vp(frob.c - 1, p) == 1 else prec
-            parts += [("B/A", frob, [p ** top]), ("B", frob, ks[1:])]
+            top = prec + 1 if p == 2 and vp(tag.c - 1, p) == 1 else prec
+            parts += [("B/A", tag, [p ** top]), ("B", tag, ks[1:])]
         else:
-            parts.append((kind, frob, ks))
-    plans = []  # (kind, hat, frob, ks, the distinct ks ascending, their v, their u)
-    w, reads = prec, set()  # the guard; the j at which the numerators read A^{(1)}
-    ratios = 0  # the requests that read the walk's units
-    for kind, frob, ks in parts:
+            parts.append((kind, tag, ks))
+    plans = []  # (kind, hat, tag, its Dwork prime, ks, the distinct ks ascending, j, v, u)
+    reads: dict[int, tuple] = {}  # by m (ints hash fast): Dwork prime m/d, the ks read there
+    w, ratios = prec, 0  # the guard; the requests that read the walk's units
+    for kind, tag, ks in parts:
         hat = kind.startswith("Bhat")
         wanted = ks if isinstance(ks, range) and ks.step == 1 else sorted(set(ks))
-        vals, units = [0] * len(wanted), [1] * len(wanted)
+        prime = params.chain.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
+        reads.setdefault(prime.numerator, (prime, []))[1].append(wanted)
+        js = vals = units = ()
         if kind != "A":
-            frob.validate(p)
             if wanted and wanted[0] < (0 if hat else 1):
                 raise ValueError("Bhat needs k >= 0" if hat else "B needs k >= 1")
             # D_k, then its unit part; p | D_k exactly at the k the numerators
             # read A^{(1)} at: k ≡ 0 (B), k ≡ l = -a (Bhat) mod p
             n, d = a.numerator, a.denominator
             units = [k * d + n for k in wanted] if hat else list(wanted)
+            vals = [0] * len(wanted)
             hits = _hits(wanted, params.l if hat else 0, p)
             for i in hits:
                 vals[i], units[i] = split_p(units[i], p)
             if kind.endswith("/A"):
                 vals = [v + s * va for v, va in zip(vals, ratio_valuations(a, p, wanted))]
                 ratios += 1
-            reads.update([wanted[i] // p for i in hits])
-        plans.append((kind, hat, frob, ks, wanted, vals, units))
-        w = max(w, prec + max(vals, default=0))
-    union = sorted(set().union(*(plan[4] for plan in plans)))
-    if union and union[-1] - union[0] == len(union) - 1:  # no gap: hold no list
-        union = range(union[0], union[-1] + 1)
-    a_units, a_vals = _ratio_units(a, p, union, w)
-    a_res = _powers(a_units, a_vals, s, p, w)
-    if params.chain.a_at(1) == a and isinstance(union, range) and union.start == 0:
-        a1 = a_res  # a is its own Dwork prime: A^{(1)}_j = A_j, and each j read is walked
-    else:
-        js = sorted(reads)
-        a1 = dict(zip(js, _a_residues(params, js, w, level=1)))
+            js = [wanted[i] // p for i in hits]
+            reads.setdefault(a1.numerator, (a1, []))[1].append(js)
+            w = max(w, prec + max(vals, default=0))
+        plans.append((kind, hat, tag, prime, ks, wanted, js, vals, units))
+    walks = {}  # by m: (the union of the ks read at m/d, A there mod p^w)
+    for b, (prime, sets) in reads.items():
+        dense = all(isinstance(ks, range) and ks.start == 0 for ks in sets)  # no set to build
+        union = range(max(map(len, sets))) if dense else sorted(set().union(*sets))
+        if not dense and union and union[-1] - union[0] == len(union) - 1:  # hold no list
+            union = range(union[0], union[-1] + 1)
+        units, vals = _ratio_units(prime, p, union, w)
+        walks[b] = union, _powers(units, vals, s, p, w)
+        if ratios and b == a.numerator:
+            a_units = units  # held while a ratio request reads them
+        del units, vals
     m = p ** prec
     out = []
-    for kind, hat, frob, ks, wanted, vals, units in plans:
+    for kind, hat, frob, prime, ks, wanted, js, vals, units in plans:
         if not ratios:
             a_units = None  # no request left reads them
-        lo = bisect_left(union, wanted[0]) if wanted else 0
-        at = range(lo, lo + len(wanted))  # the place of each wanted k in the union
-        if wanted and union[at[-1]] != wanted[-1]:  # not one slice of the union
-            at = [bisect_left(union, k) for k in wanted]
-            nums = [a_res[i] for i in at]
-        else:
-            nums = a_res[lo:lo + len(wanted)]
+        union, res = walks[prime.numerator]
+        nums = _take(union, res, wanted)
         if kind != "A":
-            nums = _numerators(params, frob, wanted, nums, a1, w, hat)
+            nums = _numerators(params, frob, wanted, nums, _take(*walks[a1.numerator], js), w, hat)
         if kind.endswith("/A"):
-            units = [u * pow(a_units[i], s, m) % m for u, i in zip(units, at)]
+            units = [u * pow(x, s, m) % m for u, x in zip(units, _take(union, a_units, wanted))]
             ratios -= 1
         if wanted is not ks and wanted != list(ks):  # back to ks order
             back = [bisect_left(wanted, k) for k in ks]
-            nums, vals, units = ([x[i] for i in back] for x in (nums, vals, units))
+            nums, vals, units = (x and [x[i] for i in back] for x in (nums, vals, units))
         if kind == "A":
-            out.append([x % m for x in nums])
+            out.append(nums if w == prec else [x % m for x in nums])
             continue
         quots = []
         acc = 1  # the product of the unit parts before entry j
@@ -463,6 +460,11 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     tables = iter(out)  # G joins B_0 and B
     return [(next(tables) + next(tables))[:len(ks)] if kind == "G" else next(tables)
             for kind, _, ks in requests]
+
+
+def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[int]:
+    """F at the given Dwork-prime level, truncated at t^order."""
+    return _quotients(params, [("A", level, range(order))], prec)[0]
 
 
 def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], n: int,
@@ -502,8 +504,7 @@ def compute_h(params: HGParams, prec: int) -> TruncSeries:
     r = params.chain.period
     if r is None:
         raise NoPeriod(f"no period found for a = {params.a} at p = {params.p}")
-    out = hg_series(params, params.p, prec, level=0)
-    for i in range(1, r):
-        f = hg_series(params, params.p, prec, level=i)
+    out, *rest = _quotients(params, [("A", i, range(params.p)) for i in range(r)], prec)
+    for f in rest:
         out = polymul(out, f, params.p ** prec, len(out) + len(f) - 1)
     return TruncSeries(params.p, prec, tuple(out))

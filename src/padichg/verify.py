@@ -12,8 +12,8 @@ that reads the hatted side.  The suite runner skips the cells whose
 checker raises it.
 Congruences are decided on residues, every product goes through
 `polymul`, and a single-cell checker shares its sweep's helper.  A check
-of B, Bhat or their ratios to A takes all its tables from one
-`_quotients` call, one walk per Dwork level.  The braced sweep decides
+takes all its coefficient tables from one `_quotients` call, one walk
+per distinct Dwork prime.  The braced sweep decides
 its pairs class by class mod p^n; the exact ratio identity is decided on
 integers (`interp.ratio_identity_holds`).
 """
@@ -36,7 +36,6 @@ from .hyper import (
     FrobeniusSpec,
     HGParams,
     _quotients,
-    hg_series,
     twist_pair,
 )
 from .interp import ratio_identity_holds, witness_for
@@ -132,11 +131,11 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
 
     # D(t) = g(t^step): g = F^{(1)} at step p for "dwork", g = F at step 1
+    step = p if kind == "dwork" else 1
     if kind == "dwork":
-        num, step, g = hg_series(params, M, n), p, hg_series(params, ceil(M / p), n, level=1)
+        num, g = _quotients(params, [("A", 0, range(M)), ("A", 1, range(ceil(M / p)))], n)
     else:
-        step = 1
-        g, num = _quotients(params, [("A", None, range(M)),
+        g, num = _quotients(params, [("A", 0, range(M)),
                                      ("G" if kind == "log" else "Bhat", frob, range(M))], n)
 
     cut = pn // step  # [D] = g[:cut](t^step)
@@ -171,8 +170,7 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     p, l = params.p, params.l
     pn = p ** n
     q = p ** n  # comparison modulus
-    a_res = hg_series(params, pn, n)
-    q_res = hg_series(params, pn // p, n, level=1)
+    a_res, q_res = _quotients(params, [("A", 0, range(pn)), ("A", 1, range(pn // p))], n)
     c = polymul_spread(a_res, q_res[::-1], p, q, 2 * pn - p)
 
     deg = 2 * pn - 2  # covers both sides
@@ -355,14 +353,14 @@ def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int) -
     p = params.p
     if not (0 <= m <= p ** n - 1 and 0 <= d <= n and 0 <= k < p ** (n - d)):
         raise PreconditionViolated("indices out of range")
-    s1, s2 = section_sums(params, hg_series(params, p ** n, n + 1), n, d, k)
+    s1, s2 = section_sums(params, _quotients(params, [("A", 0, range(p ** n))], n + 1)[0], n, d, k)
     return _section_report(params, n, d, k, m, s1[m], s2[m])
 
 
 def sweep_section(params: HGParams, n: int) -> CheckReport:
     _require_modulus(n)
     p = params.p
-    a_res = hg_series(params, p ** n, n + 1)
+    a_res = _quotients(params, [("A", 0, range(p ** n))], n + 1)[0]
     for d in range(n + 1):
         for k in range(p ** (n - d)):
             s1, s2 = section_sums(params, a_res, n, d, k)
@@ -385,7 +383,7 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     frob, frob_hat = twist_pair(c)
     frob.validate(params.p, require_q=True)
     q = params.p ** n
-    a, b, bhat = _quotients(params, [("A", None, range(q)), ("G", frob, range(q)),
+    a, b, bhat = _quotients(params, [("A", 0, range(q)), ("G", frob, range(q)),
                                      ("Bhat", frob_hat, range(q))], n)
     info = _params_dict(params, n=n, c=Fraction(c))
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A

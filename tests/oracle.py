@@ -391,8 +391,9 @@ def hat_series(params, frob, order: int, prec: int) -> tuple[list[int], list[int
 # products (the production checkers form one reversed product, and only
 # the coefficients above t^{p^n})
 #
-# Both oracles read their builders through `padichg.verify`, so a test
-# that patches a builder there feeds the same tables to both routes.
+# Both oracles make the checkers' `_quotients` requests through
+# `padichg.verify`, so a test that patches it there feeds the same tables
+# to both routes.
 
 
 def congruence_relation_full(kind: str, params, frob, n: int, M: Optional[int] = None):
@@ -412,10 +413,11 @@ def congruence_relation_full(kind: str, params, frob, n: int, M: Optional[int] =
     if n_eff < 1:
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
     if kind == "dwork":
-        num, den = verify.hg_series(params, M, n), [0] * M
-        den[::p] = verify.hg_series(params, ceil(M / p), n, level=1)
+        den = [0] * M
+        num, den[::p] = verify._quotients(params, [("A", 0, range(M)),
+                                                   ("A", 1, range(ceil(M / p)))], n)
     else:
-        den, num = verify._quotients(params, [("A", None, range(M)),
+        den, num = verify._quotients(params, [("A", 0, range(M)),
                                               ("G" if kind == "log" else "Bhat", frob, range(M))], n)
     lhs = polymul(num, den[:pn], pn, M)
     rhs = polymul(den, num[:pn], pn, M)
@@ -429,9 +431,9 @@ def dwork_transform_full(params, n: int):
     t^{p-1-l} P revQ and revP Q(t^p), with Q(t^p) spread into a dense list."""
     p, l = params.p, params.l
     q = pn = p ** n
-    a_res = verify.hg_series(params, pn, n)
     spread = [0] * (pn - p + 1)
-    spread[::p] = verify.hg_series(params, pn // p, n, level=1)
+    a_res, spread[::p] = verify._quotients(
+        params, [("A", 0, range(pn)), ("A", 1, range(pn // p))], n)
     deg, shift = 2 * pn - 2, p - 1 - l
     lhs = [0] * shift + polymul(a_res, spread[::-1], q, deg + 1 - shift)
     rhs = polymul(a_res[::-1], spread, q, deg + 1)

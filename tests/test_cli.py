@@ -1,11 +1,13 @@
 """Tests for the command line front end."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -27,6 +29,7 @@ from padichg.cli import (
     CheckReport,
     ConfigInvalid,
     SuiteConfig,
+    _SUITE_KEYS,
     build_parser,
     main,
     run_suite,
@@ -122,6 +125,25 @@ class TestSuite:
         assert code == EXIT_PASS and not out.startswith("{")
         assert [json.loads(l)["check"] for l in path.read_text().splitlines()] == ["braced"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["my report.jsonl", "suite.cfg"]
+
+    def test_standard_grid_file_is_the_benchmark_grid(self, monkeypatch):
+        # grids/standard.conf, which CI runs, and GRID in perfbench/workloads.py,
+        # which the benchmark runs, define the same grid
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        for key in _SUITE_KEYS:
+            monkeypatch.delenv("PADIC_HG_" + key.upper(), raising=False)
+        got = cli._build_suite_config(build_parser().parse_args(
+            ["suite", "--config", str(root / "grids" / "standard.conf")]))
+        expect = {key: [Fraction(v) for v in values] if key in ("a_list", "c_list") else values
+                  for key, values in workloads.GRID.items()}
+        assert {key: getattr(got, key) for key in expect} == expect
+        # out and jobs come from the command line
+        assert (got.out, got.jobs) == (None, 1)
 
     @pytest.mark.parametrize("key,value,source", [
         *((key, value, source) for source in ("env", "file")

@@ -58,6 +58,18 @@ def cases(draw, max_prec=8):
     return P, frob, prec
 
 
+@st.composite
+def index_sets(draw, low):
+    """The ks of one request, all >= low: a dense range, or unsorted ks with
+    a repeat, some near low and some sparse up to 1,500."""
+    if draw(st.booleans()):
+        start = draw(st.integers(low, 40))
+        return range(start, draw(st.integers(start, start + 80)))
+    ks = draw(st.lists(st.one_of(st.integers(low, 60), st.integers(61, 1500)),
+                       min_size=1, max_size=5))
+    return ks + ks[:1]
+
+
 def embedded(values, p, prec):
     return [embed_rational(v, p, prec).residue for v in values]
 
@@ -119,7 +131,7 @@ class TestAgainstOracle:
         ks = ks + ks[:1]
         top = max(ks) + 1
         b_ratios, a_res, g, bhat, bhat_ratios, b = hyper._quotients(
-            P, [("B/A", frob, ks), ("A", None, ks), ("G", frob, range(count)),
+            P, [("B/A", frob, ks), ("A", 0, ks), ("G", frob, range(count)),
                 ("Bhat", frob_hat, ks), ("Bhat/A", frob_hat, ks), ("B", frob, ks)], prec)
         assert b_ratios == hyper.coefficient_ratios(P, frob, ks, prec) == \
             embedded((ratio_at(k, P, frob, prec, False) for k in ks), P.p, prec)
@@ -291,7 +303,33 @@ class TestWalk:
             for cut in (0, NO_GIANT_STEPS):
                 with patch.object(hyper, "_JUMP", jump), patch.object(hyper, "_BSGS", cut):
                     assert hyper._ratio_units(P.a, P.p, ks, w) == expect
-                    assert hyper._a_residues(P, ks, w) == powers
+                    assert hyper._quotients(P, [("A", 0, ks)], w) == [powers]
+
+    @SLOW
+    @given(cases(max_prec=4), index_sets(0), index_sets(0), index_sets(0), index_sets(1),
+           index_sets(0), st.integers(1, 60), st.sampled_from([0, NO_JUMPS]),
+           st.sampled_from([0, NO_GIANT_STEPS]))
+    def test_levels_and_kinds_in_one_call(self, case, ks0, ks1, ks2, ks_b, ks_hat, count,
+                                          jump, cut):
+        # "A" at three Dwork levels among B, Bhat, both ratios and G, against
+        # the oracle: each distinct Dwork prime is walked once over the
+        # union of the k read there
+        P, frob, prec = case
+        frob_hat = FrobeniusSpec(frob.c, SIGMA_HAT)
+        requests = [("A", 0, ks0), ("B", frob, ks_b), ("A", 2, ks2), ("Bhat/A", frob_hat, ks_hat),
+                    ("G", frob, range(count)), ("A", 1, ks1), ("B/A", frob, ks_b),
+                    ("Bhat", frob_hat, ks_hat)]
+        with patch.object(hyper, "_JUMP", jump), patch.object(hyper, "_BSGS", cut):
+            got = hyper._quotients(P, requests, prec)
+        expect = [[coeff_exact(P, k) for k in ks0],
+                  [b_exact(P, frob, k) for k in ks_b],
+                  [coeff_exact(P, k, 2) for k in ks2],
+                  [ratio_at(k, P, frob_hat, prec, True) for k in ks_hat],
+                  [b0_exact(P, frob, prec), *(b_exact(P, frob, k) for k in range(1, count))],
+                  [coeff_exact(P, k, 1) for k in ks1],
+                  [ratio_at(k, P, frob, prec, False) for k in ks_b],
+                  [bhat_approx(P, frob_hat, k, prec) for k in ks_hat]]
+        assert got == [embedded(values, P.p, prec) for values in expect]
 
     @SLOW
     @given(walks(), st.integers(1, 9), st.sampled_from([0, hyper._JUMP, NO_JUMPS]),
@@ -477,13 +515,8 @@ def test_large_table_leaves_no_module_state():
     assert not grown
 
 
-@pytest.mark.parametrize("check", ["main-congruence", "log", "hat", "integrality",
-                                   "interpolation", "beta-pairing"])
-def test_one_walk_per_dwork_level(check):
-    # a = 1/3 at p = 5 has the Dwork prime a' = 2/3, so a walk names its level
-    P = HGParams.create(Fraction(1, 3), 2, 5)
-    levels = {P.chain.a_at(0), P.chain.a_at(1)}
-    assert len(levels) == 2
+def walked_primes(run) -> list:
+    """The Dwork prime of each `_ratio_units` call that run() makes, sorted."""
     walked = []
     original = hyper._ratio_units
 
@@ -492,30 +525,62 @@ def test_one_walk_per_dwork_level(check):
         return original(a, *args)
 
     with patch.object(hyper, "_ratio_units", counted):
-        assert cli.CHECKS[check][0](P, Fraction(6), 2).passed
-    assert len(walked) == len(set(walked)) and set(walked) <= levels
+        run()
+    return sorted(walked)
+
+
+# a = 1/2 is its own Dwork prime at p = 3; a = 1/3 at p = 5 has a' = 2/3
+OWN_PRIME = HGParams.create(Fraction(1, 2), 2, 3)
+TWO_PRIMES = HGParams.create(Fraction(1, 3), 2, 5)
+
+
+def primes_at(P, levels) -> list:
+    return sorted({P.chain.a_at(i) for i in levels})
+
+
+@pytest.mark.parametrize("check", list(cli.CHECKS))
+def test_one_walk_per_dwork_level(check):
+    # one walk per distinct Dwork prime the check reads: none for the braced
+    # and ratio-identity checks, a for the section sums, a and a' otherwise
+    levels = {"braced": (), "ratio-identity": (), "section-sums": (0,)}.get(check, (0, 1))
+    run = cli.CHECKS[check][0]
+    for P in (OWN_PRIME, TWO_PRIMES):
+        reports = []
+        walked = walked_primes(lambda: reports.append(run(P, Fraction(1 + P.p), 2)))
+        assert reports[0].passed and walked == primes_at(P, levels)
+
+
+@pytest.mark.parametrize("build,levels", [
+    (lambda P, frob: hg_series(P, 40, 3), (0,)),
+    (lambda P, frob: hg_series(P, 40, 3, level=1), (1,)),
+    (lambda P, frob: b_coefficients(P, frob, 40, 3), (0, 1)),
+    (lambda P, frob: bhat_coefficients(P, frob, 40, 3), (0, 1)),
+    (lambda P, frob: b0_constant(P, frob, 3), (0, 1)),
+    (lambda P, frob: hyper.coefficient_ratios(P, frob, [1, P.p, 40, P.p ** 3], 3), (0, 1)),
+    (lambda P, frob: beta_values([0, 1, Fraction(1, 2)], P, frob, 3), (0, 1)),
+    (lambda P, frob: hyper.compute_h(P, 3), None),  # every level of one period
+], ids=["F", "F1", "G", "Ghat", "B0", "ratios", "beta", "h"])
+def test_one_walk_per_dwork_prime_in_builders(build, levels):
+    for P in (OWN_PRIME, TWO_PRIMES):
+        frob = FrobeniusSpec(Fraction(1 + P.p))
+        walked = walked_primes(lambda: build(P, frob))
+        assert walked == primes_at(P, range(P.chain.period) if levels is None else levels)
 
 
 @pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (7, 1)])
 def test_own_dwork_prime_read_off_one_walk(p, s):
-    # a = 1/2 is its own Dwork prime at every odd p, so A^(1) = A: tables
-    # over every k from 0 read A^(1) off the walk of A, one walk in all
+    # a = 1/2 is its own Dwork prime at every odd p, so A^(1) = A: A, B and
+    # Bhat come from one walk over the union of the k and the j they read
     P = HGParams.create(Fraction(1, 2), s, p)
     assert P.chain.a_at(1) == P.a
     frob, frob_hat = FrobeniusSpec(Fraction(1 + p)), FrobeniusSpec(Fraction(1 + p), SIGMA_HAT)
     count, prec = 3 * p + 2, 3
-    walked = []
-    original = hyper._ratio_units
-
-    def counted(a, *args):
-        walked.append(a)
-        return original(a, *args)
-
-    with patch.object(hyper, "_ratio_units", counted):
-        a_res, b, bhat = hyper._quotients(P, [("A", None, range(count)),
-                                              ("B", frob, range(1, count)),
-                                              ("Bhat", frob_hat, range(count))], prec)
+    tables = []
+    walked = walked_primes(lambda: tables.extend(hyper._quotients(
+        P, [("A", 0, range(count)), ("B", frob, range(1, count)),
+            ("Bhat", frob_hat, range(count))], prec)))
     assert walked == [P.a]
+    a_res, b, bhat = tables
     assert a_res == embedded((coeff_exact(P, k) for k in range(count)), p, prec)
     assert b == embedded((b_exact(P, frob, k) for k in range(1, count)), p, prec)
     assert bhat == embedded((bhat_approx(P, frob_hat, k, prec) for k in range(count)), p, prec)

@@ -179,27 +179,14 @@ class TestFirstMismatch:
         assert verify._first_mismatch([], [], 5) is None
 
 
-def shifted_builder(name, original, level, idx, delta):
-    """`original` with entry idx (taken mod the length) of its level-`level`
-    table shifted by delta."""
-    def build(params, *args, **kwargs):
-        res = original(params, *args, **kwargs)
-        if name == "hg_series" and kwargs.get("level", 0) != level or not res:
-            return res
-        prec = args[-1]  # the checkers pass the precision last, before any level=
-        i = idx % len(res)
-        res[i] = (res[i] + delta) % params.p ** prec
-        return res
-    return build
-
-
-def shifted_tables(original, kind, idx, delta):
+def shifted_tables(original, kind, idx, delta, level=0):
     """`original`, a `_quotients`, with entry idx (taken mod the length) of
-    the table of each request of the given kind shifted by delta."""
+    the table of each request of the given kind shifted by delta; an "A"
+    request only at the given level."""
     def build(params, requests, prec):
         tables = original(params, requests, prec)
-        for (k, _, _), res in zip(requests, tables):
-            if k == kind and res:
+        for (k, tag, _), res in zip(requests, tables):
+            if k == kind and (k != "A" or tag == level) and res:
                 i = idx % len(res)
                 res[i] = (res[i] + delta) % params.p ** prec
         return tables
@@ -230,7 +217,7 @@ class TestProductsAgainstFullOracle:
         st.sampled_from(["dwork", "log", "hat", "transform"]),
         st.sampled_from([1, 1 + p, 1 + 2 * (4 if p == 2 else p)]),
         st.integers(0, 2 * p ** 3 + p),  # 0: the default M; else M in p^n+1 .. 2p^n+p
-        st.sampled_from(["hg_series:0", "hg_series:1", "numerator"]),
+        st.sampled_from(["A:0", "A:1", "numerator"]),
         st.integers(0, 10 ** 6), st.integers(0, p ** 3 - 1))))
     def test_shifted_table_matches_oracle(self, case):
         a, p, s, n, kind, c, extra, table, idx, delta = case
@@ -240,10 +227,12 @@ class TestProductsAgainstFullOracle:
         frob = None if kind in ("dwork", "transform") else FrobeniusSpec(
             Fraction(c), SIGMA if kind == "log" else SIGMA_HAT)
         if table == "numerator" and kind in ("dwork", "transform"):
-            table = "hg_series:0"
-        name, _, level = table.partition(":")
-        # F and the numerator of log and hat come from one `_quotients` call
-        request = {"hg_series:0": "A", "numerator": "G" if kind == "log" else "Bhat"}.get(table)
+            table = "A:0"
+        # every table comes from one `_quotients` call: F^(1) is the "A"
+        # request at level 1, which log and hat do not make
+        request, _, level = table.partition(":")
+        if request == "numerator":
+            request = "G" if kind == "log" else "Bhat"
         if kind == "transform":
             routes = (lambda: check_dwork_transformation(P, n),
                       lambda: dwork_transform_full(P, n))
@@ -251,12 +240,8 @@ class TestProductsAgainstFullOracle:
             routes = (lambda: check_congruence_relation(kind, P, frob, n, M),
                       lambda: congruence_relation_full(kind, P, frob, n, M))
         with pytest.MonkeyPatch.context() as mp:
-            if name == "hg_series":
-                mp.setattr(verify, name, shifted_builder(name, getattr(verify, name),
-                                                         int(level or 0), idx, delta))
-            if request is not None:
-                mp.setattr(verify, "_quotients",
-                           shifted_tables(verify._quotients, request, idx, delta))
+            mp.setattr(verify, "_quotients",
+                       shifted_tables(verify._quotients, request, idx, delta, int(level or 0)))
             got, expect = (report_or_error(run) for run in routes)
         assert got == expect
 
@@ -401,12 +386,9 @@ class TestSectionAgainstOracle:
         table[idx] += delta
         expect = section_sweep_failure(P, n, table)
 
-        def corrupted(params, order, prec, level=0):
-            res = hg_series(params, order, prec, level)
-            res[idx] = (res[idx] + delta) % p ** prec
-            return res
-
-        monkeypatch.setattr(verify, "hg_series", corrupted)
+        # idx < p^n, the length of the one A table
+        monkeypatch.setattr(verify, "_quotients",
+                            shifted_tables(verify._quotients, "A", idx, delta))
         rep = sweep_section(P, n)
         if expect is None:  # delta vanishes in every compared sum
             assert rep.passed
@@ -656,8 +638,7 @@ class TestHatSideTwistAtTwo:
         def no_table(*args, **kwargs):
             raise AssertionError("a table was built")
 
-        for name in ("hg_series", "_quotients"):
-            monkeypatch.setattr(verify, name, no_table)
+        monkeypatch.setattr(verify, "_quotients", no_table)
         with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+ 4W"):
             cli.CHECKS[check][0](params(a, p=2), Fraction(c), 2)
 
@@ -670,8 +651,7 @@ class TestHatSideTwistAtTwo:
     @pytest.mark.parametrize("kind, c", [("log", 2), ("hat", 2), ("hat", 3)])
     def test_relation_rejects_c_before_tables(self, kind, c, monkeypatch):
         # log needs c in 1 + 2W at p = 2, hat c in 1 + 4W
-        for name in ("hg_series", "_quotients"):
-            monkeypatch.setattr(verify, name, lambda *args: pytest.fail("a table was built"))
+        monkeypatch.setattr(verify, "_quotients", lambda *args: pytest.fail("a table was built"))
         with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+"):
             check_congruence_relation(kind, params(Fraction(1, 3), p=2), FrobeniusSpec(c), 2)
 
