@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .padic import (
     DworkChain,
@@ -48,7 +48,6 @@ from .padic import (
     dwork_chain,
     ratio_valuations,
     split_p,
-    vp,
 )
 from .series import TruncSeries, polymul
 
@@ -75,7 +74,7 @@ class HGParams:
         nonpositive integer or has p in its denominator is outside the
         hypotheses and raises PreconditionViolated (also a ValueError)."""
         check_prime(p)
-        a = Fraction(a)
+        a = a if isinstance(a, Fraction) else Fraction(a)
         if a.denominator == 1 and a <= 0:
             raise PreconditionViolated("a must avoid the nonpositive integers")
         if a.denominator % p == 0:
@@ -110,24 +109,35 @@ class FrobeniusSpec:
     def __post_init__(self):
         if self.direction not in (SIGMA, SIGMA_HAT):
             raise ValueError(f"unknown direction {self.direction!r}")
-        object.__setattr__(self, "c", Fraction(self.c))
+        if not isinstance(self.c, Fraction):
+            object.__setattr__(self, "c", Fraction(self.c))
 
     @property
     def c_eff(self) -> Fraction:
         """The constant actually entering the coefficient formulas."""
         return self.c if self.direction == SIGMA else 1 / self.c
 
+    def residue(self, p: int, m: int) -> int:
+        """c_eff mod m, a power of p: along sigma-hat the inverse of c's residue."""
+        r = _residue(self.c, p, m)
+        return r if self.direction == SIGMA else pow(r, -1, m)
+
+    def vp_c_minus_1(self, p: int) -> Optional[int]:
+        """v_p(c - 1), None at c = 1, read off the integers n - d and d of c = n/d."""
+        n, d = self.c.numerator, self.c.denominator
+        return None if n == d else split_p(n - d, p)[0] - split_p(d, p)[0]
+
     def validate(self, p: int, *, require_q: bool = False) -> None:
         """c in 1 + pW, or 1 + 4W at p = 2 when require_q.  Then c is a unit
         and v_p(1/c - 1) = v_p(c - 1), so c_eff is in the same set."""
         need = 2 if (require_q and p == 2) else 1
-        if self.c != 1 and vp(self.c - 1, p) < need:
+        if self.c != 1 and self.vp_c_minus_1(p) < need:
             raise PreconditionViolated(f"c = {self.c} is not in 1 + {4 if need == 2 else p}W")
 
 
 def twist_pair(c: Rational) -> tuple[FrobeniusSpec, FrobeniusSpec]:
     """(sigma, sigma-hat) with the same constant c."""
-    return FrobeniusSpec(Fraction(c), SIGMA), FrobeniusSpec(Fraction(c), SIGMA_HAT)
+    return FrobeniusSpec(c, SIGMA), FrobeniusSpec(c, SIGMA_HAT)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +335,7 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
     p = params.p
     m = p ** w
     out = list(a_res)
-    c = _residue(frob.c_eff, p, m)
+    c = frob.residue(p, m)
     factor = 1
     if hat:
         factor = params.sign_se() * pow(c, _residue(params.chain.a_at(1), p, m // p), m)
@@ -383,7 +393,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         if kind != "A":
             tag.validate(p)
         if kind == "G":
-            top = prec + 1 if p == 2 and vp(tag.c - 1, p) == 1 else prec
+            top = prec + 1 if p == 2 and tag.vp_c_minus_1(p) == 1 else prec
             parts += [("B/A", tag, [p ** top]), ("B", tag, ks[1:])]
         else:
             parts.append((kind, tag, ks))

@@ -8,8 +8,10 @@ integer, the valuation of (a)_k/k!, Dwork prime chains and the Iwasawa
 logarithm.
 
 Rational parameters (a, c, lambda) are plain ``fractions.Fraction``
-objects; a parameter is embeddable at p iff p does not divide its
-denominator.  Exact rationals are otherwise used only by `iwasawa_log`.
+objects, made once where they enter and read as integer numerators and
+denominators after that; one is embeddable at p iff p does not divide
+its denominator.  Exact rationals are otherwise used only by
+`iwasawa_log` and `Padic.exact_divide`.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ def split_p(x: int, p: int) -> tuple[int, int]:
 
 def _residue(r: Rational, p: int, modulus: int) -> int:
     """r mod modulus, a power of p, in [0, modulus).  A rational with p in
-    its denominator is not in Z_p and raises DenominatorDivisibleByP."""
-    r = Fraction(r)
+    its denominator is not in Z_p and raises DenominatorDivisibleByP.  Only
+    a type other than int and Fraction is made a Fraction."""
+    r = r if isinstance(r, (int, Fraction)) else Fraction(r)
     if r.denominator % p == 0:
         raise DenominatorDivisibleByP(f"{r} has denominator divisible by {p}")
     return r.numerator * pow(r.denominator, -1, modulus) % modulus
@@ -225,7 +228,7 @@ def ratio_valuations(a: Fraction, p: int, ks: Sequence[int]) -> list[int]:
     vals = [0] * len(ks)
     top, pj = max(ks, default=0), p
     while True:
-        lj = _residue(-a, p, pj)  # a + i ≡ 0 mod p^j iff i ≡ lj; lj grows with j
+        lj = -_residue(a, p, pj) % pj  # a + i ≡ 0 mod p^j iff i ≡ lj; lj grows with j
         if pj > top and lj >= top:
             return vals
         vals = [v + (k - lj + pj - 1) // pj - k // pj for v, k in zip(vals, ks)]

@@ -24,11 +24,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from math import ceil
 from operator import add, mod, ne
 from typing import Iterator, Optional, Sequence
 
-from .padic import PadicError, PreconditionViolated, Rational, _residue, vp
+from .padic import PadicError, PreconditionViolated, Rational, _residue
 from .series import polymul, polymul_spread
 from .hyper import (
     SIGMA,
@@ -126,14 +125,14 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
         info["c"] = frob.c
         info["direction"] = frob.direction
         frob.validate(p, require_q=kind == "hat")
-    n_eff = n - 1 if kind == "log" and p == 2 and vp(frob.c - 1, p) == 1 else n
+    n_eff = n - 1 if kind == "log" and p == 2 and frob.vp_c_minus_1(p) == 1 else n
     if n_eff < 1:
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
 
     # D(t) = g(t^step): g = F^{(1)} at step p for "dwork", g = F at step 1
     step = p if kind == "dwork" else 1
     if kind == "dwork":
-        num, g = _quotients(params, [("A", 0, range(M)), ("A", 1, range(ceil(M / p)))], n)
+        num, g = _quotients(params, [("A", 0, range(M)), ("A", 1, range(-(-M // p)))], n)
     else:
         g, num = _quotients(params, [("A", 0, range(M)),
                                      ("G" if kind == "log" else "Bhat", frob, range(M))], n)
@@ -237,7 +236,7 @@ def check_braced_congruence(params: HGParams, x: int, y: int, n: int) -> CheckRe
     x + y + a ≡ 0 mod p^n."""
     _require_modulus(n)
     pn = params.p ** n
-    if (x + y - _residue(-params.a, params.p, pn)) % pn:
+    if (x + y + _residue(params.a, params.p, pn)) % pn:
         raise PreconditionViolated(f"x + y + a is not divisible by {pn}")
     return _braced_report(_params_dict(params, n=n, x=x, y=y), n,
                           braced_residues(params, max(x, y), n), [(x, y)])
@@ -253,7 +252,7 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
     _require_modulus(n)
     p = params.p
     pn, top = p ** n, p ** (2 * n)
-    l_n = _residue(-params.a, p, pn)  # y ≡ l_n - x mod p^n
+    l_n = -_residue(params.a, p, pn) % pn  # y ≡ l_n - x mod p^n
     residues = braced_residues(params, top, n)
     # the residue of each class mod p^n when it is constant on the class
     constant = [residues[c] if len(set(residues[c::pn])) == 1 else None
@@ -277,12 +276,13 @@ def _beta_pairings(params: HGParams, frob_pair: tuple[FrobeniusSpec, FrobeniusSp
     p = params.p
     for fr in frob_pair:
         fr.validate(p, require_q=True)
-    lambdas = [Fraction(lam) for lam in lambdas]
-    ks = [witness_for(lam, p, n) for lam in lambdas]
-    ks_hat = [witness_for(-lam - params.a, p, n) for lam in lambdas]
+    pn = p ** n
+    ks = [witness_for(lam, p, n) for lam in lambdas]  # each r_lambda, or p^n at r_lambda = 0
+    r_a = _residue(params.a, p, pn)
+    ks_hat = [(-k - r_a) % pn or pn for k in ks]  # the witness of -lambda - a
     betas, beta_hats = _quotients(params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks_hat)], n)
     for lam, b, bh in zip(lambdas, betas, beta_hats):
-        ok = (b + bh) % p ** n == 0
+        ok = (b + bh) % pn == 0
         info = _params_dict(params, n=n, c=frob.c, lam=lam)
         fail = None if ok else {"beta": f"{b} mod {p}^{n}", "beta_hat": f"{bh} mod {p}^{n}"}
         yield CheckReport(check="beta-pairing", params=info, passed=ok, modulus=n,
@@ -304,15 +304,16 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int,
                        lambdas: Optional[Sequence[Rational]] = None) -> CheckReport:
     """The beta pairing at each lambda; the first failing one is reported."""
     if lambdas is None:
-        lambdas = [0, 1, 2, Fraction(1, 2), -params.a - 1]
+        lambdas = [0, 1, 2, Fraction(1, 2), -1 - params.a]
         if params.p == 2:
-            lambdas.remove(Fraction(1, 2))
+            del lambdas[3]  # 1/2
     if not lambdas:
         raise PreconditionViolated("no lambda to compare")
-    for rep in _beta_pairings(params, twist_pair(c), n, lambdas):
+    frob_pair = twist_pair(c)
+    for rep in _beta_pairings(params, frob_pair, n, lambdas):
         if not rep.passed:
             return rep
-    return CheckReport(check="beta-pairing", params=_params_dict(params, n=n, c=Fraction(c)),
+    return CheckReport(check="beta-pairing", params=_params_dict(params, n=n, c=frob_pair[0].c),
                        passed=True, modulus=n)
 
 
@@ -333,7 +334,7 @@ def section_sums(params: HGParams, a_res: Sequence[int], n: int, d: int,
         return [x if i % cls == r else 0 for i, x in enumerate(a)]
 
     s1 = polymul(masked(k), a[::-1], mod, pn)
-    s2 = polymul(a, masked((_residue(-params.a, p, cls) - k) % cls)[::-1], mod, pn)
+    s2 = polymul(a, masked((-_residue(params.a, p, cls) - k) % cls)[::-1], mod, pn)
     return s1, s2
 
 
@@ -385,7 +386,7 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     q = params.p ** n
     a, b, bhat = _quotients(params, [("A", 0, range(q)), ("G", frob, range(q)),
                                      ("Bhat", frob_hat, range(q))], n)
-    info = _params_dict(params, n=n, c=Fraction(c))
+    info = _params_dict(params, n=n, c=frob.c)
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
     left = polymul(b, a[::-1], q, 2 * q - 1)
     right = polymul(bhat[::-1], a, q, 2 * q - 1)
@@ -422,7 +423,7 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
     pn = p ** n
     if k_max is None:
         k_max = 2 * pn
-    info = _params_dict(params, n=n, c=Fraction(c), k_max=k_max)
+    info = _params_dict(params, n=n, c=frob.c, k_max=k_max)
     lows = range(1, k_max - pn + 1)
     if not lows:
         raise PreconditionViolated(f"k_max = {k_max} leaves no pair k, k + {pn} to compare")
@@ -449,7 +450,7 @@ def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
     # a bad c is outside the hypotheses, not an integrality failure
     frob.validate(params.p, require_q=True)
     count = 2 * params.p ** n + 1
-    info = _params_dict(params, n=n, c=Fraction(c))
+    info = _params_dict(params, n=n, c=frob.c)
     try:
         _quotients(params, [("G", frob, range(count)), ("Bhat", frob_hat, range(count))], n)
     except PadicError as exc:

@@ -145,6 +145,17 @@ class TestSuite:
         # out and jobs come from the command line
         assert (got.out, got.jobs) == (None, 1)
 
+    def test_standard_grid_report_bytes(self, tmp_path, monkeypatch, capsys):
+        # the serial report of grids/standard.conf is pinned by grids/standard.jsonl
+        root = Path(__file__).resolve().parents[1]
+        for key in _SUITE_KEYS:
+            monkeypatch.delenv("PADIC_HG_" + key.upper(), raising=False)
+        path = tmp_path / "grid.jsonl"
+        code, _, _ = run(["suite", "--config", str(root / "grids" / "standard.conf"),
+                          "--jobs", "1", "--out", str(path)], capsys)
+        assert code == EXIT_PASS
+        assert path.read_bytes() == (root / "grids" / "standard.jsonl").read_bytes()
+
     @pytest.mark.parametrize("key,value,source", [
         *((key, value, source) for source in ("env", "file")
           for key, value in [("out", ""), ("jobs", ""), ("jobs", "1 2"),

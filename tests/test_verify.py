@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padichg import (
+    DenominatorDivisibleByP,
     FrobeniusSpec,
     HGParams,
     Padic,
@@ -31,9 +32,12 @@ from padichg import (
     sweep_ratio,
     sweep_section,
     twist_pair,
+    vp,
+    witness_for,
 )
 from padichg import cli, verify
 from padichg.hyper import SIGMA, SIGMA_HAT
+from padichg.padic import _residue
 from padichg.verify import braced_residues, section_sums
 
 from oracle import (
@@ -94,6 +98,23 @@ class TestCongruenceRelations:
             check_congruence_relation("nope", params(1), None, 1)
         with pytest.raises(ValueError):
             check_congruence_relation("log", params(1), None, 1)
+
+    def test_level_one_length_is_the_integer_ceiling(self, monkeypatch):
+        # F^(1) is read below ceil(M / p); M / p as a float is off past 2^53
+        requests = []
+
+        def record(params_, reqs, n):
+            requests.append(reqs)
+            raise LookupError("recorded")
+
+        monkeypatch.setattr(verify, "_quotients", record)
+        M = 3 ** 40 + 1
+        with pytest.raises(LookupError, match="recorded"):
+            check_congruence_relation("dwork", params(Fraction(1, 2)), None, 1, M=M)
+        [[(_, _, ks0), (kind, level, ks1)]] = requests
+        # compared by their bounds: a failing == on ranges would be explained term by term
+        assert (ks0.start, ks0.stop, kind, level) == (0, M, "A", 1)
+        assert (ks1.start, ks1.stop, ks1.step) == (0, 3 ** 39 + 1, 1)
 
     def test_report_serializes(self):
         rep = check_congruence_relation("dwork", params(1), None, 1)
@@ -680,3 +701,140 @@ class TestModulusBelowOne:
     def test_rejected_at_entry(self, call, n):
         with pytest.raises(PreconditionViolated, match=f"n = {n} compares mod p"):
             call(params(Fraction(1, 2)), Fraction(4), n)
+
+
+class TestFractionFreeCells:
+    """a, c and lambda are made Fractions where they enter (HGParams,
+    FrobeniusSpec, the beta pairing's lambda list); a cell past that point
+    reads only their integer numerators and denominators."""
+
+    @pytest.mark.parametrize("check", list(cli.CHECKS))
+    def test_a_cell_builds_no_fraction(self, check, monkeypatch):
+        a, c = Fraction(1, 2), Fraction(4)
+        P = HGParams.create(a, 1, 3)
+        # the beta pairing's default lambdas 1/2 and -1-a are its own inputs
+        allowed = {Fraction(1, 2), -1 - a} if check == "beta-pairing" else set()
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(new(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        rep = cli.CHECKS[check][0](P, c, 2)
+        monkeypatch.undo()
+        assert rep.passed
+        assert len(built) <= len(allowed) and set(built) <= allowed
+
+
+@st.composite
+def prime_and_rational(draw, count=1):
+    """(p, x_1, ..., x_count): each x an int or a Fraction, signed, whose
+    numerator and denominator p may each divide."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    xs = []
+    for _ in range(count):
+        num = draw(st.integers(-10 ** 6, 10 ** 6)) * p ** draw(st.integers(0, 3))
+        den = draw(st.integers(1, 10 ** 4)) * p ** draw(st.sampled_from([0, 0, 1, 2]))
+        xs.append(draw(st.sampled_from([num, Fraction(num, den)])))
+    return (p, *xs)
+
+
+def admissible_a(p, x):
+    """x as a parameter a at p, or None when HGParams rejects it."""
+    a = Fraction(x)
+    return None if a.denominator % p == 0 or a.denominator == 1 and a <= 0 else a
+
+
+class TestIntegerRoutes:
+    """Each integer route of a cell against the Fraction expression it
+    replaced, with the same exceptions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(prime_and_rational(), st.integers(1, 6))
+    def test_residue_of_minus_x(self, px, k):
+        p, x = px
+        m = p ** k
+        if Fraction(x).denominator % p == 0:
+            for y in (x, -x):
+                with pytest.raises(DenominatorDivisibleByP):
+                    _residue(y, p, m)
+            return
+        assert -_residue(x, p, m) % m == _residue(-Fraction(x), p, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(prime_and_rational(), st.integers(1, 2), st.integers(0, 60))
+    def test_braced_pair_class(self, px, n, x):
+        # y pairs with x iff x + y + a ≡ 0 mod p^n
+        p, a = px[0], admissible_a(*px)
+        if a is None:
+            return
+        pn = p ** n
+        y = (_residue(-a, p, pn) - x) % pn
+        P = HGParams.create(a, 1, p)
+        assert check_braced_congruence(P, x, y, n).params["y"] == y
+        with pytest.raises(PreconditionViolated, match="not divisible"):
+            check_braced_congruence(P, x, y + 1, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prime_and_rational(), st.integers(1, 6))
+    def test_c_eff_residue(self, pc, k):
+        p, c = pc
+        m = p ** k
+        c = Fraction(c)
+        if (c.numerator * c.denominator) % p == 0:  # not a unit of Z_p
+            return
+        assert FrobeniusSpec(c, SIGMA).residue(p, m) == _residue(c, p, m)
+        assert FrobeniusSpec(c, SIGMA_HAT).residue(p, m) == _residue(1 / c, p, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prime_and_rational(count=2), st.integers(1, 4))
+    def test_witness_of_minus_lambda_minus_a(self, pal, n):
+        p, a, lam = pal
+        a = admissible_a(p, a)
+        if a is None:
+            return
+        requests = []
+
+        def record(params_, reqs, n_):
+            requests.append(reqs)
+            raise LookupError("recorded")
+
+        P = HGParams.create(a, 1, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_quotients", record)
+            if Fraction(lam).denominator % p == 0:
+                with pytest.raises(DenominatorDivisibleByP):
+                    check_beta_pairing(lam, P, twist_pair(1), n)
+                assert not requests
+                return
+            with pytest.raises(LookupError, match="recorded"):
+                check_beta_pairing(lam, P, twist_pair(1), n)
+        [[(_, _, ks), (_, _, ks_hat)]] = requests
+        assert ks == [witness_for(lam, p, n)]
+        assert ks_hat == [witness_for(-Fraction(lam) - a, p, n)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(prime_and_rational(), st.booleans())
+    def test_vp_of_c_minus_1(self, pc, require_q):
+        p, c = pc
+        frob = FrobeniusSpec(c)
+        v = vp(Fraction(c) - 1, p)
+        assert frob.vp_c_minus_1(p) == v
+        need = 2 if require_q and p == 2 else 1
+        if v is not None and v < need:
+            with pytest.raises(PreconditionViolated):
+                frob.validate(p, require_q=require_q)
+        else:
+            frob.validate(p, require_q=require_q)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("e", [0, 1, 2])
+    def test_zero_c_and_p_in_the_denominator_of_c_rejected(self, p, e):
+        # e = 0: c = 0; otherwise c = (1 + p)/p^e
+        c = Fraction(1 + p, p ** e) if e else Fraction(0)
+        P = params(Fraction(1, 3) if p == 2 else Fraction(1, 2), p=p)
+        for kind, direction in (("log", SIGMA), ("hat", SIGMA_HAT)):
+            with pytest.raises(PreconditionViolated, match=f"c = {c} is not in"):
+                check_congruence_relation(kind, P, FrobeniusSpec(c, direction), 1)
