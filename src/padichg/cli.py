@@ -1,10 +1,10 @@
-"""Command line front end: verification suites, coefficient tables and
-interpolation queries.
+"""Command line front end: verification suites and tables.
 
 The `suite` subcommand runs a Cartesian grid of congruence checks and
 writes a JSON-lines report: each cell returns its report line, and one key
 table layers flag, environment and config file.  `table` emits coefficient
-or beta tables; `interp` evaluates the interpolated functions at chosen points.
+tables (A, B, Bhat) or the interpolated functions at chosen points (beta
+along sigma, beta-hat along sigma-hat, with the one constant c).
 """
 
 from __future__ import annotations
@@ -168,15 +168,17 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tables and interpolation
+# tables
 
 
 def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
                fmt: str, stream: TextIO, lambdas: Sequence[Fraction] = ()) -> None:
+    """A coefficient table of count rows, or beta or beta-hat at each lambda;
+    B and beta twist along sigma, Bhat and beta-hat along sigma-hat."""
+    frob, frob_hat = twist_pair(c)
     if kind in ("A", "B", "Bhat"):
         if count < 1:
             raise ValueError("count must be positive")
-        frob, frob_hat = twist_pair(c)
         if kind == "A":
             residues = hg_series(params, count, prec)
         elif kind == "B":
@@ -184,8 +186,9 @@ def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
         else:
             residues = bhat_coefficients(params, frob_hat, count, prec)
         _write_rows("k", range(count), residues, prec, fmt, stream)
-    elif kind == "beta":
-        values = beta_values(lambdas, params, FrobeniusSpec(c), prec)
+    elif kind in ("beta", "beta-hat"):
+        hat = kind == "beta-hat"
+        values = beta_values(lambdas, params, frob_hat if hat else frob, prec, hat=hat)
         _write_rows("lambda", lambdas, [v.residue for v in values], prec, fmt, stream)
     else:
         raise ConfigInvalid(f"unknown table kind {kind!r}")
@@ -298,26 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--jobs", type=int, help="worker processes")
     suite.add_argument("--config", help="key: value config file")
 
-    table = sub.add_parser("table", help="emit a coefficient table")
-    table.add_argument("--kind", required=True, choices=("A", "B", "Bhat", "beta"))
+    table = sub.add_parser("table", help="emit a coefficient or beta table")
+    table.add_argument("--kind", required=True, choices=("A", "B", "Bhat", "beta", "beta-hat"))
     table.add_argument("--a", required=True, help="parameter a as n/d")
     table.add_argument("--s", type=int, default=1)
     table.add_argument("--p", type=int, required=True)
     table.add_argument("--c", default="1")
     table.add_argument("--count", type=int, default=10)
-    table.add_argument("--points", nargs="+", default=(), help="lambdas for kind=beta")
+    table.add_argument("--points", nargs="+", default=(),
+                       help="lambdas for kind=beta and kind=beta-hat")
     table.add_argument("--prec", type=int, default=3)
     table.add_argument("--format", choices=("json", "csv"), default="json")
     table.add_argument("--out", help="output path (default: stdout)")
-
-    interp = sub.add_parser("interp", help="evaluate beta at points")
-    interp.add_argument("--a", required=True, help="parameter a as n/d")
-    interp.add_argument("--s", type=int, default=1)
-    interp.add_argument("--p", type=int, required=True)
-    interp.add_argument("--c", default="1")
-    interp.add_argument("--n", type=int, default=3, help="target precision")
-    interp.add_argument("--lam", nargs="+", required=True, help="points lambda")
-    interp.add_argument("--hat", action="store_true", help="evaluate beta-hat")
     return parser
 
 
@@ -327,20 +322,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "suite":
             return run_suite(_build_suite_config(args))
-        if args.command == "table":
-            params = HGParams.create(parse_rational(args.a), args.s, args.p)
-            lambdas = [parse_rational(v) for v in args.points]
-            out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-            with out as stream:
-                emit_table(args.kind, params, parse_rational(args.c), args.count,
-                           args.prec, args.format, stream, lambdas)
-            return EXIT_PASS
-        # interp, the last of the three subcommands
+        # table, the other subcommand
         params = HGParams.create(parse_rational(args.a), args.s, args.p)
-        frob = FrobeniusSpec(parse_rational(args.c))
-        lambdas = [parse_rational(v) for v in args.lam]
-        values = beta_values(lambdas, params, frob, args.n, hat=args.hat)
-        _write_rows("lambda", lambdas, [v.residue for v in values], args.n, "json", sys.stdout)
+        lambdas = [parse_rational(v) for v in args.points]
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        with out as stream:
+            emit_table(args.kind, params, parse_rational(args.c), args.count,
+                       args.prec, args.format, stream, lambdas)
         return EXIT_PASS
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ and Bhat_k are test oracles.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -384,12 +385,15 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     the first k whose quotient is not p-integral raises NotDivisible.  The
     unit parts of a request are inverted through one modular inversion of
     their product, walking back over the prefix products, and d enters
-    with that inverse."""
+    with that inverse.  A range of ks longer than sys.maxsize, which no
+    list can hold, raises PreconditionViolated before any walk."""
     if prec < 1:
         raise ValueError("precision must be positive")
     p, s, a, a1 = params.p, params.s, params.a, params.chain.a_at(1)
     parts = []  # the requests as divided: G is B_0, B/A at its witness, then B
     for kind, tag, ks in requests:
+        if isinstance(ks, range) and ks.stop - ks.start > sys.maxsize:
+            raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
         if kind != "A":
             tag.validate(p)
         if kind == "G":

@@ -52,7 +52,7 @@ def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> lis
         return [0] * n_out
     terms = min(len(a), len(b))
     bound = (modulus - 1) ** 2 * terms  # the largest coefficient of the exact product
-    width = bound.bit_length() // 8 + 1
+    width = -(-bound.bit_length() // 8)  # bytes
     size = len(a) + len(b) - 1
     slots = min(size, n_out)
     if width > 8 or terms >= _DECIMAL_TERMS:

@@ -27,7 +27,7 @@ from itertools import compress, count, repeat
 from operator import add, mod, ne
 from typing import Iterator, Optional, Sequence
 
-from .padic import PadicError, PreconditionViolated, Rational, _residue
+from .padic import NotDivisible, PadicError, PreconditionViolated, Rational, _residue
 from .series import polymul, polymul_spread
 from .hyper import (
     SIGMA,
@@ -325,17 +325,15 @@ def section_sums(params: HGParams, a_res: Sequence[int], n: int, d: int,
                  k: int) -> tuple[list[int], list[int]]:
     """(s1, s2) mod p^{d+1} for every m < p^n: the sums of A_i A_{p^n-1-j}
     over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2) mod p^{n-d},
-    as the products (masked A) rev(A) and A rev(masked A)."""
+    as the products (masked A) rev(A) and A rev(masked A).  a_res holds
+    A_0, ..., A_{p^n-1} mod p^{d+1}."""
     p = params.p
     pn, cls, mod = p ** n, p ** (n - d), p ** (d + 1)
-    a = [r % mod for r in a_res]
-
-    def masked(r: int) -> list[int]:
-        return [x if i % cls == r else 0 for i, x in enumerate(a)]
-
-    s1 = polymul(masked(k), a[::-1], mod, pn)
-    s2 = polymul(a, masked((-_residue(params.a, p, cls) - k) % cls)[::-1], mod, pn)
-    return s1, s2
+    first, second = [0] * pn, [0] * pn  # A masked to class k, to class -k-a
+    first[k::cls] = a_res[k::cls]
+    r = (-_residue(params.a, p, cls) - k) % cls
+    second[r::cls] = a_res[r::cls]
+    return polymul(first, a_res[::-1], mod, pn), polymul(a_res, second[::-1], mod, pn)
 
 
 def _section_report(params: HGParams, n: int, d: int, k: int, m: int,
@@ -354,7 +352,7 @@ def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int) -
     p = params.p
     if not (0 <= m <= p ** n - 1 and 0 <= d <= n and 0 <= k < p ** (n - d)):
         raise PreconditionViolated("indices out of range")
-    s1, s2 = section_sums(params, _quotients(params, [("A", 0, range(p ** n))], n + 1)[0], n, d, k)
+    s1, s2 = section_sums(params, _quotients(params, [("A", 0, range(p ** n))], d + 1)[0], n, d, k)
     return _section_report(params, n, d, k, m, s1[m], s2[m])
 
 
@@ -363,8 +361,9 @@ def sweep_section(params: HGParams, n: int) -> CheckReport:
     p = params.p
     a_res = _quotients(params, [("A", 0, range(p ** n))], n + 1)[0]
     for d in range(n + 1):
+        level = [r % p ** (d + 1) for r in a_res]  # reduced once for every class k
         for k in range(p ** (n - d)):
-            s1, s2 = section_sums(params, a_res, n, d, k)
+            s1, s2 = section_sums(params, level, n, d, k)
             for m, (x, y) in enumerate(zip(s1, s2)):
                 if x != y:
                     return _section_report(params, n, d, k, m, x, y)
@@ -453,7 +452,7 @@ def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
     info = _params_dict(params, n=n, c=frob.c)
     try:
         _quotients(params, [("G", frob, range(count)), ("Bhat", frob_hat, range(count))], n)
-    except PadicError as exc:
+    except NotDivisible as exc:
         return CheckReport(check="integrality", params=info, passed=False, modulus=n,
                            first_failure={"error": str(exc)})
     return CheckReport(check="integrality", params=info, passed=True, modulus=n)

@@ -250,6 +250,14 @@ class TestSuite:
                        "skipped 2 incompatible grid cells\n")
         assert err == "config error: no grid cell meets its check's hypotheses\n"
 
+    def test_table_longer_than_maxsize_skips_its_cell(self, capsys):
+        # dwork and integrality at p = 3, n = 99999 read 2·3^99999 terms
+        code, out, err = run(["suite", "--check", "dwork", "integrality", "--p", "3",
+                              "--a", "1/2", "--c", "4", "--n", "99999"], capsys)
+        assert code == EXIT_CONFIG and not out.startswith("{")
+        assert "skipped 2 incompatible grid cells" in out
+        assert err == "config error: no grid cell meets its check's hypotheses\n"
+
     def test_repeated_value_runs_no_cell(self, capsys, monkeypatch):
         # one cell four times over would write four identical lines
         ran = []
@@ -313,16 +321,18 @@ class TestSuite:
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
-        ["interp", "--a", "1/2", "--lam", "1/3", "--p", "3"],
+        ["table", "--kind", "beta-hat", "--a", "1/2", "--points", "1/3", "--p", "3"],
         ["table", "--kind", "beta", "--a", "1/2", "--c", "2", "--p", "3", "--points", "3"],
         ["suite", "--config", "/nonexistent"],
         ["suite", "--check", "dwork", "--out", "/nonexistent/dir/x.jsonl"],
-        ["interp", "--a", "1/2", "--p", "3", "--c", "2", "--lam", "1", "2"],
+        ["table", "--kind", "beta-hat", "--a", "1/2", "--p", "3", "--c", "2", "--points", "1",
+         "2"],
         ["table", "--kind", "beta", "--a", "1/2", "--c", "2", "--p", "3", "--points", "1"],
-        # at p = 2 beta needs c in 1 + 4W; c = 3 is in 1 + 2W only
+        # at p = 2 beta and beta-hat need c in 1 + 4W; c = 3 is in 1 + 2W only
         ["table", "--kind", "beta", "--a", "1/3", "--p", "2", "--c", "3", "--points", "2",
          "--prec", "3"],
-        ["interp", "--a", "1/3", "--p", "2", "--c", "3", "--lam", "2", "--n", "3"],
+        ["table", "--kind", "beta-hat", "--a", "1/3", "--p", "2", "--c", "3", "--points", "2",
+         "--prec", "3"],
         # a zero denominator from a flag, the config file {cfg} or the
         # environment (a leading dict)
         ["suite", "--check", "dwork", "--a", "1/0"],
@@ -332,10 +342,13 @@ class TestInputErrors:
         ["table", "--kind", "A", "--a", "1/0", "--p", "3"],
         ["table", "--kind", "B", "--a", "1/2", "--p", "3", "--c", "1/0"],
         ["table", "--kind", "beta", "--a", "1/2", "--p", "3", "--c", "4", "--points", "1/0"],
-        ["interp", "--a", "1/2", "--p", "3", "--lam", "1/0"],
-        ["interp", "--a", "1/2", "--p", "3", "--c", "1/0", "--lam", "1"],
+        ["table", "--kind", "beta-hat", "--a", "1/2", "--p", "3", "--points", "1/0"],
+        ["table", "--kind", "beta-hat", "--a", "1/2", "--p", "3", "--c", "1/0", "--points", "1"],
         # c = 0 on the hat side is rejected before 1/c is formed
         ["table", "--kind", "Bhat", "--a", "1/2", "--p", "3", "--c", "0"],
+        # no list holds a table longer than sys.maxsize
+        ["table", "--kind", "A", "--a", "1/2", "--p", "3", "--count", str(10 ** 20),
+         "--prec", "2"],
     ])
     def test_exit_config_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
         if isinstance(argv[0], dict):
@@ -503,9 +516,11 @@ class TestTableBytes:
 
     @pytest.mark.parametrize("hat", [False, True])
     def test_interp_is_per_point_beta_at(self, hat, capsys):
-        argv = ["interp", "--a", "1/2", "--s", "2", "--p", "3", "--c", "-2", "--n", "4"]
-        code, out, _ = run(argv + ["--hat"] * hat + ["--lam", *self.POINTS], capsys)
-        frob = FrobeniusSpec(Fraction(-2))
+        # the interpolated values: beta along sigma, beta-hat along sigma-hat
+        argv = ["table", "--kind", "beta-hat" if hat else "beta", "--a", "1/2", "--s", "2",
+                "--p", "3", "--c", "-2", "--prec", "4"]
+        code, out, _ = run(argv + ["--points", *self.POINTS], capsys)
+        frob = twist_pair(Fraction(-2))[hat]
         rows = [{"lambda": v, "residue": b.residue, "prec": b.prec}
                 for v in self.POINTS
                 for b in [beta_at(Fraction(v), self.P, frob, 4, hat=hat)]]
@@ -513,25 +528,54 @@ class TestTableBytes:
 
 
 class TestInterp:
+    """beta and beta-hat through `table`, the one CLI route to them."""
+
     def test_beta_values(self, capsys):
-        code, out, _ = run(["interp", "--a", "1/2", "--p", "3", "--n", "2",
-                            "--lam", "1", "2"], capsys)
+        code, out, _ = run(["table", "--kind", "beta", "--a", "1/2", "--p", "3", "--prec", "2",
+                            "--points", "1", "2"], capsys)
         assert code == EXIT_PASS
         rows = [json.loads(l) for l in out.splitlines()]
         assert rows[0]["residue"] == 1
         assert rows[1]["residue"] == 5  # 1/2 mod 9
 
-    def test_hat_flag(self, capsys):
-        code, out, _ = run(["interp", "--a", "1/2", "--p", "3", "--n", "2",
-                            "--hat", "--lam=-3/2"], capsys)
+    def test_hat_kind(self, capsys):
+        code, out, _ = run(["table", "--kind", "beta-hat", "--a", "1/2", "--p", "3",
+                            "--prec", "2", "--points=-3/2"], capsys)
         rows = [json.loads(l) for l in out.splitlines()]
         # beta-hat at -1 - a is -1/1
         assert rows[0]["residue"] == 8
 
     def test_bad_prime(self, capsys):
-        code, _, err = run(["interp", "--a", "1/2", "--p", "4",
-                            "--lam", "1"], capsys)
+        code, _, err = run(["table", "--kind", "beta-hat", "--a", "1/2", "--p", "4",
+                            "--points", "1"], capsys)
         assert code == EXIT_CONFIG
+        assert err == "error: 4 is not prime\n"
+
+    def test_interp_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["interp", "--a", "1/2", "--p", "3", "--lam", "1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'interp'" in capsys.readouterr().err
+
+    # c = 1 + q and c = 1 - q at each p; a = 1/3 at p = 2, where 1/2 is inadmissible
+    @pytest.mark.parametrize("lam", ["0", "1", "2", "3", "-1-a"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_beta_and_beta_hat_rows_pair_to_zero(self, p, sign, lam, capsys):
+        # beta_lambda + beta-hat_{-lambda-a} ≡ 0 mod p^prec, beta along
+        # sigma and beta-hat along sigma-hat with the one constant c
+        a = Fraction(1, 3) if p == 2 else Fraction(1, 2)
+        c = 1 + sign * HGParams.create(a, 1, p).q
+        lam = -1 - a if lam == "-1-a" else Fraction(lam)
+
+        def residue(kind, point):
+            # --points=x: argparse reads a separate "-3/2" as a flag
+            code, out, _ = run(["table", "--kind", kind, "--a", str(a), "--p", str(p),
+                                f"--c={c}", "--prec", "4", f"--points={point}"], capsys)
+            assert code == EXIT_PASS
+            return json.loads(out)["residue"]
+
+        assert (residue("beta", lam) + residue("beta-hat", -lam - a)) % p ** 4 == 0
 
 
 class TestRunSuiteApi:

@@ -1,6 +1,7 @@
 """Tests for coefficient sequences, their series builders and the integral
 routes to G and Ghat that cross-check them."""
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -22,6 +23,7 @@ from padichg import (
     iwasawa_log,
     twist_pair,
 )
+from padichg import hyper
 from oracle import (
     b_exact,
     bhat_approx,
@@ -60,6 +62,20 @@ class TestParams:
         with pytest.raises(PreconditionViolated):
             FrobeniusSpec(Fraction(3)).validate(2, require_q=True)
         FrobeniusSpec(Fraction(5)).validate(2, require_q=True)
+
+
+class TestTableLength:
+    @pytest.mark.parametrize("kind", ["A", "B", "Bhat"])
+    def test_longer_than_maxsize_rejected(self, kind, monkeypatch):
+        # no list holds more than sys.maxsize terms: the length is an input
+        # error, raised before any walk
+        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        P, (frob, frob_hat) = params(Fraction(1, 2)), twist_pair(4)
+        build = {"A": lambda count: hg_series(P, count, 2),
+                 "B": lambda count: b_coefficients(P, frob, count, 2),
+                 "Bhat": lambda count: bhat_coefficients(P, frob_hat, count, 2)}[kind]
+        with pytest.raises(PreconditionViolated, match="a table longer than"):
+            build(sys.maxsize + 1)
 
 
 class TestACoefficients:

@@ -51,7 +51,7 @@ def wide_slots(draw):
     la, lb = draw(st.integers(1, 300)), draw(st.integers(1, 300))
     n_out = draw(st.integers(1, la + lb + 3))
     terms = min(la, lb, n_out)  # polymul cuts a and b at n_out
-    e = max(e for e in range(1, 80) if ((p ** e - 1) ** 2 * terms).bit_length() < 8 * width)
+    e = max(e for e in range(1, 80) if ((p ** e - 1) ** 2 * terms).bit_length() <= 8 * width)
     m = p ** e
     entry = st.one_of(st.just(m - 1), st.integers(0, m - 1))
     a = draw(st.lists(entry, min_size=la, max_size=la))
@@ -65,7 +65,7 @@ class TestPolymul:
     def test_word_and_wide_slots_match_schoolbook(self, case):
         width, modulus, a, b, n_out = case
         terms = min(len(a), len(b), n_out)
-        assert ((modulus - 1) ** 2 * terms).bit_length() // 8 + 1 == width
+        assert -(-((modulus - 1) ** 2 * terms).bit_length() // 8) == width
         assert polymul(a, b, modulus, n_out) == schoolbook(a, b, modulus, n_out)
         top = [modulus - 1] * len(a)  # every slot of the exact product at its largest
         assert polymul(top, top, modulus, n_out) == schoolbook(top, top, modulus, n_out)
@@ -137,6 +137,24 @@ class TestPolymul:
             for length in (1, 2, 12, 40):
                 a = [m - 1] * length
                 assert polymul(a, a, m, 2 * length) == schoolbook(a, a, m, 2 * length)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_largest_coefficient_fills_whole_bytes(self, bits, p):
+        # the exact product's largest coefficient is bits long, a whole
+        # number of bytes: its slot is bits // 8 bytes with no spare byte,
+        # and a 64-bit slot still packs into words, not decimals
+        e = max(e for e in range(1, 64) if (p ** e - 1) ** 2 < 2 ** (bits - 1))
+        m = p ** e
+        terms = -(-2 ** (bits - 1) // (m - 1) ** 2)
+        assert ((m - 1) ** 2 * terms).bit_length() == bits
+        top = [m - 1] * terms
+        rng = Random(bits)
+        a = [rng.randrange(m) for _ in range(terms + 2)]
+        with patch.object(series, "Decimal", side_effect=AssertionError("decimal path")):
+            for x, y in ((top, top), (a, top), (top, a)):
+                n_out = len(x) + len(y)
+                assert polymul(x, y, m, n_out) == schoolbook(x, y, m, n_out)
 
     def test_modulus_one(self):
         assert polymul([0, 0], [0], 1, 3) == [0, 0, 0]

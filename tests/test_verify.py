@@ -35,7 +35,7 @@ from padichg import (
     vp,
     witness_for,
 )
-from padichg import cli, verify
+from padichg import cli, hyper, verify
 from padichg.hyper import SIGMA, SIGMA_HAT
 from padichg.padic import _residue
 from padichg.verify import braced_residues, section_sums
@@ -388,7 +388,7 @@ class TestSectionAgainstOracle:
         P, (n, (d, k)) = case
         p = P.p
         table = [coeff_exact(P, i) for i in range(p ** n)]
-        s1, s2 = section_sums(P, hg_series(P, p ** n, n + 1), n, d, k)
+        s1, s2 = section_sums(P, hg_series(P, p ** n, d + 1), n, d, k)
         for m in range(p ** n):
             e1, e2 = section_sums_exact(P, table, n, d, k, m)
             assert (s1[m], s2[m]) == (embed_rational(e1, p, d + 1).residue,
@@ -675,6 +675,21 @@ class TestHatSideTwistAtTwo:
         monkeypatch.setattr(verify, "_quotients", lambda *args: pytest.fail("a table was built"))
         with pytest.raises(PreconditionViolated, match=rf"c = {c} is not in 1 \+"):
             check_congruence_relation(kind, params(Fraction(1, 3), p=2), FrobeniusSpec(c), 2)
+
+
+class TestTableLongerThanMaxsize:
+    """At p = 3, n = 99999 the tables of dwork and integrality are longer
+    than sys.maxsize: a failed hypothesis, raised before any walk, that
+    check_integrality does not report as a failed congruence."""
+
+    @pytest.mark.parametrize("call", [
+        lambda P: check_congruence_relation("dwork", P, None, 99999),
+        lambda P: check_integrality(P, Fraction(4), 99999),
+    ], ids=["dwork", "integrality"])
+    def test_rejected_before_tables(self, call, monkeypatch):
+        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        with pytest.raises(PreconditionViolated, match="a table longer than"):
+            call(params(Fraction(1, 2)))
 
 
 class TestModulusBelowOne:
