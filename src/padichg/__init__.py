@@ -33,14 +33,11 @@ from .interp import beta_at, beta_values, ratio_identity_check, witness_for
 from .verify import (
     CheckReport,
     NoUnitCoefficient,
-    check_beta_pairing,
-    check_braced_congruence,
     check_congruence_relation,
     check_dwork_transformation,
     check_integrality,
     check_main_congruence,
     check_ratio_interpolation,
-    check_section_congruence,
     sweep_beta_pairing,
     sweep_braced,
     sweep_ratio,

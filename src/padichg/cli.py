@@ -2,7 +2,7 @@
 
 The `suite` subcommand runs a Cartesian grid of congruence checks and
 writes a JSON-lines report: each cell returns its report line, and one key
-table layers flag, environment and config file.  `table` emits coefficient
+table layers flag over config file.  `table` emits coefficient
 tables (A, B, Bhat) or the interpolated functions at chosen points (beta
 along sigma, beta-hat along sigma-hat, with the one constant c).
 """
@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -238,8 +237,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_ENV_PREFIX = "PADIC_HG_"
-
 # suite key -> (SuiteConfig field, cast of each value, takes exactly one value)
 _SUITE_KEYS = {
     "p": ("p_list", int, False),
@@ -254,20 +251,19 @@ _SUITE_KEYS = {
 
 
 def _build_suite_config(args: argparse.Namespace) -> SuiteConfig:
-    """Each key from its flag, else PADIC_HG_<KEY>, else the config file,
-    else the default.  Environment and file values are split on whitespace,
-    a flag never is; an empty value gives no values."""
+    """Each key from its flag, else the config file, else the default.
+    File values are split on whitespace, a flag never is; an empty value
+    gives no values."""
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = SuiteConfig()
     for key, (attr, cast, single) in _SUITE_KEYS.items():
         flag = getattr(args, key)
         if flag is not None:
             got = flag if isinstance(flag, list) else [flag] if flag != "" else []
+        elif key in file_values:
+            got = file_values[key].split()
         else:
-            text = os.environ.get(_ENV_PREFIX + key.upper(), file_values.get(key))
-            if text is None:
-                continue
-            got = text.split()
+            continue
         values = [cast(v) for v in got]
         if single:
             if len(values) != 1:

@@ -385,15 +385,13 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     the first k whose quotient is not p-integral raises NotDivisible.  The
     unit parts of a request are inverted through one modular inversion of
     their product, walking back over the prefix products, and d enters
-    with that inverse.  A range of ks longer than sys.maxsize, which no
-    list can hold, raises PreconditionViolated before any walk."""
+    with that inverse.  Any k at or past sys.maxsize, which no walk's list
+    can reach, raises PreconditionViolated before any walk."""
     if prec < 1:
         raise ValueError("precision must be positive")
     p, s, a, a1 = params.p, params.s, params.a, params.chain.a_at(1)
     parts = []  # the requests as divided: G is B_0, B/A at its witness, then B
     for kind, tag, ks in requests:
-        if isinstance(ks, range) and ks.stop - ks.start > sys.maxsize:
-            raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
         if kind != "A":
             tag.validate(p)
         if kind == "G":
@@ -407,6 +405,8 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     for kind, tag, ks in parts:
         hat = kind.startswith("Bhat")
         wanted = ks if isinstance(ks, range) and ks.step == 1 else sorted(set(ks))
+        if wanted and wanted[-1] >= sys.maxsize:
+            raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
         prime = params.chain.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
         reads.setdefault(prime.numerator, (prime, []))[1].append(wanted)
         js = vals = units = ()

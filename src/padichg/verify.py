@@ -10,8 +10,8 @@ table, and raises PreconditionViolated outside them: n >= 1, a in
 HGParams, c in 1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check
 that reads the hatted side.  The suite runner skips the cells whose
 checker raises it.
-Congruences are decided on residues, every product goes through
-`polymul`, and a single-cell checker shares its sweep's helper.  A check
+Congruences are decided on residues and every product goes through
+`polymul`.  Each check the suite names has one entry point here, which
 takes all its coefficient tables from one `_quotients` call, one walk
 per distinct Dwork prime.  The braced sweep decides
 its pairs class by class mod p^n; the exact ratio identity is decided on
@@ -21,22 +21,16 @@ integers (`interp.ratio_identity_holds`).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import add, mod, ne
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .padic import NotDivisible, PadicError, PreconditionViolated, Rational, _residue
 from .series import polymul, polymul_spread
-from .hyper import (
-    SIGMA,
-    SIGMA_HAT,
-    FrobeniusSpec,
-    HGParams,
-    _quotients,
-    twist_pair,
-)
+from .hyper import FrobeniusSpec, HGParams, _quotients, twist_pair
 from .interp import ratio_identity_holds, witness_for
 
 
@@ -205,7 +199,10 @@ def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
     """(-1)^{f_x} {1}_x/{a}_x mod p^n for x <= top.  Both braced products
     are p-adic units, so the ratio is a running unit product: by x when
     p does not divide x, and by d/(n + (x-1)d) = 1/(a + x - 1), with
-    a = n/d, when p does not divide n + (x-1)d."""
+    a = n/d, when p does not divide n + (x-1)d.  A top at or past
+    sys.maxsize, which no list can hold, raises PreconditionViolated."""
+    if top >= sys.maxsize:
+        raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
     p, q = params.p, params.q
     m = p ** n
     num, d = params.a.numerator, params.a.denominator
@@ -219,27 +216,6 @@ def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
         f_x = x % q - x % q // p
         out.append(-r % m if f_x % 2 else r)
     return out
-
-
-def _braced_report(info: dict, n: int, residues: list[int], pairs) -> CheckReport:
-    """Fails at the first (x, y) pair whose residues differ."""
-    for x, y in pairs:
-        if residues[x] != residues[y]:
-            return CheckReport(check="braced", params=info, passed=False, modulus=n,
-                               first_failure={"x": x, "y": y, "left": residues[x],
-                                              "right": residues[y]})
-    return CheckReport(check="braced", params=info, passed=True, modulus=n)
-
-
-def check_braced_congruence(params: HGParams, x: int, y: int, n: int) -> CheckReport:
-    """(-1)^{f_x} {1}_x/{a}_x ≡ (-1)^{f_y} {1}_y/{a}_y mod p^n, assuming
-    x + y + a ≡ 0 mod p^n."""
-    _require_modulus(n)
-    pn = params.p ** n
-    if (x + y + _residue(params.a, params.p, pn)) % pn:
-        raise PreconditionViolated(f"x + y + a is not divisible by {pn}")
-    return _braced_report(_params_dict(params, n=n, x=x, y=y), n,
-                          braced_residues(params, max(x, y), n), [(x, y)])
 
 
 def sweep_braced(params: HGParams, n: int) -> CheckReport:
@@ -257,63 +233,43 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
     # the residue of each class mod p^n when it is constant on the class
     constant = [residues[c] if len(set(residues[c::pn])) == 1 else None
                 for c in range(pn)]
-    pairs = ((x, y) for x in range(top + 1) if constant[(l_n - x) % pn] != residues[x]
-             for y in range((l_n - x) % pn, top + 1, pn))
-    return _braced_report(_params_dict(params, n=n, range=top), n, residues, pairs)
+    fail = next(({"x": x, "y": y, "left": residues[x], "right": residues[y]}
+                 for x in range(top + 1) if constant[(l_n - x) % pn] != residues[x]
+                 for y in range((l_n - x) % pn, top + 1, pn) if residues[x] != residues[y]),
+                None)
+    return CheckReport(check="braced", params=_params_dict(params, n=n, range=top),
+                       passed=fail is None, modulus=n, first_failure=fail)
 
 
 # ---------------------------------------------------------------------------
 # beta pairing
 
 
-def _beta_pairings(params: HGParams, frob_pair: tuple[FrobeniusSpec, FrobeniusSpec], n: int,
-                   lambdas: Sequence[Rational]) -> Iterator[CheckReport]:
-    """The pairing report at each lambda in turn; beta_lambda and
+def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
+    """beta_lambda + beta-hat_{-lambda-a} ≡ 0 mod p^n at lambda = 0, 1, 2,
+    1/2 (not at p = 2) and -1-a, with beta along sigma and beta-hat along
+    sigma-hat; the first failing lambda is reported.  beta_lambda and
     beta-hat_{-lambda-a} are B_k/A_k and Bhat_k/A_k at their witnesses
     (`witness_for`), from one `_quotients` call.  Both need c in 1 + qW."""
     _require_modulus(n)
-    frob, frob_hat = frob_pair
+    frob, frob_hat = twist_pair(c)
     p = params.p
-    for fr in frob_pair:
-        fr.validate(p, require_q=True)
+    frob.validate(p, require_q=True)
     pn = p ** n
+    lambdas = [0, 1, 2, Fraction(1, 2), -1 - params.a]
+    if p == 2:
+        del lambdas[3]  # 1/2
     ks = [witness_for(lam, p, n) for lam in lambdas]  # each r_lambda, or p^n at r_lambda = 0
     r_a = _residue(params.a, p, pn)
     ks_hat = [(-k - r_a) % pn or pn for k in ks]  # the witness of -lambda - a
     betas, beta_hats = _quotients(params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks_hat)], n)
     for lam, b, bh in zip(lambdas, betas, beta_hats):
-        ok = (b + bh) % pn == 0
-        info = _params_dict(params, n=n, c=frob.c, lam=lam)
-        fail = None if ok else {"beta": f"{b} mod {p}^{n}", "beta_hat": f"{bh} mod {p}^{n}"}
-        yield CheckReport(check="beta-pairing", params=info, passed=ok, modulus=n,
-                          first_failure=fail)
-
-
-def check_beta_pairing(lam: Rational, params: HGParams,
-                       frob_pair: tuple[FrobeniusSpec, FrobeniusSpec],
-                       n: int) -> CheckReport:
-    """beta_lambda + beta-hat_{-lambda-a} ≡ 0 mod p^n, with beta taken
-    along sigma and beta-hat along sigma-hat."""
-    frob, frob_hat = frob_pair
-    if frob.direction != SIGMA or frob_hat.direction != SIGMA_HAT:
-        raise PreconditionViolated("frob_pair must be (sigma, sigma-hat)")
-    return next(_beta_pairings(params, frob_pair, n, [lam]))
-
-
-def sweep_beta_pairing(params: HGParams, c: Rational, n: int,
-                       lambdas: Optional[Sequence[Rational]] = None) -> CheckReport:
-    """The beta pairing at each lambda; the first failing one is reported."""
-    if lambdas is None:
-        lambdas = [0, 1, 2, Fraction(1, 2), -1 - params.a]
-        if params.p == 2:
-            del lambdas[3]  # 1/2
-    if not lambdas:
-        raise PreconditionViolated("no lambda to compare")
-    frob_pair = twist_pair(c)
-    for rep in _beta_pairings(params, frob_pair, n, lambdas):
-        if not rep.passed:
-            return rep
-    return CheckReport(check="beta-pairing", params=_params_dict(params, n=n, c=frob_pair[0].c),
+        if (b + bh) % pn:
+            info = _params_dict(params, n=n, c=frob.c, lam=lam)
+            return CheckReport(check="beta-pairing", params=info, passed=False, modulus=n,
+                               first_failure={"beta": f"{b} mod {p}^{n}",
+                                              "beta_hat": f"{bh} mod {p}^{n}"})
+    return CheckReport(check="beta-pairing", params=_params_dict(params, n=n, c=frob.c),
                        passed=True, modulus=n)
 
 
@@ -336,26 +292,6 @@ def section_sums(params: HGParams, a_res: Sequence[int], n: int, d: int,
     return polymul(first, a_res[::-1], mod, pn), polymul(a_res, second[::-1], mod, pn)
 
 
-def _section_report(params: HGParams, n: int, d: int, k: int, m: int,
-                    s1: int, s2: int) -> CheckReport:
-    info = _params_dict(params, n=n, d=d, k=k, m=m)
-    fail = None if s1 == s2 else {"s1": s1, "s2": s2}
-    return CheckReport(check="section-sums", params=info, passed=fail is None,
-                       modulus=d + 1, first_failure=fail)
-
-
-def check_section_congruence(params: HGParams, n: int, d: int, k: int, m: int) -> CheckReport:
-    """The two residue-class-restricted sums of A_i A_{p^n-j-1} agree
-    mod p^{d+1}; classes are taken mod p^{n-d}, with the rational class
-    -k-a decided by p-adic congruence."""
-    _require_modulus(n)
-    p = params.p
-    if not (0 <= m <= p ** n - 1 and 0 <= d <= n and 0 <= k < p ** (n - d)):
-        raise PreconditionViolated("indices out of range")
-    s1, s2 = section_sums(params, _quotients(params, [("A", 0, range(p ** n))], d + 1)[0], n, d, k)
-    return _section_report(params, n, d, k, m, s1[m], s2[m])
-
-
 def sweep_section(params: HGParams, n: int) -> CheckReport:
     _require_modulus(n)
     p = params.p
@@ -366,7 +302,10 @@ def sweep_section(params: HGParams, n: int) -> CheckReport:
             s1, s2 = section_sums(params, level, n, d, k)
             for m, (x, y) in enumerate(zip(s1, s2)):
                 if x != y:
-                    return _section_report(params, n, d, k, m, x, y)
+                    return CheckReport(check="section-sums",
+                                       params=_params_dict(params, n=n, d=d, k=k, m=m),
+                                       passed=False, modulus=d + 1,
+                                       first_failure={"s1": x, "s2": y})
     return CheckReport(check="section-sums", params=_params_dict(params, n=n),
                        passed=True, modulus=n + 1)
 
@@ -400,9 +339,10 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
 # ratio identity and interpolation sweeps
 
 
-def sweep_ratio(params: HGParams, x_max: int = 200) -> CheckReport:
-    if x_max < 1:
-        raise PreconditionViolated(f"x_max = {x_max} leaves no x to compare")
+def sweep_ratio(params: HGParams) -> CheckReport:
+    """The exact ratio identity at x = 1, ..., 200; the first failing x is
+    reported."""
+    x_max = 200
     info = _params_dict(params, x_max=x_max)
     for x, holds in enumerate(ratio_identity_holds(params, x_max), 1):
         if not holds:
@@ -411,27 +351,22 @@ def sweep_ratio(params: HGParams, x_max: int = 200) -> CheckReport:
     return CheckReport(check="ratio-identity", params=info, passed=True, modulus=0)
 
 
-def check_ratio_interpolation(params: HGParams, c: Rational, n: int,
-                              k_max: Optional[int] = None) -> CheckReport:
-    """B_k/A_k and Bhat_k/A_k agree mod p^n whenever k ≡ k' mod p^n
-    (pairs with k' = k + p^n, covering k, k' <= k_max), with c in 1 + qW."""
+def check_ratio_interpolation(params: HGParams, c: Rational, n: int) -> CheckReport:
+    """B_k/A_k and Bhat_k/A_k agree mod p^n at k and k + p^n for every
+    k = 1, ..., p^n, with c in 1 + qW; both are read at k = 1, ..., 2p^n
+    from one `_quotients` call."""
     _require_modulus(n)
     frob, frob_hat = twist_pair(c)
     frob.validate(params.p, require_q=True)
     p = params.p
     pn = p ** n
-    if k_max is None:
-        k_max = 2 * pn
-    info = _params_dict(params, n=n, c=frob.c, k_max=k_max)
-    lows = range(1, k_max - pn + 1)
-    if not lows:
-        raise PreconditionViolated(f"k_max = {k_max} leaves no pair k, k + {pn} to compare")
-    ks = [*lows, *(k + pn for k in lows)]
-    both = _quotients(params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks)], n)
-    ratios = {hat: dict(zip(ks, r)) for hat, r in zip((False, True), both)}
-    for k in lows:
-        for hat in (False, True):
-            left, right = ratios[hat][k], ratios[hat][k + pn]
+    info = _params_dict(params, n=n, c=frob.c, k_max=2 * pn)
+    ks = range(1, 2 * pn + 1)
+    sides = list(zip((False, True), _quotients(params, [("B/A", frob, ks),
+                                                         ("Bhat/A", frob_hat, ks)], n)))
+    for k in range(1, pn + 1):
+        for hat, ratios in sides:
+            left, right = ratios[k - 1], ratios[k - 1 + pn]
             if left != right:
                 return CheckReport(check="interpolation", params=info, passed=False,
                                    modulus=n,

@@ -29,7 +29,6 @@ from padichg.cli import (
     CheckReport,
     ConfigInvalid,
     SuiteConfig,
-    _SUITE_KEYS,
     build_parser,
     main,
     run_suite,
@@ -94,28 +93,24 @@ class TestSuite:
         _, second, _ = run(argv, capsys)
         assert first == second
 
-    def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
+    def test_config_file_and_flags(self, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("p: 3\na: 1/2\ncheck: braced\nn: 2\n")
-        monkeypatch.setenv("PADIC_HG_N", "1")
-        code, out, _ = run(["suite", "--config", str(cfg)], capsys)
+        code, out, _ = run(["suite", "--config", str(cfg), "--n", "1"], capsys)
         assert code == EXIT_PASS
         rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
-        # the environment override wins over the file value n = 2
+        # the flag wins over the file value n = 2
         assert [r["modulus"] for r in rows] == [1]
 
-        # flag > environment > file, for a list key and a single-value key
-        cfg.write_text("check: braced\njobs: 3\n")
+        # flag > file, for a list key and a single-value key
+        cfg.write_text("check: braced dwork\njobs: 3\n")
 
         def resolved(*flags):
             got = cli._build_suite_config(
                 build_parser().parse_args(["suite", "--config", str(cfg), *flags]))
             return got.checks, got.jobs
 
-        assert resolved() == (["braced"], 3)
-        monkeypatch.setenv("PADIC_HG_CHECK", "dwork log")
-        monkeypatch.setenv("PADIC_HG_JOBS", "2")
-        assert resolved() == (["dwork", "log"], 2)
+        assert resolved() == (["braced", "dwork"], 3)
         assert resolved("--check", "hat", "--jobs", "1") == (["hat"], 1)
 
         # a flag is never split on spaces: the report goes to one path
@@ -135,8 +130,6 @@ class TestSuite:
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
         spec.loader.exec_module(workloads)
-        for key in _SUITE_KEYS:
-            monkeypatch.delenv("PADIC_HG_" + key.upper(), raising=False)
         got = cli._build_suite_config(build_parser().parse_args(
             ["suite", "--config", str(root / "grids" / "standard.conf")]))
         expect = {key: [Fraction(v) for v in values] if key in ("a_list", "c_list") else values
@@ -145,11 +138,9 @@ class TestSuite:
         # out and jobs come from the command line
         assert (got.out, got.jobs) == (None, 1)
 
-    def test_standard_grid_report_bytes(self, tmp_path, monkeypatch, capsys):
+    def test_standard_grid_report_bytes(self, tmp_path, capsys):
         # the serial report of grids/standard.conf is pinned by grids/standard.jsonl
         root = Path(__file__).resolve().parents[1]
-        for key in _SUITE_KEYS:
-            monkeypatch.delenv("PADIC_HG_" + key.upper(), raising=False)
         path = tmp_path / "grid.jsonl"
         code, _, _ = run(["suite", "--config", str(root / "grids" / "standard.conf"),
                           "--jobs", "1", "--out", str(path)], capsys)
@@ -157,20 +148,16 @@ class TestSuite:
         assert path.read_bytes() == (root / "grids" / "standard.jsonl").read_bytes()
 
     @pytest.mark.parametrize("key,value,source", [
-        *((key, value, source) for source in ("env", "file")
-          for key, value in [("out", ""), ("jobs", ""), ("jobs", "1 2"),
-                             ("out", "a.jsonl b.jsonl")]),
+        *((key, value, "file") for key, value in [("out", ""), ("jobs", ""), ("jobs", "1 2"),
+                                                  ("out", "a.jsonl b.jsonl")]),
         ("out", "", "flag"),
     ])
-    def test_single_value_key_needs_one_value(self, source, key, value, tmp_path, capsys,
-                                              monkeypatch):
+    def test_single_value_key_needs_one_value(self, source, key, value, tmp_path, capsys):
         # an empty value gives no value, and two are ambiguous: both exit 2
         cfg = tmp_path / "suite.cfg"
         text = "p: 3\na: 1/2\ncheck: braced\nn: 1\n"
         flags = []
-        if source == "env":
-            monkeypatch.setenv(f"PADIC_HG_{key.upper()}", value)
-        elif source == "file":
+        if source == "file":
             text += f"{key}: {value}\n"
         else:
             flags = [f"--{key}", value]
@@ -258,6 +245,16 @@ class TestSuite:
         assert "skipped 2 incompatible grid cells" in out
         assert err == "config error: no grid cell meets its check's hypotheses\n"
 
+    @pytest.mark.parametrize("check", ["interpolation", "braced", "beta-pairing"])
+    def test_index_past_maxsize_skips_its_cell(self, check, capsys):
+        # at p = 3, n = 99999 interpolation reads ks up to 2·3^99999, braced
+        # residues up to 3^199998 and beta-pairing the witness 3^99999
+        code, out, err = run(["suite", "--check", check, "--p", "3", "--a", "1/2",
+                              "--c", "4", "--n", "99999"], capsys)
+        assert code == EXIT_CONFIG and not out.startswith("{")
+        assert "skipped 1 incompatible grid cells" in out
+        assert err == "config error: no grid cell meets its check's hypotheses\n"
+
     def test_repeated_value_runs_no_cell(self, capsys, monkeypatch):
         # one cell four times over would write four identical lines
         ran = []
@@ -333,12 +330,13 @@ class TestInputErrors:
          "--prec", "3"],
         ["table", "--kind", "beta-hat", "--a", "1/3", "--p", "2", "--c", "3", "--points", "2",
          "--prec", "3"],
-        # a zero denominator from a flag, the config file {cfg} or the
-        # environment (a leading dict)
+        # a zero denominator from a flag or the config file {cfg}
         ["suite", "--check", "dwork", "--a", "1/0"],
         ["suite", "--check", "log", "--c", "1/0"],
         ["suite", "--config", "{cfg}"],
-        [{"PADIC_HG_A": "1/0"}, "suite", "--check", "dwork"],
+        # the witness of 1/2 mod 3^99999 is past sys.maxsize
+        ["table", "--kind", "beta", "--a", "1/2", "--p", "3", "--c", "4", "--points", "1/2",
+         "--prec", "99999"],
         ["table", "--kind", "A", "--a", "1/0", "--p", "3"],
         ["table", "--kind", "B", "--a", "1/2", "--p", "3", "--c", "1/0"],
         ["table", "--kind", "beta", "--a", "1/2", "--p", "3", "--c", "4", "--points", "1/0"],
@@ -350,11 +348,7 @@ class TestInputErrors:
         ["table", "--kind", "A", "--a", "1/2", "--p", "3", "--count", str(10 ** 20),
          "--prec", "2"],
     ])
-    def test_exit_config_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
-        if isinstance(argv[0], dict):
-            for name, value in argv[0].items():
-                monkeypatch.setenv(name, value)
-            argv = argv[1:]
+    def test_exit_config_with_one_line(self, argv, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("check: dwork\na: 1/0\n")
         code, _, err = run([arg.format(cfg=cfg) for arg in argv], capsys)
@@ -364,16 +358,14 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("key,values", [("p", "3 5 3"), ("n", "1 1"), ("a", "1/2 2/4"),
                                             ("s", "2 2"), ("c", "4 4"), ("check", "log log")])
-    @pytest.mark.parametrize("source", ["flag", "env", "file"])
-    def test_repeated_list_value(self, key, values, source, tmp_path, monkeypatch, capsys):
-        # the same value twice gives the same cells twice, from any source
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_repeated_list_value(self, key, values, source, tmp_path, capsys):
+        # the same value twice gives the same cells twice, from either source
         cfg = tmp_path / "suite.cfg"
         text = "check: dwork\n" if key != "check" else ""
         flags = []
         if source == "flag":
             flags = [f"--{key}", *values.split()]
-        elif source == "env":
-            monkeypatch.setenv(f"PADIC_HG_{key.upper()}", values)
         else:
             text += f"{key}: {values}\n"
         cfg.write_text(text)

@@ -13,6 +13,7 @@ from padichg import (
     FrobeniusSpec,
     HGParams,
     PreconditionViolated,
+    SIGMA,
     SIGMA_HAT,
     b0_constant,
     b_coefficients,
@@ -24,6 +25,7 @@ from padichg import (
     twist_pair,
 )
 from padichg import hyper
+from padichg.hyper import coefficient_ratios
 from oracle import (
     b_exact,
     bhat_approx,
@@ -76,6 +78,21 @@ class TestTableLength:
                  "Bhat": lambda count: bhat_coefficients(P, frob_hat, count, 2)}[kind]
         with pytest.raises(PreconditionViolated, match="a table longer than"):
             build(sys.maxsize + 1)
+
+    @pytest.mark.parametrize("hat", [False, True])
+    def test_witness_past_maxsize_rejected(self, hat, monkeypatch):
+        # a list of witnesses, like a range, reads no index at or past
+        # sys.maxsize: no walk reaches one
+        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        P, frob = params(Fraction(1, 2)), FrobeniusSpec(4, SIGMA_HAT if hat else SIGMA)
+        with pytest.raises(PreconditionViolated, match="a table longer than"):
+            coefficient_ratios(P, frob, [1, sys.maxsize], 2, hat)
+
+    def test_b0_witness_past_maxsize_rejected(self, monkeypatch):
+        # B_0 mod 3^40 is read at the witness 3^40, past sys.maxsize
+        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        with pytest.raises(PreconditionViolated, match="a table longer than"):
+            b0_constant(params(Fraction(1, 2)), FrobeniusSpec(4), 40)
 
 
 class TestACoefficients:

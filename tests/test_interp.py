@@ -152,7 +152,7 @@ class TestRatioIdentityTables:
     def test_shared_table_matches_per_x_oracle(self, a, p, s):
         # the sweep and the single-x check share one route of running products
         P = HGParams.create(a, s, p)
-        assert sweep_ratio(P, 60).passed
+        assert sweep_ratio(P).passed
         for x in range(1, 61):
             assert ratio_identity_check(x, P) and ratio_identity_per_x(x, P)
 
@@ -187,7 +187,7 @@ class TestRatioIdentityTables:
     def test_wrong_dwork_chain_fails_at_oracle_x(self, a, p, chain_a, s):
         P = chained(a, s, p, chain_a)
         first = next(x for x in range(1, 61) if not ratio_identity_per_x(x, P))
-        rep = sweep_ratio(P, 60)
+        rep = sweep_ratio(P)
         assert not rep.passed and rep.first_failure == {"x": first}
         assert all(ratio_identity_check(x, P) for x in range(1, first))
         assert not ratio_identity_check(first, P)

@@ -1,6 +1,8 @@
 """Tests for the congruence checkers and sweeps."""
 
+import inspect
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,15 +18,13 @@ from padichg import (
     b0_constant,
     b_coefficients,
     beta_at,
+    beta_values,
     bhat_coefficients,
-    check_beta_pairing,
-    check_braced_congruence,
     check_congruence_relation,
     check_dwork_transformation,
     check_integrality,
     check_main_congruence,
     check_ratio_interpolation,
-    check_section_congruence,
     embed_rational,
     hg_series,
     sweep_beta_pairing,
@@ -36,7 +36,7 @@ from padichg import (
     witness_for,
 )
 from padichg import cli, hyper, verify
-from padichg.hyper import SIGMA, SIGMA_HAT
+from padichg.hyper import SIGMA, SIGMA_HAT, coefficient_ratios
 from padichg.padic import _residue
 from padichg.verify import braced_residues, section_sums
 
@@ -269,30 +269,25 @@ class TestProductsAgainstFullOracle:
 
 class TestBraced:
     def test_hand_case(self):
-        rep = check_braced_congruence(params(Fraction(1, 2)), 0, 1, 1)
-        assert rep.passed
-
-    def test_symmetric_pair(self):
-        # x = y = 2 with 2x + 1/2 = 9/2, valuation 2: both sides coincide
-        rep = check_braced_congruence(params(Fraction(1, 2)), 2, 2, 2)
-        assert rep.passed
+        # x = 0, y = 1 at a = 1/2: x + y + a = 3/2, valuation 1
+        residues = braced_residues(params(Fraction(1, 2)), 1, 1)
+        assert residues[0] == residues[1]
 
     def test_p2_hand_case(self):
-        rep = check_braced_congruence(HGParams.create(1, 1, 2), 0, 1, 1)
-        assert rep.passed
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
-            check_braced_congruence(params(Fraction(1, 2)), 1, 1, 1)
+        # x = 0, y = 1 at a = 1, p = 2: x + y + a = 2
+        residues = braced_residues(HGParams.create(1, 1, 2), 1, 1)
+        assert residues[0] == residues[1]
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_modulus_below_one_rejected(self, n):
         # mod p^0 every residue is 0, so any pair would pass
-        P = params(Fraction(1, 2))
         with pytest.raises(PreconditionViolated, match=f"n = {n}"):
-            check_braced_congruence(P, 0, 1, n)
-        with pytest.raises(PreconditionViolated, match=f"n = {n}"):
-            sweep_braced(P, n)
+            sweep_braced(params(Fraction(1, 2)), n)
+
+    def test_top_past_maxsize_rejected(self):
+        # no list holds the residues up to sys.maxsize
+        with pytest.raises(PreconditionViolated, match="a table longer than"):
+            braced_residues(params(Fraction(1, 2)), sys.maxsize, 1)
 
     @settings(deadline=None)
     @given(st.sampled_from([(Fraction(1, 2), 3), (Fraction(2), 5), (Fraction(1), 2)]),
@@ -369,8 +364,6 @@ class TestBracedAgainstOracle:
                    "left": embed_rational(braced_ratio(P, x, b1, ba), p, n).residue,
                    "right": embed_rational(braced_ratio(P, y, b1, ba), p, n).residue}
         assert not rep.passed and rep.first_failure == payload
-        single = check_braced_congruence(P, x, y, n)
-        assert not single.passed and single.first_failure == payload
 
 
 class TestSectionAgainstOracle:
@@ -420,30 +413,26 @@ class TestSectionAgainstOracle:
         assert not rep.passed and rep.modulus == d + 1
         assert (rep.params["d"], rep.params["k"], rep.params["m"]) == (d, k, m)
         assert rep.first_failure == payload
-        single = check_section_congruence(P, n, d, k, m)
-        assert not single.passed and single.first_failure == payload
+
+
+def pairing_sum(lam, P, c, n):
+    """beta_lambda + beta-hat_{-lambda-a} mod p^n, beta along sigma and
+    beta-hat along sigma-hat."""
+    (frob, frob_hat), pn = twist_pair(c), P.p ** n
+    beta = beta_values([lam], P, frob, n)[0].residue
+    beta_hat = beta_values([-lam - P.a], P, frob_hat, n, hat=True)[0].residue
+    return (beta + beta_hat) % pn
 
 
 class TestBetaPairing:
     def test_unit_lambda(self):
-        P = params(Fraction(1, 2))
-        rep = check_beta_pairing(Fraction(1), P, twist_pair(Fraction(1)), 2)
-        assert rep.passed
+        assert pairing_sum(Fraction(1), params(Fraction(1, 2)), Fraction(1), 2) == 0
 
     def test_lambda_zero_a1(self):
-        P = params(1)
-        rep = check_beta_pairing(Fraction(0), P, twist_pair(Fraction(1)), 2)
-        assert rep.passed
+        assert pairing_sum(Fraction(0), params(1), Fraction(1), 2) == 0
 
     def test_half_lambda_twisted(self):
-        P = params(Fraction(1, 2), s=2)
-        rep = check_beta_pairing(Fraction(1, 2), P, twist_pair(Fraction(4)), 2)
-        assert rep.passed
-
-    def test_direction_validation(self):
-        pair = (FrobeniusSpec(Fraction(1)), FrobeniusSpec(Fraction(1)))
-        with pytest.raises(PreconditionViolated):
-            check_beta_pairing(Fraction(1), params(1), pair, 1)
+        assert pairing_sum(Fraction(1, 2), params(Fraction(1, 2), s=2), Fraction(4), 2) == 0
 
     def test_sweep_default_lambdas(self):
         rep = sweep_beta_pairing(params(Fraction(1, 2)), Fraction(4), 2)
@@ -452,7 +441,7 @@ class TestBetaPairing:
     @pytest.mark.parametrize("index", [0, 2, 4])
     def test_corrupted_beta_hat_fails_at_its_lambda(self, index, monkeypatch):
         # one `_quotients` call for both directions; a wrong beta-hat at one
-        # lambda fails the sweep there, with the payload of the single-point check
+        # lambda fails the sweep there, with the payload of `beta_at`
         P, c = params(Fraction(1, 2)), Fraction(4)
         lam = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), -P.a - 1][index]
         calls = []
@@ -474,27 +463,25 @@ class TestBetaPairing:
         monkeypatch.undo()
         assert sweep_beta_pairing(P, c, 2).passed
 
-    def test_sweep_without_lambdas_rejected(self):
-        with pytest.raises(PreconditionViolated, match="no lambda"):
-            sweep_beta_pairing(params(Fraction(1, 2)), Fraction(4), 2, lambdas=[])
+
+def section_pair(P, n, d, k, m):
+    """(s1, s2) of `section_sums` at one m."""
+    s1, s2 = section_sums(P, hg_series(P, P.p ** n, d + 1), n, d, k)
+    return s1[m], s2[m]
 
 
 class TestSectionSums:
     def test_hand_m0(self):
-        rep = check_section_congruence(params(Fraction(1, 2)), 1, 0, 0, 0)
-        assert rep.passed
+        s1, s2 = section_pair(params(Fraction(1, 2)), 1, 0, 0, 0)
+        assert s1 == s2
 
     def test_hand_m1(self):
-        rep = check_section_congruence(params(Fraction(1, 2)), 1, 0, 1, 1)
-        assert rep.passed
+        s1, s2 = section_pair(params(Fraction(1, 2)), 1, 0, 1, 1)
+        assert s1 == s2
 
     def test_d_equals_n(self):
-        rep = check_section_congruence(params(Fraction(1, 2)), 1, 1, 0, 1)
-        assert rep.passed
-
-    def test_bad_indices(self):
-        with pytest.raises(PreconditionViolated):
-            check_section_congruence(params(Fraction(1, 2)), 1, 0, 9, 0)
+        s1, s2 = section_pair(params(Fraction(1, 2)), 1, 1, 0, 1)
+        assert s1 == s2
 
     def test_sweeps(self):
         for a in (Fraction(1, 2), Fraction(2)):
@@ -588,22 +575,34 @@ def shifted_b(idx, delta):
 
 class TestRatioAndInterp:
     def test_ratio_sweep(self):
-        assert sweep_ratio(params(Fraction(1, 2), s=2), x_max=60).passed
-
-    @pytest.mark.parametrize("x_max", [0, -3])
-    def test_ratio_sweep_without_x_rejected(self, x_max):
-        with pytest.raises(PreconditionViolated, match="no x"):
-            sweep_ratio(params(Fraction(1, 2)), x_max)
+        assert sweep_ratio(params(Fraction(1, 2), s=2)).passed
 
     def test_interpolation(self):
         rep = check_ratio_interpolation(params(Fraction(1, 2)), Fraction(4), 2)
         assert rep.passed
 
-    def test_interpolation_without_pairs_rejected(self):
-        # k_max = p^n leaves no k with k + p^n <= k_max
-        with pytest.raises(PreconditionViolated, match="no pair"):
-            check_ratio_interpolation(params(Fraction(1, 2)), Fraction(1), 2, k_max=9)
-        assert check_ratio_interpolation(params(Fraction(1, 2)), Fraction(1), 2, k_max=10).passed
+    @pytest.mark.parametrize("shifts,first", [
+        ([("B/A", 3)], (4, False)), ([("Bhat/A", 12)], (4, True)),
+        # at one k the B side is reported first
+        ([("Bhat/A", 3), ("B/A", 3)], (4, False)), ([("Bhat/A", 2), ("B/A", 13)], (3, True)),
+    ])
+    def test_interpolation_fails_at_first_shifted_pair(self, shifts, first, monkeypatch):
+        # p^n = 9: the ratios at k = 1, ..., 18, with entry idx (k = idx + 1)
+        # shifted by 1, first differ from their partner k +- 9 at `first`
+        P, c = params(Fraction(1, 2)), Fraction(4)
+        ratios = {hat: coefficient_ratios(P, frob, range(1, 19), 2, hat)
+                  for hat, frob in zip((False, True), twist_pair(c))}
+        quotients = verify._quotients
+        for kind, idx in shifts:
+            quotients = shifted_tables(quotients, kind, idx, 1)
+            side = ratios[kind == "Bhat/A"]
+            side[idx] = (side[idx] + 1) % 9
+        monkeypatch.setattr(verify, "_quotients", quotients)
+        rep = check_ratio_interpolation(P, c, 2)
+        k, hat = first
+        assert not rep.passed
+        assert rep.first_failure == {"k": k, "hat": hat, "left": f"{ratios[hat][k - 1]} mod 3^2",
+                                     "right": f"{ratios[hat][k + 8]} mod 3^2"}
 
     def test_integrality(self):
         rep = check_integrality(params(Fraction(1, 2), s=2), Fraction(4), 2)
@@ -678,44 +677,52 @@ class TestHatSideTwistAtTwo:
 
 
 class TestTableLongerThanMaxsize:
-    """At p = 3, n = 99999 the tables of dwork and integrality are longer
-    than sys.maxsize: a failed hypothesis, raised before any walk, that
-    check_integrality does not report as a failed congruence."""
+    """At p = 3, n = 99999 these checks read an index past sys.maxsize: the
+    tables of dwork and integrality, the ks up to 2·3^99999 of
+    interpolation, the braced residues up to 3^199998 and the beta-pairing
+    witness 3^99999.  Each is a failed hypothesis, raised before any walk
+    or residue, that check_integrality does not report as a failed
+    congruence."""
 
-    @pytest.mark.parametrize("call", [
-        lambda P: check_congruence_relation("dwork", P, None, 99999),
-        lambda P: check_integrality(P, Fraction(4), 99999),
-    ], ids=["dwork", "integrality"])
-    def test_rejected_before_tables(self, call, monkeypatch):
+    @pytest.mark.parametrize("check", ["dwork", "integrality", "interpolation", "braced",
+                                       "beta-pairing"])
+    def test_rejected_before_tables(self, check, monkeypatch):
         monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        # braced_residues inverts by the builtin pow from x = 1 on
+        monkeypatch.setattr(verify, "pow", lambda *args: pytest.fail("a residue was formed"),
+                            raising=False)
         with pytest.raises(PreconditionViolated, match="a table longer than"):
-            call(params(Fraction(1, 2)))
+            cli.CHECKS[check][0](params(Fraction(1, 2)), Fraction(4), 99999)
 
 
 class TestModulusBelowOne:
-    """Every checker that takes n rejects n < 1 on entry: mod p^0 every
-    residue is 0, so the check would pass vacuously.  The braced checkers
-    are covered in TestBraced."""
+    """Every check that reads n rejects n < 1 on entry: mod p^0 every
+    residue is 0, so the check would pass vacuously."""
 
     @pytest.mark.parametrize("n", [0, -1])
-    @pytest.mark.parametrize("call", [
-        lambda P, c, n: check_congruence_relation("dwork", P, None, n),
-        lambda P, c, n: check_congruence_relation("log", P, FrobeniusSpec(c), n),
-        lambda P, c, n: check_congruence_relation("hat", P, FrobeniusSpec(c), n),
-        lambda P, c, n: check_dwork_transformation(P, n),
-        lambda P, c, n: check_beta_pairing(Fraction(1), P, twist_pair(c), n),
-        lambda P, c, n: sweep_beta_pairing(P, c, n),
-        lambda P, c, n: check_section_congruence(P, n, 0, 0, 0),
-        lambda P, c, n: sweep_section(P, n),
-        lambda P, c, n: check_main_congruence(P, c, n),
-        lambda P, c, n: check_ratio_interpolation(P, c, n),
-        lambda P, c, n: check_integrality(P, c, n),
-    ], ids=["dwork", "log", "hat", "dwork-transform", "beta-pairing", "beta-pairing-sweep",
-            "section-sums", "section-sums-sweep", "main-congruence", "interpolation",
-            "integrality"])
-    def test_rejected_at_entry(self, call, n):
+    @pytest.mark.parametrize("check", [name for name, (_, _, reads_n) in cli.CHECKS.items()
+                                       if reads_n])
+    def test_rejected_at_entry(self, check, n):
         with pytest.raises(PreconditionViolated, match=f"n = {n} compares mod p"):
-            call(params(Fraction(1, 2)), Fraction(4), n)
+            cli.CHECKS[check][0](params(Fraction(1, 2)), Fraction(4), n)
+
+
+class TestEntryPoints:
+    """verify has one public checker per suite check, called with the
+    arguments the suite passes."""
+
+    def test_public_checkers_are_the_suite_runners(self):
+        called = {name for runner, _, _ in cli.CHECKS.values()
+                  for name in runner.__code__.co_names if name.startswith(("check_", "sweep_"))}
+        public = {name: value for name, value in vars(verify).items()
+                  if name.startswith(("check_", "sweep_")) and inspect.isfunction(value)}
+        assert set(public) == called and len(called) == 9
+        # no option that the suite leaves unset, but M, which the
+        # acceptance tests set
+        options = [(name, arg) for name, fn in sorted(public.items())
+                   for arg, param in inspect.signature(fn).parameters.items()
+                   if param.default is not param.empty]
+        assert options == [("check_congruence_relation", "M")]
 
 
 class TestFractionFreeCells:
@@ -786,11 +793,9 @@ class TestIntegerRoutes:
         if a is None:
             return
         pn = p ** n
-        y = (_residue(-a, p, pn) - x) % pn
-        P = HGParams.create(a, 1, p)
-        assert check_braced_congruence(P, x, y, n).params["y"] == y
-        with pytest.raises(PreconditionViolated, match="not divisible"):
-            check_braced_congruence(P, x, y + 1, n)
+        y = (-_residue(a, p, pn) - x) % pn  # the partner class of x in sweep_braced
+        assert vp(x + y + a, p) >= n
+        assert vp(x + y + 1 + a, p) < n
 
     @settings(max_examples=200, deadline=None)
     @given(prime_and_rational(), st.integers(1, 6))
@@ -804,10 +809,9 @@ class TestIntegerRoutes:
         assert FrobeniusSpec(c, SIGMA_HAT).residue(p, m) == _residue(1 / c, p, m)
 
     @settings(max_examples=200, deadline=None)
-    @given(prime_and_rational(count=2), st.integers(1, 4))
-    def test_witness_of_minus_lambda_minus_a(self, pal, n):
-        p, a, lam = pal
-        a = admissible_a(p, a)
+    @given(prime_and_rational(), st.integers(1, 4))
+    def test_witness_of_minus_lambda_minus_a(self, pa, n):
+        p, a = pa[0], admissible_a(*pa)
         if a is None:
             return
         requests = []
@@ -816,19 +820,14 @@ class TestIntegerRoutes:
             requests.append(reqs)
             raise LookupError("recorded")
 
-        P = HGParams.create(a, 1, p)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_quotients", record)
-            if Fraction(lam).denominator % p == 0:
-                with pytest.raises(DenominatorDivisibleByP):
-                    check_beta_pairing(lam, P, twist_pair(1), n)
-                assert not requests
-                return
             with pytest.raises(LookupError, match="recorded"):
-                check_beta_pairing(lam, P, twist_pair(1), n)
+                sweep_beta_pairing(HGParams.create(a, 1, p), 1, n)
         [[(_, _, ks), (_, _, ks_hat)]] = requests
-        assert ks == [witness_for(lam, p, n)]
-        assert ks_hat == [witness_for(-Fraction(lam) - a, p, n)]
+        lambdas = [0, 1, 2, *([Fraction(1, 2)] if p != 2 else []), -1 - a]
+        assert ks == [witness_for(lam, p, n) for lam in lambdas]
+        assert ks_hat == [witness_for(-Fraction(lam) - a, p, n) for lam in lambdas]
 
     @settings(max_examples=200, deadline=None)
     @given(prime_and_rational(), st.booleans())
