@@ -3,13 +3,11 @@
 from .padic import (
     CNotOneModP,
     DenominatorDivisibleByP,
-    DworkChain,
     NotDivisible,
     Padic,
     PadicError,
     PrecisionExhausted,
     PreconditionViolated,
-    dwork_chain,
     embed_rational,
     iwasawa_log,
     parse_rational,

@@ -4,7 +4,9 @@ Computes A_k (and the Dwork-prime levels A_k^{(i)}), the logarithmic-type
 coefficients B_k with their constant term and the hatted coefficients
 Bhat_k.  Each sequence has one builder returning its residues mod p^prec
 as a list of ints, lowest degree first: the series F (`hg_series`), G
-(`b_coefficients`) and Ghat (`bhat_coefficients`).
+(`b_coefficients`) and Ghat (`bhat_coefficients`).  They all read one
+parameter object, `HGParams`: a, s and p with the Dwork data of a at p,
+from which every Dwork prime a^{(i)} and the period are read.
 
 The coefficients are p-integral, so each is fixed by a unit mod p^w and an
 exact valuation.  Every table comes from `_quotients`, which serves all
@@ -34,11 +36,11 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Optional, Sequence
 
 from .padic import (
-    DworkChain,
     NotDivisible,
     Padic,
     PadicError,
@@ -46,7 +48,6 @@ from .padic import (
     Rational,
     _residue,
     check_prime,
-    dwork_chain,
     ratio_valuations,
     split_p,
 )
@@ -60,14 +61,32 @@ class NoPeriod(PadicError):
     """The Dwork-prime orbit of a does not return to a."""
 
 
+# bounded: a suite builds the params of the same few (a, p) at every cell
+@lru_cache(maxsize=256)
+def _dwork_data(a: Fraction, p: int) -> tuple[int, int, int, Fraction]:
+    """(l, q, e, a') of a at p: l = -a mod p in [0, p), q = p (4 at
+    p = 2), e = l' - floor(l'/p) with l' = -a mod q in [0, q), and the
+    Dwork prime a' = (a + l)/p.  With a = n/d, a' = ((n + l d)/p)/d in
+    lowest terms, as p ∤ d."""
+    q = 4 if p == 2 else p
+    l = -_residue(a, p, p) % p
+    l_q = -_residue(a, p, q) % q
+    n, d = a.numerator, a.denominator
+    return l, q, l_q - l_q // p, Fraction((n + l * d) // p, d)
+
+
 @dataclass(frozen=True)
 class HGParams:
-    """Equal-parameter data (a, ..., a) with multiplicity s at the prime p."""
+    """Equal-parameter data (a, ..., a) with multiplicity s at the prime
+    p, and the Dwork data of a at p: l, q, e and a1 = a' (`_dwork_data`)."""
 
     a: Fraction
     s: int
     p: int
-    chain: DworkChain
+    l: int
+    q: int
+    e: int
+    a1: Fraction
 
     @classmethod
     def create(cls, a: Rational, s: int, p: int) -> "HGParams":
@@ -82,19 +101,37 @@ class HGParams:
             raise PreconditionViolated(f"denominator of a = {a} is divisible by {p}")
         if s < 1:
             raise ValueError("s must be positive")
-        return cls(a=a, s=s, p=p, chain=dwork_chain(a, p))
+        return cls(a, s, p, *_dwork_data(a, p))
+
+    def a_at(self, i: int) -> Fraction:
+        """The i-th Dwork prime a^{(i)}: a, a', then b -> (b + l_b)/p with
+        l_b = -b mod p.  Every term keeps the denominator d of a, so the
+        walk runs on the numerators: m -> (m + l d)/p with l = -m/d mod p."""
+        if i < 2:
+            return self.a1 if i else self.a
+        p, m, d = self.p, self.a1.numerator, self.a1.denominator
+        minus_inv_d = -pow(d, -1, p)
+        for _ in range(i - 1):
+            m = (m + m * minus_inv_d % p * d) // p
+        return Fraction(m, d)
 
     @property
-    def l(self) -> int:
-        return self.chain.l
+    def period(self) -> Optional[int]:
+        """The least r >= 1 with a^{(r)} = a, or None when there is none.
 
-    @property
-    def q(self) -> int:
-        return self.chain.q
-
-    @property
-    def e(self) -> int:
-        return self.chain.e
+        On the numerators in (0, d] one step is m -> m/p mod d, a
+        permutation, so every a in (0, 1] returns after the order of p
+        mod d steps.  A numerator above d falls and one below 1 rises at
+        every step, into (0, d], which no step leaves: an a outside
+        (0, 1] never returns."""
+        n, d = self.a.numerator, self.a.denominator
+        if not 0 < n <= d:
+            return None
+        r, x = 1, self.p % d
+        while x > 1:  # x = p^r mod d, 0 at d = 1
+            x = x * self.p % d
+            r += 1
+        return r
 
     def sign_se(self) -> int:
         return -1 if (self.s * self.e) % 2 else 1
@@ -113,13 +150,9 @@ class FrobeniusSpec:
         if not isinstance(self.c, Fraction):
             object.__setattr__(self, "c", Fraction(self.c))
 
-    @property
-    def c_eff(self) -> Fraction:
-        """The constant actually entering the coefficient formulas."""
-        return self.c if self.direction == SIGMA else 1 / self.c
-
     def residue(self, p: int, m: int) -> int:
-        """c_eff mod m, a power of p: along sigma-hat the inverse of c's residue."""
+        """The constant the coefficient formulas read mod m, a power of p:
+        c along sigma, and along sigma-hat the inverse of c's residue."""
         r = _residue(self.c, p, m)
         return r if self.direction == SIGMA else pow(r, -1, m)
 
@@ -130,7 +163,7 @@ class FrobeniusSpec:
 
     def validate(self, p: int, *, require_q: bool = False) -> None:
         """c in 1 + pW, or 1 + 4W at p = 2 when require_q.  Then c is a unit
-        and v_p(1/c - 1) = v_p(c - 1), so c_eff is in the same set."""
+        and v_p(1/c - 1) = v_p(c - 1), so 1/c is in the same set."""
         need = 2 if (require_q and p == 2) else 1
         if self.c != 1 and self.vp_c_minus_1(p) < need:
             raise PreconditionViolated(f"c = {self.c} is not in 1 + {4 if need == 2 else p}W")
@@ -339,7 +372,7 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
     c = frob.residue(p, m)
     factor = 1
     if hat:
-        factor = params.sign_se() * pow(c, _residue(params.chain.a_at(1), p, m // p), m)
+        factor = params.sign_se() * pow(c, _residue(params.a1, p, m // p), m)
     j_prev = 0
     for i, a1_j in zip(_hits(ks, params.l if hat else 0, p), a1):
         j = ks[i] // p
@@ -389,7 +422,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     can reach, raises PreconditionViolated before any walk."""
     if prec < 1:
         raise ValueError("precision must be positive")
-    p, s, a, a1 = params.p, params.s, params.a, params.chain.a_at(1)
+    p, s, a, a1 = params.p, params.s, params.a, params.a1
     parts = []  # the requests as divided: G is B_0, B/A at its witness, then B
     for kind, tag, ks in requests:
         if kind != "A":
@@ -407,7 +440,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         wanted = ks if isinstance(ks, range) and ks.step == 1 else sorted(set(ks))
         if wanted and wanted[-1] >= sys.maxsize:
             raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
-        prime = params.chain.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
+        prime = params.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
         reads.setdefault(prime.numerator, (prime, []))[1].append(wanted)
         js = vals = units = ()
         if kind != "A":
@@ -515,7 +548,7 @@ def bhat_coefficients(params: HGParams, frob: FrobeniusSpec, count: int, prec: i
 def compute_h(params: HGParams, prec: int) -> TruncSeries:
     """h(t): the product of the degree-<p truncations of F over one period
     of the Dwork-prime orbit."""
-    r = params.chain.period
+    r = params.period
     if r is None:
         raise NoPeriod(f"no period found for a = {params.a} at p = {params.p}")
     out, *rest = _quotients(params, [("A", i, range(params.p)) for i in range(r)], prec)

@@ -70,8 +70,7 @@ def ratio_identity_holds(params: HGParams, x_max: int) -> Iterator[bool]:
     integers."""
     p, s, l = params.p, params.s, params.l
     n, d = params.a.numerator, params.a.denominator
-    a1 = params.chain.a_at(1)
-    n1, d1 = a1.numerator, a1.denominator
+    n1, d1 = params.a1.numerator, params.a1.denominator
     left = right = 1  # N_L D_R / p^{m_a-m} and N_R D_L
     m = m_a = 0
     for x in range(1, x_max + 1):

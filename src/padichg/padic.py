@@ -4,8 +4,7 @@ Values of Z_p are represented by a residue known modulo p^prec.  All
 number-theoretic primitives used elsewhere in the package live here:
 the residue of a rational mod a power of p (`_residue`, which
 `embed_rational` wraps), exact division, splitting the p-part off an
-integer, the valuation of (a)_k/k!, Dwork prime chains and the Iwasawa
-logarithm.
+integer, the valuation of (a)_k/k! and the Iwasawa logarithm.
 
 Rational parameters (a, c, lambda) are plain ``fractions.Fraction``
 objects, made once where they enter and read as integer numerators and
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -218,7 +216,7 @@ def iwasawa_log(c: Padic) -> Padic:
 
 
 # ---------------------------------------------------------------------------
-# Dwork prime chains
+# valuations of (a)_k/k!
 
 
 def ratio_valuations(a: Fraction, p: int, ks: Sequence[int]) -> list[int]:
@@ -233,62 +231,3 @@ def ratio_valuations(a: Fraction, p: int, ks: Sequence[int]) -> list[int]:
             return vals
         vals = [v + (k - lj + pj - 1) // pj - k // pj for v, k in zip(vals, ks)]
         pj *= p
-
-
-@dataclass(frozen=True)
-class DworkChain:
-    """The Dwork-prime orbit of a, together with l, l', q and e."""
-
-    a: Fraction
-    p: int
-    l: int
-    q: int
-    l_prime: int
-    e: int
-    chain: tuple[Fraction, ...]
-    period: Optional[int]
-
-    def a_at(self, i: int) -> Fraction:
-        """The i-th Dwork prime a^{(i)}, following the eventual cycle."""
-        if i < len(self.chain):
-            return self.chain[i]
-        # locate the cycle: the last entry repeats an earlier one
-        last = self.chain[-1]
-        start = self.chain.index(last)
-        cycle = len(self.chain) - 1 - start
-        if cycle <= 0:
-            raise ValueError("Dwork chain did not close; increase max_steps")
-        return self.chain[start + (i - start) % cycle]
-
-
-# bounded: a suite builds the params of the same few (a, p) at every cell
-@lru_cache(maxsize=256)
-def dwork_chain(a: Rational, p: int, max_steps: int = 64) -> DworkChain:
-    """Iterate a -> (a + l)/p, detecting the period r with a^{(r)} = a when
-    it exists within max_steps.
-
-    Every term keeps the denominator d of a = n/d: with m/d a term,
-    m + l d is divisible by p and prime to d.  So the walk runs on the
-    numerators, m -> (m + l d)/p with l = -m/d mod p."""
-    check_prime(p)
-    a = Fraction(a)
-    q = 4 if p == 2 else p
-    l = _residue(-a, p, p)
-    l_prime = _residue(-a, p, q)
-    e = l_prime - l_prime // p
-    n, d = a.numerator, a.denominator
-    minus_inv_d = -pow(d, -1, p)
-    nums = [n]
-    seen = {n}
-    period = None
-    m = n
-    for step in range(1, max_steps + 1):
-        m = (m + m * minus_inv_d % p * d) // p
-        nums.append(m)
-        if period is None and m == n:
-            period = step
-        if m in seen:
-            break
-        seen.add(m)
-    return DworkChain(a=a, p=p, l=l, q=q, l_prime=l_prime, e=e,
-                      chain=tuple(Fraction(m, d) for m in nums), period=period)

@@ -14,11 +14,13 @@ route is `polymul`); the braced lemma and the section sums are decided
 on exact rationals with `vp` of a difference (the production checkers
 compare residues); the Frobenius substitution t -> c t^p is a loop over
 coefficients (the checkers spread residues by slicing, at c = 1 only);
-the Dwork-prime orbit is walked on exact rationals (the production route
-walks the numerators over the fixed denominator); c^alpha is the binomial
-series in c - 1 on exact rationals (the production route is one modular
-power of the residue of c); the congruence relation
-and the transformation formula are decided on two full products each
+the Dwork-prime orbit is walked on exact rationals to its first repeat
+(the production route keeps a' and walks the numerators over the fixed
+denominator when a later prime is asked for, and takes the period of an
+a in (0, 1] to be the order of p mod that denominator); c^alpha is the
+binomial series in c - 1 on exact rationals (the production route is one
+modular power of the residue of c); the congruence relation and the
+transformation formula are decided on two full products each
 (the production checkers form only the coefficients above t^{p^n}, and
 one product reversed, with t^p operands split per class mod p).
 """
@@ -32,12 +34,12 @@ from typing import Optional
 from padichg import (
     CNotOneModP,
     DenominatorDivisibleByP,
-    DworkChain,
     NotDivisible,
     PadicError,
     PrecisionExhausted,
     PreconditionViolated,
     Padic,
+    SIGMA,
     TruncSeries,
     b0_constant,
     embed_rational,
@@ -53,23 +55,22 @@ from padichg.padic import Rational, _residue
 # Dwork-prime orbit
 
 
-def dwork_chain_exact(a: Fraction, p: int, max_steps: int = 64) -> DworkChain:
-    """The orbit a -> (a + l)/p as Fractions, with l = -term mod p
-    recomputed at each step and terms compared by value."""
+def dwork_chain_exact(a: Fraction, p: int) -> tuple[int, int, int, list[Fraction], Optional[int]]:
+    """(l, q, e, orbit, period) of a at p.  The orbit a -> (a + l)/p is
+    walked as Fractions, with l = -term mod p recomputed at each step and
+    terms compared by value, with no step cap up to its first repeat,
+    which it ends with; the period is the step at which it returns to a,
+    or None when that repeat is not a."""
     q = 4 if p == 2 else p
-    l = _residue(-a, p, p)
-    l_prime = _residue(-a, p, q)
-    chain, seen, period, cur = [a], {a}, None, a
-    for step in range(1, max_steps + 1):
+    l_q = _residue(-a, p, q)
+    orbit, seen, cur = [a], {a}, a
+    while True:
         cur = (cur + _residue(-cur, p, p)) / p
-        chain.append(cur)
-        if period is None and cur == a:
-            period = step
+        orbit.append(cur)
         if cur in seen:
-            break
+            period = len(orbit) - 1 if cur == a else None
+            return _residue(-a, p, p), q, l_q - l_q // p, orbit, period
         seen.add(cur)
-    return DworkChain(a=a, p=p, l=l, q=q, l_prime=l_prime, e=l_prime - l_prime // p,
-                      chain=tuple(chain), period=period)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +119,15 @@ def _ratio_table(a: Fraction, count: int) -> list[Fraction]:
     return table
 
 
+def c_eff(frob) -> Fraction:
+    """The constant the coefficient formulas read: c along sigma, 1/c
+    along sigma-hat."""
+    return frob.c if frob.direction == SIGMA else 1 / frob.c
+
+
 def coeff_exact(params, k: int, level: int = 0) -> Fraction:
     """A_k at Dwork-prime level: ((a^{(level)})_k / k!)^s."""
-    a = params.chain.a_at(level)
+    a = params.a_at(level)
     return _ratio_table(a, k + 1)[k] ** params.s
 
 
@@ -131,7 +138,7 @@ def b_exact(params, frob, k: int) -> Fraction:
     p = params.p
     term = Fraction(0)
     if k % p == 0:
-        term = frob.c_eff ** (k // p) * coeff_exact(params, k // p, 1)
+        term = c_eff(frob) ** (k // p) * coeff_exact(params, k // p, 1)
     return (coeff_exact(params, k) - term) / k
 
 
@@ -148,7 +155,7 @@ def bhat_approx(params, frob, k: int, prec: int) -> Fraction:
         j = (k - l) // p
         loss = vp(ka, p)
         assert loss is not None and loss >= 0
-        cp = c_power_frac(frob.c_eff, ka / p, p, prec + loss + 1)
+        cp = c_power_frac(c_eff(frob), ka / p, p, prec + loss + 1)
         term = params.sign_se() * coeff_exact(params, j, 1) * cp
     return (coeff_exact(params, k) - term) / ka
 
@@ -171,7 +178,7 @@ def b0_exact(params, frob, prec: int) -> Fraction:
 def exact_a_table(params, count: int, level: int = 0) -> list[Fraction]:
     """[A_k^{(level)} for k < count] as exact rationals, built afresh on
     each call."""
-    a, s = params.chain.a_at(level), params.s
+    a, s = params.a_at(level), params.s
     n, d = a.numerator, a.denominator
     num = den = 1  # (a)_k = num / d^k and k! d^k = den
     out: list[Fraction] = []
@@ -355,7 +362,7 @@ def log_type_series(params, frob, order: int, prec: int) -> tuple[list[int], lis
     w = prec + guard
     f_full = hg_series(params, order, w)
     f1 = hg_series(params, ceil(order / p) if order else 1, w, level=1)
-    c_emb = embed_rational(frob.c_eff, p, w)
+    c_emb = embed_rational(c_eff(frob), p, w)
     f1_sigma = frobenius_substitute(TruncSeries(p, w, tuple(f1)), c_emb, order)
     m = p ** w
     diff = TruncSeries(p, w, tuple((x - y) % m for x, y in zip(f_full, f1_sigma.residues)))
@@ -372,14 +379,14 @@ def hat_series(params, frob, order: int, prec: int) -> tuple[list[int], list[int
     t^a F and A^{(1)}_j c^{j+a'} placed at k = pj + l from the sigma-image
     of t^{a'} F^{(1)}; the twisted integral then divides by k + a."""
     p, a, l = params.p, params.a, params.l
-    a1 = params.chain.a_at(1)
+    a1 = params.a1
     guard = max(((vp(k + a, p) or 0) for k in range(order)), default=0)
     w = prec + guard + 1
     sign = params.sign_se()
     integrand = [coeff_exact(params, k) for k in range(order)]
     j = 0
     while p * j + l < order:
-        cp = c_power_frac(frob.c_eff, j + a1, p, w)
+        cp = c_power_frac(c_eff(frob), j + a1, p, w)
         integrand[p * j + l] -= sign * coeff_exact(params, j, 1) * cp
         j += 1
     ghat = log_integral(series_from_rationals(integrand, p, w), twist=a).residues

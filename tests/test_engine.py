@@ -535,7 +535,7 @@ TWO_PRIMES = HGParams.create(Fraction(1, 3), 2, 5)
 
 
 def primes_at(P, levels) -> list:
-    return sorted({P.chain.a_at(i) for i in levels})
+    return sorted({P.a_at(i) for i in levels})
 
 
 @pytest.mark.parametrize("check", list(cli.CHECKS))
@@ -564,7 +564,7 @@ def test_one_walk_per_dwork_prime_in_builders(build, levels):
     for P in (OWN_PRIME, TWO_PRIMES):
         frob = FrobeniusSpec(Fraction(1 + P.p))
         walked = walked_primes(lambda: build(P, frob))
-        assert walked == primes_at(P, range(P.chain.period) if levels is None else levels)
+        assert walked == primes_at(P, range(P.period) if levels is None else levels)
 
 
 @pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (7, 1)])
@@ -572,7 +572,7 @@ def test_own_dwork_prime_read_off_one_walk(p, s):
     # a = 1/2 is its own Dwork prime at every odd p, so A^(1) = A: A, B and
     # Bhat come from one walk over the union of the k and the j they read
     P = HGParams.create(Fraction(1, 2), s, p)
-    assert P.chain.a_at(1) == P.a
+    assert P.a1 == P.a
     frob, frob_hat = FrobeniusSpec(Fraction(1 + p)), FrobeniusSpec(Fraction(1 + p), SIGMA_HAT)
     count, prec = 3 * p + 2, 3
     tables = []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from padichg import (
     FrobeniusSpec,
     HGParams,
+    NoPeriod,
     PreconditionViolated,
     SIGMA,
     SIGMA_HAT,
@@ -30,9 +31,12 @@ from oracle import (
     b_exact,
     bhat_approx,
     coeff_exact,
+    dwork_chain_exact,
+    exact_a_table,
     hat_series,
     log_type_series,
     pochhammer,
+    schoolbook,
 )
 
 
@@ -57,8 +61,8 @@ class TestParams:
 
     def test_sigma_hat_inverts_c(self):
         frob, frob_hat = twist_pair(4)
-        assert frob.c_eff == 4
-        assert frob_hat.c_eff == Fraction(1, 4)
+        assert frob.residue(3, 27) == 4
+        assert frob_hat.residue(3, 27) == 7  # 4 * 7 = 28
 
     def test_validate_depth_at_two(self):
         with pytest.raises(PreconditionViolated):
@@ -112,7 +116,7 @@ class TestACoefficients:
     @given(st.integers(0, 25))
     def test_level_one_is_shifted_parameter(self, k):
         P = params(Fraction(1, 2), p=3)
-        Q = HGParams.create(P.chain.a_at(1), P.s, P.p)
+        Q = HGParams.create(P.a1, P.s, P.p)
         assert coeff_exact(P, k, 1) == coeff_exact(Q, k)
 
     @given(st.integers(1, 30))
@@ -126,8 +130,23 @@ class TestACoefficients:
     def test_matches_pochhammer_oracle(self, k, level, pair):
         a, p = pair
         P = HGParams.create(a, 2, p)
-        a_level = P.chain.a_at(level)
+        a_level = P.a_at(level)
         assert coeff_exact(P, k, level) == (pochhammer(a_level, k) / factorial(k)) ** 2
+
+
+class TestLevels:
+    @pytest.mark.parametrize("a,p,s", [(Fraction(1, 1000), 3, 1), (Fraction(1, 101), 2, 2),
+                                       (Fraction(2, 3), 5, 2)])
+    def test_level_of_one_period_is_level_zero(self, a, p, s):
+        P = HGParams.create(a, s, p)
+        assert hg_series(P, 30, 5, level=P.period) == hg_series(P, 30, 5)
+
+    @pytest.mark.parametrize("a,p", [(Fraction(1, 1000), 3), (Fraction(1, 101), 2)])
+    def test_level_past_64_steps(self, a, p):
+        P, prec = HGParams.create(a, 1, p), 5
+        b = dwork_chain_exact(a, p)[3][70]
+        expect = [embed_rational(x, p, prec).residue for x in exact_a_table(params(b, 1, p), 30)]
+        assert hg_series(P, 30, prec, level=70) == expect
 
 
 class TestTruncationPair:
@@ -293,6 +312,25 @@ class TestComputeH:
         P = HGParams.create(Fraction(2, 3), 1, 5)
         h = compute_h(P, 2)
         assert len(h.residues) == 9  # degree (p-1)*r with r = 2
+
+    # the orders of 3 mod 1000 and of 2 mod 101 are both 100
+    @pytest.mark.parametrize("a,p,s", [(Fraction(1, 1000), 3, 1), (Fraction(1, 101), 2, 2)])
+    def test_period_one_hundred(self, a, p, s):
+        # h over the 100 levels of the orbit walked on Fractions, each level
+        # an exact table of p terms, multiplied by the schoolbook loop
+        P, prec = HGParams.create(a, s, p), 4
+        m = p ** prec
+        orbit, r = dwork_chain_exact(a, p)[3:]
+        assert P.period == r == 100
+        h = [1]
+        for b in orbit[:r]:
+            f = [embed_rational(x, p, prec).residue for x in exact_a_table(params(b, s, p), p)]
+            h = schoolbook(h, f, m, len(h) + p - 1)
+        assert compute_h(P, prec).residues == tuple(h)
+
+    def test_no_period(self):
+        with pytest.raises(NoPeriod):
+            compute_h(params(Fraction(3, 2)), 2)
 
 
 class TestCoefficientTables:

@@ -13,13 +13,15 @@ from padichg import (
     HGParams,
     PreconditionViolated,
     beta_at,
-    dwork_chain,
+    beta_values,
     embed_rational,
     ratio_identity_check,
     sweep_ratio,
+    twist_pair,
     witness_for,
 )
 from padichg.hyper import SIGMA_HAT, coefficient_ratios
+from padichg.padic import _residue
 
 from oracle import braced_product, exact_a_table
 
@@ -66,6 +68,36 @@ class TestBeta:
         for b in (1, 2):
             got = beta_at(-b - P.a, P, frob, 2, hat=True)
             assert got == embed_rational(Fraction(-1, b), 3, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_unit_lambda_reads_no_table(self, p):
+        # at p ∤ k the numerator of B_k is A_k, so B_k/A_k = 1/k, and likewise
+        # Bhat_k/A_k = 1/(k + a) at p ∤ kd + n: at a unit lambda,
+        # beta_lambda = 1/lambda and beta-hat_{-lambda-a} = -1/lambda mod p^n
+        # whatever the A tables hold, so such a lambda decides no pairing
+        n, q = 3, 4 if p == 2 else p
+        m = p ** n
+        lams = [lam for lam in (Fraction(1), Fraction(2), Fraction(-1), Fraction(7),
+                                Fraction(1, 2), Fraction(-3, 5), Fraction(4, 3))
+                if lam.numerator % p and lam.denominator % p]
+        inverses = [pow(_residue(lam, p, m), -1, m) for lam in lams]
+        for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 5), Fraction(1)):
+            if a.denominator % p == 0:
+                continue
+            for s in (1, 2, 3):
+                P = HGParams.create(a, s, p)
+                for c in (1, 1 + q, 1 - q):
+                    frob, frob_hat = twist_pair(c)
+                    betas = beta_values(lams, P, frob, n)
+                    hats = beta_values([-lam - a for lam in lams], P, frob_hat, n, hat=True)
+                    assert [b.residue for b in betas] == inverses
+                    assert [b.residue for b in hats] == [-x % m for x in inverses]
+                    ks = [k for k in range(1, 60) if k % p]
+                    assert coefficient_ratios(P, frob, ks, n) == [pow(k, -1, m) for k in ks]
+                    d, num = a.denominator, a.numerator
+                    ks = [k for k in range(60) if (k * d + num) % p]
+                    assert (coefficient_ratios(P, frob_hat, ks, n, hat=True)
+                            == [d * pow(k * d + num, -1, m) % m for k in ks])
 
     def test_zero_at_a1(self):
         P = params(1)
@@ -138,11 +170,9 @@ GRID_A = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2), Fraction(
 
 
 def chained(a, s, p, chain_a):
-    """Parameters at (a, s, p) whose Dwork chain starts at a but carries
-    the l and the later primes a^{(1)}, ... of chain_a: for chain_a != a a
-    wrong chain, hence a wrong A^{(1)}."""
-    other = dwork_chain(chain_a, p)
-    return HGParams(a=a, s=s, p=p, chain=replace(other, a=a, chain=(a, *other.chain[1:])))
+    """Parameters at (a, s, p) that carry the Dwork data l, q, e and a' of
+    chain_a: for chain_a != a a wrong chain, hence a wrong A^{(1)}."""
+    return replace(HGParams.create(chain_a, s, p), a=a)
 
 
 class TestRatioIdentityTables:
@@ -172,8 +202,7 @@ class TestRatioIdentityTables:
         P = HGParams.create(Fraction(1, 2), 1, 3)
         first = {}
         for s in (1, 2):
-            chain = replace(P.chain, chain=(P.a, -P.chain.a_at(1)))
-            Q = HGParams(a=P.a, s=s, p=3, chain=chain)
+            Q = replace(P, s=s, a1=-P.a1)
             holds = [ratio_identity_check(x, Q) for x in range(1, 31)]
             assert holds == [ratio_identity_per_x(x, Q) for x in range(1, 31)]
             first[s] = holds.index(False) + 1

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from padichg import (
     CNotOneModP,
     DenominatorDivisibleByP,
+    HGParams,
     NotDivisible,
     Padic,
     PrecisionExhausted,
-    dwork_chain,
     embed_rational,
     iwasawa_log,
     parse_rational,
@@ -252,54 +252,73 @@ class TestBracedProduct:
 
 
 class TestDworkChain:
+    """The Dwork data of a at p that HGParams carries: l, q, e, a' and
+    the later primes of the orbit, with its period."""
+
     def test_a_one_p_two(self):
-        ch = dwork_chain(1, 2)
-        assert (ch.l, ch.a_at(1), ch.period) == (1, 1, 1)
-        assert (ch.l_prime, ch.e) == (3, 2)
+        P = HGParams.create(1, 1, 2)
+        assert (P.l, P.a_at(1), P.period) == (1, 1, 1)
+        assert (P.q, P.e) == (4, 2)  # l' = -1 mod 4 = 3
 
     def test_half_at_three(self):
-        ch = dwork_chain(Fraction(1, 2), 3)
-        assert (ch.l, ch.a_at(1), ch.period) == (1, Fraction(1, 2), 1)
-        assert (ch.l_prime, ch.e) == (1, 1)
+        P = HGParams.create(Fraction(1, 2), 1, 3)
+        assert (P.l, P.a1, P.period) == (1, Fraction(1, 2), 1)
+        assert (P.q, P.e) == (3, 1)
 
     def test_two_thirds_at_five(self):
-        ch = dwork_chain(Fraction(2, 3), 5)
-        assert ch.l == 1
-        assert ch.a_at(1) == Fraction(1, 3)
-        assert ch.a_at(2) == Fraction(2, 3)
-        assert ch.period == 2
+        P = HGParams.create(Fraction(2, 3), 1, 5)
+        assert P.l == 1
+        assert P.a_at(1) == P.a1 == Fraction(1, 3)
+        assert P.a_at(2) == Fraction(2, 3)
+        assert P.period == 2
 
     def test_e_equals_l_for_odd_p(self):
         for a in (Fraction(1, 2), Fraction(2, 3), Fraction(7, 4)):
-            ch = dwork_chain(a, 5)
-            assert ch.e == ch.l
+            P = HGParams.create(a, 1, 5)
+            assert P.e == P.l
 
     @given(frac(st.integers(1, 40), st.integers(1, 12)), PRIMES)
     def test_step_equation(self, a, p):
         if a.denominator % p == 0:
             return
-        ch = dwork_chain(a, p)
+        P = HGParams.create(a, 1, p)
         # a' is defined by p a' = a + l with l in [0, p)
-        assert p * ch.a_at(1) == a + ch.l
-        assert 0 <= ch.l < p
+        assert p * P.a_at(1) == a + P.l
+        assert 0 <= P.l < p
 
     @given(frac(st.integers(1, 40), st.integers(1, 12)), PRIMES)
     def test_eventual_cycle_consistent(self, a, p):
         if a.denominator % p == 0:
             return
-        ch = dwork_chain(a, p)
-        # every step, past the end of the stored chain too, is a -> (a + l)/p
-        for k in range(len(ch.chain) + 3):
-            cur = ch.a_at(k)
-            assert p * ch.a_at(k + 1) == cur + _residue(-cur, p, p)
+        P = HGParams.create(a, 1, p)
+        # every step, past the first return too, is a -> (a + l)/p
+        for k in range(2 * a.denominator + 3):
+            cur = P.a_at(k)
+            assert p * P.a_at(k + 1) == cur + _residue(-cur, p, p)
 
-    @given(frac(st.integers(-60, 60), st.integers(1, 40)), PRIMES, st.integers(1, 64))
-    def test_matches_fraction_walk(self, a, p, max_steps):
-        # the numerator walk over the fixed denominator against the walk
-        # on Fractions: same orbit, period, l, l', e and q
-        if a.denominator % p == 0:
+    @given(frac(st.integers(-60, 60), st.integers(1, 40)), PRIMES)
+    def test_matches_fraction_walk(self, a, p):
+        # the numerator walk over the fixed denominator and the period as
+        # the order of p mod d, against the walk on Fractions: same orbit,
+        # period, l, e and q
+        if a.denominator % p == 0 or a.denominator == 1 and a <= 0:
             return
-        assert dwork_chain(a, p, max_steps) == dwork_chain_exact(a, p, max_steps)
+        self.assert_matches_fraction_walk(a, p)
+
+    @pytest.mark.parametrize("a,p", [(Fraction(1, 1000), 3), (Fraction(1, 101), 2),
+                                     (Fraction(-1, 101), 2), (Fraction(203, 101), 2)])
+    def test_past_64_steps(self, a, p):
+        # the orders of 3 mod 1000 and of 2 mod 101 are both 100; -1/101 and
+        # 203/101 enter (0, 1] and then cycle through the 100 primes of 1/101
+        self.assert_matches_fraction_walk(a, p)
+        assert HGParams.create(a, 1, p).a_at(70) == dwork_chain_exact(a, p)[3][70]
+
+    @staticmethod
+    def assert_matches_fraction_walk(a, p):
+        P = HGParams.create(a, 1, p)
+        l, q, e, orbit, period = dwork_chain_exact(a, p)
+        assert (P.l, P.q, P.e, P.period) == (l, q, e, period)
+        assert [P.a_at(i) for i in range(len(orbit))] == orbit
 
 
 class TestMisc:

@@ -3,6 +3,7 @@
 import inspect
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -752,6 +753,24 @@ class TestFractionFreeCells:
         monkeypatch.undo()
         assert rep.passed
         assert len(built) <= len(allowed) and set(built) <= allowed
+
+    @pytest.mark.parametrize("a,p", [(Fraction(1, 2), 3), (Fraction(2, 3), 5),
+                                     (Fraction(-7, 3), 2)])
+    def test_params_seen_before_build_no_fraction(self, a, p, monkeypatch):
+        # the Dwork data of an (a, p) seen before comes from the cache
+        P = HGParams.create(a, 1, p)
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(new(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        assert HGParams.create(a, 2, p) == replace(P, s=2)
+        assert (P.a_at(0), P.a_at(1)) == (a, P.a1)  # levels 0 and 1 build none either
+        monkeypatch.undo()
+        assert built == []
 
 
 @st.composite
