@@ -14,29 +14,31 @@ the tables of a check in one call (A_k^{(i)} at any level; B_k, Bhat_k and
 their ratios to A_k as exact quotients): it splits each divisor once, reads
 one guard precision w off the valuations of all its requests, walks
 (b)_k/k!, splitting the p-parts off exactly, once per distinct Dwork prime
-b over the union of the k read at b, forms the numerators mod p^w and
-divides exactly, with one modular inversion per walk and per request.
-The walk visits only the wanted indices: a dense table steps through every
-k, while the ratios B_k/A_k and Bhat_k/A_k at a few witnesses (beta, B_0)
-multiply each long gap in at once as a product of an arithmetic
-progression, so their memory grows with the number of witnesses, not with
-their size.  Each long class mod p of such a product is a
-baby-step/giant-step product: one polynomial over a block of p^e terms,
-truncated at the degree past which the giant steps vanish mod p^w,
-evaluated at every block.  A gap of J indices then costs about sqrt(J)
-Python steps times a small degree.  The twist c^{a'} of Bhat is one
-modular power.  Tables are built per call; nothing is cached.  No
-coefficient is formed as an exact rational: the exact routes to A_k, B_k
-and Bhat_k are test oracles.
+b, and reads each request off its walk, in its own order, to form its
+numerators mod p^w and divide them exactly, with one modular inversion per
+walk and per request.  A walk covers ascending runs of indices, merged
+from the index sets read at b: a dense table is one run that it steps
+through, while the ratios B_k/A_k and Bhat_k/A_k at a few witnesses (beta,
+B_0) are short runs far apart, and the walk multiplies each long gap
+between runs in at once as a product of an arithmetic progression, so
+their memory grows with the number of witnesses, not with their size.
+Each long class mod p of such a product is a baby-step/giant-step
+product: one polynomial over a block of p^e terms, truncated at the degree
+past which the giant steps vanish mod p^w, evaluated at every block.  A
+gap of J indices then costs about sqrt(J) Python steps times a small
+degree.  The twist c^{a'} of Bhat is one modular power.  Tables are built
+per call; nothing is cached.  No coefficient is formed as an exact
+rational: the exact routes to A_k, B_k and Bhat_k are test oracles.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import prod
 from typing import Optional, Sequence
 
@@ -244,53 +246,55 @@ def _progression(start: int, step: int, count: int, p: int, w: int) -> tuple[int
     return unit * u % m, v + inner
 
 
-def _walk(ks: Sequence[int]) -> tuple[list[list[int]], Sequence[int]]:
-    """(runs, picks) for ascending nonnegative ks.  The ratio walk goes run
-    by run: for a run [start, last] it jumps from the end of the previous
-    run to start, over a gap longer than _JUMP, and steps on to last.  It
-    makes one entry per index it reaches, from the entry of k = 0; picks
-    is the entry of each k."""
-    # no long gap: every k is within _JUMP of 0, or ks is contiguous and its
-    # gaps (ks[0], then 1s) are within _JUMP; step from 0 to the end
-    if ks[-1] <= _JUMP or ks[-1] - ks[0] == len(ks) - 1 and max(ks[0], 1) <= _JUMP:
-        return [[0, ks[-1]]], ks
-    runs, picks = [[0, 0]], []
-    done = entry = 0
-    for k in ks:
-        if k - done > _JUMP:
-            runs.append([k, k])
-            entry += 1
+def _runs(sets: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The ascending runs [start, last] a walk covers to reach every index
+    in sets.  A range (of step 1) is one span and each entry of another
+    sequence a point; a span joins the run before it unless it starts more
+    than _JUMP past that run's last index.  The walk starts at k = 0, so a
+    first span within _JUMP of 0 opens its run there."""
+    runs = []
+    for lo, hi in sorted(span for ks in sets if ks for span in
+                         ([(ks[0], ks[-1])] if isinstance(ks, range) else zip(ks, ks))):
+        if runs and lo - runs[-1][1] <= _JUMP:
+            runs[-1][1] = max(runs[-1][1], hi)
         else:
-            runs[-1][1] = k
-            entry += k - done
-        picks.append(entry)
-        done = k
-    return runs, picks
+            runs.append([lo if lo > _JUMP else 0, hi])
+    return runs
 
 
-def _ratio_units(a: Fraction, p: int, ks: Sequence[int], w: int) -> tuple[list[int], list[int]]:
+def _walk_back(xs: list[int], factors: Sequence[int], inv: int, m: int) -> None:
+    """Divide each xs[i] by the product of factors[:i + 1] mod m in place,
+    given inv, the inverse of the product of all of them (times a constant
+    every quotient takes): one inversion, walking back over the prefixes."""
+    for i in range(len(xs) - 1, -1, -1):
+        xs[i] = xs[i] * inv % m
+        inv = inv * factors[i] % m
+
+
+def _ratio_units(a: Fraction, p: int, runs: Sequence[Sequence[int]],
+                 w: int) -> tuple[list[int], list[int]]:
     """(units, vals) with (a)_k/k! = p^{vals[i]} units[i] and units[i] a
-    unit mod p^w, at each k = ks[i]; ks is ascending and nonnegative.
+    unit mod p^w, one entry per index k of each of the ascending runs
+    [start, last] (`_runs`), in order.
 
     Walks the recurrence (a)_k/k! = (a)_{k-1}/(k-1)! * (a+k-1)/k, with
-    a + k - 1 = (n + (k-1)d)/d, over the runs of `_walk`.  A step splits
-    the p-part off its numerator and denominator exactly.  A jump
-    multiplies a long gap in at once: its numerators form a progression
-    with step d and its denominators k·d are d^gap times one with step 1
-    (`_progression`).  The unit parts of the numerators and of the
-    denominators are kept as two running products; the last denominator
-    product is inverted once, and walking back over the denominator factor
-    of each step or jump gives every quotient."""
-    if not ks:
-        return [], []
+    a + k - 1 = (n + (k-1)d)/d, from k = 0: it jumps to the start of each
+    run and steps on to its last index.  A step splits the p-part off its
+    numerator and denominator exactly.  A jump multiplies a long gap in at
+    once: its numerators form a progression with step d and its
+    denominators k·d are d^gap times one with step 1 (`_progression`).  The
+    unit parts of the numerators and of the denominators are kept as two
+    running products; the last denominator product is inverted once, and
+    walking back over the denominator factor of each step or jump gives
+    every quotient (`_walk_back`)."""
     m = p ** w
     n, d = a.numerator, a.denominator
-    runs, picks = _walk(ks)
-    units, vals, factors = [1], [0], [1]  # one entry per index reached, from k = 0
+    units, vals, factors = [], [], []
     put_unit, put_val, put_factor = units.append, vals.append, factors.append
     num = den = 1
     v = done = 0
     for start, last in runs:
+        factor = 1
         if start > done:
             un, vn = _progression(n + done * d, d, start - done, p, w)
             ud, vd = _progression(done + 1, 1, start - done, p, w)
@@ -298,9 +302,9 @@ def _ratio_units(a: Fraction, p: int, ks: Sequence[int], w: int) -> tuple[list[i
             factor = ud * pow(d, start - done, m) % m
             den = den * factor % m
             v += vn - vd
-            put_unit(num)
-            put_val(v)
-            put_factor(factor)
+        put_unit(num)
+        put_val(v)
+        put_factor(factor)
         f = n + start * d  # the numerator of the step to start + 1
         for k in range(start + 1, last + 1):
             if f % p:
@@ -327,12 +331,7 @@ def _ratio_units(a: Fraction, p: int, ks: Sequence[int], w: int) -> tuple[list[i
             put_val(v)
             put_factor(factor)
         done = last
-    inv = pow(den, -1, m)  # 1/(the denominator product up to entry i), i descending
-    for i in range(len(units) - 1, 0, -1):
-        units[i] = units[i] * inv % m
-        inv = inv * factors[i] % m
-    if len(picks) < len(units):
-        units, vals = [units[i] for i in picks], [vals[i] for i in picks]
+    _walk_back(units, factors, pow(den, -1, m), m)
     return units, vals
 
 
@@ -348,24 +347,25 @@ def _powers(units: list[int], vals: list[int], s: int, p: int, w: int) -> list[i
 
 
 def _hits(ks: Sequence[int], start: int, p: int) -> Sequence[int]:
-    """The positions i of ascending ks with ks[i] ≡ start mod p."""
-    if ks and ks[-1] - ks[0] == len(ks) - 1:  # ks has every index in its span
-        return range((start - ks[0]) % p, len(ks), p)
+    """The positions i of ks with ks[i] ≡ start mod p: a range for a range."""
+    if isinstance(ks, range):
+        return range((start - ks.start) % p, len(ks), p)
     return [i for i, k in enumerate(ks) if k % p == start]
 
 
 def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res: list[int],
                 a1: Sequence[int], w: int, hat: bool) -> list[int]:
-    """k·B_k (or (k+a)·Bhat_k with hat=True) mod p^w at each k in ks
-    (ascending), given the A_k residues mod p^w at ks and a1, which holds
-    A^{(1)}_j mod p^w at each j read, in order.
+    """k·B_k (or (k+a)·Bhat_k with hat=True) mod p^w at each k in ks, in
+    ks order, given the A_k residues mod p^w at ks and a1, which holds
+    A^{(1)}_j mod p^w at each j = k // p read, in the same order.
 
     B: A_k - c^{k/p} A^{(1)}_{k/p} at p | k.  Bhat: A_k - (-1)^{se}
     c^{(k+a)/p} A^{(1)}_j at k = l + jp, where c^{(k+a)/p} = c^{a^{(1)}} c^j,
     so the one fractional power is taken once per call.  It is exact as an
     integer power: c^{p^{w-1}} ≡ 1 mod p^w for c ≡ 1 mod p (and for every
     odd c at p = 2), so c^{a^{(1)}} ≡ c^e mod p^w for any e ≡ a^{(1)} mod
-    p^{w-1}.  c^j is carried across the gaps between the j."""
+    p^{w-1}.  c^j is carried from one j to the next (back to an earlier j
+    by a power of the inverse)."""
     p = params.p
     m = p ** w
     out = list(a_res)
@@ -382,12 +382,17 @@ def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res:
     return out
 
 
-def _take(union: Sequence[int], res: list[int], ks: Sequence[int]) -> list[int]:
-    """res at each k of ascending ks, all in ascending union; res itself when that is all."""
-    lo = bisect_left(union, ks[0]) if ks else 0
-    if ks and union[lo + len(ks) - 1] != ks[-1]:  # not one slice of the union
-        return [res[bisect_left(union, k)] for k in ks]
-    return res if len(ks) == len(res) else res[lo:lo + len(ks)]
+def _read(index: tuple[list[int], list[int]], table: list[int], ks: Sequence[int]) -> list[int]:
+    """table at each k of ks, in ks order.  table holds one entry per index
+    of each run of a walk, and index = (the run starts, the shift of each
+    run): the entry of k is k plus the shift of the last run starting at or
+    before k.  A range lies in one run and is read as one slice, or is
+    table itself when it reads all of it."""
+    starts, shifts = index
+    if not isinstance(ks, range):
+        return [table[k + shifts[bisect_right(starts, k) - 1]] for k in ks]
+    lo = ks.start + shifts[bisect_right(starts, ks.start) - 1] if ks else 0
+    return table if len(ks) == len(table) else table[lo:lo + len(ks)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,26 +405,27 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     gives A_k^{(level)}; (kind, frob, ks) with kind "B" or "Bhat" gives B_k
     or Bhat_k along frob, "B/A" and "Bhat/A" divide them by A_k, and "G"
     gives B_k for ks = range(count) with B_0 (`b0_constant`) at k = 0.  ks
-    in any order, repeats allowed, k >= 1 for B.  Each table is a new list,
-    but an "A" request reading all of a walk at w = prec gets the walk's.
+    is a range of step 1, or any sequence, in any order and with repeats;
+    k >= 1 for B.  Each table is a new list, but an "A" request reading all
+    of a walk at w = prec gets the walk's.
 
-    With a = n/d and N_k from `_numerators`, B_k = N_k/D_k with D_k = k,
-    and Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each distinct k of a
-    request with p | D_k (k ≡ 0 mod p for B, k ≡ l for Bhat) is split
-    once, D_k = p^v u; dividing by A_k as well adds s·v_p(A_k) to v
-    (`ratio_valuations`) and the s-th power of the walk's unit to u.  One
-    guard w = prec + the largest v serves every request, as a unit mod p^w
-    reduces exactly to any lower precision.  (b)_k/k! is walked once per
-    distinct Dwork prime b, over the union of the k read at b: the ks of
-    the "A" requests at a level with prime b, of the B-type requests if
-    b = a, and the j their numerators read A^{(1)} at if b = a'; the units
-    of the walk at a are held while a ratio request is left to read them.
-    The requests are divided exactly by p^v in order, each in its ks order:
-    the first k whose quotient is not p-integral raises NotDivisible.  The
-    unit parts of a request are inverted through one modular inversion of
-    their product, walking back over the prefix products, and d enters
-    with that inverse.  Any k at or past sys.maxsize, which no walk's list
-    can reach, raises PreconditionViolated before any walk."""
+    With a = n/d and N_k from `_numerators`, B_k = N_k/D_k with D_k = k, and
+    Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each k of a request with p | D_k
+    (k ≡ 0 mod p for B, k ≡ l for Bhat) is split, D_k = p^v u; dividing by
+    A_k as well adds e = s·v_p(A_k) to v (`ratio_valuations`) and A_k/p^e,
+    read off the request's own A_k, to u.  One guard w = prec + the largest
+    v serves every request, as a unit mod p^w reduces exactly to any lower
+    precision.  (b)_k/k! is walked once per distinct Dwork prime b, over the
+    runs (`_runs`) of the index sets read at b: the ks of the "A" requests
+    at a level with prime b, of the B-type requests if b = a, and the j
+    their numerators read A^{(1)} at if b = a' (a range for a range).  Each
+    request is read off its walk (`_read`), given its numerators and divided
+    exactly by p^v, in its own ks order: the first k whose quotient is not
+    p-integral raises NotDivisible.  The quotients replace the numerators in
+    their list; the unit parts of a request are inverted through one modular
+    inversion of their product (`_walk_back`), and d enters with that
+    inverse.  Any k at or past sys.maxsize, which no walk's list can reach,
+    raises PreconditionViolated before any walk."""
     if prec < 1:
         raise ValueError("precision must be positive")
     p, s, a, a1 = params.p, params.s, params.a, params.a1
@@ -432,78 +438,65 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             parts += [("B/A", tag, [p ** top]), ("B", tag, ks[1:])]
         else:
             parts.append((kind, tag, ks))
-    plans = []  # (kind, hat, tag, its Dwork prime, ks, the distinct ks ascending, j, v, u)
+    plans = []  # (kind, hat, tag, its Dwork prime, ks, j, v, u, s·v_p(A_k) for a ratio)
     reads: dict[int, tuple] = {}  # by m (ints hash fast): Dwork prime m/d, the ks read there
-    w, ratios = prec, 0  # the guard; the requests that read the walk's units
+    w = prec  # the guard
     for kind, tag, ks in parts:
         hat = kind.startswith("Bhat")
-        wanted = ks if isinstance(ks, range) and ks.step == 1 else sorted(set(ks))
-        if wanted and wanted[-1] >= sys.maxsize:
+        dense = isinstance(ks, range)
+        if ks and (ks[-1] if dense else max(ks)) >= sys.maxsize:
             raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
         prime = params.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
-        reads.setdefault(prime.numerator, (prime, []))[1].append(wanted)
-        js = vals = units = ()
+        reads.setdefault(prime.numerator, (prime, []))[1].append(ks)
+        js = vals = units = avals = ()
         if kind != "A":
-            if wanted and wanted[0] < (0 if hat else 1):
+            if ks and (ks[0] if dense else min(ks)) < (0 if hat else 1):
                 raise ValueError("Bhat needs k >= 0" if hat else "B needs k >= 1")
             # D_k, then its unit part; p | D_k exactly at the k the numerators
-            # read A^{(1)} at: k ≡ 0 (B), k ≡ l = -a (Bhat) mod p
+            # read A^{(1)} at: k ≡ r mod p, r = 0 (B) or l = -a (Bhat)
             n, d = a.numerator, a.denominator
-            units = [k * d + n for k in wanted] if hat else list(wanted)
-            vals = [0] * len(wanted)
-            hits = _hits(wanted, params.l if hat else 0, p)
+            r = params.l if hat else 0
+            units = [k * d + n for k in ks] if hat else list(ks)
+            vals = [0] * len(ks)
+            hits = _hits(ks, r, p)
             for i in hits:
                 vals[i], units[i] = split_p(units[i], p)
             if kind.endswith("/A"):
-                vals = [v + s * va for v, va in zip(vals, ratio_valuations(a, p, wanted))]
-                ratios += 1
-            js = [wanted[i] // p for i in hits]
+                avals = [s * va for va in ratio_valuations(a, p, ks)]
+                vals = [v + e for v, e in zip(vals, avals)]
+            # j = k // p at each hit, the j from ceil((start - r)/p) on for a range
+            js = range(-((r - ks.start) // p), -((r - ks.stop) // p)) if dense else \
+                [ks[i] // p for i in hits]
             reads.setdefault(a1.numerator, (a1, []))[1].append(js)
             w = max(w, prec + max(vals, default=0))
-        plans.append((kind, hat, tag, prime, ks, wanted, js, vals, units))
-    walks = {}  # by m: (the union of the ks read at m/d, A there mod p^w)
+        plans.append((kind, hat, tag, prime, ks, js, vals, units, avals))
+    walks = {}  # by m: ((the run starts, their shifts), A at m/d mod p^w, one entry per index)
     for b, (prime, sets) in reads.items():
-        dense = all(isinstance(ks, range) and ks.start == 0 for ks in sets)  # no set to build
-        union = range(max(map(len, sets))) if dense else sorted(set().union(*sets))
-        if not dense and union and union[-1] - union[0] == len(union) - 1:  # hold no list
-            union = range(union[0], union[-1] + 1)
-        units, vals = _ratio_units(prime, p, union, w)
-        walks[b] = union, _powers(units, vals, s, p, w)
-        if ratios and b == a.numerator:
-            a_units = units  # held while a ratio request reads them
-        del units, vals
+        runs = _runs(sets)
+        starts = [start for start, _ in runs]
+        sizes = accumulate((last - start + 1 for start, last in runs), initial=0)
+        shifts = [size - start for size, start in zip(sizes, starts)]  # entry of k: k + shift
+        walks[b] = (starts, shifts), _powers(*_ratio_units(prime, p, runs, w), s, p, w)
     m = p ** prec
     out = []
-    for kind, hat, frob, prime, ks, wanted, js, vals, units in plans:
-        if not ratios:
-            a_units = None  # no request left reads them
-        union, res = walks[prime.numerator]
-        nums = _take(union, res, wanted)
-        if kind != "A":
-            nums = _numerators(params, frob, wanted, nums, _take(*walks[a1.numerator], js), w, hat)
-        if kind.endswith("/A"):
-            units = [u * pow(x, s, m) % m for u, x in zip(units, _take(union, a_units, wanted))]
-            ratios -= 1
-        if wanted is not ks and wanted != list(ks):  # back to ks order
-            back = [bisect_left(wanted, k) for k in ks]
-            nums, vals, units = (x and [x[i] for i in back] for x in (nums, vals, units))
+    for kind, hat, frob, prime, ks, js, vals, units, avals in plans:
+        nums = _read(*walks[prime.numerator], ks)  # A_k (at level 0 for B-types)
         if kind == "A":
             out.append(nums if w == prec else [x % m for x in nums])
             continue
-        quots = []
+        if avals:  # A_k/p^e is A_k's unit part mod p^(w - e), and w - e >= prec
+            units = [u * (x // p ** e) % m for u, x, e in zip(units, nums, avals)]
+        nums = _numerators(params, frob, ks, nums, _read(*walks[a1.numerator], js), w, hat)
         acc = 1  # the product of the unit parts before entry j
-        for num, v, u in zip(nums, vals, units):
+        for j, (num, v, u) in enumerate(zip(nums, vals, units)):
             if v:
-                num, r = divmod(num, p ** v)
-                if r:
+                num, rem = divmod(num, p ** v)
+                if rem:
                     raise NotDivisible(f"numerator not divisible by {p}^{v}")
-            quots.append(num * acc % m)
+            nums[j] = num * acc % m
             acc = acc * u % m
-        inv = pow(acc, -1, m) * (a.denominator if hat else 1) % m  # d/(the unit product to j)
-        for j in range(len(quots) - 1, -1, -1):
-            quots[j] = quots[j] * inv % m
-            inv = inv * units[j] % m
-        out.append(quots)
+        _walk_back(nums, units, pow(acc, -1, m) * (a.denominator if hat else 1) % m, m)
+        out.append(nums)
     tables = iter(out)  # G joins B_0 and B
     return [(next(tables) + next(tables))[:len(ks)] if kind == "G" else next(tables)
             for kind, _, ks in requests]
@@ -517,8 +510,8 @@ def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[i
 def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], n: int,
                        hat: bool = False) -> list[int]:
     """B_k/A_k (Bhat_k/A_k with hat=True) mod p^n at each k >= 1 in ks.
-    A_k and A^{(1)} are walked at the distinct ks (and the j they read)
-    only, so no list grows with the size of the ks."""
+    A_k and A^{(1)} are walked over short runs at the ks (and the j they
+    read) only, so no list grows with the size of the ks."""
     return _quotients(params, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]
 
 

@@ -327,7 +327,9 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     info = _params_dict(params, n=n, c=frob.c)
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
     left = polymul(b, a[::-1], q, 2 * q - 1)
+    del b  # each table is released after its last product
     right = polymul(bhat[::-1], a, q, 2 * q - 1)
+    del a, bhat
     m = next(compress(count(), map(mod, map(add, left, right), repeat(q))), None)
     if m is not None:
         return CheckReport(check="main-congruence", params=info, passed=False, modulus=n,

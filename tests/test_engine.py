@@ -280,40 +280,69 @@ class TestProgression:
 
 
 class TestWalk:
-    """The ratio walk over sparse ascending ks, with every gap jumped (the
-    threshold at 0) and with none jumped, and every class of a jump taken
-    by baby and giant steps (the cut-off at 0) and none."""
+    """The ratio walk over the runs of sparse ascending ks, with every gap
+    jumped (the threshold at 0), with the threshold at _JUMP and with none
+    jumped, and every class of a jump taken by baby and giant steps (the
+    cut-off at 0) and none."""
 
     @patch.object(hyper, "_JUMP", 32)
-    def test_runs_and_picks(self):
-        # steps to 3, a jump to 40 and a step to 41, a jump to 200
-        assert hyper._walk([0, 3, 40, 41, 200]) == ([[0, 3], [40, 41], [200, 200]],
-                                                    [0, 3, 4, 5, 6])
-        assert hyper._walk([5, 40]) == ([[0, 5], [40, 40]], [5, 6])
-        assert hyper._walk(range(100)) == ([[0, 99]], range(100))
-        assert hyper._walk(range(33, 36)) == ([[0, 0], [33, 35]], [1, 2, 3])
+    def test_runs(self):
+        # steps to 3, a jump to 40 and a step to 41, a jump to 200; in any
+        # order and with repeats
+        assert hyper._runs([[0, 3, 40, 41, 200]]) == [[0, 3], [40, 41], [200, 200]]
+        assert hyper._runs([[200, 41, 0, 200, 3, 40]]) == [[0, 3], [40, 41], [200, 200]]
+        assert hyper._runs([[5, 40]]) == [[0, 5], [40, 40]]
+        assert hyper._runs([range(100)]) == [[0, 99]]
+        # overlapping ranges, and a range inside another, join
+        assert hyper._runs([range(40, 90), range(60, 140), range(100, 110)]) == [[40, 139]]
+        # points within 32 of a range's end join its run, 33 past it opens one
+        assert hyper._runs([[125, 91], range(40, 60)]) == [[40, 91], [125, 125]]
+        assert hyper._runs([range(40, 60), [92]]) == [[40, 59], [92, 92]]
+        # a first span past 32 is jumped to, one within 32 of k = 0 stepped to
+        assert hyper._runs([range(33, 36)]) == [[33, 35]]
+        assert hyper._runs([range(32, 36)]) == [[0, 35]]
+        # empty sets read nothing
+        assert hyper._runs([]) == []
+        assert hyper._runs([[], range(0), range(50, 50)]) == []
+        assert hyper._runs([[], range(40, 41)]) == [[40, 40]]
+        # with no steps, only overlapping spans share a run
+        with patch.object(hyper, "_JUMP", 0):
+            assert hyper._runs([[4, 3, 3], range(0, 2), range(1, 3)]) == [[0, 2], [3, 3], [4, 4]]
+            assert hyper._runs([range(5, 8), range(8, 9)]) == [[5, 7], [8, 8]]
 
     @SLOW
     @given(walks(), st.integers(1, 12))
     def test_jumped_and_stepped_match_oracle(self, case, w):
+        # one entry per index of each run, and A at ks read off them
         P, ks = case
-        expect = ratio_units_exact(P.a, P.p, ks, w)
         powers = embedded((coeff_exact(P, k) for k in ks), P.p, w)
-        for jump in (0, NO_JUMPS):
+        for jump in (0, hyper._JUMP, NO_JUMPS):
+            with patch.object(hyper, "_JUMP", jump):
+                runs = hyper._runs([ks])
+            expect = ratio_units_exact(P.a, P.p, [k for start, last in runs
+                                                  for k in range(start, last + 1)], w)
             for cut in (0, NO_GIANT_STEPS):
                 with patch.object(hyper, "_JUMP", jump), patch.object(hyper, "_BSGS", cut):
-                    assert hyper._ratio_units(P.a, P.p, ks, w) == expect
+                    assert hyper._ratio_units(P.a, P.p, runs, w) == expect
                     assert hyper._quotients(P, [("A", 0, ks)], w) == [powers]
 
     @SLOW
     @given(cases(max_prec=4), index_sets(0), index_sets(0), index_sets(0), index_sets(1),
-           index_sets(0), st.integers(1, 60), st.sampled_from([0, NO_JUMPS]),
+           index_sets(0), st.integers(1, 60), st.sampled_from([0, hyper._JUMP, NO_JUMPS]),
            st.sampled_from([0, NO_GIANT_STEPS]))
+    # the jump to 90 opens the run [90, 119] at a = 1/3, and B's range starts
+    # inside it at 100, Bhat's at 95
+    @example((HGParams.create(Fraction(1, 3), 2, 5), FrobeniusSpec(6), 3), range(90, 110), [7],
+             [3, 1], range(100, 120), range(95, 100), 10, 0, NO_GIANT_STEPS)
+    # ks in descending order with repeats, at a = 1/2, its own Dwork prime
+    @example((HGParams.create(Fraction(1, 2), 1, 3), FrobeniusSpec(4), 4), [1400, 90, 90, 5, 0],
+             [200, 200, 6], [9, 0], [1200, 64, 27, 27, 3], [700, 40, 2, 2, 0], 12, hyper._JUMP,
+             0)
     def test_levels_and_kinds_in_one_call(self, case, ks0, ks1, ks2, ks_b, ks_hat, count,
                                           jump, cut):
         # "A" at three Dwork levels among B, Bhat, both ratios and G, against
         # the oracle: each distinct Dwork prime is walked once over the
-        # union of the k read there
+        # runs of the k read there
         P, frob, prec = case
         frob_hat = FrobeniusSpec(frob.c, SIGMA_HAT)
         requests = [("A", 0, ks0), ("B", frob, ks_b), ("A", 2, ks2), ("Bhat/A", frob_hat, ks_hat),
@@ -338,8 +367,9 @@ class TestWalk:
         P, ks = case
         m = P.p ** w
         with patch.object(hyper, "_JUMP", jump), patch.object(hyper, "_BSGS", cut):
-            units, vals = hyper._ratio_units(P.a, P.p, ks, w)
-            deeper, deeper_vals = hyper._ratio_units(P.a, P.p, ks, w + 3)
+            runs = hyper._runs([ks])
+            units, vals = hyper._ratio_units(P.a, P.p, runs, w)
+            deeper, deeper_vals = hyper._ratio_units(P.a, P.p, runs, w + 3)
         assert [u % m for u in deeper] == units and deeper_vals == vals
 
     @SLOW
@@ -370,8 +400,8 @@ class TestDenseWalk:
         # other step, so every other step splits, and k = 512 and 1024
         # split ten times
         ks = range(count)
-        units, vals = hyper._ratio_units(a, 2, ks, w)
-        deeper, deeper_vals = hyper._ratio_units(a, 2, ks, w + 3)
+        units, vals = hyper._ratio_units(a, 2, [[0, count - 1]], w)
+        deeper, deeper_vals = hyper._ratio_units(a, 2, [[0, count - 1]], w + 3)
         assert [u % 2 ** w for u in deeper] == units and deeper_vals == vals
         assert vals == ratio_valuations(a, 2, ks)
         assert all(u % 2 for u in units)
@@ -570,7 +600,7 @@ def test_one_walk_per_dwork_prime_in_builders(build, levels):
 @pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (7, 1)])
 def test_own_dwork_prime_read_off_one_walk(p, s):
     # a = 1/2 is its own Dwork prime at every odd p, so A^(1) = A: A, B and
-    # Bhat come from one walk over the union of the k and the j they read
+    # Bhat come from one walk over the runs of the k and the j they read
     P = HGParams.create(Fraction(1, 2), s, p)
     assert P.a1 == P.a
     frob, frob_hat = FrobeniusSpec(Fraction(1 + p)), FrobeniusSpec(Fraction(1 + p), SIGMA_HAT)
