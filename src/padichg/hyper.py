@@ -11,11 +11,11 @@ from which every Dwork prime a^{(i)} and the period are read.
 The coefficients are p-integral, so each is fixed by a unit mod p^w and an
 exact valuation.  Every table comes from `_quotients`, which serves all
 the tables of a check in one call (A_k^{(i)} at any level; B_k, Bhat_k and
-their ratios to A_k as exact quotients): it splits each divisor once, reads
-one guard precision w off the valuations of all its requests, walks
-(b)_k/k!, splitting the p-parts off exactly, once per distinct Dwork prime
-b, and reads each request off its walk, in its own order, to form its
-numerators mod p^w and divide them exactly, with one modular inversion per
+their ratios to A_k as exact quotients): it reads one guard precision w
+off the valuations of all its requests, walks (b)_k/k!, splitting the
+p-parts off exactly, once per distinct Dwork prime b, and reads each
+request off its walk, in its own order, to form and divide exactly its
+numerators mod p^w in one loop over its hits, with one inversion per
 walk and per request.  A walk covers ascending runs of indices, merged
 from the index sets read at b: a dense table is one run that it steps
 through, while the ratios B_k/A_k and Bhat_k/A_k at a few witnesses (beta,
@@ -262,13 +262,15 @@ def _runs(sets: Sequence[Sequence[int]]) -> list[list[int]]:
     return runs
 
 
-def _walk_back(xs: list[int], factors: Sequence[int], inv: int, m: int) -> None:
-    """Divide each xs[i] by the product of factors[:i + 1] mod m in place,
+def _walk_back(xs: list[int], order: Sequence[int], factors: Sequence[int], inv: int,
+               m: int) -> int:
+    """Divide xs[order[j]] by the product of factors[:j + 1] mod m in place,
     given inv, the inverse of the product of all of them (times a constant
-    every quotient takes): one inversion, walking back over the prefixes."""
-    for i in range(len(xs) - 1, -1, -1):
+    every quotient takes), walking back; returns the inverse left over."""
+    for i, factor in zip(reversed(order), reversed(factors)):
         xs[i] = xs[i] * inv % m
-        inv = inv * factors[i] % m
+        inv = inv * factor % m
+    return inv
 
 
 def _ratio_units(a: Fraction, p: int, runs: Sequence[Sequence[int]],
@@ -331,7 +333,7 @@ def _ratio_units(a: Fraction, p: int, runs: Sequence[Sequence[int]],
             put_val(v)
             put_factor(factor)
         done = last
-    _walk_back(units, factors, pow(den, -1, m), m)
+    _walk_back(units, range(len(units)), factors, pow(den, -1, m), m)
     return units, vals
 
 
@@ -344,42 +346,6 @@ def _powers(units: list[int], vals: list[int], s: int, p: int, w: int) -> list[i
     if s == 2:
         return [u * u * shift[v] % m for u, v in zip(units, vals)]
     return [pow(u, s, m) * shift[v] % m for u, v in zip(units, vals)]
-
-
-def _hits(ks: Sequence[int], start: int, p: int) -> Sequence[int]:
-    """The positions i of ks with ks[i] ≡ start mod p: a range for a range."""
-    if isinstance(ks, range):
-        return range((start - ks.start) % p, len(ks), p)
-    return [i for i, k in enumerate(ks) if k % p == start]
-
-
-def _numerators(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], a_res: list[int],
-                a1: Sequence[int], w: int, hat: bool) -> list[int]:
-    """k·B_k (or (k+a)·Bhat_k with hat=True) mod p^w at each k in ks, in
-    ks order, given the A_k residues mod p^w at ks and a1, which holds
-    A^{(1)}_j mod p^w at each j = k // p read, in the same order.
-
-    B: A_k - c^{k/p} A^{(1)}_{k/p} at p | k.  Bhat: A_k - (-1)^{se}
-    c^{(k+a)/p} A^{(1)}_j at k = l + jp, where c^{(k+a)/p} = c^{a^{(1)}} c^j,
-    so the one fractional power is taken once per call.  It is exact as an
-    integer power: c^{p^{w-1}} ≡ 1 mod p^w for c ≡ 1 mod p (and for every
-    odd c at p = 2), so c^{a^{(1)}} ≡ c^e mod p^w for any e ≡ a^{(1)} mod
-    p^{w-1}.  c^j is carried from one j to the next (back to an earlier j
-    by a power of the inverse)."""
-    p = params.p
-    m = p ** w
-    out = list(a_res)
-    c = frob.residue(p, m)
-    factor = 1
-    if hat:
-        factor = params.sign_se() * pow(c, _residue(params.a1, p, m // p), m)
-    j_prev = 0
-    for i, a1_j in zip(_hits(ks, params.l if hat else 0, p), a1):
-        j = ks[i] // p
-        factor = factor * (c if j - j_prev == 1 else pow(c, j - j_prev, m)) % m
-        j_prev = j
-        out[i] = (out[i] - factor * a1_j) % m
-    return out
 
 
 def _read(index: tuple[list[int], list[int]], table: list[int], ks: Sequence[int]) -> list[int]:
@@ -405,71 +371,74 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     gives A_k^{(level)}; (kind, frob, ks) with kind "B" or "Bhat" gives B_k
     or Bhat_k along frob, "B/A" and "Bhat/A" divide them by A_k, and "G"
     gives B_k for ks = range(count) with B_0 (`b0_constant`) at k = 0.  ks
-    is a range of step 1, or any sequence, in any order and with repeats;
-    k >= 1 for B.  Each table is a new list, but an "A" request reading all
-    of a walk at w = prec gets the walk's.
+    is any sequence, in any order and with repeats (a range of step 1 is
+    read as a span, another range as its values); k >= 1 for B.  Each table
+    is a new list, but an "A" request reading all of a walk at w = prec
+    gets the walk's.
 
-    With a = n/d and N_k from `_numerators`, B_k = N_k/D_k with D_k = k, and
-    Bhat_k = d·N_k/D_k with D_k = k·d + n.  Each k of a request with p | D_k
-    (k ≡ 0 mod p for B, k ≡ l for Bhat) is split, D_k = p^v u; dividing by
-    A_k as well adds e = s·v_p(A_k) to v (`ratio_valuations`) and A_k/p^e,
-    read off the request's own A_k, to u.  One guard w = prec + the largest
-    v serves every request, as a unit mod p^w reduces exactly to any lower
-    precision.  (b)_k/k! is walked once per distinct Dwork prime b, over the
-    runs (`_runs`) of the index sets read at b: the ks of the "A" requests
-    at a level with prime b, of the B-type requests if b = a, and the j
-    their numerators read A^{(1)} at if b = a' (a range for a range).  Each
-    request is read off its walk (`_read`), given its numerators and divided
-    exactly by p^v, in its own ks order: the first k whose quotient is not
-    p-integral raises NotDivisible.  The quotients replace the numerators in
-    their list; the unit parts of a request are inverted through one modular
-    inversion of their product (`_walk_back`), and d enters with that
-    inverse.  Any k at or past sys.maxsize, which no walk's list can reach,
-    raises PreconditionViolated before any walk."""
+    With a = n/d, B_k = N_k/D_k with D_k = k, and Bhat_k = d·N_k/D_k with
+    D_k = k·d + n.  N_k is A_k except at the hits, the k with p | D_k
+    (k ≡ 0 mod p for B, k ≡ l for Bhat), where it subtracts the twisted
+    A^{(1)}_{k//p} and is divided exactly by p^v, v = v_p(D_k), plus
+    s·v_p(A_k) for a ratio (whose quotient is 1/D_k off the hits).  One
+    guard w = prec + the largest v serves every request, as a unit mod p^w
+    reduces exactly to any lower precision.  (b)_k/k! is walked once per
+    distinct Dwork prime b, over the runs (`_runs`) of the index sets read
+    at b: the ks of the "A" requests at a level with prime b, of the B-type
+    requests if b = a, and the j they read A^{(1)} at if b = a' (a range
+    for a range).  Each request is read off its walk (`_read`); one loop
+    over its hits, in ks order, forms and divides N_k there, so the first
+    k whose quotient is not p-integral raises NotDivisible.  The unit parts
+    of D_k (read off k away from the hits) are inverted through one modular
+    inversion of their product (`_walk_back`), and d enters with it.  Any k
+    at or past sys.maxsize, which no walk's list can reach, raises
+    PreconditionViolated before any walk."""
     if prec < 1:
         raise ValueError("precision must be positive")
     p, s, a, a1 = params.p, params.s, params.a, params.a1
-    parts = []  # the requests as divided: G is B_0, B/A at its witness, then B
+    n, d = a.numerator, a.denominator
+    parts = []  # as divided: G is B_0, B/A at its witness, then B (kind "G": joined)
     for kind, tag, ks in requests:
+        if isinstance(ks, range) and ks.step != 1:
+            ks = list(ks)
         if kind != "A":
             tag.validate(p)
         if kind == "G":
             top = prec + 1 if p == 2 and tag.vp_c_minus_1(p) == 1 else prec
-            parts += [("B/A", tag, [p ** top]), ("B", tag, ks[1:])]
+            parts += [("B/A", tag, [p ** top] if ks else []), ("G", tag, ks[1:])]
         else:
             parts.append((kind, tag, ks))
-    plans = []  # (kind, hat, tag, its Dwork prime, ks, j, v, u, s·v_p(A_k) for a ratio)
+    plans = []  # (kind, tag, its Dwork prime, ks, the hits: positions in ks, j, v_p(D_k))
     reads: dict[int, tuple] = {}  # by m (ints hash fast): Dwork prime m/d, the ks read there
     w = prec  # the guard
     for kind, tag, ks in parts:
-        hat = kind.startswith("Bhat")
         dense = isinstance(ks, range)
         if ks and (ks[-1] if dense else max(ks)) >= sys.maxsize:
             raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
         prime = params.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
         reads.setdefault(prime.numerator, (prime, []))[1].append(ks)
-        js = vals = units = avals = ()
+        hits = js = vds = ()
         if kind != "A":
+            hat = kind.startswith("Bhat")
             if ks and (ks[0] if dense else min(ks)) < (0 if hat else 1):
                 raise ValueError("Bhat needs k >= 0" if hat else "B needs k >= 1")
-            # D_k, then its unit part; p | D_k exactly at the k the numerators
-            # read A^{(1)} at: k ≡ r mod p, r = 0 (B) or l = -a (Bhat)
-            n, d = a.numerator, a.denominator
-            r = params.l if hat else 0
-            units = [k * d + n for k in ks] if hat else list(ks)
-            vals = [0] * len(ks)
-            hits = _hits(ks, r, p)
-            for i in hits:
-                vals[i], units[i] = split_p(units[i], p)
-            if kind.endswith("/A"):
-                avals = [s * va for va in ratio_valuations(a, p, ks)]
-                vals = [v + e for v, e in zip(vals, avals)]
-            # j = k // p at each hit, the j from ceil((start - r)/p) on for a range
-            js = range(-((r - ks.start) // p), -((r - ks.stop) // p)) if dense else \
-                [ks[i] // p for i in hits]
+            # p | D_k = k·dk + nk exactly at k ≡ r mod p, r = 0 (B) or l = -a
+            # (Bhat); for a range, the j = k // p there run from ceil((start - r)/p) on
+            r, dk, nk = (params.l, d, n) if hat else (0, 1, 0)
+            if dense:
+                hits = range((r - ks.start) % p, len(ks), p)
+                js = range(-((r - ks.start) // p), -((r - ks.stop) // p))
+            else:
+                hits = [i for i, k in enumerate(ks) if k % p == r]
+                js = [ks[i] // p for i in hits]
             reads.setdefault(a1.numerator, (a1, []))[1].append(js)
-            w = max(w, prec + max(vals, default=0))
-        plans.append((kind, hat, tag, prime, ks, js, vals, units, avals))
+            vds = [split_p(ks[i] * dk + nk, p)[0] for i in hits]
+            top = vds
+            if kind.endswith("/A"):  # the largest v_p(D_k) + s·v_p(A_k)
+                es = ratio_valuations(a, p, ks)
+                top = [s * e for e in es] + [v + s * es[i] for i, v in zip(hits, vds)]
+            w = max(w, prec + max(top, default=0))
+        plans.append((kind, tag, prime, ks, hits, js, vds))
     walks = {}  # by m: ((the run starts, their shifts), A at m/d mod p^w, one entry per index)
     for b, (prime, sets) in reads.items():
         runs = _runs(sets)
@@ -477,29 +446,59 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         sizes = accumulate((last - start + 1 for start, last in runs), initial=0)
         shifts = [size - start for size, start in zip(sizes, starts)]  # entry of k: k + shift
         walks[b] = (starts, shifts), _powers(*_ratio_units(prime, p, runs, w), s, p, w)
-    m = p ** prec
+    big, m = p ** w, p ** prec
     out = []
-    for kind, hat, frob, prime, ks, js, vals, units, avals in plans:
-        nums = _read(*walks[prime.numerator], ks)  # A_k (at level 0 for B-types)
+    for kind, frob, prime, ks, hits, js, vds in plans:
+        index, table = walks[prime.numerator]
+        res = _read(index, table, ks)  # A_k (at level 0 for B-types)
         if kind == "A":
-            out.append(nums if w == prec else [x % m for x in nums])
+            out.append(res if w == prec else [x % m for x in res])
             continue
-        if avals:  # A_k/p^e is A_k's unit part mod p^(w - e), and w - e >= prec
-            units = [u * (x // p ** e) % m for u, x, e in zip(units, nums, avals)]
-        nums = _numerators(params, frob, ks, nums, _read(*walks[a1.numerator], js), w, hat)
-        acc = 1  # the product of the unit parts before entry j
-        for j, (num, v, u) in enumerate(zip(nums, vals, units)):
-            if v:
-                num, rem = divmod(num, p ** v)
-                if rem:
-                    raise NotDivisible(f"numerator not divisible by {p}^{v}")
-            nums[j] = num * acc % m
-            acc = acc * u % m
-        _walk_back(nums, units, pow(acc, -1, m) * (a.denominator if hat else 1) % m, m)
+        hat, ratio = kind.startswith("Bhat"), kind.endswith("/A")
+        nums = [1] * len(ks) if ratio else list(res) if res is table else res
+        r, dk, nk = (params.l, d, n) if hat else (0, 1, 0)
+        hit_units = []  # the unit part of D_k at each hit (times A_k's for a ratio)
+        # N_k = A_k - c^{k/p} A^{(1)}_{k/p} (B), A_k - (-1)^{se} c^{(k+a)/p}
+        # A^{(1)}_j at k = l + jp (Bhat), and c^{(k+a)/p} = c^{a'} c^j.  The one
+        # fractional power is exact as an integer one: c^{p^{w-1}} ≡ 1 mod p^w
+        # for c ≡ 1 mod p (every odd c at p = 2), so c^{a'} ≡ c^e for any
+        # e ≡ a' mod p^{w-1}.  c^j is carried from one j to the next (back to
+        # an earlier j by a power of the inverse).
+        c = frob.residue(p, big)
+        twist = params.sign_se() * pow(c, _residue(a1, p, big // p), big) if hat else 1
+        j_prev = 0
+        for i, j, a1_j, v in zip(hits, js, _read(*walks[a1.numerator], js), vds):
+            twist = twist * (c if j - j_prev == 1 else pow(c, j - j_prev, big)) % big
+            j_prev = j
+            x, u = res[i], (ks[i] * dk + nk) // p ** v
+            if ratio:  # A_k is p^e times a unit mod p^(w - e), and w - e >= prec
+                e, x_unit = split_p(x, p)
+                v, u = v + e, u * x_unit
+            nums[i], rem = divmod((x - twist * a1_j) % big, p ** v)
+            if rem:
+                raise NotDivisible(f"numerator not divisible by {p}^{v}")
+            hit_units.append(u % m)
+        # off the hits D_k is a unit: for a range, the k from each of its
+        # first p entries on in steps of p, with D_k in steps of p·dk
+        if isinstance(ks, range):
+            rest = [(range(i, len(ks), p), range(k * dk + nk, ks.stop * dk + nk, p * dk))
+                    for i, k in enumerate(ks[:p]) if k % p != r]
+        else:
+            order = [i for i, k in enumerate(ks) if k % p != r]
+            rest = [(order, [ks[i] * dk + nk for i in order])]
+        segments = [(hits, hit_units), *rest]  # the order both passes take
+        acc = 1  # the product of the unit parts before each entry
+        for order, factors in segments:
+            for i, u in zip(order, factors):
+                nums[i] = nums[i] * acc % m
+                acc = acc * u % m
+        inv = pow(acc, -1, m) * dk % m  # d enters with the inverse
+        for order, factors in reversed(segments):
+            inv = _walk_back(nums, order, factors, inv, m)
+        if kind == "G":  # B_0 (none for count 0) goes in front of B, in place
+            nums[:0] = out.pop()
         out.append(nums)
-    tables = iter(out)  # G joins B_0 and B
-    return [(next(tables) + next(tables))[:len(ks)] if kind == "G" else next(tables)
-            for kind, _, ks in requests]
+    return out
 
 
 def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[int]:

@@ -432,31 +432,79 @@ def test_ratio_index_below_the_sequence_rejected(hat, ks, message):
         hyper.coefficient_ratios(P, frob, ks, 3, hat)
 
 
+def shift_a1(monkeypatch, js, bad_js):
+    """Shift A^(1)_j by 1 at each j in bad_js wherever `_read` reads the j
+    in js, the j one B-type request reads A^(1) at: its numerator at k with
+    k // p = j is then a unit off the true one, not divisible by p."""
+    original = hyper._read
+
+    def shifted(index, table, ks):
+        got = original(index, table, ks)
+        if list(ks) == js:
+            got = [x + (j in bad_js) for j, x in zip(ks, got)]
+        return got
+
+    monkeypatch.setattr(hyper, "_read", shifted)
+
+
 class TestNotDivisible:
-    """A non-integral quotient is reported at its smallest k, whatever the
-    divisor valuations of later k."""
+    """A non-integral quotient is reported at the first failing k in ks
+    order, whatever the divisor valuations of later k."""
 
     @pytest.mark.parametrize("bad", [(9, 12), (3, 9), (18, 15, 12)])
     def test_smallest_k_named(self, bad, monkeypatch):
-        original = hyper._numerators
         count = 2 * 3 ** 2 + 1  # the B table of check_integrality at n = 2
-
-        def corrupted(params, frob, ks, *rest):
-            nums = original(params, frob, ks, *rest)
-            hat = rest[-1]
-            if not hat and len(ks) == count - 1:  # the B table k >= 1, not the B_0 witness
-                for i, k in enumerate(ks):
-                    if k in bad:
-                        nums[i] += 1  # the true numerator is divisible by p^{v_p(k)}
-            return nums
-
-        monkeypatch.setattr(hyper, "_numerators", corrupted)
+        # B reads A^(1) at j = 1..6 for k = 3..18; the B_0 witness 9 reads
+        # it at [3], and Bhat at j = 0..5
+        shift_a1(monkeypatch, list(range(1, 7)), {k // 3 for k in bad})
         P = HGParams.create(Fraction(1, 2), 1, 3)
         message = f"numerator not divisible by 3^{vp(min(bad), 3)}"
         with pytest.raises(NotDivisible, match=re.escape(message)):
             b_coefficients(P, FrobeniusSpec(Fraction(4)), count, 2)
         rep = check_integrality(P, Fraction(4), 2)
         assert not rep.passed and rep.first_failure == {"error": message}
+
+    # a = 1/2, p = 3: B divides at k ≡ 0 mod 3 by k, Bhat at k ≡ 1 by 2k + 1;
+    # v_3(A_k) is 1 at k = 6 and 7, 2 at k = 15 and 16, and 0 at k = 4, 40
+    # and the powers of 3.  The first bad k in ks order has another exponent
+    # than the smallest bad k and than the largest exponent
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("kind,ks,bad", [
+        ("B", [10, 9, 5, 6, 27, 9], {9, 6, 27}),
+        ("B/A", [11, 6, 81, 9, 3], {6, 81, 3}),
+        ("B/A", [4, 15, 729, 3], {15, 729, 3}),
+        ("Bhat", [2, 4, 40, 1], {4, 40, 1}),
+        ("Bhat/A", [7, 3, 40, 1], {7, 40, 1}),
+        ("Bhat/A", [4, 16, 1], {4, 16, 1}),
+    ])
+    def test_first_failing_k_in_ks_order(self, s, kind, ks, bad, monkeypatch):
+        P = HGParams.create(Fraction(1, 2), s, 3)
+        hat, ratio = kind.startswith("Bhat"), kind.endswith("/A")
+        r = P.l if hat else 0
+        shift_a1(monkeypatch, [k // 3 for k in ks if k % 3 == r], {k // 3 for k in bad})
+        first = next(k for k in ks if k in bad)
+        v = vp(2 * first + 1 if hat else first, 3)
+        if ratio:
+            v += s * vp(pochhammer(P.a, first) / factorial(first), 3)
+        frob = FrobeniusSpec(Fraction(4), SIGMA_HAT if hat else SIGMA)
+        with pytest.raises(NotDivisible, match=re.escape(f"not divisible by 3^{v}") + "$"):
+            hyper._quotients(P, [(kind, frob, ks)], 3)
+
+
+@pytest.mark.parametrize("a,s,p,c", [(Fraction(1, 2), 1, 3, 4), (Fraction(1, 3), 2, 5, 6)])
+@pytest.mark.parametrize("ks", [range(1, 20, 2), range(9, 0, -1), range(30, 2, -4),
+                                range(3, 200, 41), range(50, 0, -7)])
+def test_stepped_and_descending_ranges_read_as_lists(a, s, p, c, ks):
+    # a range of step other than 1 gives each kind what the list of its
+    # values gives, alone and with the other kinds in one call
+    P = HGParams.create(a, s, p)
+    frob, frob_hat = FrobeniusSpec(Fraction(c)), FrobeniusSpec(Fraction(c), SIGMA_HAT)
+    requests = [("A", 0, ks), ("A", 1, ks), ("B", frob, ks), ("Bhat", frob_hat, ks),
+                ("B/A", frob, ks), ("Bhat/A", frob_hat, ks), ("G", frob, range(0, ks[0], 3))]
+    as_lists = [(kind, tag, list(ks)) for kind, tag, ks in requests]
+    for request, listed in zip(requests, as_lists):
+        assert hyper._quotients(P, [request], 4) == hyper._quotients(P, [listed], 4)
+    assert hyper._quotients(P, requests, 4) == hyper._quotients(P, as_lists, 4)
 
 
 class TestValuations:
@@ -616,6 +664,20 @@ def test_own_dwork_prime_read_off_one_walk(p, s):
     assert bhat == embedded((bhat_approx(P, frob_hat, k, prec) for k in range(count)), p, prec)
 
 
+def test_request_reading_a_whole_walk_leaves_it_intact():
+    # at a = 1/3, p = 5 the Dwork prime 2/3 is walked apart, so Bhat over
+    # range(count) reads all of the walk at a; the B and A read after it
+    # must see the walk's values, not Bhat's quotients
+    P = HGParams.create(Fraction(1, 3), 1, 5)
+    assert P.a1 != P.a
+    frob, frob_hat = FrobeniusSpec(Fraction(6)), FrobeniusSpec(Fraction(6), SIGMA_HAT)
+    count, prec = 40, 3
+    requests = [("Bhat", frob_hat, range(count)), ("B", frob, range(1, count)),
+                ("A", 0, range(count))]
+    assert hyper._quotients(P, requests, prec) == [
+        hyper._quotients(P, [request], prec)[0] for request in requests]
+
+
 def test_witness_walks_hold_no_table():
     # B_0 at 3^8 and beta-hat at witnesses up to 3^8: a list of 3^8 ints
     # alone would take over 50 KB; a walk over every index takes 0.8 MB
@@ -630,3 +692,23 @@ def test_witness_walks_hold_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 50_000
+
+
+def test_b_type_tables_peak_per_term():
+    # the A, G and Bhat tables of check_main_congruence at p = 5, n = 6 from
+    # one call: a B-type request holds its numerators and the unit parts of
+    # its divisors at the hits only, on top of the walk's table.  The traced
+    # peak is 61 B per table term with Python 3.11 (51 B with 3.10); a list
+    # of divisors per k alone takes it past 70 B, and with a list of
+    # valuations and a copy of the A read per k as well it reads 89 B (82 B)
+    P = HGParams.create(Fraction(1, 2), 1, 5)
+    frob, frob_hat = FrobeniusSpec(Fraction(6)), FrobeniusSpec(Fraction(6), SIGMA_HAT)
+    q = 5 ** 6
+    tracemalloc.start()
+    try:
+        hyper._quotients(P, [("A", 0, range(q)), ("G", frob, range(q)),
+                             ("Bhat", frob_hat, range(q))], 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * 3 * q
