@@ -8,20 +8,22 @@ as a list of ints, lowest degree first: the series F (`hg_series`), G
 parameter object, `HGParams`: a, s and p with the Dwork data of a at p,
 from which every Dwork prime a^{(i)} and the period are read.
 
-The coefficients are p-integral, so each is fixed by a unit mod p^w and an
-exact valuation.  Every table comes from `_quotients`, which serves all
-the tables of a check in one call (A_k^{(i)} at any level; B_k, Bhat_k and
-their ratios to A_k as exact quotients): it reads one guard precision w
-off the valuations of all its requests, walks (b)_k/k!, splitting the
-p-parts off exactly, once per distinct Dwork prime b, and reads each
-request off its walk, in its own order, to form and divide exactly its
-numerators mod p^w in one loop over its hits, with one inversion per
-walk and per request.  A walk covers ascending runs of indices, merged
-from the index sets read at b: a dense table is one run that it steps
-through, while the ratios B_k/A_k and Bhat_k/A_k at a few witnesses (beta,
-B_0) are short runs far apart, and the walk multiplies each long gap
-between runs in at once as a product of an arithmetic progression, so
-their memory grows with the number of witnesses, not with their size.
+The coefficients are p-integral, so each is one residue mod p^w.  Every
+table comes from `_quotients`, which serves all the tables of a check in
+one call (A_k^{(i)} at any level; B_k, Bhat_k and their ratios to A_k as
+exact quotients): it reads one guard precision w off the valuations of
+all its requests, walks (b)_k/k! into one list of A_k mod p^w once per
+distinct Dwork prime b, splitting the p-parts off exactly and carrying
+p^v as an exact power, and reads each request off its walk, in its own
+order, to form and divide exactly its numerators mod p^w in one loop
+over its hits, with one inversion per walk and per request.  A ratio to
+A_k is 1/D_k off its hits, so it reads A only there.  A walk covers
+ascending runs of indices, merged from the index sets read at b: a dense
+table is one run that it steps through, while the ratios B_k/A_k and
+Bhat_k/A_k at a few witnesses (beta, B_0) are short runs far apart, and
+the walk multiplies each long gap between runs in at once as a product
+of an arithmetic progression, so their memory grows with the number of
+witnesses, not with their size.
 Each long class mod p of such a product is a baby-step/giant-step
 product: one polynomial over a block of p^e terms, truncated at the degree
 past which the giant steps vanish mod p^w, evaluated at every block.  A
@@ -177,7 +179,7 @@ def twist_pair(c: Rational) -> tuple[FrobeniusSpec, FrobeniusSpec]:
 
 
 # ---------------------------------------------------------------------------
-# the residue engine: (a)_k/k! as a unit mod p^w times an exact power of p
+# the residue engine: ((a)_k/k!)^s mod p^w, walked with an exact power of p
 
 
 # The ratio walk multiplies a gap of more than _JUMP indices in at once
@@ -248,10 +250,10 @@ def _progression(start: int, step: int, count: int, p: int, w: int) -> tuple[int
 
 def _runs(sets: Sequence[Sequence[int]]) -> list[list[int]]:
     """The ascending runs [start, last] a walk covers to reach every index
-    in sets.  A range (of step 1) is one span and each entry of another
-    sequence a point; a span joins the run before it unless it starts more
-    than _JUMP past that run's last index.  The walk starts at k = 0, so a
-    first span within _JUMP of 0 opens its run there."""
+    in sets.  An ascending range (of any step) is one span and each entry
+    of another sequence a point; a span joins the run before it unless it
+    starts more than _JUMP past that run's last index.  The walk starts at
+    k = 0, so a first span within _JUMP of 0 opens its run there."""
     runs = []
     for lo, hi in sorted(span for ks in sets if ks for span in
                          ([(ks[0], ks[-1])] if isinstance(ks, range) else zip(ks, ks))):
@@ -273,11 +275,9 @@ def _walk_back(xs: list[int], order: Sequence[int], factors: Sequence[int], inv:
     return inv
 
 
-def _ratio_units(a: Fraction, p: int, runs: Sequence[Sequence[int]],
-                 w: int) -> tuple[list[int], list[int]]:
-    """(units, vals) with (a)_k/k! = p^{vals[i]} units[i] and units[i] a
-    unit mod p^w, one entry per index k of each of the ascending runs
-    [start, last] (`_runs`), in order.
+def _walk(a: Fraction, p: int, runs: Sequence[Sequence[int]], s: int, w: int) -> list[int]:
+    """((a)_k/k!)^s mod p^w, one entry per index k of each of the ascending
+    runs [start, last] (`_runs`), in order.
 
     Walks the recurrence (a)_k/k! = (a)_{k-1}/(k-1)! * (a+k-1)/k, with
     a + k - 1 = (n + (k-1)d)/d, from k = 0: it jumps to the start of each
@@ -286,15 +286,16 @@ def _ratio_units(a: Fraction, p: int, runs: Sequence[Sequence[int]],
     once: its numerators form a progression with step d and its
     denominators k·d are d^gap times one with step 1 (`_progression`).  The
     unit parts of the numerators and of the denominators are kept as two
-    running products; the last denominator product is inverted once, and
-    walking back over the denominator factor of each step or jump gives
-    every quotient (`_walk_back`)."""
+    running products, and p^v, v = v_p((a)_k/k!) >= 0, as an exact power;
+    each entry is the numerator product times p^v.  The last denominator
+    product is inverted once, and walking back over the denominator factor
+    of each step or jump divides every entry by its own (`_walk_back`)."""
     m = p ** w
     n, d = a.numerator, a.denominator
-    units, vals, factors = [], [], []
-    put_unit, put_val, put_factor = units.append, vals.append, factors.append
-    num = den = 1
-    v = done = 0
+    out, factors = [], []
+    put, put_factor = out.append, factors.append
+    num = den = pv = 1
+    done = 0
     for start, last in runs:
         factor = 1
         if start > done:
@@ -303,9 +304,8 @@ def _ratio_units(a: Fraction, p: int, runs: Sequence[Sequence[int]],
             num = num * un % m
             factor = ud * pow(d, start - done, m) % m
             den = den * factor % m
-            v += vn - vd
-        put_unit(num)
-        put_val(v)
+            pv = pv * p ** (vn - vd) if vn >= vd else pv // p ** (vd - vn)
+        put(num * pv % m)
         put_factor(factor)
         f = n + start * d  # the numerator of the step to start + 1
         for k in range(start + 1, last + 1):
@@ -313,52 +313,43 @@ def _ratio_units(a: Fraction, p: int, runs: Sequence[Sequence[int]],
                 num = num * f % m
             else:  # split the p-part off f
                 x = f // p
-                v += 1
+                pv *= p
                 while not x % p:
                     x //= p
-                    v += 1
+                    pv *= p
                 num = num * x % m
             f += d
             if k % p:
                 factor = k * d
             else:  # and off k
                 x = k // p
-                v -= 1
+                pv //= p
                 while not x % p:
                     x //= p
-                    v -= 1
+                    pv //= p
                 factor = x * d
             den = den * factor % m
-            put_unit(num)
-            put_val(v)
+            put(num * pv % m)
             put_factor(factor)
         done = last
-    _walk_back(units, range(len(units)), factors, pow(den, -1, m), m)
-    return units, vals
-
-
-def _powers(units: list[int], vals: list[int], s: int, p: int, w: int) -> list[int]:
-    """(p^v u)^s mod p^w for each unit u and valuation v >= 0."""
-    m = p ** w
-    shift = [p ** (s * v) % m for v in range(max(vals, default=0) + 1)]  # 0 at s·v >= w
+    _walk_back(out, range(len(out)), factors, pow(den, -1, m), m)
+    del factors, put_factor  # before the powers, which hold a second list
     if s == 1:
-        return [u * shift[v] % m for u, v in zip(units, vals)]
-    if s == 2:
-        return [u * u * shift[v] % m for u, v in zip(units, vals)]
-    return [pow(u, s, m) * shift[v] % m for u, v in zip(units, vals)]
+        return out
+    return [x * x % m for x in out] if s == 2 else [pow(x, s, m) for x in out]
 
 
 def _read(index: tuple[list[int], list[int]], table: list[int], ks: Sequence[int]) -> list[int]:
     """table at each k of ks, in ks order.  table holds one entry per index
     of each run of a walk, and index = (the run starts, the shift of each
     run): the entry of k is k plus the shift of the last run starting at or
-    before k.  A range lies in one run and is read as one slice, or is
-    table itself when it reads all of it."""
+    before k.  A range (of any positive step) lies in one run and is read
+    as one slice, or is table itself when it reads all of it."""
     starts, shifts = index
     if not isinstance(ks, range):
         return [table[k + shifts[bisect_right(starts, k) - 1]] for k in ks]
     lo = ks.start + shifts[bisect_right(starts, ks.start) - 1] if ks else 0
-    return table if len(ks) == len(table) else table[lo:lo + len(ks)]
+    return table if len(ks) == len(table) else table[lo:lo + len(ks) * ks.step:ks.step]
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +371,21 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     D_k = k·d + n.  N_k is A_k except at the hits, the k with p | D_k
     (k ≡ 0 mod p for B, k ≡ l for Bhat), where it subtracts the twisted
     A^{(1)}_{k//p} and is divided exactly by p^v, v = v_p(D_k), plus
-    s·v_p(A_k) for a ratio (whose quotient is 1/D_k off the hits).  One
-    guard w = prec + the largest v serves every request, as a unit mod p^w
-    reduces exactly to any lower precision.  (b)_k/k! is walked once per
-    distinct Dwork prime b, over the runs (`_runs`) of the index sets read
-    at b: the ks of the "A" requests at a level with prime b, of the B-type
-    requests if b = a, and the j they read A^{(1)} at if b = a' (a range
-    for a range).  Each request is read off its walk (`_read`); one loop
-    over its hits, in ks order, forms and divides N_k there, so the first
-    k whose quotient is not p-integral raises NotDivisible.  The unit parts
-    of D_k (read off k away from the hits) are inverted through one modular
-    inversion of their product (`_walk_back`), and d enters with it.  Any k
-    at or past sys.maxsize, which no walk's list can reach, raises
-    PreconditionViolated before any walk."""
+    s·v_p(A_k) for a ratio (whose quotient is 1/D_k off the hits, so a
+    ratio reads and values A_k at its hits only).  One guard w = prec +
+    the largest v serves every request, as a residue mod p^w reduces
+    exactly to any lower precision.  (b)_k/k! is walked once per distinct
+    Dwork prime b, into one list of A_k = ((b)_k/k!)^s mod p^w (`_walk`),
+    over the runs (`_runs`) of the index sets read at b: the ks of the "A"
+    requests at a level with prime b, of B and Bhat if b = a, the hits of
+    the ratios if b = a, and the j the B-types read A^{(1)} at if b = a'
+    (a range for a range).  Each request is read off its walk (`_read`);
+    one loop over its hits, in ks order, forms and divides N_k there, so
+    the first k whose quotient is not p-integral raises NotDivisible.  The
+    unit parts of D_k (read off k away from the hits) are inverted through
+    one modular inversion of their product (`_walk_back`), and d enters
+    with it.  Any k at or past sys.maxsize, which no walk's list can reach,
+    raises PreconditionViolated before any walk."""
     if prec < 1:
         raise ValueError("precision must be positive")
     p, s, a, a1 = params.p, params.s, params.a, params.a1
@@ -408,7 +401,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             parts += [("B/A", tag, [p ** top] if ks else []), ("G", tag, ks[1:])]
         else:
             parts.append((kind, tag, ks))
-    plans = []  # (kind, tag, its Dwork prime, ks, the hits: positions in ks, j, v_p(D_k))
+    plans = []  # (kind, tag, Dwork prime, ks, the ks A is read at, hits in ks, j, v_p(D_k))
     reads: dict[int, tuple] = {}  # by m (ints hash fast): Dwork prime m/d, the ks read there
     w = prec  # the guard
     for kind, tag, ks in parts:
@@ -416,8 +409,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         if ks and (ks[-1] if dense else max(ks)) >= sys.maxsize:
             raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
         prime = params.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
-        reads.setdefault(prime.numerator, (prime, []))[1].append(ks)
-        hits = js = vds = ()
+        at, hits, js, vds = ks, (), (), ()
         if kind != "A":
             hat = kind.startswith("Bhat")
             if ks and (ks[0] if dense else min(ks)) < (0 if hat else 1):
@@ -427,30 +419,33 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             r, dk, nk = (params.l, d, n) if hat else (0, 1, 0)
             if dense:
                 hits = range((r - ks.start) % p, len(ks), p)
+                hit_ks = ks[hits.start::p]
                 js = range(-((r - ks.start) // p), -((r - ks.stop) // p))
             else:
                 hits = [i for i, k in enumerate(ks) if k % p == r]
-                js = [ks[i] // p for i in hits]
+                hit_ks = [ks[i] for i in hits]
+                js = [k // p for k in hit_ks]
             reads.setdefault(a1.numerator, (a1, []))[1].append(js)
-            vds = [split_p(ks[i] * dk + nk, p)[0] for i in hits]
+            vds = [split_p(k * dk + nk, p)[0] for k in hit_ks]
             top = vds
             if kind.endswith("/A"):  # the largest v_p(D_k) + s·v_p(A_k)
-                es = ratio_valuations(a, p, ks)
-                top = [s * e for e in es] + [v + s * es[i] for i, v in zip(hits, vds)]
+                at = hit_ks
+                top = [v + s * e for v, e in zip(vds, ratio_valuations(a, p, hit_ks))]
             w = max(w, prec + max(top, default=0))
-        plans.append((kind, tag, prime, ks, hits, js, vds))
+        reads.setdefault(prime.numerator, (prime, []))[1].append(at)
+        plans.append((kind, tag, prime, ks, at, hits, js, vds))
     walks = {}  # by m: ((the run starts, their shifts), A at m/d mod p^w, one entry per index)
     for b, (prime, sets) in reads.items():
         runs = _runs(sets)
         starts = [start for start, _ in runs]
         sizes = accumulate((last - start + 1 for start, last in runs), initial=0)
         shifts = [size - start for size, start in zip(sizes, starts)]  # entry of k: k + shift
-        walks[b] = (starts, shifts), _powers(*_ratio_units(prime, p, runs, w), s, p, w)
+        walks[b] = (starts, shifts), _walk(prime, p, runs, s, w)
     big, m = p ** w, p ** prec
     out = []
-    for kind, frob, prime, ks, hits, js, vds in plans:
+    for kind, frob, prime, ks, at, hits, js, vds in plans:
         index, table = walks[prime.numerator]
-        res = _read(index, table, ks)  # A_k (at level 0 for B-types)
+        res = _read(index, table, at)  # A_k (at level 0 for B-types)
         if kind == "A":
             out.append(res if w == prec else [x % m for x in res])
             continue
@@ -467,10 +462,11 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         c = frob.residue(p, big)
         twist = params.sign_se() * pow(c, _residue(a1, p, big // p), big) if hat else 1
         j_prev = 0
-        for i, j, a1_j, v in zip(hits, js, _read(*walks[a1.numerator], js), vds):
+        for h, (i, j, a1_j, v) in enumerate(zip(hits, js, _read(*walks[a1.numerator], js), vds)):
             twist = twist * (c if j - j_prev == 1 else pow(c, j - j_prev, big)) % big
             j_prev = j
-            x, u = res[i], (ks[i] * dk + nk) // p ** v
+            # a ratio reads A_k at its hits only, in hit order
+            x, u = res[h if ratio else i], (ks[i] * dk + nk) // p ** v
             if ratio:  # A_k is p^e times a unit mod p^(w - e), and w - e >= prec
                 e, x_unit = split_p(x, p)
                 v, u = v + e, u * x_unit

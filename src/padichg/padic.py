@@ -10,7 +10,7 @@ Rational parameters (a, c, lambda) are plain ``fractions.Fraction``
 objects, made once where they enter and read as integer numerators and
 denominators after that; one is embeddable at p iff p does not divide
 its denominator.  Exact rationals are otherwise used only by
-`iwasawa_log` and `Padic.exact_divide`.
+`Padic.exact_divide`.
 """
 
 from __future__ import annotations
@@ -187,32 +187,28 @@ def zero(p: int, prec: int) -> Padic:
 
 def iwasawa_log(c: Padic) -> Padic:
     """p-adic logarithm of c on 1 + pZ_p (1 + 4Z_2 at p = 2), at the
-    precision carried by c."""
+    precision carried by c.  With x = c - 1, each term (-1)^{i+1} x^i/i is
+    x^i / p^{v_p(i)}, exact as i·v_p(x) > v_p(i), times the inverse of the
+    unit part of i mod p^n."""
     p, n = c.p, c.prec
     x = c.residue - 1
     if x == 0:
         return zero(p, n)
-    v = vp(x, p)
-    assert v is not None
+    v = split_p(x, p)[0]
     need = 2 if p == 2 else 1
     if v < need:
         raise CNotOneModP(f"{c} is not in 1 + {p ** need}Z_{p}")
-    total = Fraction(0)
-    xi = 1
-    i = 1
-    # terms have valuation i*v - v_p(i); stop once that floor passes n
-    while True:
-        floor_vpi = 0
-        q = p
-        while q <= i:
-            floor_vpi += 1
-            q *= p
-        if i * v - floor_vpi >= n:
-            break
+    m = p ** n
+    total, xi, i, e = 0, 1, 1, 0  # e = floor(log_p i)
+    # terms have valuation i*v - v_p(i) >= i*v - e; stop once that reaches n
+    while i * v - e < n:
         xi *= x
-        total += Fraction((-1) ** (i + 1) * xi, i)
+        vi, ui = split_p(i, p)
+        total += (-1) ** (i + 1) * (xi // p ** vi) * pow(ui, -1, m)
         i += 1
-    return embed_rational(total, p, n)
+        if i == p ** (e + 1):
+            e += 1
+    return Padic(p, n, total % m)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> lis
     pack into decimals instead: each factor is one string of fixed-width
     decimal slots, highest degree first, read into a `Decimal`, and the
     digits of the product are cut into slots from the right."""
-    a, b = a[:n_out], b[:n_out]
+    a, b = (v if len(v) <= n_out else v[:n_out] for v in (a, b))  # no copy unless cut
     if not a or not b:
         return [0] * n_out
     terms = min(len(a), len(b))
@@ -72,7 +72,8 @@ def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> lis
         for j in range(width):
             words[j::8] = raw[j:slots * width:width]
         out = list(map(mod, unpack(f"<{slots}Q", words), repeat(modulus)))
-    return out + [0] * (n_out - slots)
+    out += repeat(0, n_out - slots)
+    return out
 
 
 def polymul_spread(a: Sequence[int], b: Sequence[int], p: int, modulus: int,

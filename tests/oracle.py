@@ -22,7 +22,10 @@ binomial series in c - 1 on exact rationals (the production route is one
 modular power of the residue of c); the congruence relation and the
 transformation formula are decided on two full products each
 (the production checkers form only the coefficients above t^{p^n}, and
-one product reversed, with t^p operands split per class mod p).
+one product reversed, with t^p operands split per class mod p); the
+Iwasawa logarithm is a sum of exact rationals x^i/i (the production
+route divides x^i by the p-part of i and multiplies by the inverse of
+its unit part mod p^n).
 """
 
 from __future__ import annotations
@@ -101,6 +104,37 @@ def c_power_frac(c: Rational, alpha: Rational, p: int, prec: int) -> Fraction:
         total += term
         i += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# the Iwasawa logarithm
+
+
+def iwasawa_log_exact(c: Padic) -> Padic:
+    """log_p(c) at the precision of c, as the sum of (-1)^{i+1} x^i/i over
+    exact rationals with x = c - 1, with the stopping rule of the integer
+    route (terms of valuation i·v_p(x) - floor(log_p i) >= n are dropped)."""
+    p, n = c.p, c.prec
+    x = c.residue - 1
+    if x == 0:
+        return Padic(p, n, 0)
+    v = vp(x, p)
+    if v < (2 if p == 2 else 1):
+        raise CNotOneModP(f"{c} is not in 1 + {4 if p == 2 else p}Z_{p}")
+    total, xi, i = Fraction(0), 1, 1
+    while i * v - _floor_log(i, p) < n:
+        xi *= x
+        total += Fraction((-1) ** (i + 1) * xi, i)
+        i += 1
+    return embed_rational(total, p, n)
+
+
+def _floor_log(i: int, p: int) -> int:
+    """floor(log_p i) for i >= 1."""
+    e, q = 0, p
+    while q <= i:
+        e, q = e + 1, q * p
+    return e
 
 
 # ---------------------------------------------------------------------------

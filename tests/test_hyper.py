@@ -75,7 +75,7 @@ class TestTableLength:
     def test_longer_than_maxsize_rejected(self, kind, monkeypatch):
         # no list holds more than sys.maxsize terms: the length is an input
         # error, raised before any walk
-        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        monkeypatch.setattr(hyper, "_walk", lambda *args: pytest.fail("a walk ran"))
         P, (frob, frob_hat) = params(Fraction(1, 2)), twist_pair(4)
         build = {"A": lambda count: hg_series(P, count, 2),
                  "B": lambda count: b_coefficients(P, frob, count, 2),
@@ -87,14 +87,14 @@ class TestTableLength:
     def test_witness_past_maxsize_rejected(self, hat, monkeypatch):
         # a list of witnesses, like a range, reads no index at or past
         # sys.maxsize: no walk reaches one
-        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        monkeypatch.setattr(hyper, "_walk", lambda *args: pytest.fail("a walk ran"))
         P, frob = params(Fraction(1, 2)), FrobeniusSpec(4, SIGMA_HAT if hat else SIGMA)
         with pytest.raises(PreconditionViolated, match="a table longer than"):
             coefficient_ratios(P, frob, [1, sys.maxsize], 2, hat)
 
     def test_b0_witness_past_maxsize_rejected(self, monkeypatch):
         # B_0 mod 3^40 is read at the witness 3^40, past sys.maxsize
-        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        monkeypatch.setattr(hyper, "_walk", lambda *args: pytest.fail("a walk ran"))
         with pytest.raises(PreconditionViolated, match="a table longer than"):
             b0_constant(params(Fraction(1, 2)), FrobeniusSpec(4), 40)
 

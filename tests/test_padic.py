@@ -21,7 +21,8 @@ from padichg import (
 
 from padichg.padic import _residue
 
-from oracle import braced_product, braced_table, c_power_frac, dwork_chain_exact, pochhammer
+from oracle import (braced_product, braced_table, c_power_frac, dwork_chain_exact,
+                    iwasawa_log_exact, pochhammer)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -225,6 +226,16 @@ class TestIwasawaLog:
     def test_shallow_unit_rejected_at_two(self):
         with pytest.raises(CNotOneModP):
             iwasawa_log(embed_rational(3, 2, 3))
+
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(2 if p == 2 else 1, 14), st.integers(-10 ** 6, 10 ** 6),
+        st.integers(1, 12))))
+    def test_matches_fraction_sum(self, case):
+        # c = 1 + p^v u in 1 + qW, v up to past n, against the sum of exact
+        # rationals x^i/i
+        p, v, u, n = case
+        c = embed_rational(1 + p ** v * u, p, n)
+        assert iwasawa_log(c) == iwasawa_log_exact(c)
 
     @given(st.integers(1, 6), st.integers(1, 6), PRIMES)
     def test_additive(self, i, j, p):

@@ -688,7 +688,7 @@ class TestTableLongerThanMaxsize:
     @pytest.mark.parametrize("check", ["dwork", "integrality", "interpolation", "braced",
                                        "beta-pairing"])
     def test_rejected_before_tables(self, check, monkeypatch):
-        monkeypatch.setattr(hyper, "_ratio_units", lambda *args: pytest.fail("a walk ran"))
+        monkeypatch.setattr(hyper, "_walk", lambda *args: pytest.fail("a walk ran"))
         # braced_residues inverts by the builtin pow from x = 1 on
         monkeypatch.setattr(verify, "pow", lambda *args: pytest.fail("a residue was formed"),
                             raising=False)
