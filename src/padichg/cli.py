@@ -172,25 +172,26 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
 
 def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
                fmt: str, stream: TextIO, lambdas: Sequence[Fraction] = ()) -> None:
-    """A coefficient table of count rows, or beta or beta-hat at each lambda;
-    B and beta twist along sigma, Bhat and beta-hat along sigma-hat."""
-    frob, frob_hat = twist_pair(c)
-    if kind in ("A", "B", "Bhat"):
-        if count < 1:
-            raise ValueError("count must be positive")
-        if kind == "A":
-            residues = hg_series(params, count, prec)
-        elif kind == "B":
-            residues = b_coefficients(params, frob, count, prec)
-        else:
-            residues = bhat_coefficients(params, frob_hat, count, prec)
-        _write_rows("k", range(count), residues, prec, fmt, stream)
-    elif kind in ("beta", "beta-hat"):
-        hat = kind == "beta-hat"
-        values = beta_values(lambdas, params, frob_hat if hat else frob, prec, hat=hat)
-        _write_rows("lambda", lambdas, [v.residue for v in values], prec, fmt, stream)
-    else:
+    """A coefficient table of count rows, or beta or beta-hat at each of one
+    or more lambdas; B and beta twist along sigma, Bhat and beta-hat along sigma-hat."""
+    if kind not in ("A", "B", "Bhat", "beta", "beta-hat"):
         raise ConfigInvalid(f"unknown table kind {kind!r}")
+    beta = kind.startswith("beta")
+    if beta != bool(lambdas):
+        raise ValueError(f"kind {kind} needs --points" if beta else
+                         f"--points is for kind beta and beta-hat, not {kind}")
+    frob, frob_hat = twist_pair(c)
+    if beta:
+        values = beta_values(lambdas, params, frob_hat if kind == "beta-hat" else frob, prec,
+                             hat=kind == "beta-hat")
+        _write_rows("lambda", lambdas, [v.residue for v in values], prec, fmt, stream)
+        return
+    if count < 1:
+        raise ValueError("count must be positive")
+    residues = (hg_series(params, count, prec) if kind == "A" else
+                b_coefficients(params, frob, count, prec) if kind == "B" else
+                bhat_coefficients(params, frob_hat, count, prec))
+    _write_rows("k", range(count), residues, prec, fmt, stream)
 
 
 # Rows per write: one `%` over a chunk of rows and one write of the result.

@@ -1,11 +1,10 @@
 """Products of truncated power series over Z/p^N.
 
 A series is a residue list: ints mod p^prec, lowest degree first, one
-precision for the whole series.  Every product goes through `polymul`,
-a Kronecker-substitution kernel with two paths: short factors in slots
-of up to 8 bytes pack in C into Python ints, long factors and wider
-slots into decimals, which libmpdec multiplies by number-theoretic
-transform.
+precision for the whole series.  Every product goes through one
+Kronecker-substitution kernel, `_slots`, which adds the products of
+factor pairs: `polymul` reads one product off it as residues, and
+`first_nonzero` decides a sum of products ≡ 0 with no coefficient list.
 `TruncSeries` carries p and the precision with the residues; it is the
 value type of the polynomial h.
 """
@@ -14,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from itertools import repeat
-from operator import mod
+from functools import reduce
+from itertools import chain, compress, count, repeat
+from operator import mod, neg
 from struct import pack, unpack
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 from .padic import Padic
 
@@ -35,45 +35,70 @@ _DECIMAL_TERMS = 4000
 _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # every product exact
 
 
-def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> list[int]:
-    """Coefficients 0..n_out-1 of the product a*b mod modulus.
+def _slots(pairs: Sequence[tuple], modulus: int, n_out: int,
+           minus: Sequence[tuple] = ()) -> Iterator[int]:
+    """Coefficients 0..n_out-1 mod modulus of the sum of the products f*g
+    over the pairs (f, g) of residue lists mod modulus, less those over
+    minus, up to the last one a product reaches.  Each factor is packed
+    into one number at one slot width, which holds any coefficient of the
+    exact sum (the pairs' shorter lengths added, times (modulus - 1)^2),
+    the first factor of a product in minus as -x mod modulus; each pair is
+    multiplied once and the products are added.  Slots of up to 8 bytes
+    pack and unpack in C, through little-endian 8-byte words and strided
+    byte slices.  A pair with both factors _DECIMAL_TERMS long or longer,
+    or a wider slot, packs every factor as one string of fixed-width
+    decimal slots, highest degree first, read into a `Decimal`; the slots
+    of the sum are cut from its digits from the right."""
+    # each factor cut at n_out terms, with no copy unless it is longer
+    pairs = [(f if len(f) <= n_out else f[:n_out], g if len(g) <= n_out else g[:n_out], sign)
+             for sign, group in ((1, pairs), (-1, minus)) for f, g in group if f and g]
+    if not pairs or n_out < 1:
+        return iter(())
 
-    a and b hold residues in [0, modulus), lowest degree first.  Kronecker
-    substitution: each vector is packed into one number at a slot wide
-    enough for any coefficient of the exact product, the two numbers are
-    multiplied once, and the product is unpacked slot by slot.  A slot of
-    up to 8 bytes packs in C, through little-endian 8-byte words and
-    strided byte slices, into a Python int.  Long factors and wider slots
-    pack into decimals instead: each factor is one string of fixed-width
-    decimal slots, highest degree first, read into a `Decimal`, and the
-    digits of the product are cut into slots from the right."""
-    a, b = (v if len(v) <= n_out else v[:n_out] for v in (a, b))  # no copy unless cut
-    if not a or not b:
-        return [0] * n_out
-    terms = min(len(a), len(b))
-    bound = (modulus - 1) ** 2 * terms  # the largest coefficient of the exact product
+    def signed(v, sign):  # sign * v mod modulus
+        return v if sign > 0 else map(mod, map(neg, v), repeat(modulus))
+
+    terms = [min(len(f), len(g)) for f, g, _ in pairs]
+    bound = (modulus - 1) ** 2 * sum(terms)  # the largest coefficient of the exact sum
     width = -(-bound.bit_length() // 8)  # bytes
-    size = len(a) + len(b) - 1
+    size = max(len(f) + len(g) for f, g, _ in pairs) - 1
     slots = min(size, n_out)
-    if width > 8 or terms >= _DECIMAL_TERMS:
+    if width > 8 or max(terms) >= _DECIMAL_TERMS:
         width = len(str(bound))
         slot = f"%0{width}d"
-        x, y = (Decimal((slot * len(v)) % tuple(reversed(v))) for v in (a, b))
-        digits = format(_DECIMAL.multiply(x, y), "f")[-slots * width:].zfill(slots * width)
-        out = [int(digits[i - width:i]) % modulus for i in range(slots * width, 0, -width)]
-    else:
-        cut = len(a) * width
-        words, buf = pack(f"<{size + 1}Q", *a, *b), bytearray((size + 1) * width)
+        total = reduce(_DECIMAL.add, (_DECIMAL.multiply(
+            Decimal((slot * len(f)) % tuple(signed(reversed(f), sign))),
+            Decimal((slot * len(g)) % tuple(reversed(g)))) for f, g, sign in pairs))
+        digits = format(total, "f")[-slots * width:].zfill(slots * width)
+        chunk = 4096 * width  # 4,096 slots per list comprehension, which outruns a generator
+        return chain.from_iterable([int(digits[i - width:i]) % modulus for i in range(
+            end, max(end - chunk, 0), -width)] for end in range(slots * width, 0, -chunk))
+    total = 0
+    for f, g, sign in pairs:
+        words = pack(f"<{len(f) + len(g)}Q", *signed(f, sign), *g)
+        buf = bytearray((len(f) + len(g)) * width)
         for j in range(width):
             buf[j::width] = words[j::8]
-        x, y = int.from_bytes(buf[:cut], "little"), int.from_bytes(buf[cut:], "little")
-        raw = (x * y).to_bytes(size * width, "little")
-        words = bytearray(8 * slots)
-        for j in range(width):
-            words[j::8] = raw[j:slots * width:width]
-        out = list(map(mod, unpack(f"<{slots}Q", words), repeat(modulus)))
-    out += repeat(0, n_out - slots)
+        cut = len(f) * width
+        total += int.from_bytes(buf[:cut], "little") * int.from_bytes(buf[cut:], "little")
+    raw, words = total.to_bytes(size * width, "little"), bytearray(8 * slots)
+    for j in range(width):
+        words[j::8] = raw[j:slots * width:width]
+    return map(mod, unpack(f"<{slots}Q", words), repeat(modulus))
+
+
+def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> list[int]:
+    """Coefficients 0..n_out-1 of the product a*b mod modulus."""
+    out = list(_slots([(a, b)], modulus, n_out))
+    out += repeat(0, n_out - len(out))
     return out
+
+
+def first_nonzero(pairs: Sequence[tuple], modulus: int, n_out: int,
+                  minus: Sequence[tuple] = ()) -> Optional[int]:
+    """The first index below n_out at which the sum of the products f*g
+    over pairs, less those over minus, is not 0 mod modulus, or None."""
+    return next(compress(count(), _slots(pairs, modulus, n_out, minus)), None)
 
 
 def polymul_spread(a: Sequence[int], b: Sequence[int], p: int, modulus: int,

@@ -10,26 +10,27 @@ table, and raises PreconditionViolated outside them: n >= 1, a in
 HGParams, c in 1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check
 that reads the hatted side.  The suite runner skips the cells whose
 checker raises it.
-Congruences are decided on residues and every product goes through
-`polymul`.  Each check the suite names has one entry point here, which
-takes all its coefficient tables from one `_quotients` call, one walk
-per distinct Dwork prime.  The braced sweep decides
-its pairs class by class mod p^n; the exact ratio identity is decided on
-integers (`interp.ratio_identity_holds`).
+Each check the suite names has one entry point here, which takes all
+its coefficient tables from one `_quotients` call.  A congruence sum
+f_i g_i ≡ 0 on coefficients (main, relations, section sums) is decided
+on one packed sum (`first_nonzero`) with no coefficient list, and a
+failure is recomputed at its index as dot products.  The braced sweep
+decides its pairs class by class mod p^n.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import add, mod, ne
-from typing import Optional, Sequence
+from typing import Optional
 
 from .padic import NotDivisible, PadicError, PreconditionViolated, Rational, _residue
-from .series import polymul, polymul_spread
+from .series import first_nonzero, polymul_spread
 from .hyper import FrobeniusSpec, HGParams, _quotients, twist_pair
 from .interp import ratio_identity_holds, witness_for
 
@@ -50,38 +51,18 @@ class CheckReport:
     sign: Optional[int] = None
 
     def to_json(self) -> str:
-        payload = {
-            "check": self.check,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
-            "passed": self.passed,
-            "modulus": self.modulus,
-            "first_failure": self.first_failure,
-            "sign": self.sign,
-        }
-        return json.dumps(payload, sort_keys=True)
+        params = {k: str(v) for k, v in self.params.items()}
+        return json.dumps({**vars(self), "params": params}, sort_keys=True)
 
 
 def _params_dict(params: HGParams, **extra) -> dict:
-    d = {"a": params.a, "s": params.s, "p": params.p}
-    d.update(extra)
-    return d
+    return {"a": params.a, "s": params.s, "p": params.p, **extra}
 
 
 def _require_modulus(n: int) -> None:
     """Mod p^0 every residue is 0, so a check at n < 1 would pass vacuously."""
     if n < 1:
         raise PreconditionViolated(f"n = {n} compares mod p^{n}")
-
-
-def _first_mismatch(lhs: Sequence[int], rhs: Sequence[int], q: int) -> Optional[dict]:
-    """First index where lhs != rhs mod q, or None; lists of equal length.
-    Lists equal as ints are equal mod q.  Otherwise both sides are reduced
-    and compared term by term in C, holding no reduced copy, up to the
-    first mismatch."""
-    if lhs == rhs:
-        return None
-    k = next(compress(count(), map(ne, map(mod, lhs, repeat(q)), map(mod, rhs, repeat(q)))), None)
-    return None if k is None else {"index": k, "left": lhs[k] % q, "right": rhs[k] % q}
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +78,17 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     kind: "dwork" (N = F, D = F^{(1)}(t^p), no frob needed), "log" (G over
     F, c in 1 + pW) or "hat" (Ghat over F, c in 1 + qW).  Both sides equal
     [N][D] below t^{p^n}, so only coefficients p^n..M-1 are decided: with
-    N = [N] + t^{p^n} N_hi and D likewise, these are N_hi [D] against
-    D_hi [N], truncated at M - p^n, and M <= p^n compares nothing.  A
-    failure reports both full sides, adding the one coefficient of [N][D]
-    at that index.  The modulus is n, except for kind="log" at p = 2 with
-    c in 1+2W but not 1+4W, where the theorem only asserts mod p^{n-1};
-    an exponent below 1 would decide nothing and is rejected."""
+    N = [N] + t^{p^n} N_hi and D likewise, these are N_hi [D] - D_hi [N],
+    truncated at M - p^n (per class mod p for kind "dwork"), and M <= p^n
+    compares nothing.  A failure reports both full sides at its index.
+    The modulus is n, except for kind="log" at p = 2 with c in 1+2W but
+    not 1+4W, where the theorem only asserts mod p^{n-1} (and the tables
+    are built mod p^{n-1}); an exponent below 1 would decide nothing and
+    is rejected."""
     _require_modulus(n)
     p = params.p
     pn = p ** n
-    if M is None:
-        M = 2 * pn
+    M = 2 * pn if M is None else M
     if M <= pn:
         raise PreconditionViolated(f"M = {M} leaves no coefficient above p^n = {pn} to compare")
     if kind not in ("dwork", "log", "hat"):
@@ -116,30 +97,31 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     if kind != "dwork":
         if frob is None:
             raise ValueError(f"kind={kind} needs a Frobenius twist")
-        info["c"] = frob.c
-        info["direction"] = frob.direction
+        info.update(c=frob.c, direction=frob.direction)
         frob.validate(p, require_q=kind == "hat")
     n_eff = n - 1 if kind == "log" and p == 2 and frob.vp_c_minus_1(p) == 1 else n
     if n_eff < 1:
         raise PreconditionViolated(f"congruence-{kind} at p = {p}, n = {n} has modulus p^{n_eff}")
 
-    # D(t) = g(t^step): g = F^{(1)} at step p for "dwork", g = F at step 1
+    # D(t) = g(t^step), g = F^{(1)} at step p ("dwork") or F; tables as 8-byte words
     step = p if kind == "dwork" else 1
-    if kind == "dwork":
-        num, g = _quotients(params, [("A", 0, range(M)), ("A", 1, range(-(-M // p)))], n)
-    else:
-        g, num = _quotients(params, [("A", 0, range(M)),
-                                     ("G" if kind == "log" else "Bhat", frob, range(M))], n)
+    other = (("A", 1, range(-(-M // p))) if kind == "dwork" else
+             ("G" if kind == "log" else "Bhat", frob, range(M)))
+    tables = [array("Q", t) for t in _quotients(params, [("A", 0, range(M)), other], n_eff)]
+    num, g = tables if kind == "dwork" else tables[::-1]
 
-    cut = pn // step  # [D] = g[:cut](t^step)
-    lhs = polymul_spread(num[pn:], g[:cut], step, pn, M - pn)
-    rhs = polymul_spread(num[:pn], g[cut:], step, pn, M - pn)
     q = p ** n_eff
-    fail = _first_mismatch(lhs, rhs, q)
-    if fail is not None:
-        k = pn + fail["index"]
-        low = sum(num[k - step * j] * g[j] for j in range((k - pn) // step + 1, cut))
-        fail = {"index": k, "left": (fail["left"] + low) % q, "right": (fail["right"] + low) % q}
+    cut = pn // step  # [D] = g[:cut](t^step), D_hi = g[cut:](t^step)
+    # class r mod step of N_hi [D] - D_hi [N] at its i-th index, p^n + r + step i
+    hits = ((r, first_nonzero([(num[pn + r::step], g[:cut])], q, len(range(r, M - pn, step)),
+                              minus=[(num[r:pn:step], g[cut:])]))
+            for r in range(min(step, M - pn)))
+    k = min((pn + r + step * i for r, i in hits if i is not None), default=None)
+    # [D] N and D [N] at k: N_{k - step j} g_j for j < cut, and for k - step j < p^n
+    fail = None if k is None else {
+        "index": k, "left": sum(num[k - step * j] * g[j] for j in range(cut)) % q,
+        "right": sum(num[k - step * j] * g[j]
+                     for j in range((k - pn) // step + 1, k // step + 1)) % q}
     return CheckReport(check=f"congruence-{kind}", params=info,
                        passed=fail is None, modulus=n_eff, first_failure=fail)
 
@@ -156,33 +138,32 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     with P = [F]_{<p^n}, Q = [F^{(1)}]_{<p^{n-1}}, revP = t^{p^n-1} P(1/t),
     revQ = t^{p^n-p} Q(1/t^p).  revP(t) Q(t^p) = t^{2p^n-p-1} C(1/t) for
     C = P revQ, so one product C, computed as P(t) times (Q reversed)(t^p),
-    gives both sides: the left is C shifted, the right is C reversed.
-    eps is fitted at the first unit coefficient and then verified
-    globally; the expected value is (-1)^{sl} for odd p."""
+    gives both sides: the left is C shifted, the right is C reversed, each
+    read off C by index.  eps is fitted at the first unit coefficient and
+    then verified globally; the expected value is (-1)^{sl} for odd p."""
     _require_modulus(n)
     p, l = params.p, params.l
-    pn = p ** n
-    q = p ** n  # comparison modulus
+    pn = q = p ** n  # q: the comparison modulus
     a_res, q_res = _quotients(params, [("A", 0, range(pn)), ("A", 1, range(pn // p))], n)
     c = polymul_spread(a_res, q_res[::-1], p, q, 2 * pn - p)
 
-    deg = 2 * pn - 2  # covers both sides
-    shift = p - 1 - l
-    lhs = [0] * shift + c + [0] * l  # both deg + 1 long
-    rhs = c[::-1] + [0] * (p - 1)
-    info = _params_dict(params, n=n, l=l)
+    def sides():  # both sides on degrees 0..2p^n-2: C shifted by p-1-l, C reversed
+        return chain(repeat(0, p - 1 - l), c, repeat(0, l)), chain(reversed(c), repeat(0, p - 1))
 
-    d = next((d for d in range(deg + 1) if lhs[d] % p or rhs[d] % p), None)
+    info = _params_dict(params, n=n, l=l)
+    d, left, right = next(((d, x, y) for d, (x, y) in enumerate(zip(*sides())) if x % p or y % p),
+                          (None, 0, 0))
     if d is None:
         raise NoUnitCoefficient("all compared coefficients vanish mod p")
-    sign = next((e for e in (1, -1) if (lhs[d] - e * rhs[d]) % q == 0), None)
-    if sign is None:
-        failure = {"index": d, "left": lhs[d], "right": rhs[d]}
-    else:
-        failure = _first_mismatch(lhs, rhs if sign == 1 else [-r % q for r in rhs], q)
-    if failure:
-        return CheckReport(check="dwork-transform", params=info, passed=False,
-                           modulus=n, sign=sign, first_failure=failure)
+    sign = next((e for e in (1, -1) if (left - e * right) % q == 0), None)
+    # the first k with left - sign right not 0 mod q; both sides are residues mod q
+    k = d if sign is None else next(compress(count(), map(ne, *sides()) if sign == 1 else map(
+        mod, map(add, *sides()), repeat(q))), None)
+    if k is not None:
+        left, right = next(islice(zip(*sides()), k, None))
+        return CheckReport(check="dwork-transform", params=info, passed=False, modulus=n,
+                           sign=sign, first_failure={"index": k, "left": left,
+                                                     "right": (sign or 1) * right % q})
     # At p = 2 the reported sign is the +- prefactor of the transformation
     # formula itself: the fitted cross-multiplied sign differs from it by
     # (-1)^{sl}, which is what the fit absorbs for odd p.
@@ -277,35 +258,31 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
 # coefficient-sum lemma (section congruence)
 
 
-def section_sums(params: HGParams, a_res: Sequence[int], n: int, d: int,
-                 k: int) -> tuple[list[int], list[int]]:
-    """(s1, s2) mod p^{d+1} for every m < p^n: the sums of A_i A_{p^n-1-j}
-    over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2) mod p^{n-d},
-    as the products (masked A) rev(A) and A rev(masked A).  a_res holds
-    A_0, ..., A_{p^n-1} mod p^{d+1}."""
-    p = params.p
-    pn, cls, mod = p ** n, p ** (n - d), p ** (d + 1)
-    first, second = [0] * pn, [0] * pn  # A masked to class k, to class -k-a
-    first[k::cls] = a_res[k::cls]
-    r = (-_residue(params.a, p, cls) - k) % cls
-    second[r::cls] = a_res[r::cls]
-    return polymul(first, a_res[::-1], mod, pn), polymul(a_res, second[::-1], mod, pn)
-
-
 def sweep_section(params: HGParams, n: int) -> CheckReport:
+    """s1 ≡ s2 mod p^{d+1} for d <= n, k < p^{n-d} and m < p^n: the sums of
+    A_i A_{p^n-1-j} over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2)
+    mod p^{n-d}, so s1 - s2 = (masked A) rev(A) - A rev(masked A)."""
     _require_modulus(n)
     p = params.p
-    a_res = _quotients(params, [("A", 0, range(p ** n))], n + 1)[0]
+    pn = p ** n
+    a_res = _quotients(params, [("A", 0, range(pn))], n + 1)[0]
     for d in range(n + 1):
-        level = [r % p ** (d + 1) for r in a_res]  # reduced once for every class k
-        for k in range(p ** (n - d)):
-            s1, s2 = section_sums(params, level, n, d, k)
-            for m, (x, y) in enumerate(zip(s1, s2)):
-                if x != y:
-                    return CheckReport(check="section-sums",
-                                       params=_params_dict(params, n=n, d=d, k=k, m=m),
-                                       passed=False, modulus=d + 1,
-                                       first_failure={"s1": x, "s2": y})
+        cls, q = p ** (n - d), p ** (d + 1)
+        level = [x % q for x in a_res]  # reduced once for every class k
+        rev = level[::-1]
+        for k in range(cls):
+            r = (-_residue(params.a, p, cls) - k) % cls  # the class of p^n-1-j in s2
+            first, second = [0] * pn, [0] * pn  # A masked to class k; rev(A masked to r)
+            first[k::cls] = level[k::cls]
+            second[(pn - 1 - r) % cls::cls] = level[r::cls][::-1]
+            m = first_nonzero([(first, rev)], q, pn, minus=[(second, level)])
+            if m is not None:
+                lo = pn - 1 - m  # s1 pairs i with p^n-1-m+i, s2 pairs u with u-lo
+                s1 = sum(level[i] * level[lo + i] for i in range(k, m + 1, cls)) % q
+                s2 = sum(level[u - lo] * level[u] for u in range(lo + (r - lo) % cls, pn, cls)) % q
+                return CheckReport(check="section-sums",
+                                   params=_params_dict(params, n=n, d=d, k=k, m=m),
+                                   passed=False, modulus=d + 1, first_failure={"s1": s1, "s2": s2})
     return CheckReport(check="section-sums", params=_params_dict(params, n=n),
                        passed=True, modulus=n + 1)
 
@@ -322,19 +299,16 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     frob, frob_hat = twist_pair(c)
     frob.validate(params.p, require_q=True)
     q = params.p ** n
-    a, b, bhat = _quotients(params, [("A", 0, range(q)), ("G", frob, range(q)),
-                                     ("Bhat", frob_hat, range(q))], n)
-    info = _params_dict(params, n=n, c=frob.c)
+    # as 8-byte words, a fifth of their size as ints, under the products' peak
+    a, b, bhat = (array("Q", t) for t in _quotients(params, [
+        ("A", 0, range(q)), ("G", frob, range(q)), ("Bhat", frob_hat, range(q))], n))
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
-    left = polymul(b, a[::-1], q, 2 * q - 1)
-    del b  # each table is released after its last product
-    right = polymul(bhat[::-1], a, q, 2 * q - 1)
-    del a, bhat
-    m = next(compress(count(), map(mod, map(add, left, right), repeat(q))), None)
-    if m is not None:
-        return CheckReport(check="main-congruence", params=info, passed=False, modulus=n,
-                           first_failure={"m": m, "sum": (left[m] + right[m]) % q})
-    return CheckReport(check="main-congruence", params=info, passed=True, modulus=n)
+    m = first_nonzero([(b, a[::-1]), (bhat[::-1], a)], q, 2 * q - 1)
+    fail = None if m is None else {"m": m, "sum": sum(  # B_i A_{q-1-j} + Bhat_{q-1-j} A_i
+        b[i] * a[i + q - 1 - m] + bhat[i + q - 1 - m] * a[i]
+        for i in range(max(0, m - q + 1), min(m, q - 1) + 1)) % q}
+    return CheckReport(check="main-congruence", params=_params_dict(params, n=n, c=frob.c),
+                       passed=fail is None, modulus=n, first_failure=fail)
 
 
 # ---------------------------------------------------------------------------

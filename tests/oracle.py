@@ -10,7 +10,10 @@ products are exact rationals, rebuilt for each n or built as one table,
 and A tables are exact rationals built afresh per call (the production
 routes are running units mod p^n and running integer products);
 products of residue vectors use the schoolbook loop (the production
-route is `polymul`); the braced lemma and the section sums are decided
+route is `polymul`); the main congruence and the section sums are
+decided on one list per product, compared coefficient by coefficient
+(the production checkers decide one packed sum, `first_nonzero`); the
+braced lemma and the section sums are decided
 on exact rationals with `vp` of a difference (the production checkers
 compare residues); the Frobenius substitution t -> c t^p is a loop over
 coefficients (the checkers spread residues by slicing, at c = 1 only);
@@ -48,6 +51,7 @@ from padichg import (
     embed_rational,
     hg_series,
     polymul,
+    twist_pair,
     vp,
 )
 from padichg import verify
@@ -428,6 +432,72 @@ def hat_series(params, frob, order: int, prec: int) -> tuple[list[int], list[int
 
 
 # ---------------------------------------------------------------------------
+# the list route: every congruence decided on the coefficient lists of its
+# products (the production checkers decide each sum or difference of
+# products on one packed sum, `first_nonzero`, and read the transform's
+# two sides off its one product)
+
+
+def first_mismatch(lhs, rhs, q: int) -> Optional[dict]:
+    """First index where lhs != rhs mod q, or None; lists of equal length.
+    Both sides are reduced, so lists equal mod q but not as ints match."""
+    for k, (x, y) in enumerate(zip(lhs, rhs)):
+        if (x - y) % q:
+            return {"index": k, "left": x % q, "right": y % q}
+    return None
+
+
+def main_congruence_lists(params, c, n: int):
+    """`check_main_congruence` with the two products B rev(A) and
+    rev(Bhat) A formed as lists and added coefficient by coefficient."""
+    frob, frob_hat = twist_pair(c)
+    frob.validate(params.p, require_q=True)
+    q = params.p ** n
+    a, b, bhat = verify._quotients(params, [("A", 0, range(q)), ("G", frob, range(q)),
+                                            ("Bhat", frob_hat, range(q))], n)
+    info = verify._params_dict(params, n=n, c=frob.c)
+    left = polymul(b, a[::-1], q, 2 * q - 1)
+    right = polymul(bhat[::-1], a, q, 2 * q - 1)
+    for m, (x, y) in enumerate(zip(left, right)):
+        if (x + y) % q:
+            return verify.CheckReport(check="main-congruence", params=info, passed=False,
+                                      modulus=n, first_failure={"m": m, "sum": (x + y) % q})
+    return verify.CheckReport(check="main-congruence", params=info, passed=True, modulus=n)
+
+
+def section_sums(params, a_res, n: int, d: int, k: int) -> tuple[list[int], list[int]]:
+    """(s1, s2) mod p^{d+1} for every m < p^n: the sums of A_i A_{p^n-1-j}
+    over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2) mod p^{n-d},
+    as the products (masked A) rev(A) and A rev(masked A).  a_res holds
+    A_0, ..., A_{p^n-1} mod p^{d+1}."""
+    p = params.p
+    pn, cls, mod = p ** n, p ** (n - d), p ** (d + 1)
+    first, second = [0] * pn, [0] * pn  # A masked to class k, to class -k-a
+    first[k::cls] = a_res[k::cls]
+    r = (-_residue(params.a, p, cls) - k) % cls
+    second[r::cls] = a_res[r::cls]
+    return polymul(first, a_res[::-1], mod, pn), polymul(a_res, second[::-1], mod, pn)
+
+
+def section_sweep_lists(params, n: int):
+    """`sweep_section` with s1 and s2 formed as lists per class and
+    compared coefficient by coefficient."""
+    p = params.p
+    a_res = verify._quotients(params, [("A", 0, range(p ** n))], n + 1)[0]
+    for d in range(n + 1):
+        level = [r % p ** (d + 1) for r in a_res]
+        for k in range(p ** (n - d)):
+            s1, s2 = section_sums(params, level, n, d, k)
+            for m, (x, y) in enumerate(zip(s1, s2)):
+                if x != y:
+                    info = verify._params_dict(params, n=n, d=d, k=k, m=m)
+                    return verify.CheckReport(check="section-sums", params=info, passed=False,
+                                              modulus=d + 1, first_failure={"s1": x, "s2": y})
+    return verify.CheckReport(check="section-sums", params=verify._params_dict(params, n=n),
+                              passed=True, modulus=n + 1)
+
+
+# ---------------------------------------------------------------------------
 # the congruence relation and the transformation formula as two full
 # products (the production checkers form one reversed product, and only
 # the coefficients above t^{p^n})
@@ -462,7 +532,7 @@ def congruence_relation_full(kind: str, params, frob, n: int, M: Optional[int] =
                                               ("G" if kind == "log" else "Bhat", frob, range(M))], n)
     lhs = polymul(num, den[:pn], pn, M)
     rhs = polymul(den, num[:pn], pn, M)
-    fail = verify._first_mismatch(lhs, rhs, p ** n_eff)
+    fail = first_mismatch(lhs, rhs, p ** n_eff)
     return verify.CheckReport(check=f"congruence-{kind}", params=info,
                               passed=fail is None, modulus=n_eff, first_failure=fail)
 

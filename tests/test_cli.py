@@ -501,10 +501,24 @@ class TestTableBytes:
                 for lam in lambdas for b in [beta_at(lam, self.P, frob, 4)]]
         assert buf.getvalue() == _old_rendering(rows, fmt)
 
-    def test_beta_table_without_points_has_its_header(self, capsys):
-        code, out, _ = run(["table", "--kind", "beta", "--a", "1/2", "--p", "3",
-                            "--format", "csv"], capsys)
-        assert code == EXIT_PASS and out.splitlines() == ["lambda,residue,prec"]
+    def test_beta_table_without_points_is_an_input_error(self, capsys):
+        # it would write no row
+        code, out, err = run(["table", "--kind", "beta", "--a", "1/2", "--p", "3",
+                              "--format", "csv"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "error: kind beta needs --points\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "beta-hat", "--c", "4", "--prec", "2"], ["--kind", "A", "--points", "1"],
+        ["--kind", "B", "--c", "4", "--points", "0", "1/2"],
+        ["--kind", "Bhat", "--c", "4", "--points", "2", "--format", "csv"],
+    ])
+    def test_points_only_and_always_for_beta_kinds(self, argv, capsys):
+        # beta-hat without lambdas would write no row; --points on a
+        # coefficient table would be ignored
+        code, out, err = run(["table", "--a", "1/2", "--p", "3", *argv], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("hat", [False, True])
     def test_interp_is_per_point_beta_at(self, hat, capsys):

@@ -15,7 +15,7 @@ from padichg import (
     polymul,
 )
 from padichg import series
-from padichg.series import polymul_spread
+from padichg.series import first_nonzero, polymul_spread
 
 from oracle import (
     NonzeroConstantTerm,
@@ -158,6 +158,49 @@ class TestPolymul:
 
     def test_modulus_one(self):
         assert polymul([0, 0], [0], 1, 3) == [0, 0, 0]
+
+
+class TestFirstNonzero:
+    """The first index at which a packed sum of products is not 0 mod m,
+    against the sum of the schoolbook products, with each path forced.
+    The sums are f g - f g, plus at most one product e h: f g + f (m - g)
+    is 0 in every slot, so the first nonzero index is set by e h, and
+    every slot of the sum holds multiples of m up to its bound."""
+
+    @settings(max_examples=200)
+    @given(PRIMES.flatmap(lambda p: st.integers(1, 14).map(lambda e: p ** e)).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.one_of(st.just(m - 1), st.integers(0, m - 1)), max_size=40),
+            st.lists(st.one_of(st.just(m - 1), st.integers(0, m - 1)), max_size=40),
+            st.lists(st.sampled_from([0, 0, 0, 1, m - 1]), max_size=12),
+            st.lists(st.integers(0, m - 1), max_size=5),
+            st.integers(0, 90), st.sampled_from([0, 10 ** 9]))))
+    def test_matches_schoolbook_sum(self, case):
+        m, f, g, e, h, n_out, cut = case
+        pairs = [(f, g), (f, [-x % m for x in g]), (e, h)]
+        sums = [sum(column) % m for column in zip(*(schoolbook(x, y, m, n_out) for x, y in pairs))]
+        expect = next((k for k, x in enumerate(sums) if x), None)
+        with patch.object(series, "_DECIMAL_TERMS", cut):
+            assert first_nonzero(pairs, m, n_out) == expect
+            assert first_nonzero(pairs[:2], m, n_out) is None
+
+    @pytest.mark.parametrize("terms,cut", [(50, 10 ** 9), (200, 0)])
+    def test_slot_holds_the_sum_of_every_pair(self, terms, cut):
+        # 2*2 - (-2)*2 = 6 per term mod 3: each slot of the sum reaches 6t,
+        # past the 4t of one product (t = 50: 200 fits a byte and 300 does
+        # not; t = 200: 800 has 3 digits and 1,200 has 4)
+        top = [2] * terms
+        with patch.object(series, "_DECIMAL_TERMS", cut):
+            assert first_nonzero([(top, top)], 3, 2 * terms - 1, minus=[(top, top)]) is None
+
+    @pytest.mark.parametrize("pairs,n_out,expect", [
+        ([], 3, None), ([([], [1]), ([2], [])], 4, None), ([([1], [1])], 0, None),
+        ([([0, 0, 5], [1])], 3, 2), ([([0, 0, 5], [1])], 2, None),
+        ([([1, 1], [1]), ([26], [1, 1, 1])], 3, 2),  # (1 + t) - (1 + t + t^2) mod 27
+    ])
+    def test_edge_cases(self, pairs, n_out, expect):
+        assert first_nonzero(pairs, 27, n_out) == expect
 
 
 def spread(b, p):

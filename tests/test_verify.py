@@ -3,6 +3,7 @@
 import inspect
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -36,10 +37,10 @@ from padichg import (
     vp,
     witness_for,
 )
-from padichg import cli, hyper, verify
+from padichg import cli, hyper, series, verify
 from padichg.hyper import SIGMA, SIGMA_HAT, coefficient_ratios
 from padichg.padic import _residue
-from padichg.verify import braced_residues, section_sums
+from padichg.verify import braced_residues
 
 from oracle import (
     braced_product,
@@ -49,11 +50,15 @@ from oracle import (
     coeff_exact,
     congruence_relation_full,
     dwork_transform_full,
+    first_mismatch,
     hat_series,
     log_type_series,
+    main_congruence_lists,
     schoolbook,
+    section_sums,
     section_sums_exact,
     section_sweep_failure,
+    section_sweep_lists,
 )
 
 
@@ -162,43 +167,43 @@ class TestDworkTransformation:
 
 
 class TestFirstMismatch:
-    """Both sides are reduced mod q before they are compared: the
-    transform passes its right side times the sign -1, unreduced."""
+    """The list route's comparison reduces both sides mod q before it
+    compares them: a side times the sign -1 may be passed unreduced."""
 
     def test_equal_mod_q_but_not_as_ints(self):
         q = 27
         lhs = [0, 5, 26, 100, -1]
         rhs = [27, -22, -1, 100 - 5 * q, 26 + q]
         assert lhs != rhs
-        assert verify._first_mismatch(lhs, rhs, q) is None
-        assert verify._first_mismatch(lhs, [-r for r in [-27, 22, 1, 5 * q - 100, -26]], q) is None
+        assert first_mismatch(lhs, rhs, q) is None
+        assert first_mismatch(lhs, [-r for r in [-27, 22, 1, 5 * q - 100, -26]], q) is None
 
     @pytest.mark.parametrize("index", [0, 3, 5])
     def test_first_mismatch_reported_reduced(self, index):
         q = 9
         lhs = [10, -3, 0, 8, 4, -17]  # residues 1, 6, 0, 8, 4, 1
         rhs = [1 - q, 6 + 2 * q, -q, -1, 4 + q, 1]
-        assert verify._first_mismatch(lhs, rhs, q) is None
+        assert first_mismatch(lhs, rhs, q) is None
         bad = list(rhs)
         bad[index] -= 2  # the first (and only) mismatch
         expect = {"index": index, "left": lhs[index] % q, "right": bad[index] % q}
-        assert verify._first_mismatch(lhs, bad, q) == expect
+        assert first_mismatch(lhs, bad, q) == expect
         later = list(bad)
         later[-1] += 1  # a second mismatch after it is not reported
         if index < len(lhs) - 1:
-            assert verify._first_mismatch(lhs, later, q) == expect
+            assert first_mismatch(lhs, later, q) == expect
 
     def test_negated_side(self):
         # the transform's sign -1: lhs ≡ -rhs mod q
         q = 2 ** 5
         rhs = [3, 0, 31, 64, 17]
         lhs = [-r + q * i for i, r in enumerate(rhs)]
-        assert verify._first_mismatch(lhs, [-r for r in rhs], q) is None
-        mismatch = verify._first_mismatch(lhs, rhs, q)
+        assert first_mismatch(lhs, [-r for r in rhs], q) is None
+        mismatch = first_mismatch(lhs, rhs, q)
         assert mismatch == {"index": 0, "left": 29, "right": 3}
 
     def test_empty(self):
-        assert verify._first_mismatch([], [], 5) is None
+        assert first_mismatch([], [], 5) is None
 
 
 def shifted_tables(original, kind, idx, delta, level=0):
@@ -266,6 +271,75 @@ class TestProductsAgainstFullOracle:
                        shifted_tables(verify._quotients, request, idx, delta, int(level or 0)))
             got, expect = (report_or_error(run) for run in routes)
         assert got == expect
+
+
+# the tables each check requests, as (request, level) for `shifted_tables`
+CHECK_TABLES = {
+    "main": [("A", 0), ("G", 0), ("Bhat", 0)], "dwork": [("A", 0), ("A", 1)],
+    "log": [("A", 0), ("G", 0)], "hat": [("A", 0), ("Bhat", 0)], "section": [("A", 0)],
+    "transform": [("A", 0), ("A", 1)],
+}
+
+
+class TestPackedSumAgainstListRoute:
+    """Each check decided on one packed sum (the transform: read off its
+    one product by index) against the oracle's list route, which forms
+    every product as a list and compares coefficient by coefficient, on
+    clean tables and on tables with one entry shifted by p^j, with the
+    word path and the decimal path each forced: every report byte must
+    agree.  The section sums run to p^n = 625, past which one example
+    takes seconds."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+        st.sampled_from([a for a in (Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                                     Fraction(1, 5), Fraction(2, 3)) if a.denominator % p]),
+        st.just(p), st.integers(1, 2), st.integers(1, 4),
+        st.sampled_from(sorted(CHECK_TABLES)),
+        # c = 3 at p = 2 is in 1 + 2W only: log decides mod p^{n-1}, the hat side is rejected
+        st.sampled_from([1 + p, 1 + (4 if p == 2 else p), 1 + 2 * (4 if p == 2 else p)]),
+        st.integers(0, 2), st.integers(0, 10 ** 6), st.integers(-1, 3),
+        st.sampled_from([0, 10 ** 9]))))
+    def test_report_matches_list_route(self, case):
+        a, p, s, n, check, c, table, idx, j, cut = case
+        if check == "section" and p ** n > 625:
+            n -= 1
+        P = HGParams.create(a, s, p)
+        frob = FrobeniusSpec(Fraction(c), SIGMA_HAT if check == "hat" else SIGMA)
+        routes = {
+            "main": (lambda: check_main_congruence(P, c, n),
+                     lambda: main_congruence_lists(P, c, n)),
+            "section": (lambda: sweep_section(P, n), lambda: section_sweep_lists(P, n)),
+            "transform": (lambda: check_dwork_transformation(P, n),
+                          lambda: dwork_transform_full(P, n)),
+        }.get(check, (lambda: check_congruence_relation(check, P, frob, n),
+                      lambda: congruence_relation_full(check, P, frob, n)))
+        request, level = CHECK_TABLES[check][table % len(CHECK_TABLES[check])]
+        delta = 0 if j < 0 else p ** min(j, n - 1)  # j = -1: the clean tables
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_DECIMAL_TERMS", cut)
+            mp.setattr(verify, "_quotients",
+                       shifted_tables(verify._quotients, request, idx, delta, level))
+            got, expect = (report_or_error(run) for run in routes)
+        assert got == expect
+
+
+@pytest.mark.parametrize("check,bound", [("main-congruence", 800_000), ("hat", 880_000)])
+def test_packed_sum_peak(check, bound):
+    # the whole check at p = 5, n = 5, tables included.  Traced peak with
+    # Python 3.11 (3.10): main-congruence 522 KB (540 KB) on one packed sum,
+    # 1,113 KB (1,061 KB) with a list per product; hat 756 KB (684 KB),
+    # 1,024 KB (960 KB) with a list per side and the tables as int lists
+    P = HGParams.create(Fraction(1, 2), 1, 5)
+    run = {"main-congruence": lambda: check_main_congruence(P, Fraction(6), 5),
+           "hat": lambda: check_congruence_relation("hat", P, FrobeniusSpec(Fraction(6)), 5)}
+    tracemalloc.start()
+    try:
+        assert run[check]().passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 class TestBraced:
