@@ -27,7 +27,7 @@ from .hyper import (
     hg_series,
     twist_pair,
 )
-from .interp import beta_at, beta_values, ratio_identity_check, witness_for
+from .interp import beta_values, ratio_identity_check, witness_for
 from .verify import (
     CheckReport,
     NoUnitCoefficient,

@@ -170,28 +170,34 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
 # tables
 
 
-def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int,
-               fmt: str, stream: TextIO, lambdas: Sequence[Fraction] = ()) -> None:
+def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int, fmt: str,
+               out: Optional[str] = None, lambdas: Sequence[Fraction] = ()) -> None:
     """A coefficient table of count rows, or beta or beta-hat at each of one
-    or more lambdas; B and beta twist along sigma, Bhat and beta-hat along sigma-hat."""
+    or more lambdas, written to the path out (stdout for None) once built;
+    B and beta twist along sigma, Bhat and beta-hat along sigma-hat."""
     if kind not in ("A", "B", "Bhat", "beta", "beta-hat"):
         raise ConfigInvalid(f"unknown table kind {kind!r}")
     beta = kind.startswith("beta")
     if beta != bool(lambdas):
         raise ValueError(f"kind {kind} needs --points" if beta else
                          f"--points is for kind beta and beta-hat, not {kind}")
+    limit = sys.get_int_max_str_digits()  # 0: no limit; at prec > 4 limit even 2^prec is past it
+    if limit and (prec > 4 * limit or params.p ** prec > 10 ** limit):
+        raise ValueError(f"--prec {prec}: residues mod {params.p}^{prec} can have more than "
+                         f"{limit} digits, which Python does not write")
+    if not beta and count < 1:
+        raise ValueError("count must be positive")
     frob, frob_hat = twist_pair(c)
     if beta:
         values = beta_values(lambdas, params, frob_hat if kind == "beta-hat" else frob, prec,
                              hat=kind == "beta-hat")
-        _write_rows("lambda", lambdas, [v.residue for v in values], prec, fmt, stream)
-        return
-    if count < 1:
-        raise ValueError("count must be positive")
-    residues = (hg_series(params, count, prec) if kind == "A" else
-                b_coefficients(params, frob, count, prec) if kind == "B" else
-                bhat_coefficients(params, frob_hat, count, prec))
-    _write_rows("k", range(count), residues, prec, fmt, stream)
+        rows = "lambda", lambdas, [v.residue for v in values]
+    else:
+        rows = "k", range(count), (hg_series(params, count, prec) if kind == "A" else
+                                   b_coefficients(params, frob, count, prec) if kind == "B" else
+                                   bhat_coefficients(params, frob_hat, count, prec))
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as stream:
+        _write_rows(*rows, prec, fmt, stream)
 
 
 # Rows per write: one `%` over a chunk of rows and one write of the result.
@@ -322,10 +328,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # table, the other subcommand
         params = HGParams.create(parse_rational(args.a), args.s, args.p)
         lambdas = [parse_rational(v) for v in args.points]
-        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-        with out as stream:
-            emit_table(args.kind, params, parse_rational(args.c), args.count,
-                       args.prec, args.format, stream, lambdas)
+        emit_table(args.kind, params, parse_rational(args.c), args.count, args.prec,
+                   args.format, args.out, lambdas)
         return EXIT_PASS
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,6 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
+from operator import add
 from typing import Optional, Sequence
 
 from .padic import (
@@ -371,8 +372,8 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     D_k = k·d + n.  N_k is A_k except at the hits, the k with p | D_k
     (k ≡ 0 mod p for B, k ≡ l for Bhat), where it subtracts the twisted
     A^{(1)}_{k//p} and is divided exactly by p^v, v = v_p(D_k), plus
-    s·v_p(A_k) for a ratio (whose quotient is 1/D_k off the hits, so a
-    ratio reads and values A_k at its hits only).  One guard w = prec +
+    e = s·v_p(A_k) for a ratio (whose quotient is 1/D_k off the hits, so a
+    ratio reads and values A_k, as x // p^e, at its hits only).  One guard w = prec +
     the largest v serves every request, as a residue mod p^w reduces
     exactly to any lower precision.  (b)_k/k! is walked once per distinct
     Dwork prime b, into one list of A_k = ((b)_k/k!)^s mod p^w (`_walk`),
@@ -401,7 +402,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             parts += [("B/A", tag, [p ** top] if ks else []), ("G", tag, ks[1:])]
         else:
             parts.append((kind, tag, ks))
-    plans = []  # (kind, tag, Dwork prime, ks, the ks A is read at, hits in ks, j, v_p(D_k))
+    plans = []  # (kind, tag, Dwork prime, ks, the ks A is read at, hits, j, v_p(D_k), s·v_p(A_k))
     reads: dict[int, tuple] = {}  # by m (ints hash fast): Dwork prime m/d, the ks read there
     w = prec  # the guard
     for kind, tag, ks in parts:
@@ -409,7 +410,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         if ks and (ks[-1] if dense else max(ks)) >= sys.maxsize:
             raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
         prime = params.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
-        at, hits, js, vds = ks, (), (), ()
+        at, hits, js, vds, vas = ks, (), (), (), ()
         if kind != "A":
             hat = kind.startswith("Bhat")
             if ks and (ks[0] if dense else min(ks)) < (0 if hat else 1):
@@ -426,14 +427,13 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
                 hit_ks = [ks[i] for i in hits]
                 js = [k // p for k in hit_ks]
             reads.setdefault(a1.numerator, (a1, []))[1].append(js)
-            vds = [split_p(k * dk + nk, p)[0] for k in hit_ks]
-            top = vds
+            vds = top = [split_p(k * dk + nk, p)[0] for k in hit_ks]
             if kind.endswith("/A"):  # the largest v_p(D_k) + s·v_p(A_k)
-                at = hit_ks
-                top = [v + s * e for v, e in zip(vds, ratio_valuations(a, p, hit_ks))]
+                at, vas = hit_ks, [s * e for e in ratio_valuations(a, p, hit_ks)]
+                top = map(add, vds, vas)
             w = max(w, prec + max(top, default=0))
         reads.setdefault(prime.numerator, (prime, []))[1].append(at)
-        plans.append((kind, tag, prime, ks, at, hits, js, vds))
+        plans.append((kind, tag, prime, ks, at, hits, js, vds, vas))
     walks = {}  # by m: ((the run starts, their shifts), A at m/d mod p^w, one entry per index)
     for b, (prime, sets) in reads.items():
         runs = _runs(sets)
@@ -443,7 +443,7 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
         walks[b] = (starts, shifts), _walk(prime, p, runs, s, w)
     big, m = p ** w, p ** prec
     out = []
-    for kind, frob, prime, ks, at, hits, js, vds in plans:
+    for kind, frob, prime, ks, at, hits, js, vds, vas in plans:
         index, table = walks[prime.numerator]
         res = _read(index, table, at)  # A_k (at level 0 for B-types)
         if kind == "A":
@@ -468,8 +468,8 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             # a ratio reads A_k at its hits only, in hit order
             x, u = res[h if ratio else i], (ks[i] * dk + nk) // p ** v
             if ratio:  # A_k is p^e times a unit mod p^(w - e), and w - e >= prec
-                e, x_unit = split_p(x, p)
-                v, u = v + e, u * x_unit
+                e = vas[h]
+                v, u = v + e, u * (x // p ** e)
             nums[i], rem = divmod((x - twist * a1_j) % big, p ** v)
             if rem:
                 raise NotDivisible(f"numerator not divisible by {p}^{v}")
@@ -500,14 +500,6 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
 def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[int]:
     """F at the given Dwork-prime level, truncated at t^order."""
     return _quotients(params, [("A", level, range(order))], prec)[0]
-
-
-def coefficient_ratios(params: HGParams, frob: FrobeniusSpec, ks: Sequence[int], n: int,
-                       hat: bool = False) -> list[int]:
-    """B_k/A_k (Bhat_k/A_k with hat=True) mod p^n at each k >= 1 in ks.
-    A_k and A^{(1)} are walked over short runs at the ks (and the j they
-    read) only, so no list grows with the size of the ks."""
-    return _quotients(params, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]
 
 
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .padic import Padic, Rational, _residue
-from .hyper import FrobeniusSpec, HGParams, coefficient_ratios
+from .hyper import FrobeniusSpec, HGParams, _quotients
 
 
 def witness_for(lam: Rational, p: int, n: int) -> int:
@@ -26,22 +26,17 @@ def witness_for(lam: Rational, p: int, n: int) -> int:
 def beta_values(lams: Sequence[Rational], params: HGParams, frob: FrobeniusSpec, n: int,
                 *, hat: bool = False) -> list[Padic]:
     """beta_lambda (or beta-hat with hat=True) mod p^n at each lambda in
-    lams, from one `coefficient_ratios` call whose walk visits only the
-    witnesses, jumping the gaps between them.  At p = 2 c must lie in
-    1 + 4W: for c in 1 + 2W only, B_k/A_k mod 2^n is not a function of k
-    mod 2^n (k and k + 3·2^n differ at every k ≡ 2 mod 4), so no witness
-    gives beta."""
+    lams: B_k/A_k (Bhat_k/A_k) at the witnesses, from one `_quotients`
+    request whose walk visits only the witnesses, jumping the gaps between
+    them.  At p = 2 c must lie in 1 + 4W: for c in 1 + 2W only, B_k/A_k
+    mod 2^n is not a function of k mod 2^n (k and k + 3·2^n differ at
+    every k ≡ 2 mod 4), so no witness gives beta."""
     if n < 1:
         raise ValueError("n must be positive")
     frob.validate(params.p, require_q=True)
     ks = [witness_for(lam, params.p, n) for lam in lams]
-    return [Padic(params.p, n, r) for r in coefficient_ratios(params, frob, ks, n, hat)]
-
-
-def beta_at(lam: Rational, params: HGParams, frob: FrobeniusSpec, n: int,
-            *, hat: bool = False) -> Padic:
-    """beta_lambda (or beta-hat with hat=True) mod p^n."""
-    return beta_values([lam], params, frob, n, hat=hat)[0]
+    ratios = _quotients(params, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]
+    return [Padic(params.p, n, r) for r in ratios]
 
 
 def ratio_identity_holds(params: HGParams, x_max: int) -> Iterator[bool]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import mod, neg
-from struct import pack, unpack
+from operator import mod
+from struct import pack, unpack_from
 from typing import Iterator, Optional, Sequence
 
 from .padic import Padic
@@ -35,47 +35,41 @@ _DECIMAL_TERMS = 4000
 _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # every product exact
 
 
-def _slots(pairs: Sequence[tuple], modulus: int, n_out: int,
-           minus: Sequence[tuple] = ()) -> Iterator[int]:
+def _slots(pairs: Sequence[tuple], modulus: int, n_out: int) -> Iterator[int]:
     """Coefficients 0..n_out-1 mod modulus of the sum of the products f*g
-    over the pairs (f, g) of residue lists mod modulus, less those over
-    minus, up to the last one a product reaches.  Each factor is packed
-    into one number at one slot width, which holds any coefficient of the
-    exact sum (the pairs' shorter lengths added, times (modulus - 1)^2),
-    the first factor of a product in minus as -x mod modulus; each pair is
-    multiplied once and the products are added.  Slots of up to 8 bytes
-    pack and unpack in C, through little-endian 8-byte words and strided
-    byte slices.  A pair with both factors _DECIMAL_TERMS long or longer,
-    or a wider slot, packs every factor as one string of fixed-width
-    decimal slots, highest degree first, read into a `Decimal`; the slots
-    of the sum are cut from its digits from the right."""
+    over the pairs (f, g) of residue lists mod modulus (-x for a product
+    subtracted), up to the last one a product reaches, converted chunk by
+    chunk.  Each factor is packed into one number at one slot width, which
+    holds any coefficient of the exact sum (the pairs' shorter lengths
+    added, times (modulus - 1)^2); each pair is multiplied once and the
+    products are added.  Slots of up to 8 bytes pack and unpack in C,
+    through little-endian 8-byte words and strided byte slices.  A pair
+    with both factors _DECIMAL_TERMS long or longer, or a wider slot, packs
+    every factor as one string of fixed-width decimal slots, highest degree
+    first, read into a `Decimal`; the slots are cut from its digits."""
     # each factor cut at n_out terms, with no copy unless it is longer
-    pairs = [(f if len(f) <= n_out else f[:n_out], g if len(g) <= n_out else g[:n_out], sign)
-             for sign, group in ((1, pairs), (-1, minus)) for f, g in group if f and g]
+    pairs = [(f if len(f) <= n_out else f[:n_out], g if len(g) <= n_out else g[:n_out])
+             for f, g in pairs if f and g]
     if not pairs or n_out < 1:
         return iter(())
-
-    def signed(v, sign):  # sign * v mod modulus
-        return v if sign > 0 else map(mod, map(neg, v), repeat(modulus))
-
-    terms = [min(len(f), len(g)) for f, g, _ in pairs]
+    terms = [min(len(f), len(g)) for f, g in pairs]
     bound = (modulus - 1) ** 2 * sum(terms)  # the largest coefficient of the exact sum
     width = -(-bound.bit_length() // 8)  # bytes
-    size = max(len(f) + len(g) for f, g, _ in pairs) - 1
+    size = max(len(f) + len(g) for f, g in pairs) - 1
     slots = min(size, n_out)
     if width > 8 or max(terms) >= _DECIMAL_TERMS:
         width = len(str(bound))
         slot = f"%0{width}d"
         total = reduce(_DECIMAL.add, (_DECIMAL.multiply(
-            Decimal((slot * len(f)) % tuple(signed(reversed(f), sign))),
-            Decimal((slot * len(g)) % tuple(reversed(g)))) for f, g, sign in pairs))
+            Decimal((slot * len(f)) % tuple(reversed(f))),
+            Decimal((slot * len(g)) % tuple(reversed(g)))) for f, g in pairs))
         digits = format(total, "f")[-slots * width:].zfill(slots * width)
         chunk = 4096 * width  # 4,096 slots per list comprehension, which outruns a generator
         return chain.from_iterable([int(digits[i - width:i]) % modulus for i in range(
             end, max(end - chunk, 0), -width)] for end in range(slots * width, 0, -chunk))
     total = 0
-    for f, g, sign in pairs:
-        words = pack(f"<{len(f) + len(g)}Q", *signed(f, sign), *g)
+    for f, g in pairs:
+        words = pack(f"<{len(f) + len(g)}Q", *f, *g)
         buf = bytearray((len(f) + len(g)) * width)
         for j in range(width):
             buf[j::width] = words[j::8]
@@ -84,7 +78,8 @@ def _slots(pairs: Sequence[tuple], modulus: int, n_out: int,
     raw, words = total.to_bytes(size * width, "little"), bytearray(8 * slots)
     for j in range(width):
         words[j::8] = raw[j:slots * width:width]
-    return map(mod, unpack(f"<{slots}Q", words), repeat(modulus))
+    return chain.from_iterable(map(mod, unpack_from(f"<{min(slots - lo, 1024)}Q", words, 8 * lo),
+                                   repeat(modulus)) for lo in range(0, slots, 1024))
 
 
 def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> list[int]:
@@ -94,11 +89,10 @@ def polymul(a: Sequence[int], b: Sequence[int], modulus: int, n_out: int) -> lis
     return out
 
 
-def first_nonzero(pairs: Sequence[tuple], modulus: int, n_out: int,
-                  minus: Sequence[tuple] = ()) -> Optional[int]:
+def first_nonzero(pairs: Sequence[tuple], modulus: int, n_out: int) -> Optional[int]:
     """The first index below n_out at which the sum of the products f*g
-    over pairs, less those over minus, is not 0 mod modulus, or None."""
-    return next(compress(count(), _slots(pairs, modulus, n_out, minus)), None)
+    over pairs is not 0 mod modulus, or None."""
+    return next(compress(count(), _slots(pairs, modulus, n_out)), None)
 
 
 def polymul_spread(a: Sequence[int], b: Sequence[int], p: int, modulus: int,

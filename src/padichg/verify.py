@@ -13,9 +13,10 @@ checker raises it.
 Each check the suite names has one entry point here, which takes all
 its coefficient tables from one `_quotients` call.  A congruence sum
 f_i g_i ≡ 0 on coefficients (main, relations, section sums) is decided
-on one packed sum (`first_nonzero`) with no coefficient list, and a
-failure is recomputed at its index as dot products.  The braced sweep
-decides its pairs class by class mod p^n.
+on one packed sum with no list of a product, and a failure is
+recomputed at its index as dot products; a statement and its mirror
+image are read once.  The braced sweep decides its pairs class by class
+mod p^n.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import json
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from operator import add, mod, ne
+from operator import add, mod, ne, neg
 from typing import Optional
 
 from .padic import NotDivisible, PadicError, PreconditionViolated, Rational, _residue
-from .series import first_nonzero, polymul_spread
+from .series import _slots, first_nonzero, polymul_spread
 from .hyper import FrobeniusSpec, HGParams, _quotients, twist_pair
 from .interp import ratio_identity_holds, witness_for
 
@@ -112,10 +112,12 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
 
     q = p ** n_eff
     cut = pn // step  # [D] = g[:cut](t^step), D_hi = g[cut:](t^step)
-    # class r mod step of N_hi [D] - D_hi [N] at its i-th index, p^n + r + step i
-    hits = ((r, first_nonzero([(num[pn + r::step], g[:cut])], q, len(range(r, M - pn, step)),
-                              minus=[(num[r:pn:step], g[cut:])]))
-            for r in range(min(step, M - pn)))
+    # class r mod step of N_hi [D] - D_hi [N] at its i-th index, p^n + r + step i,
+    # with -[N] packed as -x mod q
+    hits = ((r, first_nonzero(
+        [(num[pn + r::step], g[:cut]),
+         (array("Q", map(mod, map(neg, num[r:pn:step]), repeat(q))), g[cut:])],
+        q, len(range(r, M - pn, step)))) for r in range(min(step, M - pn)))
     k = min((pn + r + step * i for r, i in hits if i is not None), default=None)
     # [D] N and D [N] at k: N_{k - step j} g_j for j < cut, and for k - step j < p^n
     fail = None if k is None else {
@@ -138,17 +140,18 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     with P = [F]_{<p^n}, Q = [F^{(1)}]_{<p^{n-1}}, revP = t^{p^n-1} P(1/t),
     revQ = t^{p^n-p} Q(1/t^p).  revP(t) Q(t^p) = t^{2p^n-p-1} C(1/t) for
     C = P revQ, so one product C, computed as P(t) times (Q reversed)(t^p),
-    gives both sides: the left is C shifted, the right is C reversed, each
-    read off C by index.  eps is fitted at the first unit coefficient and
-    then verified globally; the expected value is (-1)^{sl} for odd p."""
+    gives both sides: C' = t^{p-1-l} C is an eps-palindrome of degree N =
+    2p^n-2-l, decided on the pairs (C'_k, C'_{N-k}), k <= N/2, read off C by
+    index.  eps is fitted at the first unit pair, then verified globally;
+    the expected value is (-1)^{sl} for odd p."""
     _require_modulus(n)
     p, l = params.p, params.l
     pn = q = p ** n  # q: the comparison modulus
     a_res, q_res = _quotients(params, [("A", 0, range(pn)), ("A", 1, range(pn // p))], n)
     c = polymul_spread(a_res, q_res[::-1], p, q, 2 * pn - p)
 
-    def sides():  # both sides on degrees 0..2p^n-2: C shifted by p-1-l, C reversed
-        return chain(repeat(0, p - 1 - l), c, repeat(0, l)), chain(reversed(c), repeat(0, p - 1))
+    def sides():  # C'_k and C'_{N-k} for k <= N/2: C shifted by p-1-l, C reversed
+        return islice(chain(repeat(0, p - 1 - l), c), (2 * pn - l) // 2), reversed(c)
 
     info = _params_dict(params, n=n, l=l)
     d, left, right = next(((d, x, y) for d, (x, y) in enumerate(zip(*sides())) if x % p or y % p),
@@ -227,19 +230,20 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
 
 
 def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
-    """beta_lambda + beta-hat_{-lambda-a} ≡ 0 mod p^n at lambda = 0, 1, 2,
-    1/2 (not at p = 2) and -1-a, with beta along sigma and beta-hat along
-    sigma-hat; the first failing lambda is reported.  beta_lambda and
-    beta-hat_{-lambda-a} are B_k/A_k and Bhat_k/A_k at their witnesses
-    (`witness_for`), from one `_quotients` call.  Both need c in 1 + qW."""
+    """beta_lambda + beta-hat_{-lambda-a} ≡ 0 mod p^n at lambda = p·i for
+    i < p^{min(n,4)-1} and at -1-a if it is in pZ_p (at a unit lambda both
+    are 1/k and 1/(k + a) whatever A holds), with beta along sigma and
+    beta-hat along sigma-hat; the first failing lambda is reported.  They
+    are B_k/A_k and Bhat_k/A_k at their witnesses (`witness_for`), from one
+    `_quotients` call.  Both need c in 1 + qW."""
     _require_modulus(n)
     frob, frob_hat = twist_pair(c)
     p = params.p
     frob.validate(p, require_q=True)
     pn = p ** n
-    lambdas = [0, 1, 2, Fraction(1, 2), -1 - params.a]
-    if p == 2:
-        del lambdas[3]  # 1/2
+    lambdas = [p * i for i in range(p ** (min(n, 4) - 1))]
+    if params.l == 1:  # -a ≡ 1 mod p
+        lambdas.append(-1 - params.a)
     ks = [witness_for(lam, p, n) for lam in lambdas]  # each r_lambda, or p^n at r_lambda = 0
     r_a = _residue(params.a, p, pn)
     ks_hat = [(-k - r_a) % pn or pn for k in ks]  # the witness of -lambda - a
@@ -260,8 +264,10 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
 
 def sweep_section(params: HGParams, n: int) -> CheckReport:
     """s1 ≡ s2 mod p^{d+1} for d <= n, k < p^{n-d} and m < p^n: the sums of
-    A_i A_{p^n-1-j} over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2)
-    mod p^{n-d}, so s1 - s2 = (masked A) rev(A) - A rev(masked A)."""
+    A_i A_{p^n-1-j} over i + j = m with i ≡ k (s1) or p^n-1-j ≡ r = -k-a (s2)
+    mod p^{n-d}, so s1 - s2 = (masked A) rev(A) - A rev(masked A).  Over
+    2p^n - 1 coefficients the difference of class r is that of class k
+    negated and reversed: one sum decides k on its first p^n, r on its last."""
     _require_modulus(n)
     p = params.p
     pn = p ** n
@@ -270,19 +276,27 @@ def sweep_section(params: HGParams, n: int) -> CheckReport:
         cls, q = p ** (n - d), p ** (d + 1)
         level = [x % q for x in a_res]  # reduced once for every class k
         rev = level[::-1]
+        fails = []  # (class, first failing m, partner class)
         for k in range(cls):
             r = (-_residue(params.a, p, cls) - k) % cls  # the class of p^n-1-j in s2
-            first, second = [0] * pn, [0] * pn  # A masked to class k; rev(A masked to r)
+            if r < k:  # decided with class r
+                continue
+            first, second = [0] * pn, [0] * pn  # A masked to class k; -rev(A masked to r)
             first[k::cls] = level[k::cls]
-            second[(pn - 1 - r) % cls::cls] = level[r::cls][::-1]
-            m = first_nonzero([(first, rev)], q, pn, minus=[(second, level)])
-            if m is not None:
-                lo = pn - 1 - m  # s1 pairs i with p^n-1-m+i, s2 pairs u with u-lo
-                s1 = sum(level[i] * level[lo + i] for i in range(k, m + 1, cls)) % q
-                s2 = sum(level[u - lo] * level[u] for u in range(lo + (r - lo) % cls, pn, cls)) % q
-                return CheckReport(check="section-sums",
-                                   params=_params_dict(params, n=n, d=d, k=k, m=m),
-                                   passed=False, modulus=d + 1, first_failure={"s1": s1, "s2": s2})
+            second[(pn - 1 - r) % cls::cls] = [-x % q for x in level[r::cls][::-1]]
+            pairs = [(first, rev), (second, level)]
+            if any(_slots(pairs, q, 2 * pn - 1)):  # no list unless a class fails
+                diff = list(_slots(pairs, q, 2 * pn - 1))
+                fails += [(c, m, o) for c, o, half in ((k, r, diff), (r, k, reversed(diff)))
+                          for m in islice(compress(count(), islice(half, pn)), 1)]
+        if fails:
+            k, m, r = min(fails)
+            lo = pn - 1 - m  # s1 pairs i with p^n-1-m+i, s2 pairs u with u-lo
+            s1 = sum(level[i] * level[lo + i] for i in range(k, m + 1, cls)) % q
+            s2 = sum(level[u - lo] * level[u] for u in range(lo + (r - lo) % cls, pn, cls)) % q
+            return CheckReport(check="section-sums",
+                               params=_params_dict(params, n=n, d=d, k=k, m=m),
+                               passed=False, modulus=d + 1, first_failure={"s1": s1, "s2": s2})
     return CheckReport(check="section-sums", params=_params_dict(params, n=n),
                        passed=True, modulus=n + 1)
 

@@ -465,18 +465,21 @@ def main_congruence_lists(params, c, n: int):
     return verify.CheckReport(check="main-congruence", params=info, passed=True, modulus=n)
 
 
-def section_sums(params, a_res, n: int, d: int, k: int) -> tuple[list[int], list[int]]:
-    """(s1, s2) mod p^{d+1} for every m < p^n: the sums of A_i A_{p^n-1-j}
-    over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2) mod p^{n-d},
-    as the products (masked A) rev(A) and A rev(masked A).  a_res holds
-    A_0, ..., A_{p^n-1} mod p^{d+1}."""
+def section_sums(params, a_res, n: int, d: int, k: int,
+                 n_out: Optional[int] = None) -> tuple[list[int], list[int]]:
+    """(s1, s2) mod p^{d+1} for every m < n_out (default p^n): the sums of
+    A_i A_{p^n-1-j} over i + j = m with i ≡ k (s1) or p^n-1-j ≡ -k-a (s2)
+    mod p^{n-d}, as the products (masked A) rev(A) and A rev(masked A),
+    which run to m = 2p^n - 2.  a_res holds A_0, ..., A_{p^n-1} mod
+    p^{d+1}."""
     p = params.p
     pn, cls, mod = p ** n, p ** (n - d), p ** (d + 1)
+    n_out = pn if n_out is None else n_out
     first, second = [0] * pn, [0] * pn  # A masked to class k, to class -k-a
     first[k::cls] = a_res[k::cls]
     r = (-_residue(params.a, p, cls) - k) % cls
     second[r::cls] = a_res[r::cls]
-    return polymul(first, a_res[::-1], mod, pn), polymul(a_res, second[::-1], mod, pn)
+    return polymul(first, a_res[::-1], mod, n_out), polymul(a_res, second[::-1], mod, n_out)
 
 
 def section_sweep_lists(params, n: int):

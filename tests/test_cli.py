@@ -16,7 +16,7 @@ from padichg import (
     FrobeniusSpec,
     HGParams,
     b_coefficients,
-    beta_at,
+    beta_values,
     bhat_coefficients,
     hg_series,
     twist_pair,
@@ -33,6 +33,16 @@ from padichg.cli import (
     main,
     run_suite,
 )
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit of 4,300 digits for writing an int, whatever
+    the environment sets."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def run(argv, capsys):
@@ -334,7 +344,8 @@ class TestInputErrors:
         ["suite", "--check", "dwork", "--a", "1/0"],
         ["suite", "--check", "log", "--c", "1/0"],
         ["suite", "--config", "{cfg}"],
-        # the witness of 1/2 mod 3^99999 is past sys.maxsize
+        # residues mod 3^99999 are too long to write (and the witness of 1/2
+        # is past sys.maxsize, as it is at --prec 99, the last case)
         ["table", "--kind", "beta", "--a", "1/2", "--p", "3", "--c", "4", "--points", "1/2",
          "--prec", "99999"],
         ["table", "--kind", "A", "--a", "1/0", "--p", "3"],
@@ -347,6 +358,9 @@ class TestInputErrors:
         # no list holds a table longer than sys.maxsize
         ["table", "--kind", "A", "--a", "1/2", "--p", "3", "--count", str(10 ** 20),
          "--prec", "2"],
+        # the witness of 1/2 mod 3^99 is past sys.maxsize
+        ["table", "--kind", "beta", "--a", "1/2", "--p", "3", "--c", "4", "--points", "1/2",
+         "--prec", "99"],
     ])
     def test_exit_config_with_one_line(self, argv, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
@@ -426,6 +440,43 @@ class TestTable:
         assert code == EXIT_CONFIG and out == ""
         assert err == "error: count must be positive\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "A", "--count", "0"], ["--kind", "B", "--prec", "0"],
+        ["--kind", "beta", "--c", "2", "--points", "1"], ["--kind", "A", "--points", "1"],
+    ])
+    def test_input_error_leaves_out_untouched(self, argv, tmp_path, capsys):
+        # the rows are built before --out is opened: a new path is not
+        # created, and an existing file keeps its bytes
+        fresh, kept = tmp_path / "t.jsonl", tmp_path / "kept.jsonl"
+        kept.write_text("earlier\n")
+        for out in (fresh, kept):
+            code, _, err = run(["table", "--a", "1/2", "--p", "3", *argv, "--out", str(out)],
+                               capsys)
+            assert code == EXIT_CONFIG and len(err.splitlines()) == 1
+        assert not fresh.exists() and kept.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "A", "--count", "2", "--prec", "9100"],
+        ["--kind", "Bhat", "--c", "4", "--prec", "9100"],
+        ["--kind", "beta", "--c", "4", "--points", "1", "--prec", "9100"],
+        ["--kind", "A", "--prec", str(10 ** 12)],
+    ])
+    def test_prec_past_the_int_digit_limit_rejected(self, argv, digit_limit, monkeypatch, capsys):
+        # residues mod 3^9100 have 4,342 digits, past Python's default limit
+        # of 4,300 for writing an int: an input error, before any table
+        for name in ("hg_series", "b_coefficients", "bhat_coefficients", "beta_values"):
+            monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("a table was built"))
+        code, out, err = run(["table", "--a", "1/2", "--p", "3", *argv], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --prec ")
+
+    def test_prec_at_the_int_digit_limit_written(self, digit_limit, capsys):
+        # 3^9012 has 4,300 digits, so every residue mod it can be written
+        code, out, _ = run(["table", "--kind", "A", "--a", "1/2", "--p", "3", "--count", "2",
+                            "--prec", "9012"], capsys)
+        assert code == EXIT_PASS and len(out.splitlines()) == 2
+        assert len(str(3 ** 9012)) == 4300
+
     @pytest.mark.parametrize("prec", ["0", "-1"])
     @pytest.mark.parametrize("kind", ["A", "B", "Bhat"])
     def test_prec_below_one_rejected(self, kind, prec, capsys):
@@ -484,22 +535,21 @@ class TestTableBytes:
         code, _, _ = run(["table", "--kind", "beta", "--a", "1/2", "--s", "2", "--p", "3",
                           "--c", "-2", "--prec", "4", "--format", fmt, "--out", str(out),
                           "--points", *points], capsys)
-        values = [beta_at(Fraction(v), self.P, FrobeniusSpec(Fraction(-2)), 4) for v in points]
+        values = beta_values([Fraction(v) for v in points], self.P, FrobeniusSpec(Fraction(-2)), 4)
         rows = [{"lambda": v, "residue": b.residue, "prec": b.prec}
                 for v, b in zip(points, values)]
         assert code == EXIT_PASS
         assert out.read_bytes() == _old_rendering(rows, fmt).encode()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_beta_table_keys_are_json_strings(self, fmt):
+    def test_beta_table_keys_are_json_strings(self, fmt, capsys):
         # keys with a slash and a sign, which argparse cannot pass as --points
         lambdas = [Fraction(-7, 4), Fraction(1, 2), Fraction(-3), Fraction(0)]
-        buf = io.StringIO()
-        cli.emit_table("beta", self.P, Fraction(-2), 0, 4, fmt, buf, lambdas)
+        cli.emit_table("beta", self.P, Fraction(-2), 0, 4, fmt, None, lambdas)
         frob = FrobeniusSpec(Fraction(-2))
         rows = [{"lambda": str(lam), "residue": b.residue, "prec": b.prec}
-                for lam in lambdas for b in [beta_at(lam, self.P, frob, 4)]]
-        assert buf.getvalue() == _old_rendering(rows, fmt)
+                for lam in lambdas for b in [beta_values([lam], self.P, frob, 4)[0]]]
+        assert capsys.readouterr().out == _old_rendering(rows, fmt)
 
     def test_beta_table_without_points_is_an_input_error(self, capsys):
         # it would write no row
@@ -529,7 +579,7 @@ class TestTableBytes:
         frob = twist_pair(Fraction(-2))[hat]
         rows = [{"lambda": v, "residue": b.residue, "prec": b.prec}
                 for v in self.POINTS
-                for b in [beta_at(Fraction(v), self.P, frob, 4, hat=hat)]]
+                for b in [beta_values([Fraction(v)], self.P, frob, 4, hat=hat)[0]]]
         assert code == EXIT_PASS and out == _old_rendering(rows, "json")
 
 

@@ -22,7 +22,6 @@ from padichg import (
     SIGMA_HAT,
     b0_constant,
     b_coefficients,
-    beta_at,
     beta_values,
     bhat_coefficients,
     check_integrality,
@@ -114,10 +113,10 @@ class TestAgainstOracle:
             return
         if P.p == 2 and frob.c == 3:  # c = 1 + p is in 1 + 2W but not 1 + 4W
             with pytest.raises(PreconditionViolated, match="not in 1 \\+ 4W"):
-                beta_at(lam, P, frob, n, hat=hat)
+                beta_values([lam], P, frob, n, hat=hat)
             return
         k = witness_for(lam, P.p, n)
-        got = beta_at(lam, P, frob, n, hat=hat)
+        got = beta_values([lam], P, frob, n, hat=hat)[0]
         assert got == embed_rational(ratio_at(k, P, frob, n, hat), P.p, n)
 
     @SLOW
@@ -133,9 +132,9 @@ class TestAgainstOracle:
         b_ratios, a_res, g, bhat, bhat_ratios, b = hyper._quotients(
             P, [("B/A", frob, ks), ("A", 0, ks), ("G", frob, range(count)),
                 ("Bhat", frob_hat, ks), ("Bhat/A", frob_hat, ks), ("B", frob, ks)], prec)
-        assert b_ratios == hyper.coefficient_ratios(P, frob, ks, prec) == \
+        assert b_ratios == hyper._quotients(P, [("B/A", frob, ks)], prec)[0] == \
             embedded((ratio_at(k, P, frob, prec, False) for k in ks), P.p, prec)
-        assert bhat_ratios == hyper.coefficient_ratios(P, frob_hat, ks, prec, hat=True) == \
+        assert bhat_ratios == hyper._quotients(P, [("Bhat/A", frob_hat, ks)], prec)[0] == \
             embedded((ratio_at(k, P, frob_hat, prec, True) for k in ks), P.p, prec)
         assert a_res == [hg_series(P, top, prec)[k] for k in ks] == \
             embedded((coeff_exact(P, k) for k in ks), P.p, prec)
@@ -387,7 +386,7 @@ class TestWalk:
         start = P.l if hat else 0
         ks = [k for k in (start + j * P.p for j in js) if k >= 1] + others + [P.p ** n]
         ks += ks[:1]
-        got = hyper.coefficient_ratios(P, frob, ks, n, hat)
+        got = hyper._quotients(P, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]
         assert got == [embed_rational(ratio_at(k, P, frob, n, hat), P.p, n).residue for k in ks]
 
 
@@ -455,7 +454,7 @@ def test_ratio_index_below_the_sequence_rejected(hat, ks, message):
     P = HGParams.create(Fraction(1, 2), 1, 3)
     frob = FrobeniusSpec(Fraction(4), SIGMA_HAT if hat else SIGMA)
     with pytest.raises(ValueError, match=re.escape(message)):
-        hyper.coefficient_ratios(P, frob, ks, 3, hat)
+        hyper._quotients(P, [("Bhat/A" if hat else "B/A", frob, ks)], 3)
 
 
 def shift_a1(monkeypatch, js, bad_js):
@@ -581,9 +580,9 @@ class TestGuards:
     def test_coefficient_ratios(self, case, ks, ascending, hat):
         P, frob, prec = case
         ks = sorted(ks + ks[:1]) if ascending else ks + ks[:1]  # with a repeat
-        deeper = hyper.coefficient_ratios(P, frob, ks, prec + 3, hat)
+        deeper = hyper._quotients(P, [("Bhat/A" if hat else "B/A", frob, ks)], prec + 3)[0]
         assert [r % P.p ** prec for r in deeper] == \
-            hyper.coefficient_ratios(P, frob, ks, prec, hat)
+            hyper._quotients(P, [("Bhat/A" if hat else "B/A", frob, ks)], prec)[0]
 
     @SLOW
     @given(cases(max_prec=3))
@@ -660,7 +659,7 @@ def test_one_walk_per_dwork_level(check):
     (lambda P, frob: b_coefficients(P, frob, 40, 3), (0, 1)),
     (lambda P, frob: bhat_coefficients(P, frob, 40, 3), (0, 1)),
     (lambda P, frob: b0_constant(P, frob, 3), (0, 1)),
-    (lambda P, frob: hyper.coefficient_ratios(P, frob, [1, P.p, 40, P.p ** 3], 3), (0, 1)),
+    (lambda P, frob: hyper._quotients(P, [("B/A", frob, [1, P.p, 40, P.p ** 3])], 3)[0], (0, 1)),
     (lambda P, frob: beta_values([0, 1, Fraction(1, 2)], P, frob, 3), (0, 1)),
     (lambda P, frob: hyper.compute_h(P, 3), None),  # every level of one period
 ], ids=["F", "F1", "G", "Ghat", "B0", "ratios", "beta", "h"])

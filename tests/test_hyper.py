@@ -26,7 +26,7 @@ from padichg import (
     twist_pair,
 )
 from padichg import hyper
-from padichg.hyper import coefficient_ratios
+from padichg.hyper import _quotients
 from oracle import (
     b_exact,
     bhat_approx,
@@ -90,7 +90,7 @@ class TestTableLength:
         monkeypatch.setattr(hyper, "_walk", lambda *args: pytest.fail("a walk ran"))
         P, frob = params(Fraction(1, 2)), FrobeniusSpec(4, SIGMA_HAT if hat else SIGMA)
         with pytest.raises(PreconditionViolated, match="a table longer than"):
-            coefficient_ratios(P, frob, [1, sys.maxsize], 2, hat)
+            _quotients(P, [("Bhat/A" if hat else "B/A", frob, [1, sys.maxsize])], 2)
 
     def test_b0_witness_past_maxsize_rejected(self, monkeypatch):
         # B_0 mod 3^40 is read at the witness 3^40, past sys.maxsize

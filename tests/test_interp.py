@@ -12,7 +12,6 @@ from padichg import (
     FrobeniusSpec,
     HGParams,
     PreconditionViolated,
-    beta_at,
     beta_values,
     embed_rational,
     ratio_identity_check,
@@ -20,7 +19,7 @@ from padichg import (
     twist_pair,
     witness_for,
 )
-from padichg.hyper import SIGMA_HAT, coefficient_ratios
+from padichg.hyper import SIGMA_HAT, _quotients
 from padichg.padic import _residue
 
 from oracle import braced_product, exact_a_table
@@ -59,14 +58,14 @@ class TestBeta:
             for b in (1, 2, 5):
                 if b % 3 == 0:
                     continue
-                got = beta_at(Fraction(b), P, frob, 2)
+                got = beta_values([Fraction(b)], P, frob, 2)[0]
                 assert got == embed_rational(Fraction(1, b), 3, 2)
 
     def test_hat_at_minus_b_minus_a(self):
         P = params(Fraction(1, 2))
         frob = FrobeniusSpec(Fraction(1), SIGMA_HAT)
         for b in (1, 2):
-            got = beta_at(-b - P.a, P, frob, 2, hat=True)
+            got = beta_values([-b - P.a], P, frob, 2, hat=True)[0]
             assert got == embed_rational(Fraction(-1, b), 3, 2)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -93,15 +92,15 @@ class TestBeta:
                     assert [b.residue for b in betas] == inverses
                     assert [b.residue for b in hats] == [-x % m for x in inverses]
                     ks = [k for k in range(1, 60) if k % p]
-                    assert coefficient_ratios(P, frob, ks, n) == [pow(k, -1, m) for k in ks]
+                    assert _quotients(P, [("B/A", frob, ks)], n)[0] == [pow(k, -1, m) for k in ks]
                     d, num = a.denominator, a.numerator
                     ks = [k for k in range(60) if (k * d + num) % p]
-                    assert (coefficient_ratios(P, frob_hat, ks, n, hat=True)
+                    assert (_quotients(P, [("Bhat/A", frob_hat, ks)], n)[0]
                             == [d * pow(k * d + num, -1, m) % m for k in ks])
 
     def test_zero_at_a1(self):
         P = params(1)
-        got = beta_at(Fraction(0), P, FrobeniusSpec(Fraction(1)), 2)
+        got = beta_values([Fraction(0)], P, FrobeniusSpec(Fraction(1)), 2)[0]
         assert got.residue == 0
 
     def test_witness_independence(self):
@@ -111,18 +110,19 @@ class TestBeta:
                           (True, FrobeniusSpec(Fraction(4), SIGMA_HAT))):
             for lam in (Fraction(0), Fraction(1, 2), Fraction(2)):
                 k = witness_for(lam, 3, 2)
-                first, shifted = coefficient_ratios(P, frob, [k, k + 9], 2, hat)
-                assert first == shifted == beta_at(lam, P, frob, 2, hat=hat).residue
+                kind = "Bhat/A" if hat else "B/A"
+                first, shifted = _quotients(P, [(kind, frob, [k, k + 9])], 2)[0]
+                assert first == shifted == beta_values([lam], P, frob, 2, hat=hat)[0].residue
 
     def test_rejects_c_outside_one_plus_p(self):
         for hat in (False, True):
             with pytest.raises(PreconditionViolated, match=r"not in 1 \+ 3W"):
-                beta_at(Fraction(1), params(Fraction(1, 2)), FrobeniusSpec(Fraction(2)), 2,
-                        hat=hat)
+                beta_values([Fraction(1)], params(Fraction(1, 2)), FrobeniusSpec(Fraction(2)), 2,
+                            hat=hat)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            beta_at(Fraction(1), params(1), FrobeniusSpec(Fraction(1)), 0)
+            beta_values([Fraction(1)], params(1), FrobeniusSpec(Fraction(1)), 0)
 
 
 class TestRatioIdentity:

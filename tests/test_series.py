@@ -187,12 +187,13 @@ class TestFirstNonzero:
 
     @pytest.mark.parametrize("terms,cut", [(50, 10 ** 9), (200, 0)])
     def test_slot_holds_the_sum_of_every_pair(self, terms, cut):
-        # 2*2 - (-2)*2 = 6 per term mod 3: each slot of the sum reaches 6t,
-        # past the 4t of one product (t = 50: 200 fits a byte and 300 does
-        # not; t = 200: 800 has 3 digits and 1,200 has 4)
+        # 2*2 - 2*2, the second product packed as (-2 mod 3)*2: 6 per term
+        # mod 3, so each slot of the sum reaches 6t, past the 4t of one
+        # product (t = 50: 200 fits a byte and 300 does not; t = 200: 800
+        # has 3 digits and 1,200 has 4)
         top = [2] * terms
         with patch.object(series, "_DECIMAL_TERMS", cut):
-            assert first_nonzero([(top, top)], 3, 2 * terms - 1, minus=[(top, top)]) is None
+            assert first_nonzero([(top, top), ([1] * terms, top)], 3, 2 * terms - 1) is None
 
     @pytest.mark.parametrize("pairs,n_out,expect", [
         ([], 3, None), ([([], [1]), ([2], [])], 4, None), ([([1], [1])], 0, None),

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import random
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -19,7 +20,6 @@ from padichg import (
     PreconditionViolated,
     b0_constant,
     b_coefficients,
-    beta_at,
     beta_values,
     bhat_coefficients,
     check_congruence_relation,
@@ -38,7 +38,7 @@ from padichg import (
     witness_for,
 )
 from padichg import cli, hyper, series, verify
-from padichg.hyper import SIGMA, SIGMA_HAT, coefficient_ratios
+from padichg.hyper import SIGMA, SIGMA_HAT, _quotients
 from padichg.padic import _residue
 from padichg.verify import braced_residues
 
@@ -490,6 +490,92 @@ class TestSectionAgainstOracle:
         assert rep.first_failure == payload
 
 
+def altered_tables(original, mode, which, idx, delta, seed):
+    """`original`, a `_quotients`, with its tables as they are ("clean"),
+    with entry idx of table `which` (each taken mod the length) shifted by
+    delta ("shift"), or with every entry drawn at random from seed
+    ("random")."""
+    def build(params, requests, prec):
+        tables, m = original(params, requests, prec), params.p ** prec
+        if mode == "shift":
+            table = tables[which % len(tables)]
+            table[idx % len(table)] = (table[idx % len(table)] + delta) % m
+        elif mode == "random":
+            rng = random.Random(seed)
+            tables = [[rng.randrange(m) for _ in table] for table in tables]
+        return tables
+    return build
+
+
+class TestPairedReadsAgainstOracle:
+    """The section sweep, which decides classes k and r(k) = -a-k on one
+    product pair, and the transform, which reads only the pairs
+    (C'_k, C'_{N-k}) with k <= N/2, against the oracle's `section_sums`
+    per class and `dwork_transform_full`, on clean, shifted and random
+    tables, with the word path and the decimal path each forced: every
+    report byte must agree.  The section sums run to p^n = 625."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+        st.sampled_from([a for a in (Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                                     Fraction(1, 5), Fraction(2, 3), Fraction(7, 4))
+                         if a.denominator % p]),
+        st.just(p), st.integers(1, 3), st.integers(1, 4), st.booleans(),
+        st.sampled_from(["clean", "shift", "shift", "random"]), st.integers(0, 1),
+        st.integers(0, 10 ** 6), st.integers(1, p ** 5), st.integers(0, 10 ** 6),
+        st.sampled_from([0, 10 ** 9]))))
+    def test_report_matches_oracle(self, case):
+        a, p, s, n, section, mode, which, idx, delta, seed, cut = case
+        while section and p ** n > 625:
+            n -= 1
+        P = HGParams.create(a, s, p)
+        routes = ((lambda: sweep_section(P, n), lambda: section_sweep_lists(P, n)) if section
+                  else (lambda: check_dwork_transformation(P, n),
+                        lambda: dwork_transform_full(P, n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_DECIMAL_TERMS", cut)
+            mp.setattr(verify, "_quotients",
+                       altered_tables(verify._quotients, mode, which, idx, delta, seed))
+            got, expect = (report_or_error(run) for run in routes)
+        assert got == expect
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(1, 3).flatmap(lambda n: st.tuples(
+            st.just(n), st.integers(0, n),
+            st.lists(st.integers(0, p ** (n + 1) - 1), min_size=p ** n, max_size=p ** n))),
+        st.sampled_from([a for a in (Fraction(1), Fraction(1, 2), Fraction(2, 3))
+                         if a.denominator % p]))))
+    def test_mirror_of_a_class(self, case):
+        # over all 2p^n - 1 coefficients, class k's s2 is class r(k)'s s1
+        # read backwards, for any table
+        p, (n, d, table), a = case
+        P, pn, cls = HGParams.create(a, 1, p), p ** n, p ** (n - d)
+        level = [x % p ** (d + 1) for x in table]
+        for k in range(cls):
+            r = (-_residue(a, p, cls) - k) % cls
+            _, s2 = section_sums(P, level, n, d, k, 2 * pn - 1)
+            s1, _ = section_sums(P, level, n, d, r, 2 * pn - 1)
+            assert s2 == s1[::-1]
+
+    def test_partner_half_is_its_own_statement(self, monkeypatch):
+        # p = 2, n = 3, a = 1/3, d = 1: r(k) = 1 - k mod 4, so class 1 is
+        # decided with class 0.  On this table class 0 passes its first p^n
+        # sums, and class 1 fails its own at m = 5: the last p^n sums of
+        # class 0's pair, read from the top, find it.  Deciding class 0 on
+        # its first half alone would report class 2 instead
+        P, table = HGParams.create(Fraction(1, 3), 1, 2), [4, 5, 3, 15, 15, 4, 8, 8]
+        monkeypatch.setattr(verify, "_quotients", lambda *args: [list(table)])
+        rep = sweep_section(P, 3)
+        assert (rep.params["d"], rep.params["k"], rep.params["m"]) == (1, 1, 5)
+        assert rep.to_json() == section_sweep_lists(P, 3).to_json()
+        level = [x % 4 for x in table]
+        s1, s2 = section_sums(P, level, 3, 1, 0)
+        assert s1 == s2
+        s1, s2 = section_sums(P, level, 3, 1, 1)
+        assert s1[:5] == s2[:5] and s1[5] != s2[5]
+
+
 def pairing_sum(lam, P, c, n):
     """beta_lambda + beta-hat_{-lambda-a} mod p^n, beta along sigma and
     beta-hat along sigma-hat."""
@@ -513,12 +599,13 @@ class TestBetaPairing:
         rep = sweep_beta_pairing(params(Fraction(1, 2)), Fraction(4), 2)
         assert rep.passed
 
-    @pytest.mark.parametrize("index", [0, 2, 4])
+    @pytest.mark.parametrize("index", [0, 2, 4, 9])
     def test_corrupted_beta_hat_fails_at_its_lambda(self, index, monkeypatch):
         # one `_quotients` call for both directions; a wrong beta-hat at one
-        # lambda fails the sweep there, with the payload of `beta_at`
+        # lambda fails the sweep there, with the payload of `beta_values`.
+        # At p = 3, n = 3 the lambdas are 3i for i < 9, then -1-a = -3/2
         P, c = params(Fraction(1, 2)), Fraction(4)
-        lam = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), -P.a - 1][index]
+        lam = [*range(0, 27, 3), -P.a - 1][index]
         calls = []
         shifted = shifted_tables(verify._quotients, "Bhat/A", index, 1)
 
@@ -527,16 +614,42 @@ class TestBetaPairing:
             return shifted(params_, requests, n)
 
         monkeypatch.setattr(verify, "_quotients", corrupted)
-        rep = sweep_beta_pairing(P, c, 2)
+        rep = sweep_beta_pairing(P, c, 3)
         assert calls == [["B/A", "Bhat/A"]]
         frob, frob_hat = twist_pair(c)
-        b = beta_at(lam, P, frob, 2)
-        bh = beta_at(-lam - P.a, P, frob_hat, 2, hat=True)
-        bad = Padic(bh.p, bh.prec, (bh.residue + 1) % 9)
+        b = beta_values([lam], P, frob, 3)[0]
+        bh = beta_values([-lam - P.a], P, frob_hat, 3, hat=True)[0]
+        bad = Padic(bh.p, bh.prec, (bh.residue + 1) % 27)
         assert not rep.passed and rep.params["lam"] == lam
         assert rep.first_failure == {"beta": str(b), "beta_hat": str(bad)}
         monkeypatch.undo()
-        assert sweep_beta_pairing(P, c, 2).passed
+        assert sweep_beta_pairing(P, c, 3).passed
+
+    @pytest.mark.parametrize("p,a,c,k", [(3, Fraction(1, 2), 4, 12), (5, Fraction(1, 3), 6, 10),
+                                         (2, Fraction(1, 3), 5, 4)])
+    def test_corrupted_a_at_a_hit_fails(self, p, a, c, k, monkeypatch):
+        # A_k at the witness k of lambda = k, shifted by p^{v_p(k) +
+        # s·v_p(A_k)}: every quotient stays exact, and B_k/A_k, so beta,
+        # moves by a unit there.  A unit lambda would not see it, as its
+        # ratio is 1/k whatever A holds.  No other table reads A_k: at
+        # a = 1/2, p = 3, the walk of a serves A^(1) as well, at j <= 9.
+        P, n = HGParams.create(a, 1, p), 3
+        shift = p ** (vp(k, p) + vp(coeff_exact(P, k), p))
+        walk = hyper._walk
+
+        def corrupted(b, p_, runs, s, w):
+            out = walk(b, p_, runs, s, w)
+            start = 0  # the entry of k: k less the run's start, past the runs before
+            for lo, hi in runs:
+                if b == a and lo <= k <= hi:
+                    out[start + k - lo] = (out[start + k - lo] + shift) % p ** w
+                start += hi - lo + 1
+            return out
+
+        assert sweep_beta_pairing(P, Fraction(c), n).passed
+        monkeypatch.setattr(hyper, "_walk", corrupted)
+        rep = sweep_beta_pairing(P, Fraction(c), n)
+        assert not rep.passed and rep.params["lam"] == k
 
 
 def section_pair(P, n, d, k, m):
@@ -665,7 +778,7 @@ class TestRatioAndInterp:
         # p^n = 9: the ratios at k = 1, ..., 18, with entry idx (k = idx + 1)
         # shifted by 1, first differ from their partner k +- 9 at `first`
         P, c = params(Fraction(1, 2)), Fraction(4)
-        ratios = {hat: coefficient_ratios(P, frob, range(1, 19), 2, hat)
+        ratios = {hat: _quotients(P, [("Bhat/A" if hat else "B/A", frob, range(1, 19))], 2)[0]
                   for hat, frob in zip((False, True), twist_pair(c))}
         quotients = verify._quotients
         for kind, idx in shifts:
@@ -706,7 +819,7 @@ class TestTwistValidation:
         lambda P, c: b0_constant(P, FrobeniusSpec(c), 2),
         lambda P, c: b_coefficients(P, FrobeniusSpec(c), 4, 2),
         lambda P, c: bhat_coefficients(P, FrobeniusSpec(c, SIGMA_HAT), 4, 2),
-        lambda P, c: beta_at(Fraction(1), P, FrobeniusSpec(c), 2, hat=True),
+        lambda P, c: beta_values([Fraction(1)], P, FrobeniusSpec(c), 2, hat=True),
     ])
     def test_rejected_at_entry(self, call):
         with pytest.raises(PreconditionViolated, match=r"c = 2 is not in 1 \+ 3W"):
@@ -922,7 +1035,10 @@ class TestIntegerRoutes:
             with pytest.raises(LookupError, match="recorded"):
                 sweep_beta_pairing(HGParams.create(a, 1, p), 1, n)
         [[(_, _, ks), (_, _, ks_hat)]] = requests
-        lambdas = [0, 1, 2, *([Fraction(1, 2)] if p != 2 else []), -1 - a]
+        # p·i for i < p^{min(n,4)-1}, and -1-a when it lies in pZ_p
+        lambdas = [p * i for i in range(p ** (min(n, 4) - 1))]
+        lambdas += [-1 - a] if vp(-1 - a, p) >= 1 else []
+        assert all(vp(lam, p) is None or vp(lam, p) >= 1 for lam in lambdas)  # no unit
         assert ks == [witness_for(lam, p, n) for lam in lambdas]
         assert ks_hat == [witness_for(-Fraction(lam) - a, p, n) for lam in lambdas]
 
