@@ -97,7 +97,7 @@ class SuiteConfig:
             raise ConfigInvalid("jobs must be positive")
         if not self.a_list or not self.c_list:
             raise ConfigInvalid("a and c lists must be nonempty")
-        for key, (attr, _, single) in _SUITE_KEYS.items():
+        for key, (attr, _, single, _) in _SUITE_KEYS.items():
             values = () if single else getattr(self, attr)
             for i, value in enumerate(values):
                 if value in values[:i]:  # the same cells twice
@@ -114,7 +114,7 @@ def _cell_outcome(task: tuple) -> Optional[tuple[bool, bool, str]]:
     except PreconditionViolated:
         return None
     except Exception as exc:  # noqa: BLE001 - recorded as an error cell
-        params = {"p": p, "a": str(a), "s": s, "n": n, "c": str(c)}
+        params = {"p": str(p), "a": str(a), "s": str(s), "n": str(n), "c": str(c)}
         return True, False, json.dumps({"check": check, "params": params, "passed": False,
                                         "error": f"{type(exc).__name__}: {exc}"}, sort_keys=True)
     return False, report.passed, report.to_json()
@@ -169,13 +169,15 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
+TABLE_KINDS = ("A", "B", "Bhat", "beta", "beta-hat")
+
 
 def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int, fmt: str,
                out: Optional[str] = None, lambdas: Sequence[Fraction] = ()) -> None:
     """A coefficient table of count rows, or beta or beta-hat at each of one
     or more lambdas, written to the path out (stdout for None) once built;
     B and beta twist along sigma, Bhat and beta-hat along sigma-hat."""
-    if kind not in ("A", "B", "Bhat", "beta", "beta-hat"):
+    if kind not in TABLE_KINDS:
         raise ConfigInvalid(f"unknown table kind {kind!r}")
     beta = kind.startswith("beta")
     if beta != bool(lambdas):
@@ -230,7 +232,7 @@ def _write_rows(key: str, keys: Sequence, residues: Sequence[int], prec: int, fm
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Simple `key: value` lines; later keys win; '#' starts a comment."""
+    """Simple `key: value` lines of suite keys; later keys win; '#' starts a comment."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -239,21 +241,24 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if ":" not in line:
                 raise ConfigInvalid(f"bad config line: {raw.strip()!r}")
-            key, val = line.split(":", 1)
-            values[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split(":", 1))
+            if key not in _SUITE_KEYS:
+                raise ConfigInvalid(f"unknown config key {key!r}")
+            values[key] = val
     return values
 
 
-# suite key -> (SuiteConfig field, cast of each value, takes exactly one value)
+# suite key -> (SuiteConfig field, cast of each value, takes exactly one value,
+# help).  The only list of suite keys: the flags and the file read it.
 _SUITE_KEYS = {
-    "p": ("p_list", int, False),
-    "n": ("n_list", int, False),
-    "a": ("a_list", parse_rational, False),
-    "s": ("s_list", int, False),
-    "c": ("c_list", parse_rational, False),
-    "check": ("checks", str, False),
-    "out": ("out", str, True),
-    "jobs": ("jobs", int, True),
+    "p": ("p_list", int, False, "primes"),
+    "n": ("n_list", int, False, "congruence exponents"),
+    "a": ("a_list", parse_rational, False, "parameters a as n/d strings"),
+    "s": ("s_list", int, False, "multiplicities"),
+    "c": ("c_list", parse_rational, False, "Frobenius constants as n/d strings"),
+    "check": ("checks", str, False, "checks to run: " + ", ".join(CHECKS)),
+    "out": ("out", str, True, "report path (default: stdout)"),
+    "jobs": ("jobs", int, True, "worker processes"),
 }
 
 
@@ -263,7 +268,7 @@ def _build_suite_config(args: argparse.Namespace) -> SuiteConfig:
     gives no values."""
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = SuiteConfig()
-    for key, (attr, cast, single) in _SUITE_KEYS.items():
+    for key, (attr, cast, single, _) in _SUITE_KEYS.items():
         flag = getattr(args, key)
         if flag is not None:
             got = flag if isinstance(flag, list) else [flag] if flag != "" else []
@@ -271,7 +276,10 @@ def _build_suite_config(args: argparse.Namespace) -> SuiteConfig:
             got = file_values[key].split()
         else:
             continue
-        values = [cast(v) for v in got]
+        try:
+            values = [cast(v) for v in got]
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
         if single:
             if len(values) != 1:
                 raise ConfigInvalid(f"{key} takes one value, got {len(values)}")
@@ -294,18 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     suite = sub.add_parser("suite", help="run a verification grid")
-    suite.add_argument("--p", nargs="+", type=int, help="primes")
-    suite.add_argument("--n", nargs="+", type=int, help="congruence exponents")
-    suite.add_argument("--a", nargs="+", help="parameters a as n/d strings")
-    suite.add_argument("--s", nargs="+", type=int, help="multiplicities")
-    suite.add_argument("--c", nargs="+", help="Frobenius constants as n/d strings")
-    suite.add_argument("--check", nargs="+", choices=CHECKS, help="checks to run")
-    suite.add_argument("--out", help="report path (default: stdout)")
-    suite.add_argument("--jobs", type=int, help="worker processes")
+    for key, (_, _, single, text) in _SUITE_KEYS.items():
+        suite.add_argument(f"--{key}", nargs=None if single else "+", help=text)
     suite.add_argument("--config", help="key: value config file")
 
     table = sub.add_parser("table", help="emit a coefficient or beta table")
-    table.add_argument("--kind", required=True, choices=("A", "B", "Bhat", "beta", "beta-hat"))
+    table.add_argument("--kind", required=True, choices=TABLE_KINDS)
     table.add_argument("--a", required=True, help="parameter a as n/d")
     table.add_argument("--s", type=int, default=1)
     table.add_argument("--p", type=int, required=True)

@@ -393,8 +393,6 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     n, d = a.numerator, a.denominator
     parts = []  # as divided: G is B_0, B/A at its witness, then B (kind "G": joined)
     for kind, tag, ks in requests:
-        if isinstance(ks, range) and ks.step != 1:
-            ks = list(ks)
         if kind != "A":
             tag.validate(p)
         if kind == "G":
@@ -406,9 +404,11 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     reads: dict[int, tuple] = {}  # by m (ints hash fast): Dwork prime m/d, the ks read there
     w = prec  # the guard
     for kind, tag, ks in parts:
-        dense = isinstance(ks, range)
-        if ks and (ks[-1] if dense else max(ks)) >= sys.maxsize:
+        if ks and (max(ks[0], ks[-1]) if isinstance(ks, range) else max(ks)) >= sys.maxsize:
             raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
+        if isinstance(ks, range) and ks.step != 1:
+            ks = list(ks)
+        dense = isinstance(ks, range)
         prime = params.a_at(tag) if kind == "A" else a  # the tag of "A" is its level
         at, hits, js, vds, vas = ks, (), (), (), ()
         if kind != "A":

@@ -177,10 +177,6 @@ def embed_rational(r: Rational, p: int, prec: int) -> Padic:
     return Padic(p, prec, _residue(r, p, p ** max(prec, 0)))  # Padic rejects prec < 0
 
 
-def zero(p: int, prec: int) -> Padic:
-    return Padic(p, prec, 0)
-
-
 # ---------------------------------------------------------------------------
 # the Iwasawa logarithm
 
@@ -193,7 +189,7 @@ def iwasawa_log(c: Padic) -> Padic:
     p, n = c.p, c.prec
     x = c.residue - 1
     if x == 0:
-        return zero(p, n)
+        return Padic(p, n, 0)
     v = split_p(x, p)[0]
     need = 2 if p == 2 else 1
     if v < need:

@@ -244,9 +244,9 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
     lambdas = [p * i for i in range(p ** (min(n, 4) - 1))]
     if params.l == 1:  # -a ≡ 1 mod p
         lambdas.append(-1 - params.a)
-    ks = [witness_for(lam, p, n) for lam in lambdas]  # each r_lambda, or p^n at r_lambda = 0
+    ks = [witness_for(lam, p, n) for lam in lambdas]
     r_a = _residue(params.a, p, pn)
-    ks_hat = [(-k - r_a) % pn or pn for k in ks]  # the witness of -lambda - a
+    ks_hat = [witness_for(-k - r_a, p, n) for k in ks]  # the witness of -lambda - a
     betas, beta_hats = _quotients(params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks_hat)], n)
     for lam, b, bh in zip(lambdas, betas, beta_hats):
         if (b + bh) % pn:

@@ -157,6 +157,17 @@ class TestSuite:
         assert code == EXIT_PASS
         assert path.read_bytes() == (root / "grids" / "standard.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("key,file_value,flag,expect", [
+        ("p", "5", "3", [3]), ("n", "2", "1", [1]), ("a", "1/3", "1/2", [Fraction(1, 2)]),
+        ("s", "2", "1", [1]), ("c", "4", "6", [Fraction(6)]), ("check", "dwork", "log", ["log"]),
+        ("out", "a.jsonl", "b c.jsonl", "b c.jsonl"), ("jobs", "2", "3", 3)])
+    def test_flag_beats_file_for_every_key(self, key, file_value, flag, expect, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"{key}: {file_value}\n")
+        args = build_parser().parse_args(["suite", "--config", str(cfg), f"--{key}", flag])
+        got = cli._build_suite_config(args)
+        assert getattr(got, cli._SUITE_KEYS[key][0]) == expect
+
     @pytest.mark.parametrize("key,value,source", [
         *((key, value, "file") for key, value in [("out", ""), ("jobs", ""), ("jobs", "1 2"),
                                                   ("out", "a.jsonl b.jsonl")]),
@@ -286,6 +297,16 @@ class TestSuite:
         assert [r["error"] for r in rows] == ["ValueError: 4 is not prime"]
         assert "skipped" not in out
 
+    def test_error_line_params_are_strings(self, capsys):
+        # report lines and error lines write every parameter as a string
+        code, out, _ = run(["suite", "--p", "3", "4", "--a", "1/4", "--n", "1",
+                            "--check", "dwork"], capsys)
+        assert code == EXIT_FAIL
+        rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        assert [r["params"]["p"] for r in rows] == ["3", "4"]
+        assert all(isinstance(v, str) for r in rows for v in r["params"].values())
+        assert rows[1]["params"] == {"a": "1/4", "c": "1", "n": "1", "p": "4", "s": "1"}
+
     def test_suite_calls_patched_checker(self, capsys, monkeypatch):
         # the runner looks its checker up when the cell runs
         seen = []
@@ -370,6 +391,42 @@ class TestInputErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("text", ["ns: 1 2\n", "check: dwork\nconfig: other.cfg\n",
+                                      "check: dwork\nP: 3\n"])
+    def test_unknown_config_key(self, text, tmp_path, capsys):
+        # a typo of a key is an input error, not a key silently dropped
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(text)
+        code, out, err = run(["suite", "--config", str(cfg)], capsys)
+        key = text.splitlines()[-1].split(":")[0]
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"config error: unknown config key {key!r}\n"
+
+    @pytest.mark.parametrize("key,value", [("p", "x"), ("n", "1.5"), ("s", "x"), ("jobs", "x"),
+                                           ("a", "x"), ("c", "1/0")])
+    def test_flag_and_file_value_fail_alike(self, key, value, tmp_path, capsys):
+        # both go through the key table's cast: the same one line, naming the key
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"check: dwork\n{key}: {value}\n")
+        errs = []
+        for argv in (["suite", "--check", "dwork", f"--{key}", value],
+                     ["suite", "--config", str(cfg)]):
+            code, out, err = run(argv, capsys)
+            assert code == EXIT_CONFIG and out == ""
+            errs.append(err)
+        assert errs[0] == errs[1] and len(errs[0].splitlines()) == 1
+        assert errs[0].startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unknown_check(self, source, tmp_path, capsys):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("check: dwork bogus\n")
+        argv = ["suite", "--check", "dwork", "bogus"] if source == "flag" else [
+            "suite", "--config", str(cfg)]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "config error: unknown check 'bogus'\n"
+
     @pytest.mark.parametrize("key,values", [("p", "3 5 3"), ("n", "1 1"), ("a", "1/2 2/4"),
                                             ("s", "2 2"), ("c", "4 4"), ("check", "log log")])
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -399,6 +456,18 @@ class TestParser:
             assert code == EXIT_PASS and len(out.splitlines()) == 2
         assert build_parser() is parser
         assert build_parser.cache_info().misses == misses
+
+    def test_suite_flags_are_the_key_table(self):
+        # one flag per suite key, and --config
+        assert vars(build_parser().parse_args(["suite"])).keys() == {
+            "command", "config", *cli._SUITE_KEYS}
+
+    def test_suite_help_lists_every_check(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line wrapped
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--help"])
+        assert exc.value.code == 0
+        assert "checks to run: " + ", ".join(cli.CHECKS) in capsys.readouterr().out
 
     def test_bad_flag_exits_2_with_one_error_line(self, capsys):
         # twice, so that a parser left changed by the first call would show

@@ -92,6 +92,15 @@ class TestTableLength:
         with pytest.raises(PreconditionViolated, match="a table longer than"):
             _quotients(P, [("Bhat/A" if hat else "B/A", frob, [1, sys.maxsize])], 2)
 
+    @pytest.mark.parametrize("ks", [range(0, 3 ** 50, 2), range(3 ** 50, 0, -1)])
+    def test_stepped_range_past_maxsize_rejected(self, ks, monkeypatch):
+        # a stepped or descending range is bounded before it is made a list
+        monkeypatch.setattr(hyper, "_walk", lambda *args: pytest.fail("a walk ran"))
+        P, frob = params(Fraction(1, 2)), FrobeniusSpec(4)
+        for request in (("A", 0, ks), ("B", frob, ks), ("Bhat/A", frob, ks)):
+            with pytest.raises(PreconditionViolated, match="a table longer than"):
+                _quotients(P, [request], 2)
+
     def test_b0_witness_past_maxsize_rejected(self, monkeypatch):
         # B_0 mod 3^40 is read at the witness 3^40, past sys.maxsize
         monkeypatch.setattr(hyper, "_walk", lambda *args: pytest.fail("a walk ran"))

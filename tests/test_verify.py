@@ -1042,6 +1042,19 @@ class TestIntegerRoutes:
         assert ks == [witness_for(lam, p, n) for lam in lambdas]
         assert ks_hat == [witness_for(-Fraction(lam) - a, p, n) for lam in lambdas]
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_witness_of_minus_lambda_minus_a_is_the_shifted_witness(self, p):
+        # witness_for(-lambda - a) is -k - a mod p^n, or p^n at 0, for the
+        # witness k of lambda
+        for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(-3, 7), Fraction(5)):
+            if a.denominator % p == 0:
+                continue
+            for n in range(1, 5):
+                pn = p ** n
+                for lam in [*range(201), pn]:
+                    k = witness_for(lam, p, n)
+                    assert witness_for(-lam - a, p, n) == ((-k - _residue(a, p, pn)) % pn or pn)
+
     @settings(max_examples=200, deadline=None)
     @given(prime_and_rational(), st.booleans())
     def test_vp_of_c_minus_1(self, pc, require_q):
