@@ -10,14 +10,13 @@ along sigma, beta-hat along sigma-hat, with the one constant c).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence, TextIO
 
@@ -113,9 +112,10 @@ def _cell_outcome(task: tuple) -> Optional[tuple[bool, bool, str]]:
         report = CHECKS[check][0](HGParams.create(a, s, p), c, n)
     except PreconditionViolated:
         return None
-    except Exception as exc:  # noqa: BLE001 - recorded as an error cell
+    except Exception as exc:  # noqa: BLE001 - an error cell, named as its report lines
+        name = f"congruence-{check}" if check in ("dwork", "log", "hat") else check
         params = {"p": str(p), "a": str(a), "s": str(s), "n": str(n), "c": str(c)}
-        return True, False, json.dumps({"check": check, "params": params, "passed": False,
+        return True, False, json.dumps({"check": name, "params": params, "passed": False,
                                         "error": f"{type(exc).__name__}: {exc}"}, sort_keys=True)
     return False, report.passed, report.to_json()
 
@@ -191,9 +191,9 @@ def emit_table(kind: str, params: HGParams, c: Fraction, count: int, prec: int, 
         raise ValueError("count must be positive")
     frob, frob_hat = twist_pair(c)
     if beta:
-        values = beta_values(lambdas, params, frob_hat if kind == "beta-hat" else frob, prec,
-                             hat=kind == "beta-hat")
-        rows = "lambda", lambdas, [v.residue for v in values]
+        hat = kind == "beta-hat"
+        rows = "lambda", lambdas, beta_values(lambdas, params, (frob, frob_hat)[hat], prec,
+                                              hat=hat)
     else:
         rows = "k", range(count), (hg_series(params, count, prec) if kind == "A" else
                                    b_coefficients(params, frob, count, prec) if kind == "B" else
@@ -211,17 +211,18 @@ _ROWS = 4096
 
 def _write_rows(key: str, keys: Sequence, residues: Sequence[int], prec: int, fmt: str,
                 stream: TextIO) -> None:
-    """The rows (key, residue, prec), one per key, as CSV with a header, or
-    as JSON lines holding the bytes of json.dumps(row, sort_keys=True).
-    Every row has the same prec.  A lambda key is written as its string."""
+    """The rows (key, residue, prec), one per key, as JSON lines in the bytes
+    of json.dumps(row, sort_keys=True), or as CSV with a header in those of
+    csv.writer, which quotes no field here: no key or residue holds a comma,
+    a quote or a newline.  Every row has the same prec and a lambda key is
+    written as its string."""
     if fmt == "csv":
-        writer = csv.writer(stream)
-        writer.writerow((key, "residue", "prec"))
-        writer.writerows(zip(keys, residues, repeat(prec)))
-        return
-    if key == "lambda":
-        keys = [json.dumps(str(lam)) for lam in keys]
-    line = '{"%s": %%s, "prec": %d, "residue": %%d}\n' % (key, prec)
+        stream.write("%s,residue,prec\r\n" % key)
+        line = "%%s,%%d,%d\r\n" % prec
+    else:
+        if key == "lambda":
+            keys = [json.dumps(str(lam)) for lam in keys]
+        line = '{"%s": %%s, "prec": %d, "residue": %%d}\n' % (key, prec)
     for lo in range(0, len(residues), _ROWS):
         fields = tuple(chain.from_iterable(zip(keys[lo:lo + _ROWS], residues[lo:lo + _ROWS])))
         stream.write(line * (len(fields) // 2) % fields)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .padic import Padic, Rational, _residue
+from .padic import Rational, _residue
 from .hyper import FrobeniusSpec, HGParams, _quotients
 
 
@@ -24,19 +24,18 @@ def witness_for(lam: Rational, p: int, n: int) -> int:
 
 
 def beta_values(lams: Sequence[Rational], params: HGParams, frob: FrobeniusSpec, n: int,
-                *, hat: bool = False) -> list[Padic]:
-    """beta_lambda (or beta-hat with hat=True) mod p^n at each lambda in
-    lams: B_k/A_k (Bhat_k/A_k) at the witnesses, from one `_quotients`
-    request whose walk visits only the witnesses, jumping the gaps between
-    them.  At p = 2 c must lie in 1 + 4W: for c in 1 + 2W only, B_k/A_k
-    mod 2^n is not a function of k mod 2^n (k and k + 3·2^n differ at
-    every k ≡ 2 mod 4), so no witness gives beta."""
+                *, hat: bool = False) -> list[int]:
+    """The residues of beta_lambda (or beta-hat with hat=True) mod p^n at
+    each lambda in lams: B_k/A_k (Bhat_k/A_k) at the witnesses, from one
+    `_quotients` request whose walk visits only the witnesses, jumping the
+    gaps between them.  At p = 2 c must lie in 1 + 4W: for c in 1 + 2W
+    only, B_k/A_k mod 2^n is not a function of k mod 2^n (k and k + 3·2^n
+    differ at every k ≡ 2 mod 4), so no witness gives beta."""
     if n < 1:
         raise ValueError("n must be positive")
     frob.validate(params.p, require_q=True)
     ks = [witness_for(lam, params.p, n) for lam in lams]
-    ratios = _quotients(params, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]
-    return [Padic(params.p, n, r) for r in ratios]
+    return _quotients(params, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]
 
 
 def ratio_identity_holds(params: HGParams, x_max: int) -> Iterator[bool]:

@@ -9,8 +9,8 @@ integer, the valuation of (a)_k/k! and the Iwasawa logarithm.
 Rational parameters (a, c, lambda) are plain ``fractions.Fraction``
 objects, made once where they enter and read as integer numerators and
 denominators after that; one is embeddable at p iff p does not divide
-its denominator.  Exact rationals are otherwise used only by
-`Padic.exact_divide`.
+its denominator.  `Padic.exact_divide` reads its divisor the same way,
+splitting the p-part off its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -145,22 +145,20 @@ class Padic:
         Z_p at the known precision, PrecisionExhausted when no digits would
         remain."""
         p = self.p
-        d = Fraction(d)
+        d = d if isinstance(d, (int, Fraction)) else Fraction(d)
         if d == 0:
             raise ZeroDivisionError("division by zero")
-        v = vp(d, p)
-        assert v is not None
-        unit = d / Fraction(p) ** v
-        new_prec = self.prec - v
+        (vn, un), (vd, ud) = split_p(d.numerator, p), split_p(d.denominator, p)
+        new_prec = self.prec + vd - vn
         if new_prec <= 0:
             raise PrecisionExhausted("division leaves no digits")
-        m = p ** self.prec
-        r = self.residue * _residue(1 / unit, p, m) % m
-        if v > 0:
-            if r % p ** v:
-                raise NotDivisible(f"residue not divisible by {p}^{v}")
-            return Padic(p, new_prec, (r // p ** v) % p ** new_prec)
-        return Padic(p, new_prec, (r * p ** (-v)) % p ** new_prec)
+        # residue · p^vd · ud/un is known mod p^(prec + vd), and its quotient by
+        # p^vn, where exact, mod p^new_prec
+        m = p ** (self.prec + vd)
+        r = self.residue * p ** vd * ud * pow(un, -1, m) % m
+        if r % p ** vn:
+            raise NotDivisible(f"residue not divisible by {p}^{vn}")
+        return Padic(p, new_prec, r // p ** vn)
 
     def reduce(self, prec: int) -> "Padic":
         if prec > self.prec:

@@ -148,6 +148,22 @@ class TestSuite:
         # out and jobs come from the command line
         assert (got.out, got.jobs) == (None, 1)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_breadth_grid_files(self, p):
+        # one grid per p, which CI runs: every check, thirteen values of a,
+        # s <= 3, the five constants 1, 1 + q, 1 - q, 1 + q^2 and 1/(1 + q),
+        # and n <= 3 at p <= 5, n <= 2 above
+        root = Path(__file__).resolve().parents[1]
+        got = cli._build_suite_config(build_parser().parse_args(
+            ["suite", "--config", str(root / "grids" / f"breadth-p{p}.conf")]))
+        got.validate()
+        q = 4 if p == 2 else p
+        assert (got.p_list, got.checks, got.s_list) == ([p], list(cli.CHECKS), [1, 2, 3])
+        assert got.a_list == [Fraction(v) for v in ("1/2", "1/3", "2/3", "1/4", "3/4", "1/5",
+                                                     "1/6", "5/6", "1/7", "3/7", "1", "2", "7/3")]
+        assert got.c_list == [1, 1 + q, 1 - q, 1 + q * q, Fraction(1, 1 + q)]
+        assert got.n_list == ([1, 2, 3] if p <= 5 else [1, 2])
+
     def test_standard_grid_report_bytes(self, tmp_path, capsys):
         # the serial report of grids/standard.conf is pinned by grids/standard.jsonl
         root = Path(__file__).resolve().parents[1]
@@ -213,9 +229,9 @@ class TestSuite:
         assert reports[0] == reports[1] and summaries[0] == summaries[1]
         rows = [json.loads(line) for line in reports[0].decode().splitlines()]
         assert [r["check"] for r in rows if "error" in r] == (
-            ["dwork"] * 2 + ["dwork-transform"] * 2 + ["hat"] * 4)
+            ["congruence-dwork"] * 2 + ["dwork-transform"] * 2 + ["congruence-hat"] * 4)
         assert [(r["params"]["p"], r["params"]["a"], r["params"]["c"])
-                for r in rows if r["check"] == "congruence-hat"] == [
+                for r in rows if r["check"] == "congruence-hat" and "error" not in r] == [
             ("2", "1/3", "1"), ("3", "1/2", "1")]
         # dwork and dwork-transform: a = 1/2 at p = 2 and a = 1/3 at p = 3;
         # hat: those two at c = 1 and c = 3, and the other two at c = 3
@@ -296,6 +312,15 @@ class TestSuite:
         rows = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         assert [r["error"] for r in rows] == ["ValueError: 4 is not prime"]
         assert "skipped" not in out
+
+    @pytest.mark.parametrize("check", list(cli.CHECKS))
+    def test_error_line_names_the_check_as_its_report_lines_do(self, check):
+        # a reader keys cells by check and params: an error cell and a
+        # passing cell of one check carry the same name
+        _, passed, line = cli._cell_outcome((check, 3, Fraction(1, 2), 1, 1, Fraction(4)))
+        error, _, error_line = cli._cell_outcome((check, 4, Fraction(1, 4), 1, 1, Fraction(4)))
+        assert passed and error
+        assert json.loads(error_line)["check"] == json.loads(line)["check"]
 
     def test_error_line_params_are_strings(self, capsys):
         # report lines and error lines write every parameter as a string
@@ -605,8 +630,7 @@ class TestTableBytes:
                           "--c", "-2", "--prec", "4", "--format", fmt, "--out", str(out),
                           "--points", *points], capsys)
         values = beta_values([Fraction(v) for v in points], self.P, FrobeniusSpec(Fraction(-2)), 4)
-        rows = [{"lambda": v, "residue": b.residue, "prec": b.prec}
-                for v, b in zip(points, values)]
+        rows = [{"lambda": v, "residue": b, "prec": 4} for v, b in zip(points, values)]
         assert code == EXIT_PASS
         assert out.read_bytes() == _old_rendering(rows, fmt).encode()
 
@@ -616,8 +640,17 @@ class TestTableBytes:
         lambdas = [Fraction(-7, 4), Fraction(1, 2), Fraction(-3), Fraction(0)]
         cli.emit_table("beta", self.P, Fraction(-2), 0, 4, fmt, None, lambdas)
         frob = FrobeniusSpec(Fraction(-2))
-        rows = [{"lambda": str(lam), "residue": b.residue, "prec": b.prec}
-                for lam in lambdas for b in [beta_values([lam], self.P, frob, 4)[0]]]
+        rows = [{"lambda": str(lam), "residue": beta_values([lam], self.P, frob, 4)[0], "prec": 4}
+                for lam in lambdas]
+        assert capsys.readouterr().out == _old_rendering(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_beta_table_past_one_chunk(self, fmt, capsys):
+        # signed and slashed keys on both sides of a chunk boundary
+        lambdas = [Fraction((-1) ** i * i, 1 + 3 * (i % 5)) for i in range(cli._ROWS + 2)]
+        cli.emit_table("beta", self.P, Fraction(-2), 0, 4, fmt, None, lambdas)
+        values = beta_values(lambdas, self.P, FrobeniusSpec(Fraction(-2)), 4)
+        rows = [{"lambda": str(lam), "residue": b, "prec": 4} for lam, b in zip(lambdas, values)]
         assert capsys.readouterr().out == _old_rendering(rows, fmt)
 
     def test_beta_table_without_points_is_an_input_error(self, capsys):
@@ -646,9 +679,8 @@ class TestTableBytes:
                 "--p", "3", "--c", "-2", "--prec", "4"]
         code, out, _ = run(argv + ["--points", *self.POINTS], capsys)
         frob = twist_pair(Fraction(-2))[hat]
-        rows = [{"lambda": v, "residue": b.residue, "prec": b.prec}
-                for v in self.POINTS
-                for b in [beta_values([Fraction(v)], self.P, frob, 4, hat=hat)[0]]]
+        rows = [{"lambda": v, "residue": beta_values([Fraction(v)], self.P, frob, 4, hat=hat)[0],
+                 "prec": 4} for v in self.POINTS]
         assert code == EXIT_PASS and out == _old_rendering(rows, "json")
 
 

@@ -59,14 +59,14 @@ class TestBeta:
                 if b % 3 == 0:
                     continue
                 got = beta_values([Fraction(b)], P, frob, 2)[0]
-                assert got == embed_rational(Fraction(1, b), 3, 2)
+                assert got == embed_rational(Fraction(1, b), 3, 2).residue
 
     def test_hat_at_minus_b_minus_a(self):
         P = params(Fraction(1, 2))
         frob = FrobeniusSpec(Fraction(1), SIGMA_HAT)
         for b in (1, 2):
             got = beta_values([-b - P.a], P, frob, 2, hat=True)[0]
-            assert got == embed_rational(Fraction(-1, b), 3, 2)
+            assert got == embed_rational(Fraction(-1, b), 3, 2).residue
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_unit_lambda_reads_no_table(self, p):
@@ -89,8 +89,8 @@ class TestBeta:
                     frob, frob_hat = twist_pair(c)
                     betas = beta_values(lams, P, frob, n)
                     hats = beta_values([-lam - a for lam in lams], P, frob_hat, n, hat=True)
-                    assert [b.residue for b in betas] == inverses
-                    assert [b.residue for b in hats] == [-x % m for x in inverses]
+                    assert betas == inverses
+                    assert hats == [-x % m for x in inverses]
                     ks = [k for k in range(1, 60) if k % p]
                     assert _quotients(P, [("B/A", frob, ks)], n)[0] == [pow(k, -1, m) for k in ks]
                     d, num = a.denominator, a.numerator
@@ -100,8 +100,7 @@ class TestBeta:
 
     def test_zero_at_a1(self):
         P = params(1)
-        got = beta_values([Fraction(0)], P, FrobeniusSpec(Fraction(1)), 2)[0]
-        assert got.residue == 0
+        assert beta_values([Fraction(0)], P, FrobeniusSpec(Fraction(1)), 2) == [0]
 
     def test_witness_independence(self):
         # the witness shifted by p^n gives the same ratio mod p^n
@@ -112,7 +111,7 @@ class TestBeta:
                 k = witness_for(lam, 3, 2)
                 kind = "Bhat/A" if hat else "B/A"
                 first, shifted = _quotients(P, [(kind, frob, [k, k + 9])], 2)[0]
-                assert first == shifted == beta_values([lam], P, frob, 2, hat=hat)[0].residue
+                assert first == shifted == beta_values([lam], P, frob, 2, hat=hat)[0]
 
     def test_rejects_c_outside_one_plus_p(self):
         for hat in (False, True):

@@ -101,6 +101,24 @@ class TestExactDivide:
         out = x.exact_divide(Fraction(1, 3))
         assert out.prec == 3 and out.residue == 3
 
+    @pytest.mark.parametrize("d", [6, -7, 5, Fraction(3, 2), Fraction(-2, 9), Fraction(4, 5)])
+    def test_builds_no_fraction(self, d, monkeypatch):
+        # the divisor is split into p-part and unit as integers: 3 in the
+        # numerator, in the denominator, or in neither
+        x = embed_rational(Fraction(9, 7), 3, 5)
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(new(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        out = x.exact_divide(d)
+        monkeypatch.undo()
+        assert built == []
+        assert out == embed_rational(Fraction(9, 7) / d, 3, 5 - vp(d, 3))
+
     @given(frac(), st.integers(1, 40), PRIMES)
     def test_round_trip(self, x, d, p):
         if x.denominator % p == 0 or Fraction(d).numerator % p == 0:
