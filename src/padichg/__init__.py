@@ -11,7 +11,6 @@ from .padic import (
     embed_rational,
     iwasawa_log,
     parse_rational,
-    vp,
 )
 from .series import TruncSeries, polymul
 from .hyper import (

@@ -497,9 +497,9 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
     return out
 
 
-def hg_series(params: HGParams, order: int, prec: int, level: int = 0) -> list[int]:
-    """F at the given Dwork-prime level, truncated at t^order."""
-    return _quotients(params, [("A", level, range(order))], prec)[0]
+def hg_series(params: HGParams, order: int, prec: int) -> list[int]:
+    """F truncated at t^order; a later Dwork level is a `_quotients` "A" request."""
+    return _quotients(params, [("A", 0, range(order))], prec)[0]
 
 
 def b0_constant(params: HGParams, frob: FrobeniusSpec, prec: int) -> Padic:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -69,14 +69,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(str(text).strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def vp(x: Rational, p: int) -> Optional[int]:
-    """p-adic valuation of a rational; None for x = 0 (infinite)."""
-    x = Fraction(x)
-    if x == 0:
-        return None
-    return split_p(x.numerator, p)[0] - split_p(x.denominator, p)[0]
 
 
 def split_p(x: int, p: int) -> tuple[int, int]:

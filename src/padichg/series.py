@@ -95,19 +95,6 @@ def first_nonzero(pairs: Sequence[tuple], modulus: int, n_out: int) -> Optional[
     return next(compress(count(), _slots(pairs, modulus, n_out)), None)
 
 
-def polymul_spread(a: Sequence[int], b: Sequence[int], p: int, modulus: int,
-                   n_out: int) -> list[int]:
-    """Coefficients 0..n_out-1 of a(t)*b(t^p) mod modulus.
-
-    Class r mod p of the product is class r of a times b, so the product
-    is p `polymul` calls on vectors 1/p as long, and the zeros of b(t^p)
-    are never packed."""
-    out = [0] * n_out
-    for r in range(min(p, n_out)):
-        out[r::p] = polymul(a[r::p], b, modulus, len(range(r, n_out, p)))
-    return out
-
-
 @dataclass(frozen=True)
 class TruncSeries:
     """A truncated power series with coefficients in Z/p^prec."""

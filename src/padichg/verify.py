@@ -30,7 +30,7 @@ from operator import add, mod, ne, neg
 from typing import Optional
 
 from .padic import NotDivisible, PadicError, PreconditionViolated, Rational, _residue
-from .series import _slots, first_nonzero, polymul_spread
+from .series import _slots, first_nonzero, polymul
 from .hyper import FrobeniusSpec, HGParams, _quotients, twist_pair
 from .interp import ratio_identity_holds, witness_for
 
@@ -141,17 +141,22 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     revQ = t^{p^n-p} Q(1/t^p).  revP(t) Q(t^p) = t^{2p^n-p-1} C(1/t) for
     C = P revQ, so one product C, computed as P(t) times (Q reversed)(t^p),
     gives both sides: C' = t^{p-1-l} C is an eps-palindrome of degree N =
-    2p^n-2-l, decided on the pairs (C'_k, C'_{N-k}), k <= N/2, read off C by
-    index.  eps is fitted at the first unit pair, then verified globally;
-    the expected value is (-1)^{sl} for odd p."""
+    2p^n-2-l, decided on the pairs (C'_k, C'_{N-k}), k <= N/2.  C is held as
+    its p classes mod p, one product each, and read by interleaving them
+    forward and backward.  eps is fitted at the first unit pair, then
+    verified globally; the expected value is (-1)^{sl} for odd p."""
     _require_modulus(n)
     p, l = params.p, params.l
     pn = q = p ** n  # q: the comparison modulus
     a_res, q_res = _quotients(params, [("A", 0, range(pn)), ("A", 1, range(pn // p))], n)
-    c = polymul_spread(a_res, q_res[::-1], p, q, 2 * pn - p)
+    # class r mod p of C is class r of P times Q reversed, 2p^{n-1} - 1 terms each
+    rev_q = q_res[::-1]
+    classes = [polymul(a_res[r::p], rev_q, q, 2 * len(rev_q) - 1) for r in range(p)]
 
     def sides():  # C'_k and C'_{N-k} for k <= N/2: C shifted by p-1-l, C reversed
-        return islice(chain(repeat(0, p - 1 - l), c), (2 * pn - l) // 2), reversed(c)
+        forward = chain.from_iterable(zip(*classes))
+        backward = chain.from_iterable(zip(*map(reversed, reversed(classes))))
+        return islice(chain(repeat(0, p - 1 - l), forward), (2 * pn - l) // 2), backward
 
     info = _params_dict(params, n=n, l=l)
     d, left, right = next(((d, x, y) for d, (x, y) in enumerate(zip(*sides())) if x % p or y % p),

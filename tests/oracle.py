@@ -52,10 +52,18 @@ from padichg import (
     hg_series,
     polymul,
     twist_pair,
-    vp,
 )
 from padichg import verify
-from padichg.padic import Rational, _residue
+from padichg.hyper import _quotients
+from padichg.padic import Rational, _residue, split_p
+
+
+def vp(x: Rational, p: int) -> Optional[int]:
+    """p-adic valuation of a rational; None for x = 0 (infinite)."""
+    x = Fraction(x)
+    if x == 0:
+        return None
+    return split_p(x.numerator, p)[0] - split_p(x.denominator, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +407,7 @@ def log_type_series(params, frob, order: int, prec: int) -> tuple[list[int], lis
     guard = max(((vp(k, p) or 0) for k in range(1, order)), default=0)
     w = prec + guard
     f_full = hg_series(params, order, w)
-    f1 = hg_series(params, ceil(order / p) if order else 1, w, level=1)
+    f1 = _quotients(params, [("A", 1, range(ceil(order / p) if order else 1))], w)[0]
     c_emb = embed_rational(c_eff(frob), p, w)
     f1_sigma = frobenius_substitute(TruncSeries(p, w, tuple(f1)), c_emb, order)
     m = p ** w

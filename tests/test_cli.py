@@ -228,6 +228,8 @@ class TestSuite:
             summaries.append(out)
         assert reports[0] == reports[1] and summaries[0] == summaries[1]
         rows = [json.loads(line) for line in reports[0].decode().splitlines()]
+        # 24 cells, more than the pool's chunks: some task carries several cells
+        assert len(rows) + 10 > 2 * cli._CHUNKS_PER_JOB
         assert [r["check"] for r in rows if "error" in r] == (
             ["congruence-dwork"] * 2 + ["dwork-transform"] * 2 + ["congruence-hat"] * 4)
         assert [(r["params"]["p"], r["params"]["a"], r["params"]["c"])
@@ -303,6 +305,16 @@ class TestSuite:
         assert err == "config error: repeated p value 3\n"
         with pytest.raises(ConfigInvalid, match="repeated a value 1/2"):
             SuiteConfig(checks=["dwork"], a_list=[Fraction(1, 2), Fraction(2, 4)]).validate()
+
+    def test_unwritable_out_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        # the report path is opened before the first cell runs
+        ran = []
+        monkeypatch.setattr(cli, "_cell_outcome", ran.append)
+        code, out, err = run(["suite", "--check", "main-congruence", "--p", "5", "--n", "7",
+                              "--a", "1/2", "--c", "6",
+                              "--out", str(tmp_path / "missing" / "r.jsonl")], capsys)
+        assert code == EXIT_CONFIG and out == "" and not ran
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_non_prime_is_an_error_line(self, capsys):
         # p = 4 is no prime, whatever a is: an error line, not a skipped cell
@@ -548,6 +560,12 @@ class TestTable:
                                capsys)
             assert code == EXIT_CONFIG and len(err.splitlines()) == 1
         assert not fresh.exists() and kept.read_text() == "earlier\n"
+
+    def test_empty_out_is_an_input_error(self, capsys):
+        # an empty path names no file: it does not mean stdout
+        code, out, err = run(["table", "--kind", "A", "--a", "1/2", "--p", "3", "--out", ""],
+                             capsys)
+        assert code == EXIT_CONFIG and out == "" and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "A", "--count", "2", "--prec", "9100"],

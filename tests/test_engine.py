@@ -27,13 +27,12 @@ from padichg import (
     check_integrality,
     embed_rational,
     hg_series,
-    vp,
     witness_for,
 )
 from padichg import cli, hyper
 from padichg.padic import ratio_valuations, split_p
 
-from oracle import b0_exact, b_exact, bhat_approx, coeff_exact, pochhammer, ratio_at
+from oracle import b0_exact, b_exact, bhat_approx, coeff_exact, pochhammer, ratio_at, vp
 
 GRID_A = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 # the grid's a and 1 - a
@@ -81,7 +80,7 @@ class TestAgainstOracle:
     @given(cases(), st.integers(1, 300), st.sampled_from([0, 1]))
     def test_a_and_a1(self, case, count, level):
         P, _, prec = case
-        got = hg_series(P, count, prec, level=level)
+        got = hyper._quotients(P, [("A", level, range(count))], prec)[0]
         assert got == embedded((coeff_exact(P, k, level) for k in range(count)), P.p, prec)
 
     @SLOW
@@ -567,8 +566,8 @@ class TestGuards:
             return [r % m for r in residues]
 
         assert reduced(hg_series(P, count, prec + 3)) == hg_series(P, count, prec)
-        assert reduced(hg_series(P, count, prec + 3, level=1)) == \
-            hg_series(P, count, prec, level=1)
+        f1 = [("A", 1, range(count))]
+        assert reduced(hyper._quotients(P, f1, prec + 3)[0]) == hyper._quotients(P, f1, prec)[0]
         assert reduced(b_coefficients(P, frob, count, prec + 3)) == \
             b_coefficients(P, frob, count, prec)
         assert reduced(bhat_coefficients(P, frob, count, prec + 3)) == \
@@ -655,7 +654,7 @@ def test_one_walk_per_dwork_level(check):
 
 @pytest.mark.parametrize("build,levels", [
     (lambda P, frob: hg_series(P, 40, 3), (0,)),
-    (lambda P, frob: hg_series(P, 40, 3, level=1), (1,)),
+    (lambda P, frob: hyper._quotients(P, [("A", 1, range(40))], 3)[0], (1,)),
     (lambda P, frob: b_coefficients(P, frob, 40, 3), (0, 1)),
     (lambda P, frob: bhat_coefficients(P, frob, 40, 3), (0, 1)),
     (lambda P, frob: b0_constant(P, frob, 3), (0, 1)),

@@ -148,14 +148,14 @@ class TestLevels:
                                        (Fraction(2, 3), 5, 2)])
     def test_level_of_one_period_is_level_zero(self, a, p, s):
         P = HGParams.create(a, s, p)
-        assert hg_series(P, 30, 5, level=P.period) == hg_series(P, 30, 5)
+        assert _quotients(P, [("A", P.period, range(30))], 5)[0] == hg_series(P, 30, 5)
 
     @pytest.mark.parametrize("a,p", [(Fraction(1, 1000), 3), (Fraction(1, 101), 2)])
     def test_level_past_64_steps(self, a, p):
         P, prec = HGParams.create(a, 1, p), 5
         b = dwork_chain_exact(a, p)[3][70]
         expect = [embed_rational(x, p, prec).residue for x in exact_a_table(params(b, 1, p), 30)]
-        assert hg_series(P, 30, prec, level=70) == expect
+        assert _quotients(P, [("A", 70, range(30))], prec)[0] == expect
 
 
 class TestTruncationPair:
@@ -163,13 +163,13 @@ class TestTruncationPair:
 
     def test_p2_a1(self):
         P = HGParams.create(1, 1, 2)
-        f, g = hg_series(P, 2, 3), hg_series(P, 1, 3, level=1)
+        f, g = _quotients(P, [("A", 0, range(2)), ("A", 1, range(1))], 3)
         assert f == [1, 1]
         assert g == [1]
 
     def test_a1_odd_p(self):
         P = params(1, p=5)
-        f, g = hg_series(P, 25, 2), hg_series(P, 5, 2, level=1)
+        f, g = _quotients(P, [("A", 0, range(25)), ("A", 1, range(5))], 2)
         assert len(f) == 25 and len(g) == 5
         assert set(f) == {1}
 
@@ -346,6 +346,6 @@ class TestCoefficientTables:
     def test_series_matches_table(self):
         P = params(Fraction(2, 3), s=2, p=5)
         for level in (0, 1):
-            f = hg_series(P, 6, 3, level=level)
+            f = _quotients(P, [("A", level, range(6))], 3)[0]
             assert f == [embed_rational(coeff_exact(P, k, level), 5, 3).residue
                          for k in range(6)]

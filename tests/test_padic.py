@@ -16,13 +16,12 @@ from padichg import (
     embed_rational,
     iwasawa_log,
     parse_rational,
-    vp,
 )
 
 from padichg.padic import _residue
 
 from oracle import (braced_product, braced_table, c_power_frac, dwork_chain_exact,
-                    iwasawa_log_exact, pochhammer)
+                    iwasawa_log_exact, pochhammer, vp)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 

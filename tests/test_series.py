@@ -15,7 +15,7 @@ from padichg import (
     polymul,
 )
 from padichg import series
-from padichg.series import first_nonzero, polymul_spread
+from padichg.series import first_nonzero
 
 from oracle import (
     NonzeroConstantTerm,
@@ -202,42 +202,6 @@ class TestFirstNonzero:
     ])
     def test_edge_cases(self, pairs, n_out, expect):
         assert first_nonzero(pairs, 27, n_out) == expect
-
-
-def spread(b, p):
-    """b(t^p) as a dense coefficient list."""
-    out = [0] * (p * (len(b) - 1) + 1) if b else []
-    out[::p] = b
-    return out
-
-
-class TestPolymulSpread:
-    """a(t) b(t^p), one product per class mod p, against `polymul` on the
-    explicitly spread b."""
-
-    @settings(max_examples=200)
-    @given(PRIMES.flatmap(lambda p: st.integers(0, 10).flatmap(lambda e: st.tuples(
-        st.just(p), st.just(p ** e),
-        st.lists(st.integers(0, p ** e - 1), max_size=20),
-        st.lists(st.integers(0, p ** e - 1), max_size=8)))).flatmap(
-            lambda c: st.tuples(st.just(c), st.integers(0, len(c[2]) + c[0] * len(c[3]) + 3))))
-    def test_matches_polymul_on_spread(self, case):
-        (p, modulus, a, b), n_out = case
-        assert polymul_spread(a, b, p, modulus, n_out) == polymul(a, spread(b, p), modulus, n_out)
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_cut_below_p_inside_and_past_the_product(self, p):
-        m = p ** 4
-        a = [(7 * i + 3) % m for i in range(11)]
-        b = [m - 1 - i for i in range(4)]
-        full = len(a) + p * (len(b) - 1)  # length of the exact product
-        for n_out in (0, 1, p - 1, full // 2, full - 1, full, full + p + 2):
-            got = polymul_spread(a, b, p, m, n_out)
-            assert got == polymul(a, spread(b, p), m, n_out)
-            assert len(got) == n_out
-
-    def test_step_one_is_polymul(self):
-        assert polymul_spread([1, 2, 3], [4, 5], 1, 7, 5) == polymul([1, 2, 3], [4, 5], 7, 5)
 
 
 class TestRingOps:

@@ -33,7 +33,6 @@ from padichg import (
     sweep_ratio,
     sweep_section,
     twist_pair,
-    vp,
     witness_for,
 )
 from padichg import cli, hyper, series, verify
@@ -58,6 +57,7 @@ from oracle import (
     section_sums_exact,
     section_sweep_failure,
     section_sweep_lists,
+    vp,
 )
 
 
@@ -282,7 +282,7 @@ CHECK_TABLES = {
 
 class TestPackedSumAgainstListRoute:
     """Each check decided on one packed sum (the transform: read off its
-    one product by index) against the oracle's list route, which forms
+    class products mod p) against the oracle's list route, which forms
     every product as a list and compares coefficient by coefficient, on
     clean tables and on tables with one entry shifted by p^j, with the
     word path and the decimal path each forced: every report byte must
