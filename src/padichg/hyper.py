@@ -29,8 +29,9 @@ product: one polynomial over a block of p^e terms, truncated at the degree
 past which the giant steps vanish mod p^w, evaluated at every block.  A
 gap of J indices then costs about sqrt(J) Python steps times a small
 degree.  The twist c^{a'} of Bhat is one modular power.  Tables are built
-per call; nothing is cached.  No coefficient is formed as an exact
-rational: the exact routes to A_k, B_k and Bhat_k are test oracles.
+per call, or per union of calls (`_quotient_calls`); nothing is cached.  No
+coefficient is formed as an exact rational: the exact routes to A_k, B_k
+and Bhat_k are test oracles.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, chain
 from math import prod
 from operator import add
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .padic import (
     NotDivisible,
@@ -495,6 +496,52 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
             nums[:0] = out.pop()
         out.append(nums)
     return out
+
+
+def _quotient_calls(calls: Sequence[tuple], limit: int) -> list[Callable[[], list]]:
+    """A build per `_quotients` call (params, requests, prec): it returns the
+    call's tables or raises what the call raises.  Two or more calls with
+    one params object and one prec whose union holds at most limit entries
+    share one call: per (kind, tag), the widest span of their ranges of
+    step 1, off which each request inside it is read, and the other
+    requests as they are.  If that call raises, each build makes its own."""
+    builds = [partial(_quotients, *call) for call in calls]
+    groups: dict[tuple, list[int]] = {}  # by params (by identity: it hashes slowly) and prec
+    for i, (params, _, prec) in enumerate(calls):
+        groups.setdefault((id(params), prec), []).append(i)
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        params, _, prec = calls[members[0]]
+        widest: dict[tuple, list] = {}  # by (kind, tag): [start, stop] of its span
+        reads = [[(widest.setdefault(request[:2], [sys.maxsize, 0]), request)
+                  for request in calls[i][1]] for i in members]
+        for span, (_, _, ks) in chain.from_iterable(reads):
+            if isinstance(ks, range) and ks.step == 1 and ks:
+                span[:] = min(span[0], ks.start), max(span[1], ks.stop)
+
+        def inside(span, request):  # whether the span holds every k of a nonempty request
+            ks = request[2]
+            ends = (ks[0], ks[-1]) if isinstance(ks, range) and ks else ks
+            return bool(ks) and span[0] <= min(ends) and max(ends) < span[1]
+
+        spans = [(*key, range(*span)) for key, span in widest.items() if span[0] < span[1]]
+        own = [request for span, request in chain.from_iterable(reads) if not inside(span, request)]
+        if sum(len(r) for *_, r in spans) + sum(len(ks) for *_, ks in own) > limit:
+            continue
+        try:
+            tables = _quotients(params, spans + own, prec)
+        except Exception:  # noqa: BLE001 - each call then raises, or not, on its own
+            continue
+        for span, table in zip((s for s in widest.values() if s[0] < s[1]), tables):
+            span.append(table)
+        rest = iter(tables[len(spans):])
+        for i, call in zip(members, reads):
+            # a span's table is read as a walk of one run
+            got = [_read(([span[0]], [-span[0]]), span[2], request[2])
+                   if inside(span, request) else next(rest) for span, request in call]
+            builds[i] = lambda got=got: got
+    return builds
 
 
 def hg_series(params: HGParams, order: int, prec: int) -> list[int]:

@@ -10,24 +10,26 @@ table, and raises PreconditionViolated outside them: n >= 1, a in
 HGParams, c in 1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check
 that reads the hatted side.  The suite runner skips the cells whose
 checker raises it.
-Each check the suite names has one entry point here, which takes all
-its coefficient tables from one `_quotients` call.  A congruence sum
-f_i g_i ≡ 0 on coefficients (main, relations, section sums) is decided
-on one packed sum with no list of a product, and a failure is
-recomputed at its index as dot products; a statement and its mirror
-image are read once.  The braced sweep decides its pairs class by class
-mod p^n.
+Each check the suite names has one entry point here; one that reads
+tables is a step (`_stepped`) that yields its one `_quotients` call, so a
+runner can start steps (`_start`), build their calls together and finish
+each (`_finish`).  A congruence sum f_i g_i ≡ 0 on coefficients (main,
+relations, section sums) is decided on one packed sum with no list of a
+product, and a failure is recomputed at its index as dot products; a
+statement and its mirror image are read once.  The braced sweep decides
+its pairs class by class mod p^n.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mod, ne, neg
-from typing import Optional
+from typing import Callable, Generator, Optional
 
 from .padic import NotDivisible, PadicError, PreconditionViolated, Rational, _residue
 from .series import _slots, first_nonzero, polymul
@@ -59,6 +61,42 @@ def _params_dict(params: HGParams, **extra) -> dict:
     return {"a": params.a, "s": params.s, "p": params.p, **extra}
 
 
+def _stepped(steps: Callable[..., Generator]) -> Callable[..., CheckReport]:
+    """The checker whose step is steps(*args): a generator that yields the
+    arguments (params, requests, prec) of one `_quotients` call and returns
+    its report from the tables sent back.  The checker makes that call with
+    the module's `_quotients` as it is when the checker runs."""
+    @functools.wraps(steps)
+    def checker(*args, **kwargs) -> CheckReport:
+        step = steps(*args, **kwargs)
+        return _finish(step, functools.partial(_quotients, *next(step)))
+    checker.steps = steps
+    return checker
+
+
+def _start(checker: Callable, *args):
+    """(the checker's step, started, and the call it yields), or the report
+    of a checker with no steps."""
+    if not hasattr(checker, "steps"):
+        return checker(*args)
+    step = checker.steps(*args)
+    return step, next(step)
+
+
+def _finish(step: Generator, build: Callable[[], list]) -> CheckReport:
+    """The report of a started step, sent the tables build() returns (each
+    dropped from their list as the step takes it) or thrown what it raises."""
+    try:
+        try:
+            tables = build()
+        except Exception as exc:  # noqa: BLE001 - the step decides what it raises
+            step.throw(exc)
+        else:
+            step.send(map(tables.pop, [0] * len(tables)))
+    except StopIteration as done:  # a step yields once
+        return done.value
+
+
 def _require_modulus(n: int) -> None:
     """Mod p^0 every residue is 0, so a check at n < 1 would pass vacuously."""
     if n < 1:
@@ -69,6 +107,7 @@ def _require_modulus(n: int) -> None:
 # congruence relations (Dwork / logarithmic / hat)
 
 
+@_stepped
 def check_congruence_relation(kind: str, params: HGParams, frob: Optional[FrobeniusSpec],
                               n: int, M: Optional[int] = None) -> CheckReport:
     """The congruence N/D ≡ [N]_{<p^n}/[D]_{<p^n} mod p^n, in the
@@ -107,7 +146,7 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
     step = p if kind == "dwork" else 1
     other = (("A", 1, range(-(-M // p))) if kind == "dwork" else
              ("G" if kind == "log" else "Bhat", frob, range(M)))
-    tables = [array("Q", t) for t in _quotients(params, [("A", 0, range(M)), other], n_eff)]
+    tables = [array("Q", t) for t in (yield params, [("A", 0, range(M)), other], n_eff)]
     num, g = tables if kind == "dwork" else tables[::-1]
 
     q = p ** n_eff
@@ -132,6 +171,7 @@ def check_congruence_relation(kind: str, params: HGParams, frob: Optional[Froben
 # Dwork transformation formula
 
 
+@_stepped
 def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     """Cross-multiplied truncated form of F-Dw(t) = eps ((-1)^s t)^l F-Dw(1/t):
 
@@ -148,7 +188,7 @@ def check_dwork_transformation(params: HGParams, n: int) -> CheckReport:
     _require_modulus(n)
     p, l = params.p, params.l
     pn = q = p ** n  # q: the comparison modulus
-    a_res, q_res = _quotients(params, [("A", 0, range(pn)), ("A", 1, range(pn // p))], n)
+    a_res, q_res = yield params, [("A", 0, range(pn)), ("A", 1, range(pn // p))], n
     # class r mod p of C is class r of P times Q reversed, 2p^{n-1} - 1 terms each
     rev_q = q_res[::-1]
     classes = [polymul(a_res[r::p], rev_q, q, 2 * len(rev_q) - 1) for r in range(p)]
@@ -234,13 +274,14 @@ def sweep_braced(params: HGParams, n: int) -> CheckReport:
 # beta pairing
 
 
+@_stepped
 def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
     """beta_lambda + beta-hat_{-lambda-a} ≡ 0 mod p^n at lambda = p·i for
     i < p^{min(n,4)-1} and at -1-a if it is in pZ_p (at a unit lambda both
     are 1/k and 1/(k + a) whatever A holds), with beta along sigma and
     beta-hat along sigma-hat; the first failing lambda is reported.  They
-    are B_k/A_k and Bhat_k/A_k at their witnesses (`witness_for`), from one
-    `_quotients` call.  Both need c in 1 + qW."""
+    are B_k/A_k and Bhat_k/A_k at their witnesses (`witness_for`), read in one
+    step.  Both need c in 1 + qW."""
     _require_modulus(n)
     frob, frob_hat = twist_pair(c)
     p = params.p
@@ -252,7 +293,7 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
     ks = [witness_for(lam, p, n) for lam in lambdas]
     r_a = _residue(params.a, p, pn)
     ks_hat = [witness_for(-k - r_a, p, n) for k in ks]  # the witness of -lambda - a
-    betas, beta_hats = _quotients(params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks_hat)], n)
+    betas, beta_hats = yield params, [("B/A", frob, ks), ("Bhat/A", frob_hat, ks_hat)], n
     for lam, b, bh in zip(lambdas, betas, beta_hats):
         if (b + bh) % pn:
             info = _params_dict(params, n=n, c=frob.c, lam=lam)
@@ -267,6 +308,7 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
 # coefficient-sum lemma (section congruence)
 
 
+@_stepped
 def sweep_section(params: HGParams, n: int) -> CheckReport:
     """s1 ≡ s2 mod p^{d+1} for d <= n, k < p^{n-d} and m < p^n: the sums of
     A_i A_{p^n-1-j} over i + j = m with i ≡ k (s1) or p^n-1-j ≡ r = -k-a (s2)
@@ -276,7 +318,7 @@ def sweep_section(params: HGParams, n: int) -> CheckReport:
     _require_modulus(n)
     p = params.p
     pn = p ** n
-    a_res = _quotients(params, [("A", 0, range(pn))], n + 1)[0]
+    a_res, = yield params, [("A", 0, range(pn))], n + 1
     for d in range(n + 1):
         cls, q = p ** (n - d), p ** (d + 1)
         level = [x % q for x in a_res]  # reduced once for every class k
@@ -310,6 +352,7 @@ def sweep_section(params: HGParams, n: int) -> CheckReport:
 # main theorem congruence
 
 
+@_stepped
 def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     """sum_{i+j=m} B_i A_{p^n-j-1} + Bhat_{p^n-j-1} A_i ≡ 0 mod p^n for
     every m in [0, 2(p^n-1)]; B along sigma, Bhat along sigma-hat, with c
@@ -319,7 +362,7 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     frob.validate(params.p, require_q=True)
     q = params.p ** n
     # as 8-byte words, a fifth of their size as ints, under the products' peak
-    a, b, bhat = (array("Q", t) for t in _quotients(params, [
+    a, b, bhat = (array("Q", t) for t in (yield params, [
         ("A", 0, range(q)), ("G", frob, range(q)), ("Bhat", frob_hat, range(q))], n))
     # the sums over i + j = m are the coefficients of B rev(A) + rev(Bhat) A
     m = first_nonzero([(b, a[::-1]), (bhat[::-1], a)], q, 2 * q - 1)
@@ -346,10 +389,11 @@ def sweep_ratio(params: HGParams) -> CheckReport:
     return CheckReport(check="ratio-identity", params=info, passed=True, modulus=0)
 
 
+@_stepped
 def check_ratio_interpolation(params: HGParams, c: Rational, n: int) -> CheckReport:
     """B_k/A_k and Bhat_k/A_k agree mod p^n at k and k + p^n for every
     k = 1, ..., p^n, with c in 1 + qW; both are read at k = 1, ..., 2p^n
-    from one `_quotients` call."""
+    in one step."""
     _require_modulus(n)
     frob, frob_hat = twist_pair(c)
     frob.validate(params.p, require_q=True)
@@ -357,8 +401,8 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int) -> CheckRep
     pn = p ** n
     info = _params_dict(params, n=n, c=frob.c, k_max=2 * pn)
     ks = range(1, 2 * pn + 1)
-    sides = list(zip((False, True), _quotients(params, [("B/A", frob, ks),
-                                                         ("Bhat/A", frob_hat, ks)], n)))
+    sides = list(zip((False, True), (yield params, [("B/A", frob, ks),
+                                                     ("Bhat/A", frob_hat, ks)], n)))
     for k in range(1, pn + 1):
         for hat, ratios in sides:
             left, right = ratios[k - 1], ratios[k - 1 + pn]
@@ -371,6 +415,7 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int) -> CheckRep
     return CheckReport(check="interpolation", params=info, passed=True, modulus=n)
 
 
+@_stepped
 def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
     """Every B_k and Bhat_k for k <= 2 p^n is p-integral, with c in 1 + qW;
     a non-integral value surfaces as a failed exact division (NotDivisible)."""
@@ -381,7 +426,7 @@ def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
     count = 2 * params.p ** n + 1
     info = _params_dict(params, n=n, c=frob.c)
     try:
-        _quotients(params, [("G", frob, range(count)), ("Bhat", frob_hat, range(count))], n)
+        yield params, [("G", frob, range(count)), ("Bhat", frob_hat, range(count))], n
     except NotDivisible as exc:
         return CheckReport(check="integrality", params=info, passed=False, modulus=n,
                            first_failure={"error": str(exc)})

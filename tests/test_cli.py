@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 from fractions import Fraction
+from functools import partial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padichg import (
     FrobeniusSpec,
@@ -21,7 +25,7 @@ from padichg import (
     hg_series,
     twist_pair,
 )
-from padichg import cli
+from padichg import cli, hyper
 from padichg.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -33,6 +37,7 @@ from padichg.cli import (
     main,
     run_suite,
 )
+from padichg.padic import PreconditionViolated
 
 
 @pytest.fixture
@@ -297,7 +302,7 @@ class TestSuite:
     def test_repeated_value_runs_no_cell(self, capsys, monkeypatch):
         # one cell four times over would write four identical lines
         ran = []
-        monkeypatch.setattr(cli, "_cell_outcome", ran.append)
+        monkeypatch.setattr(cli, "_point_outcomes", ran.append)
         code, out, err = run(["suite", "--check", "dwork", "dwork", "--p", "3", "3",
                               "--n", "1"], capsys)
         assert code == EXIT_CONFIG and out == "" and not ran
@@ -309,7 +314,7 @@ class TestSuite:
     def test_unwritable_out_runs_no_cell(self, tmp_path, capsys, monkeypatch):
         # the report path is opened before the first cell runs
         ran = []
-        monkeypatch.setattr(cli, "_cell_outcome", ran.append)
+        monkeypatch.setattr(cli, "_point_outcomes", ran.append)
         code, out, err = run(["suite", "--check", "main-congruence", "--p", "5", "--n", "7",
                               "--a", "1/2", "--c", "6",
                               "--out", str(tmp_path / "missing" / "r.jsonl")], capsys)
@@ -329,8 +334,9 @@ class TestSuite:
     def test_error_line_names_the_check_as_its_report_lines_do(self, check):
         # a reader keys cells by check and params: an error cell and a
         # passing cell of one check carry the same name
-        _, passed, line = cli._cell_outcome((check, 3, Fraction(1, 2), 1, 1, Fraction(4)))
-        error, _, error_line = cli._cell_outcome((check, 4, Fraction(1, 4), 1, 1, Fraction(4)))
+        [(_, passed, line)], [(error, _, error_line)] = (cli._point_outcomes(
+            (cli._attempt(HGParams.create, a, 1, p), p, a, 1, 1, Fraction(4), [check]))
+            for p, a in ((3, Fraction(1, 2)), (4, Fraction(1, 4))))
         assert passed and error
         assert json.loads(error_line)["check"] == json.loads(line)["check"]
 
@@ -777,3 +783,134 @@ class TestRunSuiteApi:
         buf = io.StringIO()
         assert run_suite(cfg, stream=buf) == EXIT_PASS
         assert "braced" in buf.getvalue()
+
+
+# the breadth grids' values of a, and of c per p: 1, 1 + q, 1 - q, 1 + q^2
+# and 1/(1 + q), with q = 4 at p = 2
+BREADTH_A = [Fraction(v) for v in "1/2 1/3 2/3 1/4 3/4 1/5 1/6 5/6 1/7 3/7 1 2 7/3".split()]
+
+
+def breadth_c(p):
+    q = 4 if p == 2 else p
+    return [Fraction(1), Fraction(1 + q), Fraction(1 - q), Fraction(1 + q * q),
+            Fraction(1, 1 + q)]
+
+
+# a point (p, a, s, n, c) of the breadth grids; at p = 2 also c = 3, in
+# 1 + 2W only, at which log compares mod 2^{n-1} beside the checks mod 2^n
+POINTS = st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+    st.just(p), st.sampled_from(BREADTH_A), st.integers(1, 3), st.integers(1, 3),
+    st.sampled_from(breadth_c(p) + [Fraction(3)] * (p == 2))))
+
+
+def alone(check, p, a, s, n, c):
+    """The cell's line when its public checker runs alone: its report's JSON,
+    None when it is skipped, or its error."""
+    try:
+        return cli.CHECKS[check][0](HGParams.create(a, s, p), c, n).to_json()
+    except PreconditionViolated:
+        return None
+    except Exception as exc:  # noqa: BLE001 - an error cell
+        return f"{type(exc).__name__}: {exc}"
+
+
+def built(build):
+    """The tables build() returns, or the error it raises."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - compared as text
+        return f"{type(exc).__name__}: {exc}"
+
+
+def started_calls(p, a, s, n, c):
+    """The `_quotients` call of each check at the point whose step starts."""
+    params = cli._attempt(HGParams.create, a, s, p)
+    if isinstance(params, Exception):
+        return []
+    started = [cli._attempt(run, params, c, n, cli._start) for run, _, _ in cli.CHECKS.values()]
+    return [got[1] for got in started if isinstance(got, tuple)]
+
+
+class TestPointRunner:
+    """The suite runs the cells of each point (p, a, s, n, c) together: it
+    starts every cell's step, builds their tables as one `_quotients` union
+    per precision under an entry bound, and finishes each step."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(POINTS)
+    def test_each_line_is_its_checker_alone(self, point):
+        p, a, s, n, c = point
+        outcomes = cli._point_outcomes(
+            (cli._attempt(HGParams.create, a, s, p), *point, list(cli.CHECKS)))
+        got = [None if o is None else json.loads(o[2])["error"] if o[0] else o[2]
+               for o in outcomes]
+        assert got == [alone(check, *point) for check in cli.CHECKS]
+
+    @settings(deadline=None, max_examples=80)
+    @given(POINTS)
+    def test_each_call_gets_its_own_tables(self, point):
+        calls = started_calls(*point)
+        builds = hyper._quotient_calls(calls, 10 ** 9)
+        assert [built(build) for build in builds] == [
+            built(partial(hyper._quotients, *call)) for call in calls]
+
+    @pytest.mark.parametrize("limit,calls", [(cli._UNION_ENTRIES, 6), (0, 30)])
+    def test_one_call_per_point_and_precision(self, limit, calls, monkeypatch):
+        # p = 3, a = 1/2: every cell runs.  At c = 1 nine checks read tables,
+        # the section sums at n + 1 and the others at n; at c = 4 the six
+        # that read c, at n.  Under the bound: one call per (point,
+        # precision), 2 + 2 + 1 + 1; above it one per cell, 2 * (9 + 6)
+        made = []
+        original = hyper._quotients
+        monkeypatch.setattr(hyper, "_quotients", lambda *args: made.append(args[2]) or
+                            original(*args))
+        monkeypatch.setattr(cli, "_UNION_ENTRIES", limit)
+        cfg = SuiteConfig(p_list=[3], n_list=[1, 2], c_list=[Fraction(1), Fraction(4)],
+                          checks=list(cli.CHECKS), out=None)
+        buf = io.StringIO()
+        assert run_suite(cfg, stream=buf) == EXIT_PASS
+        assert len(made) == calls
+        lines = [line for line in buf.getvalue().splitlines() if line.startswith("{")]
+        assert len(lines) == 2 * 11 - 1 + 2 * 6  # the ratio identity reads no n
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_union_gives_each_cell_its_own_line(self, jobs, tmp_path, monkeypatch):
+        # A_18 is off by one in every walk, so at p = 3, n = 2 the numerator
+        # of B_18 is not divisible by 3^2: the union at c = 4, whose walk runs
+        # to integrality's 2p^n = 18, raises, and each call is then built on
+        # its own, as above the bound.  The pool's workers are forked with
+        # the patches in place
+        original = hyper._walk
+
+        def corrupt(a, p, runs, s, w):
+            out, at = original(a, p, runs, s, w), 0
+            for start, last in runs:
+                if start <= 18 <= last:
+                    out[at + 18 - start] += 1
+                at += last - start + 1
+            return out
+
+        made = []
+        quotients = hyper._quotients
+        monkeypatch.setattr(hyper, "_walk", corrupt)
+        monkeypatch.setattr(hyper, "_quotients", lambda *args: made.append(args[2]) or
+                            quotients(*args))
+        runs = []
+        for limit in (cli._UNION_ENTRIES, 0):
+            monkeypatch.setattr(cli, "_UNION_ENTRIES", limit)
+            out = tmp_path / f"{limit}.jsonl"
+            cfg = SuiteConfig(p_list=[3], a_list=[Fraction(1, 2)], n_list=[2],
+                              c_list=[Fraction(4)], checks=list(cli.CHECKS), out=str(out),
+                              jobs=jobs if limit else 1)
+            buf = io.StringIO()
+            runs.append((run_suite(cfg, stream=buf), buf.getvalue(), out.read_bytes(),
+                         len(made)))
+            made.clear()
+        # serially: at c = 1 a union at n and the section sums at n + 1, and
+        # at c = 4 the union, which raises, then each of the six calls; above
+        # the bound one call per cell, 3 + 6
+        assert runs[0][:3] == runs[1][:3] and runs[0][0] == EXIT_FAIL
+        assert (runs[0][3], runs[1][3]) == ((2 + 1 + 6) if jobs == 1 else 0, 3 + 6)
+        lines = [json.loads(line) for line in runs[0][2].decode().splitlines()]
+        [integrality] = [line for line in lines if line["check"] == "integrality"]
+        assert integrality["first_failure"] == {"error": "numerator not divisible by 3^2"}
