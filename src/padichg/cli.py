@@ -2,10 +2,11 @@
 
 The `suite` subcommand runs a Cartesian grid of congruence checks and
 writes a JSON-lines report: each cell returns its report line, and one key
-table layers flag over config file; the cells at one point (p, a, s, n, c)
-build their tables together (`_point_outcomes`).  `table` emits coefficient
-tables (A, B, Bhat) or the interpolated functions at chosen points (beta
-along sigma, beta-hat along sigma-hat, with the one constant c).
+table layers flag over config file.  A check's runner returns its call
+(checker, arguments); the cells at one point (p, a, s, n, c) start theirs
+and build their tables together (`_point_outcomes`).  `table` emits
+coefficient tables (A, B, Bhat) or the interpolated functions at chosen
+points (beta along sigma, beta-hat along sigma-hat, with the one constant c).
 """
 
 from __future__ import annotations
@@ -51,31 +52,24 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-def _call(checker: Callable, *args) -> CheckReport:
-    return checker(*args)
-
-
-# name -> (runner (params, c, n, go=_call) -> go(checker, its arguments),
+# name -> (runner (params, c, n) -> its call (checker, its arguments),
 # whether the check reads c, whether it reads n).  The checker decides which
 # cells it accepts.  Each runner looks its checker up by name when called,
 # so that a patched module attribute is the one that runs.
 CHECKS = {
-    "dwork": (lambda P, c, n, go=_call: go(check_congruence_relation, "dwork", P, None, n),
-              False, True),
-    "log": (lambda P, c, n, go=_call: go(check_congruence_relation, "log", P,
-                                         FrobeniusSpec(c), n), True, True),
-    "hat": (lambda P, c, n, go=_call: go(check_congruence_relation, "hat", P,
-                                         FrobeniusSpec(c), n), True, True),
-    "dwork-transform": (lambda P, c, n, go=_call: go(check_dwork_transformation, P, n),
-                        False, True),
-    "braced": (lambda P, c, n, go=_call: go(sweep_braced, P, n), False, True),
-    "beta-pairing": (lambda P, c, n, go=_call: go(sweep_beta_pairing, P, c, n), True, True),
-    "section-sums": (lambda P, c, n, go=_call: go(sweep_section, P, n), False, True),
-    "main-congruence": (lambda P, c, n, go=_call: go(check_main_congruence, P, c, n), True, True),
-    "ratio-identity": (lambda P, c, n, go=_call: go(sweep_ratio, P), False, False),
-    "integrality": (lambda P, c, n, go=_call: go(check_integrality, P, c, n), True, True),
-    "interpolation": (lambda P, c, n, go=_call: go(check_ratio_interpolation, P, c, n),
-                      True, True),
+    "dwork": (lambda P, c, n: (check_congruence_relation, "dwork", P, None, n), False, True),
+    "log": (lambda P, c, n: (check_congruence_relation, "log", P, FrobeniusSpec(c), n),
+            True, True),
+    "hat": (lambda P, c, n: (check_congruence_relation, "hat", P, FrobeniusSpec(c), n),
+            True, True),
+    "dwork-transform": (lambda P, c, n: (check_dwork_transformation, P, n), False, True),
+    "braced": (lambda P, c, n: (sweep_braced, P, n), False, True),
+    "beta-pairing": (lambda P, c, n: (sweep_beta_pairing, P, c, n), True, True),
+    "section-sums": (lambda P, c, n: (sweep_section, P, n), False, True),
+    "main-congruence": (lambda P, c, n: (check_main_congruence, P, c, n), True, True),
+    "ratio-identity": (lambda P, c, n: (sweep_ratio, P), False, False),
+    "integrality": (lambda P, c, n: (check_integrality, P, c, n), True, True),
+    "interpolation": (lambda P, c, n: (check_ratio_interpolation, P, c, n), True, True),
 }
 
 
@@ -116,14 +110,6 @@ class SuiteConfig:
                     raise ConfigInvalid(f"repeated {key} value {value}")
 
 
-# The most entries (terms requested) of a union that the cells at one point
-# build together.  At p = 5, a = 1/2, c = 6 for the six checks that read c
-# (Python 3.11, 2-vCPU Xeon VM): the union of 7,502 entries (n = 4) took
-# 4.3 ms against 7.9 ms for six calls, at the same peak RSS; 37,502 (n = 5)
-# 19 against 40 ms at a 4% higher peak, and 187,502 (n = 6) a 23% higher.
-_UNION_ENTRIES = 1 << 15
-
-
 def _attempt(fn: Callable, *args):
     """fn(*args), or the exception it raises: a cell's error is its outcome."""
     try:
@@ -137,14 +123,15 @@ def _point_outcomes(point: tuple) -> list[Optional[tuple[bool, bool, str]]]:
     params being the HGParams of (p, a, s) or what creating them raised:
     None when the checker raises PreconditionViolated (the cell is skipped),
     otherwise (error, passed, line), line being the report's JSON or, for
-    any other exception, an error record.  Every cell's step is started,
-    their tables are built together (`_quotient_calls`) and each finishes."""
+    any other exception, an error record.  Every cell's call is started
+    (`_start`), their tables are built together where a union serves them
+    (`_quotient_calls`) and each step finishes (`_finish`)."""
     params, p, a, s, n, c, checks = point
     ran = [params if isinstance(params, Exception) else
-           _attempt(CHECKS[check][0], params, c, n, _start) for check in checks]
+           _attempt(_start, *CHECKS[check][0](params, c, n)) for check in checks]
     waiting = [i for i, got in enumerate(ran) if isinstance(got, tuple)]
-    for i, build in zip(waiting, _quotient_calls([ran[i][1] for i in waiting], _UNION_ENTRIES)):
-        ran[i] = _attempt(_finish, ran[i][0], build)
+    for i, tables in zip(waiting, _quotient_calls([ran[i][1] for i in waiting])):
+        ran[i] = _attempt(_finish, *ran[i], tables)
     info = {"p": str(p), "a": str(a), "s": str(s), "n": str(n), "c": str(c)}
     return [None if isinstance(got, PreconditionViolated) else
             (False, got.passed, got.to_json()) if isinstance(got, CheckReport) else

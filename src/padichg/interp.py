@@ -32,7 +32,7 @@ def beta_values(lams: Sequence[Rational], params: HGParams, frob: FrobeniusSpec,
     only, B_k/A_k mod 2^n is not a function of k mod 2^n (k and k + 3·2^n
     differ at every k ≡ 2 mod 4), so no witness gives beta."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError("precision must be positive")
     frob.validate(params.p, require_q=True)
     ks = [witness_for(lam, params.p, n) for lam in lams]
     return _quotients(params, [("Bhat/A" if hat else "B/A", frob, ks)], n)[0]

@@ -13,7 +13,8 @@ checker raises it.
 Each check the suite names has one entry point here; one that reads
 tables is a step (`_stepped`) that yields its one `_quotients` call, so a
 runner can start steps (`_start`), build their calls together and finish
-each (`_finish`).  A congruence sum f_i g_i ≡ 0 on coefficients (main,
+each (`_finish`, the one place a step's own call is made, when no union
+served it).  A congruence sum f_i g_i ≡ 0 on coefficients (main,
 relations, section sums) is decided on one packed sum with no list of a
 product, and a failure is recomputed at its index as dot products; a
 statement and its mirror image are read once.  The braced sweep decides
@@ -64,12 +65,11 @@ def _params_dict(params: HGParams, **extra) -> dict:
 def _stepped(steps: Callable[..., Generator]) -> Callable[..., CheckReport]:
     """The checker whose step is steps(*args): a generator that yields the
     arguments (params, requests, prec) of one `_quotients` call and returns
-    its report from the tables sent back.  The checker makes that call with
-    the module's `_quotients` as it is when the checker runs."""
+    its report from the tables sent back (`_finish`)."""
     @functools.wraps(steps)
     def checker(*args, **kwargs) -> CheckReport:
         step = steps(*args, **kwargs)
-        return _finish(step, functools.partial(_quotients, *next(step)))
+        return _finish(step, next(step))
     checker.steps = steps
     return checker
 
@@ -83,12 +83,14 @@ def _start(checker: Callable, *args):
     return step, next(step)
 
 
-def _finish(step: Generator, build: Callable[[], list]) -> CheckReport:
-    """The report of a started step, sent the tables build() returns (each
-    dropped from their list as the step takes it) or thrown what it raises."""
+def _finish(step: Generator, call: tuple, tables: Optional[list] = None) -> CheckReport:
+    """The report of a started step, sent tables (each dropped from their list
+    as the step takes it) or, with tables None, those of its own call made with
+    the module's `_quotients` as it is then; what that raises is thrown in."""
     try:
         try:
-            tables = build()
+            if tables is None:
+                tables = _quotients(*call)
         except Exception as exc:  # noqa: BLE001 - the step decides what it raises
             step.throw(exc)
         else:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from fractions import Fraction
 from functools import partial
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from padichg import (
     hg_series,
     twist_pair,
 )
-from padichg import cli, hyper
+from padichg import cli, hyper, verify
 from padichg.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -596,10 +597,11 @@ class TestTable:
         assert len(str(3 ** 9012)) == 4300
 
     @pytest.mark.parametrize("prec", ["0", "-1"])
-    @pytest.mark.parametrize("kind", ["A", "B", "Bhat"])
+    @pytest.mark.parametrize("kind", ["A", "B", "Bhat", "beta", "beta-hat"])
     def test_prec_below_one_rejected(self, kind, prec, capsys):
+        points = ["--points", "1"] if kind.startswith("beta") else []
         code, out, err = run(["table", "--kind", kind, "--a", "1/2", "--p", "3",
-                              "--prec", prec], capsys)
+                              "--prec", prec, *points], capsys)
         assert code == EXIT_CONFIG and out == ""
         assert err == "error: precision must be positive\n"
 
@@ -807,7 +809,8 @@ def alone(check, p, a, s, n, c):
     """The cell's line when its public checker runs alone: its report's JSON,
     None when it is skipped, or its error."""
     try:
-        return cli.CHECKS[check][0](HGParams.create(a, s, p), c, n).to_json()
+        checker, *args = cli.CHECKS[check][0](HGParams.create(a, s, p), c, n)
+        return checker(*args).to_json()
     except PreconditionViolated:
         return None
     except Exception as exc:  # noqa: BLE001 - an error cell
@@ -827,7 +830,7 @@ def started_calls(p, a, s, n, c):
     params = cli._attempt(HGParams.create, a, s, p)
     if isinstance(params, Exception):
         return []
-    started = [cli._attempt(run, params, c, n, cli._start) for run, _, _ in cli.CHECKS.values()]
+    started = [cli._attempt(cli._start, *run(params, c, n)) for run, _, _ in cli.CHECKS.values()]
     return [got[1] for got in started if isinstance(got, tuple)]
 
 
@@ -849,12 +852,41 @@ class TestPointRunner:
     @settings(deadline=None, max_examples=80)
     @given(POINTS)
     def test_each_call_gets_its_own_tables(self, point):
+        # a call no union served (None) is built on its own, as the suite does
         calls = started_calls(*point)
-        builds = hyper._quotient_calls(calls, 10 ** 9)
-        assert [built(build) for build in builds] == [
+        with patch.object(hyper, "_UNION_ENTRIES", 10 ** 9):
+            unions = hyper._quotient_calls(calls)
+        assert [built(partial(hyper._quotients, *call)) if tables is None else tables
+                for call, tables in zip(calls, unions)] == [
             built(partial(hyper._quotients, *call)) for call in calls]
 
-    @pytest.mark.parametrize("limit,calls", [(cli._UNION_ENTRIES, 6), (0, 30)])
+    @pytest.mark.parametrize("extra,made", [(0, 1), (1, 2)])
+    def test_union_of_at_most_the_bound(self, extra, made, monkeypatch):
+        # the union of the two calls is A's widest span, range(size), and the
+        # list of A^(1), which lies in no span: the bound's entries plus
+        # extra.  At the bound one `_quotients` call serves both; one entry
+        # past it each step makes its own
+        P = HGParams.create(Fraction(1, 2), 1, 3)
+        size = hyper._UNION_ENTRIES - 2 + extra
+        calls = [(P, [("A", 0, range(size))], 1),
+                 (P, [("A", 0, range(5, 40)), ("A", 1, [7, 3])], 1)]
+        count = []
+        original = hyper._quotients
+        for module in (hyper, verify):
+            monkeypatch.setattr(module, "_quotients", lambda *args: count.append(args[2]) or
+                                original(*args))
+
+        def step(call):  # the step of one call: it returns the tables it is sent
+            return list((yield call))
+
+        got = []
+        for call, tables in zip(calls, hyper._quotient_calls(calls)):
+            started = step(call)
+            got.append(verify._finish(started, next(started), tables))
+        assert len(count) == made
+        assert got == [original(*call) for call in calls]
+
+    @pytest.mark.parametrize("limit,calls", [(hyper._UNION_ENTRIES, 6), (0, 30)])
     def test_one_call_per_point_and_precision(self, limit, calls, monkeypatch):
         # p = 3, a = 1/2: every cell runs.  At c = 1 nine checks read tables,
         # the section sums at n + 1 and the others at n; at c = 4 the six
@@ -862,9 +894,10 @@ class TestPointRunner:
         # precision), 2 + 2 + 1 + 1; above it one per cell, 2 * (9 + 6)
         made = []
         original = hyper._quotients
-        monkeypatch.setattr(hyper, "_quotients", lambda *args: made.append(args[2]) or
-                            original(*args))
-        monkeypatch.setattr(cli, "_UNION_ENTRIES", limit)
+        for module in (hyper, verify):  # a union's call and a step's own call
+            monkeypatch.setattr(module, "_quotients", lambda *args: made.append(args[2]) or
+                                original(*args))
+        monkeypatch.setattr(hyper, "_UNION_ENTRIES", limit)
         cfg = SuiteConfig(p_list=[3], n_list=[1, 2], c_list=[Fraction(1), Fraction(4)],
                           checks=list(cli.CHECKS), out=None)
         buf = io.StringIO()
@@ -893,11 +926,12 @@ class TestPointRunner:
         made = []
         quotients = hyper._quotients
         monkeypatch.setattr(hyper, "_walk", corrupt)
-        monkeypatch.setattr(hyper, "_quotients", lambda *args: made.append(args[2]) or
-                            quotients(*args))
+        for module in (hyper, verify):  # a union's call and a step's own call
+            monkeypatch.setattr(module, "_quotients", lambda *args: made.append(args[2]) or
+                                quotients(*args))
         runs = []
-        for limit in (cli._UNION_ENTRIES, 0):
-            monkeypatch.setattr(cli, "_UNION_ENTRIES", limit)
+        for limit in (hyper._UNION_ENTRIES, 0):
+            monkeypatch.setattr(hyper, "_UNION_ENTRIES", limit)
             out = tmp_path / f"{limit}.jsonl"
             cfg = SuiteConfig(p_list=[3], a_list=[Fraction(1, 2)], n_list=[2],
                               c_list=[Fraction(4)], checks=list(cli.CHECKS), out=str(out),

@@ -645,10 +645,10 @@ def test_one_walk_per_dwork_level(check):
     # one walk per distinct Dwork prime the check reads: none for the braced
     # and ratio-identity checks, a for the section sums, a and a' otherwise
     levels = {"braced": (), "ratio-identity": (), "section-sums": (0,)}.get(check, (0, 1))
-    run = cli.CHECKS[check][0]
     for P in (OWN_PRIME, TWO_PRIMES):
+        checker, *args = cli.CHECKS[check][0](P, Fraction(1 + P.p), 2)
         reports = []
-        walked = walked_primes(lambda: reports.append(run(P, Fraction(1 + P.p), 2)))
+        walked = walked_primes(lambda: reports.append(checker(*args)))
         assert reports[0].passed and walked == primes_at(P, levels)
 
 
