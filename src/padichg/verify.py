@@ -8,8 +8,8 @@ N1*D2 = N2*D1 on coefficients.
 Each checker validates its hypotheses on entry, before it builds any
 table, and raises PreconditionViolated outside them: n >= 1, a in
 HGParams, c in 1 + pW, and c in 1 + qW (q = 4 at p = 2) for every check
-that reads the hatted side.  The suite runner skips the cells whose
-checker raises it.
+that reads the hatted side (`_hatted_twists`).  The suite runner skips the
+cells whose checker raises it.
 Each check the suite names has one entry point here; one that reads
 tables is a step (`_stepped`) that yields its one `_quotients` call, so a
 runner can start steps (`_start`), build their calls together and finish
@@ -18,7 +18,7 @@ served it).  A congruence sum f_i g_i ≡ 0 on coefficients (main,
 relations, section sums) is decided on one packed sum with no list of a
 product, and a failure is recomputed at its index as dot products; a
 statement and its mirror image are read once.  The braced sweep decides
-its pairs class by class mod p^n.
+its pairs on the residues of two periods, x < 2p^n.
 """
 
 from __future__ import annotations
@@ -103,6 +103,15 @@ def _require_modulus(n: int) -> None:
     """Mod p^0 every residue is 0, so a check at n < 1 would pass vacuously."""
     if n < 1:
         raise PreconditionViolated(f"n = {n} compares mod p^{n}")
+
+
+def _hatted_twists(p: int, c: Rational, n: int) -> tuple[FrobeniusSpec, FrobeniusSpec]:
+    """twist_pair(c) once n >= 1, then c in 1 + qW along sigma, hold: a bad
+    c is outside the hypotheses, not a failed congruence."""
+    _require_modulus(n)
+    frob, frob_hat = twist_pair(c)
+    frob.validate(p, require_q=True)
+    return frob, frob_hat
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +259,21 @@ def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
 
 
 def sweep_braced(params: HGParams, n: int) -> CheckReport:
-    """All pairs 0 <= x, y <= p^{2n} with v_p(x+y+a) >= n.
-
-    The partners y of x form the class l_n - x mod p^n, so x passes all
-    its pairs at once when that class is constant and equal to the residue
-    of x; only the other x scan their partners, in order, so the first
-    failing pair is the first in (x, y) order."""
+    """All pairs 0 <= x, y <= p^{2n} with v_p(x+y+a) >= n, decided on x < p^n.
+    Each factor of r_x depends on x mod p^n, its sign on x mod q | p^n (at
+    p^n = 2 every unit is 1), so r_{x+p^n} = r_x U with U = r_{p^n}: at U = 1
+    every partner class l_n - x mod p^n is constant, and at U != 1 none is
+    and x = 0 fails: the first failing pair has x < p^n and y one of x's
+    first two partners."""
     _require_modulus(n)
     p = params.p
     pn, top = p ** n, p ** (2 * n)
+    if top >= sys.maxsize:  # the size rule of the range the lemma states
+        raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
     l_n = -_residue(params.a, p, pn) % pn  # y ≡ l_n - x mod p^n
-    residues = braced_residues(params, top, n)
-    # the residue of each class mod p^n when it is constant on the class
-    constant = [residues[c] if len(set(residues[c::pn])) == 1 else None
-                for c in range(pn)]
-    fail = next(({"x": x, "y": y, "left": residues[x], "right": residues[y]}
-                 for x in range(top + 1) if constant[(l_n - x) % pn] != residues[x]
-                 for y in range((l_n - x) % pn, top + 1, pn) if residues[x] != residues[y]),
-                None)
+    r = braced_residues(params, 2 * pn - 1, n)
+    fail = next(({"x": x, "y": y, "left": r[x], "right": r[y]} for x in range(pn)
+                 for y in ((l_n - x) % pn, (l_n - x) % pn + pn) if r[x] != r[y]), None)
     return CheckReport(check="braced", params=_params_dict(params, n=n, range=top),
                        passed=fail is None, modulus=n, first_failure=fail)
 
@@ -284,10 +290,8 @@ def sweep_beta_pairing(params: HGParams, c: Rational, n: int) -> CheckReport:
     beta-hat along sigma-hat; the first failing lambda is reported.  They
     are B_k/A_k and Bhat_k/A_k at their witnesses (`witness_for`), read in one
     step.  Both need c in 1 + qW."""
-    _require_modulus(n)
-    frob, frob_hat = twist_pair(c)
     p = params.p
-    frob.validate(p, require_q=True)
+    frob, frob_hat = _hatted_twists(p, c, n)
     pn = p ** n
     lambdas = [p * i for i in range(p ** (min(n, 4) - 1))]
     if params.l == 1:  # -a ≡ 1 mod p
@@ -359,9 +363,7 @@ def check_main_congruence(params: HGParams, c: Rational, n: int) -> CheckReport:
     """sum_{i+j=m} B_i A_{p^n-j-1} + Bhat_{p^n-j-1} A_i ≡ 0 mod p^n for
     every m in [0, 2(p^n-1)]; B along sigma, Bhat along sigma-hat, with c
     in 1 + qW."""
-    _require_modulus(n)
-    frob, frob_hat = twist_pair(c)
-    frob.validate(params.p, require_q=True)
+    frob, frob_hat = _hatted_twists(params.p, c, n)
     q = params.p ** n
     # as 8-byte words, a fifth of their size as ints, under the products' peak
     a, b, bhat = (array("Q", t) for t in (yield params, [
@@ -396,10 +398,8 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int) -> CheckRep
     """B_k/A_k and Bhat_k/A_k agree mod p^n at k and k + p^n for every
     k = 1, ..., p^n, with c in 1 + qW; both are read at k = 1, ..., 2p^n
     in one step."""
-    _require_modulus(n)
-    frob, frob_hat = twist_pair(c)
-    frob.validate(params.p, require_q=True)
     p = params.p
+    frob, frob_hat = _hatted_twists(p, c, n)
     pn = p ** n
     info = _params_dict(params, n=n, c=frob.c, k_max=2 * pn)
     ks = range(1, 2 * pn + 1)
@@ -421,10 +421,7 @@ def check_ratio_interpolation(params: HGParams, c: Rational, n: int) -> CheckRep
 def check_integrality(params: HGParams, c: Rational, n: int) -> CheckReport:
     """Every B_k and Bhat_k for k <= 2 p^n is p-integral, with c in 1 + qW;
     a non-integral value surfaces as a failed exact division (NotDivisible)."""
-    _require_modulus(n)
-    frob, frob_hat = twist_pair(c)
-    # a bad c is outside the hypotheses, not an integrality failure
-    frob.validate(params.p, require_q=True)
+    frob, frob_hat = _hatted_twists(params.p, c, n)
     count = 2 * params.p ** n + 1
     info = _params_dict(params, n=n, c=frob.c)
     try:

@@ -15,7 +15,8 @@ decided on one list per product, compared coefficient by coefficient
 (the production checkers decide one packed sum, `first_nonzero`); the
 braced lemma and the section sums are decided
 on exact rationals with `vp` of a difference (the production checkers
-compare residues); the Frobenius substitution t -> c t^p is a loop over
+compare residues), and the braced lemma also on the residues of every
+pair x, y <= p^{2n} (the production sweep reads two periods, x < 2p^n); the Frobenius substitution t -> c t^p is a loop over
 coefficients (the checkers spread residues by slicing, at c = 1 only);
 the Dwork-prime orbit is walked on exact rationals to its first repeat
 (the production route keeps a' and walks the numerators over the fixed
@@ -331,6 +332,26 @@ def braced_sweep_failure(params, n: int, b1, ba):
             if diff != 0 and vp(diff, p) < n:
                 return x, y
     return None
+
+
+def braced_sweep_all_pairs(params, n: int):
+    """`sweep_braced` on every x <= p^{2n}, with the residues read through
+    `padichg.verify` (a test that patches `braced_residues` there feeds both
+    routes): x passes all its pairs at once when its partner class
+    l_n - x mod p^n is constant and equal to its residue, and the other x
+    scan their partners in order."""
+    verify._require_modulus(n)
+    p = params.p
+    pn, top = p ** n, p ** (2 * n)
+    l_n = -_residue(params.a, p, pn) % pn
+    residues = verify.braced_residues(params, top, n)
+    constant = [residues[c] if len(set(residues[c::pn])) == 1 else None for c in range(pn)]
+    fail = next(({"x": x, "y": y, "left": residues[x], "right": residues[y]}
+                 for x in range(top + 1) if constant[(l_n - x) % pn] != residues[x]
+                 for y in range((l_n - x) % pn, top + 1, pn) if residues[x] != residues[y]),
+                None)
+    return verify.CheckReport(check="braced", params=verify._params_dict(params, n=n, range=top),
+                              passed=fail is None, modulus=n, first_failure=fail)
 
 
 def section_sums_exact(params, table, n: int, d: int, k: int, m: int) -> tuple[Fraction, Fraction]:

@@ -2,13 +2,14 @@
 
 import inspect
 import json
+import math
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padichg import (
@@ -42,6 +43,7 @@ from padichg.verify import braced_residues
 from oracle import (
     braced_product,
     braced_ratio,
+    braced_sweep_all_pairs,
     braced_sweep_failure,
     braced_table,
     coeff_exact,
@@ -370,6 +372,19 @@ class TestBraced:
         rep = sweep_braced(HGParams.create(a, 1, p), n)
         assert rep.passed
 
+    def test_peak(self):
+        # at p = 3, n = 7 the lemma states pairs x, y <= 3^14 and the sweep
+        # reads the 2·3^7 residues of two periods.  Traced peak with Python
+        # 3.11: 0.16 MB; 173 MB with every residue to 3^14, a constancy
+        # table and a partner scan
+        tracemalloc.start()
+        try:
+            assert sweep_braced(params(Fraction(1, 2)), 7).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 def admissible_params(p, s):
     """A strategy over HGParams at p with multiplicity s and a grid a."""
@@ -397,7 +412,9 @@ class TestBracedAgainstOracle:
     @pytest.mark.parametrize("a,n", [(a, n) for a in (Fraction(1, 2), Fraction(1, 5), Fraction(2))
                                      for n in (1, 2, 3)])
     def test_residues_match_exact_table_to_sweep_range(self, a, n):
-        # every x the sweep reads at p = 3
+        # every x of the range the lemma states at p = 3, past the two
+        # periods the sweep reads, so the periodicity it relies on is
+        # checked against the exact ratios too
         P, top = HGParams.create(a, 1, 3), 3 ** (2 * n)
         b1, ba = braced_table(1, top, 3), braced_table(a, top, 3)
         expect = [embed_rational(braced_ratio(P, x, b1, ba), 3, n).residue
@@ -407,10 +424,6 @@ class TestBracedAgainstOracle:
     @pytest.mark.parametrize("a,p,n,x0", [
         (Fraction(1, 2), 3, 1, 2), (Fraction(1, 3), 2, 2, 3), (Fraction(2), 5, 1, 4),
         (Fraction(1, 2), 3, 2, 10), (Fraction(1, 5), 2, 2, 6), (Fraction(1, 3), 2, 1, 3),
-        # x0 deep in the partner class of a smaller x: that x scans its
-        # partners and fails at y = x0 after passing the ones before it
-        (Fraction(1, 2), 3, 1, 7), (Fraction(1, 2), 3, 2, 50), (Fraction(2), 5, 1, 17),
-        (Fraction(1, 5), 3, 2, 76),
     ])
     def test_corrupted_entry_fails_at_oracle_pair(self, monkeypatch, a, p, n, x0):
         # the residue of x0 with its sign flipped, as if {1}_{x0} were
@@ -437,6 +450,68 @@ class TestBracedAgainstOracle:
                    "left": embed_rational(braced_ratio(P, x, b1, ba), p, n).residue,
                    "right": embed_rational(braced_ratio(P, y, b1, ba), p, n).residue}
         assert not rep.passed and rep.first_failure == payload
+
+    @pytest.mark.parametrize("a,p,n,t0", [
+        (Fraction(1, 2), 3, 1, 2), (Fraction(1, 2), 3, 2, 9), (Fraction(2), 5, 1, 5),
+        (Fraction(1, 5), 3, 2, 8),
+    ])
+    def test_corrupted_period_fails_at_deep_partner(self, monkeypatch, a, p, n, t0):
+        # the factor of {1}_t negated at every t ≡ t0 mod p^n, t0 past the
+        # first partner y0 of x = 0: U turns to -1, so x = 0 passes y0 and
+        # fails at y0 + p^n
+        P = HGParams.create(a, 1, p)
+        pn, top = p ** n, p ** (2 * n)
+        flips = [0 if x < t0 else (x - t0) // pn + 1 for x in range(top + 1)]  # t0 <= t <= x
+        b1, ba = braced_table(1, top, p), braced_table(a, top, p)
+        b1 = [(-1) ** f * b for f, b in zip(flips, b1)]
+        expect = braced_sweep_failure(P, n, b1, ba)
+
+        def corrupted(params, top, n):
+            res = braced_residues(params, top, n)
+            return [-r % pn if f % 2 else r for f, r in zip(flips, res)]
+
+        monkeypatch.setattr(verify, "braced_residues", corrupted)
+        rep = sweep_braced(P, n)
+        x, y = expect
+        assert (x, y) == (0, (-_residue(a, p, pn)) % pn + pn)
+        payload = {"x": x, "y": y,
+                   "left": embed_rational(braced_ratio(P, x, b1, ba), p, n).residue,
+                   "right": embed_rational(braced_ratio(P, y, b1, ba), p, n).residue}
+        assert not rep.passed and rep.first_failure == payload
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)).flatmap(
+        lambda pn: st.tuples(st.just(pn), st.integers(-40, 40), st.integers(1, 30),
+                             *[st.integers(1, pn[0] ** pn[1])] * 2, st.booleans(),
+                             *[st.integers(1, pn[0] ** pn[1]).filter(lambda g: g % pn[0])] * 2)))
+    def test_sweep_matches_all_pairs(self, case):
+        # the factor of {1}_t multiplied by the unit g at every t ≡ t0 and
+        # by h at every t ≡ t1 mod p^n, 0 < t0, t1 <= p^n, which multiplies
+        # U by gh: clean tables at g = h = 1, and with h = 1/g the periods
+        # change but U does not, so an x past 0 can fail first
+        (p, n), num, den, t0, t1, balance, g, h = case
+        a = admissible_a(p, Fraction(num, den))
+        assume(a is not None)
+        P, pn = HGParams.create(a, 1, p), p ** n
+        h = pow(g, -1, pn) if balance else h
+        factors = [(t0, g), (t1, h)]
+
+        def corrupted(params, top, n):
+            res = braced_residues(params, top, n)
+            return [math.prod((pow(u, 0 if x < t else (x - t) // pn + 1, pn) for t, u in factors),
+                              start=r) % pn for x, r in enumerate(res)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "braced_residues", corrupted)
+            assert sweep_braced(P, n) == braced_sweep_all_pairs(P, n)
+
+    @pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(1), Fraction(2, 3), Fraction(-7, 5)])
+    def test_p2_n1(self, a):
+        # q = 4 does not divide p^n = 2, but mod 2 every unit is 1
+        P = HGParams.create(a, 1, 2)
+        assert braced_residues(P, 4, 1) == [1] * 5
+        rep = sweep_braced(P, 1)
+        assert rep.passed and rep == braced_sweep_all_pairs(P, 1)
 
 
 class TestSectionAgainstOracle:
