@@ -3,10 +3,11 @@
 The `suite` subcommand runs a Cartesian grid of congruence checks and
 writes a JSON-lines report: each cell returns its report line, and one key
 table layers flag over config file.  A check's runner returns its call
-(checker, arguments); the cells at one point (p, a, s, n, c) start theirs
-and build their tables together (`_point_outcomes`).  `table` emits
-coefficient tables (A, B, Bhat) or the interpolated functions at chosen
-points (beta along sigma, beta-hat along sigma-hat, with the one constant c).
+(checker, arguments); the cells of one triple (p, a, s), at every n and c,
+start theirs and build their tables together, each union at its highest
+precision (`_point_outcomes`).  `table` emits coefficient tables (A, B,
+Bhat) or the interpolated functions at chosen points (beta along sigma,
+beta-hat along sigma-hat, with the one constant c).
 """
 
 from __future__ import annotations
@@ -118,28 +119,28 @@ def _attempt(fn: Callable, *args):
         return exc
 
 
-def _point_outcomes(point: tuple) -> list[Optional[tuple[bool, bool, str]]]:
-    """The outcome of each cell at one point (params, p, a, s, n, c, checks),
-    params being the HGParams of (p, a, s) or what creating them raised:
-    None when the checker raises PreconditionViolated (the cell is skipped),
+def _point_outcomes(triple: tuple) -> list[Optional[tuple[bool, bool, str]]]:
+    """The outcome of each cell (check, n, c) of one triple (p, a, s, cells),
+    run with the HGParams of (p, a, s) or what creating them raised: None
+    when the checker raises PreconditionViolated (the cell is skipped),
     otherwise (error, passed, line), line being the report's JSON or, for
     any other exception, an error record.  Every cell's call is started
-    (`_start`), their tables are built together where a union serves them
-    (`_quotient_calls`) and each step finishes (`_finish`)."""
-    params, p, a, s, n, c, checks = point
+    (`_start`), their tables, at every n and c, are built together where a
+    union serves them (`_quotient_calls`) and each step finishes (`_finish`)."""
+    p, a, s, cells = triple
+    params = _attempt(HGParams.create, a, s, p)
     ran = [params if isinstance(params, Exception) else
-           _attempt(_start, *CHECKS[check][0](params, c, n)) for check in checks]
+           _attempt(_start, *CHECKS[check][0](params, c, n)) for check, n, c in cells]
     waiting = [i for i, got in enumerate(ran) if isinstance(got, tuple)]
     for i, tables in zip(waiting, _quotient_calls([ran[i][1] for i in waiting])):
         ran[i] = _attempt(_finish, *ran[i], tables)
-    info = {"p": str(p), "a": str(a), "s": str(s), "n": str(n), "c": str(c)}
     return [None if isinstance(got, PreconditionViolated) else
             (False, got.passed, got.to_json()) if isinstance(got, CheckReport) else
             (True, False, json.dumps({
                 "check": f"congruence-{check}" if check in ("dwork", "log", "hat") else check,
-                "params": info, "passed": False, "error": f"{type(got).__name__}: {got}"},
-                sort_keys=True))
-            for check, got in zip(checks, ran)]
+                "params": {"p": str(p), "a": str(a), "s": str(s), "n": str(n), "c": str(c)},
+                "passed": False, "error": f"{type(got).__name__}: {got}"}, sort_keys=True))
+            for (check, n, c), got in zip(cells, ran)]
 
 
 def _grid_cells(config: SuiteConfig) -> list[tuple]:
@@ -156,10 +157,10 @@ def _grid_cells(config: SuiteConfig) -> list[tuple]:
     return cells
 
 
-# Chunks of points per worker: the pool sends each chunk as one task.  At
-# --jobs 2 on a 2-vCPU Xeon VM (Python 3.11, medians of 5-7 CLI runs) on
-# grids/breadth-p5.conf (585 points), 8 chunks per worker took 0.60 s, 4 or
-# 16 took 0.63-0.65 s, 2 took 0.70 s and one point per task 0.73 s.
+# Chunks of triples per worker: the pool sends each chunk as one task.  At
+# --jobs 2 on a 2-vCPU Xeon VM (Python 3.11, sets of 7 and 11 CLI runs) on
+# grids/breadth-p5.conf (39 triples), 2, 4, 8 or 20 chunks per worker gave
+# medians of 0.42-0.49 s in no order, and one chunk per worker 0.47-0.48 s.
 _CHUNKS_PER_JOB = 8
 
 
@@ -167,13 +168,11 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
     stream = stream if stream is not None else sys.stdout
     config.validate()
     cells = _grid_cells(config)
-    points: dict[tuple, list[int]] = {}  # by (p, a, s, n, c): its cells, in order
-    for i, (_, p, a, s, n, c) in enumerate(cells):  # a Fraction hashes slowly
-        points.setdefault((p, a.numerator, a.denominator, s, n, c.numerator, c.denominator),
-                          []).append(i)
-    params = functools.cache(lambda p, a, s: _attempt(HGParams.create, a, s, p))
-    tasks = [(params(*cells[m[0]][1:4]), *cells[m[0]][1:], [cells[i][0] for i in m])
-             for m in points.values()]
+    triples: dict[tuple, list[int]] = {}  # by (p, a, s): its cells, in order
+    for i, (_, p, a, s, _, _) in enumerate(cells):  # a Fraction hashes slowly
+        triples.setdefault((p, a.numerator, a.denominator, s), []).append(i)
+    tasks = [(*cells[m[0]][1:4], [(cells[i][0], *cells[i][4:]) for i in m])  # (check, n, c)
+             for m in triples.values()]
     # opened before the first cell, so that a bad path costs no work
     with nullcontext(stream) if config.out is None else open(
             config.out, "w", encoding="utf-8") as fh:
@@ -187,9 +186,9 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
                 done = list(pool.map(_point_outcomes, tasks, chunksize=chunk))
         else:
             done = list(map(_point_outcomes, tasks))
-        # each point's outcomes back in cell order
+        # each triple's outcomes back in cell order
         outcomes = [outcome for _, outcome in sorted(zip(
-            chain.from_iterable(points.values()), chain.from_iterable(done)), key=itemgetter(0))]
+            chain.from_iterable(triples.values()), chain.from_iterable(done)), key=itemgetter(0))]
         # report lines first, then error lines, each in cell order
         ran = sorted(((cell[0], *outcome) for cell, outcome in zip(cells, outcomes) if outcome),
                      key=itemgetter(1))

@@ -492,55 +492,68 @@ def _quotients(params: HGParams, requests: Sequence[tuple], prec: int) -> list[l
 
 
 # The most entries (terms requested) of a union that `_quotient_calls`
-# builds.  At p = 5, a = 1/2, c = 6 for the six checks that read c
-# (Python 3.11, 2-vCPU Xeon VM): the union of 7,502 entries (n = 4) took
-# 4.3 ms against 7.9 ms for six calls, at the same peak RSS; 37,502 (n = 5)
-# 19 against 40 ms at a 4% higher peak, and 187,502 (n = 6) a 23% higher.
+# builds.  For every check at p = 5, a = 1/2, c in {1, 6} and n = 1..N
+# (Python 3.11, 2-vCPU Xeon VM), the triple's union of 14,628 entries (N = 4)
+# took 10-13 ms against 22-37 ms call by call, at the same peak RSS; 71,128
+# (N = 5) 46-59 against 99-160 ms at an 11% higher peak, 351,628 (N = 6) a 25% higher.
 _UNION_ENTRIES = 1 << 15
 
 
 def _quotient_calls(calls: Sequence[tuple]) -> list[Optional[list[list[int]]]]:
-    """Per `_quotients` call (params, requests, prec), its tables from a
-    union, or None when no union served it.  Two or more calls with one
-    params object and one prec whose union holds at most _UNION_ENTRIES
-    entries share one call: per (kind, tag), the widest span of their
-    ranges of step 1, off which each request inside it is read, and the
-    other requests as they are.  A union that raises serves none of them."""
+    """Per `_quotients` call (params, requests, prec), all with one params,
+    its tables from a union, or None when no union served it.  In ascending
+    prec the calls fill one union after another while it holds at most
+    _UNION_ENTRIES entries: per (kind, tag), the widest span of their ranges
+    of step 1, off which each such range is read, and the other requests as
+    they are.  A union of two or more calls is built at the highest prec
+    among them and each call gets its tables mod p^prec.  A call with an
+    index at or past sys.maxsize joins none; a union that raises serves none."""
+    unions = [[[], {}, 0]]  # each: (a call, its requests' spans), spans by (kind, tag), entries
+    for i in sorted(range(len(calls)), key=lambda i: calls[i][2]):
+        for union in (unions[-1], [[], {}, 0]):  # the open union, else a new one
+            joined, spans, size = union
+            refs, undo = [], []  # each request's span (None for the rest), each span as it was
+            for kind, tag, ks in calls[i][1]:
+                span = None
+                if isinstance(ks, range) and ks.step == 1 and ks:
+                    span = spans.setdefault((kind, tag), [ks.start, ks.start])
+                    undo.append((span, span[:]))
+                    size += max(span[1], ks.stop) - min(span[0], ks.start) - span[1] + span[0]
+                    span[:] = min(span[0], ks.start), max(span[1], ks.stop)
+                elif ks and max((ks[0], ks[-1]) if isinstance(ks, range) else ks) >= sys.maxsize:
+                    size += sys.maxsize  # as many entries as no union holds: the call joins none
+                else:
+                    size += len(ks)
+                refs.append(span)
+            if not joined or size <= _UNION_ENTRIES:
+                break
+            for span, old in reversed(undo):  # the call opens the next union
+                span[:] = old
+        if union is not unions[-1]:
+            unions.append(union)
+        joined.append((i, refs))
+        union[2] = size
     out = [None] * len(calls)
-    groups: dict[tuple, list[int]] = {}  # by params (by identity: it hashes slowly) and prec
-    for i, (params, _, prec) in enumerate(calls):
-        groups.setdefault((id(params), prec), []).append(i)
-    for members in groups.values():
-        if len(members) < 2:
+    for joined, spans, _ in unions:
+        if len(joined) < 2:
             continue
-        params, _, prec = calls[members[0]]
-        widest: dict[tuple, list] = {}  # by (kind, tag): [start, stop] of its span
-        reads = [[(widest.setdefault(request[:2], [sys.maxsize, 0]), request)
-                  for request in calls[i][1]] for i in members]
-        for span, (_, _, ks) in chain.from_iterable(reads):
-            if isinstance(ks, range) and ks.step == 1 and ks:
-                span[:] = min(span[0], ks.start), max(span[1], ks.stop)
-
-        def inside(span, request):  # whether the span holds every k of a nonempty request
-            ks = request[2]
-            ends = (ks[0], ks[-1]) if isinstance(ks, range) and ks else ks
-            return bool(ks) and span[0] <= min(ends) and max(ends) < span[1]
-
-        spans = [(*key, range(*span)) for key, span in widest.items() if span[0] < span[1]]
-        own = [request for span, request in chain.from_iterable(reads) if not inside(span, request)]
-        if sum(len(r) for *_, r in spans) + sum(len(ks) for *_, ks in own) > _UNION_ENTRIES:
-            continue
+        params, _, top = calls[joined[-1][0]]
+        wide = [(span, (*key, range(*span))) for key, span in spans.items() if span[0] < span[1]]
+        own = [request for i, refs in joined for span, request in zip(refs, calls[i][1])
+               if span is None]
         try:
-            tables = _quotients(params, spans + own, prec)
+            tables = _quotients(params, [request for _, request in wide] + own, top)
         except Exception:  # noqa: BLE001 - each call then raises, or not, on its own
             continue
-        for span, table in zip((s for s in widest.values() if s[0] < s[1]), tables):
+        for (span, _), table in zip(wide, tables):
             span.append(table)
-        rest = iter(tables[len(spans):])
-        for i, call in zip(members, reads):
-            # a span's table is read as a walk of one run
-            out[i] = [_read(([span[0]], [-span[0]]), span[2], request[2])
-                      if inside(span, request) else next(rest) for span, request in call]
+        left = iter(tables[len(wide):])
+        for i, refs in joined:
+            requests, prec = calls[i][1:]
+            got = [next(left) if span is None else span[2][ks.start - span[0]:ks.stop - span[0]]
+                   for span, (_, _, ks) in zip(refs, requests)]
+            m = params.p ** prec
+            out[i] = got if prec == top else [[x % m for x in table] for table in got]
     return out
 
 

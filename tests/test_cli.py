@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 from unittest.mock import patch
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padichg import (
@@ -283,12 +283,14 @@ class TestSuite:
         assert err == "config error: no grid cell meets its check's hypotheses\n"
 
     def test_table_longer_than_maxsize_skips_its_cell(self, capsys):
-        # dwork and integrality at p = 3, n = 99999 read 2·3^99999 terms
-        code, out, err = run(["suite", "--check", "dwork", "integrality", "--p", "3",
-                              "--a", "1/2", "--c", "4", "--n", "99999"], capsys)
-        assert code == EXIT_CONFIG and not out.startswith("{")
-        assert "skipped 2 incompatible grid cells" in out
-        assert err == "config error: no grid cell meets its check's hypotheses\n"
+        # dwork, integrality and the transform at p = 3, n = 99999 read about
+        # 2·3^99999 terms; such a call joins no union of the triple's calls
+        for checks in (["dwork", "integrality"], ["dwork", "dwork-transform"]):
+            code, out, err = run(["suite", "--check", *checks, "--p", "3",
+                                  "--a", "1/2", "--c", "4", "--n", "99999"], capsys)
+            assert code == EXIT_CONFIG and not out.startswith("{")
+            assert "skipped 2 incompatible grid cells" in out
+            assert err == "config error: no grid cell meets its check's hypotheses\n"
 
     @pytest.mark.parametrize("check", ["interpolation", "braced", "beta-pairing"])
     def test_index_past_maxsize_skips_its_cell(self, check, capsys):
@@ -336,7 +338,7 @@ class TestSuite:
         # a reader keys cells by check and params: an error cell and a
         # passing cell of one check carry the same name
         [(_, passed, line)], [(error, _, error_line)] = (cli._point_outcomes(
-            (cli._attempt(HGParams.create, a, 1, p), p, a, 1, 1, Fraction(4), [check]))
+            (p, a, 1, [(check, 1, Fraction(4))]))
             for p, a in ((3, Fraction(1, 2)), (4, Fraction(1, 4))))
         assert passed and error
         assert json.loads(error_line)["check"] == json.loads(line)["check"]
@@ -798,11 +800,14 @@ def breadth_c(p):
             Fraction(1, 1 + q)]
 
 
-# a point (p, a, s, n, c) of the breadth grids; at p = 2 also c = 3, in
-# 1 + 2W only, at which log compares mod 2^{n-1} beside the checks mod 2^n
-POINTS = st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
-    st.just(p), st.sampled_from(BREADTH_A), st.integers(1, 3), st.integers(1, 3),
-    st.sampled_from(breadth_c(p) + [Fraction(3)] * (p == 2))))
+# a triple (p, a, s) of the breadth grids with one to three n and one or
+# two c; at p = 2 also c = 3, in 1 + 2W only, at which log compares mod
+# 2^{n-1} beside the checks mod 2^n
+TRIPLES = st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+    st.just(p), st.sampled_from(BREADTH_A), st.integers(1, 3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(breadth_c(p) + [Fraction(3)] * (p == 2)), min_size=1,
+             max_size=2, unique=True)))
 
 
 def alone(check, p, a, s, n, c):
@@ -825,40 +830,89 @@ def built(build):
         return f"{type(exc).__name__}: {exc}"
 
 
-def started_calls(p, a, s, n, c):
-    """The `_quotients` call of each check at the point whose step starts."""
+def started_calls(p, a, s, ns, cs):
+    """The `_quotients` call of each cell of the triple at every n and c
+    whose step starts."""
     params = cli._attempt(HGParams.create, a, s, p)
     if isinstance(params, Exception):
         return []
-    started = [cli._attempt(cli._start, *run(params, c, n)) for run, _, _ in cli.CHECKS.values()]
+    started = [cli._attempt(cli._start, *run(params, c, n))
+               for run, _, _ in cli.CHECKS.values() for n in ns for c in cs]
     return [got[1] for got in started if isinstance(got, tuple)]
 
 
-class TestPointRunner:
-    """The suite runs the cells of each point (p, a, s, n, c) together: it
-    starts every cell's step, builds their tables as one `_quotients` union
-    per precision under an entry bound, and finishes each step."""
+def assert_own_tables(calls):
+    """Each call gets from `_quotient_calls` the tables it builds alone; a
+    call no union served (None) is built on its own, as the suite does.
+    When no call raises alone, two or more calls all share a union."""
+    with patch.object(hyper, "_UNION_ENTRIES", 10 ** 9):
+        unions = hyper._quotient_calls(calls)
+    own = [built(partial(hyper._quotients, *call)) for call in calls]
+    assert [built(partial(hyper._quotients, *call)) if tables is None else tables
+            for call, tables in zip(calls, unions)] == own
+    if len(calls) > 1 and not any(isinstance(tables, str) for tables in own):
+        assert None not in unions
 
-    @settings(deadline=None, max_examples=80)
-    @given(POINTS)
-    def test_each_line_is_its_checker_alone(self, point):
-        p, a, s, n, c = point
-        outcomes = cli._point_outcomes(
-            (cli._attempt(HGParams.create, a, s, p), *point, list(cli.CHECKS)))
+
+def requests(p, c):
+    """A `_quotients` request of any kind at p with the constant c: A at
+    levels 0-2, B and B/A along sigma, Bhat and Bhat/A along sigma-hat, and
+    G, with indices as a range of step 1, a stepped range or a list."""
+    frob, frob_hat = twist_pair(c)
+
+    def indices(low):
+        k = st.integers(low, 60)
+        return st.one_of(st.builds(lambda i, j: range(min(i, j), max(i, j)), k, k),
+                         st.builds(range, k, k, st.integers(2, 3)),
+                         st.lists(k, max_size=6))
+
+    return st.one_of(
+        st.tuples(st.just("A"), st.integers(0, 2), indices(0)),
+        st.tuples(st.sampled_from(["B", "B/A"]), st.just(frob), indices(1)),
+        st.tuples(st.sampled_from(["Bhat", "Bhat/A"]), st.just(frob_hat), indices(0)),
+        st.tuples(st.just("G"), st.just(frob), st.builds(range, st.integers(0, 40))))
+
+
+# one params object and its calls (params, requests, prec) at precisions 1 to 4
+CALLS = st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+    st.sampled_from(BREADTH_A).filter(lambda a: a.denominator % p),
+    st.integers(1, 3), st.sampled_from(breadth_c(p) + [Fraction(3)] * (p == 2))).flatmap(
+    lambda t: st.lists(st.tuples(
+        st.just(HGParams.create(t[0], t[1], p)),
+        st.lists(requests(p, t[2]), min_size=1, max_size=3), st.integers(1, 4)),
+        min_size=2, max_size=6)))
+
+
+class TestPointRunner:
+    """The suite runs the cells of each parameter triple (p, a, s) together:
+    it starts every cell's step at each n and c, builds their tables as
+    `_quotients` unions under an entry bound, each at the highest precision
+    among its calls, and finishes each step."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(TRIPLES)
+    def test_each_line_is_its_checker_alone(self, triple):
+        p, a, s, ns, cs = triple
+        cells = [(check, n, c) for check in cli.CHECKS for n in ns for c in cs]
+        outcomes = cli._point_outcomes((p, a, s, cells))
         got = [None if o is None else json.loads(o[2])["error"] if o[0] else o[2]
                for o in outcomes]
-        assert got == [alone(check, *point) for check in cli.CHECKS]
+        assert got == [alone(check, p, a, s, n, c) for check, n, c in cells]
 
-    @settings(deadline=None, max_examples=80)
-    @given(POINTS)
-    def test_each_call_gets_its_own_tables(self, point):
-        # a call no union served (None) is built on its own, as the suite does
-        calls = started_calls(*point)
-        with patch.object(hyper, "_UNION_ENTRIES", 10 ** 9):
-            unions = hyper._quotient_calls(calls)
-        assert [built(partial(hyper._quotients, *call)) if tables is None else tables
-                for call, tables in zip(calls, unions)] == [
-            built(partial(hyper._quotients, *call)) for call in calls]
+    @settings(deadline=None, max_examples=60)
+    @given(TRIPLES)
+    @example((2, Fraction(1, 3), 1, [1, 2, 3], [Fraction(3), Fraction(5)]))
+    def test_each_call_gets_its_own_tables(self, triple):
+        # the example's log calls at c = 3 are built mod 2^{n-1}, from a
+        # union mod 2^4, the section sums' at n = 3
+        assert_own_tables(started_calls(*triple))
+
+    @settings(deadline=None, max_examples=150)
+    @given(CALLS)
+    def test_lifted_union_gives_each_call_its_own_tables(self, calls):
+        # every request kind at several precisions: G's B_0 is read at the
+        # witness p^prec (2^{prec+1} at p = 2, c = 3), which moves with it
+        assert_own_tables(calls)
 
     @pytest.mark.parametrize("extra,made", [(0, 1), (1, 2)])
     def test_union_of_at_most_the_bound(self, extra, made, monkeypatch):
@@ -886,12 +940,12 @@ class TestPointRunner:
         assert len(count) == made
         assert got == [original(*call) for call in calls]
 
-    @pytest.mark.parametrize("limit,calls", [(hyper._UNION_ENTRIES, 6), (0, 30)])
-    def test_one_call_per_point_and_precision(self, limit, calls, monkeypatch):
+    @pytest.mark.parametrize("limit,calls", [(hyper._UNION_ENTRIES, 1), (0, 30)])
+    def test_one_call_per_triple(self, limit, calls, monkeypatch):
         # p = 3, a = 1/2: every cell runs.  At c = 1 nine checks read tables,
         # the section sums at n + 1 and the others at n; at c = 4 the six
-        # that read c, at n.  Under the bound: one call per (point,
-        # precision), 2 + 2 + 1 + 1; above it one per cell, 2 * (9 + 6)
+        # that read c, at n.  Under the bound one call for the triple, at
+        # the highest precision; at bound 0 one per cell, 2 * (9 + 6)
         made = []
         original = hyper._quotients
         for module in (hyper, verify):  # a union's call and a step's own call
@@ -902,16 +956,57 @@ class TestPointRunner:
                           checks=list(cli.CHECKS), out=None)
         buf = io.StringIO()
         assert run_suite(cfg, stream=buf) == EXIT_PASS
-        assert len(made) == calls
+        assert len(made) == calls and (limit == 0 or made == [3])
         lines = [line for line in buf.getvalue().splitlines() if line.startswith("{")]
         assert len(lines) == 2 * 11 - 1 + 2 * 6  # the ratio identity reads no n
+
+    def test_low_precision_calls_share_a_union_past_the_bound(self, monkeypatch):
+        # integrality at p = 3, c = 4 reads G and Bhat to k = 2·3^n, at n:
+        # 7, 19 and 55 entries each for n = 1, 2, 3.  Under a bound of
+        # 2 * 19 the calls at n = 1 and 2 share one union, mod 3^2, which the
+        # call at n = 3 would push past it: that call is made on its own,
+        # and the union keeps the spans it had before that call
+        made = []  # (prec, entries) of each `_quotients` call
+        original = hyper._quotients
+        for module in (hyper, verify):
+            monkeypatch.setattr(module, "_quotients", lambda *args: made.append(
+                (args[2], sum(len(ks) for *_, ks in args[1]))) or original(*args))
+        reports = []
+        for limit in (2 * 19, 0):
+            monkeypatch.setattr(hyper, "_UNION_ENTRIES", limit)
+            cfg = SuiteConfig(p_list=[3], n_list=[1, 2, 3], c_list=[Fraction(4)],
+                              checks=["integrality"])
+            buf = io.StringIO()
+            assert run_suite(cfg, stream=buf) == EXIT_PASS
+            reports.append((buf.getvalue(), list(made)))
+            made.clear()
+        assert reports[0][0] == reports[1][0]
+        assert (reports[0][1], reports[1][1]) == ([(2, 38), (3, 110)],
+                                                  [(1, 14), (2, 38), (3, 110)])
+
+    def test_index_past_maxsize_joins_no_union(self, monkeypatch):
+        # at p = 3 beta-pairing reads the witness 3^n and hat 2·3^n terms.
+        # The cells at n = 1 share a union; at n = 99999 the witness is past
+        # sys.maxsize, so that call joins none (in the union it would make the
+        # union raise) and, like hat's, raises alone: three calls in all
+        made = []
+        original = hyper._quotients
+        for module in (hyper, verify):
+            monkeypatch.setattr(module, "_quotients", lambda *args: made.append(args[2]) or
+                                original(*args))
+        cfg = SuiteConfig(p_list=[3], n_list=[1, 99999], c_list=[Fraction(4)],
+                          checks=["beta-pairing", "hat"])
+        buf = io.StringIO()
+        assert run_suite(cfg, stream=buf) == EXIT_PASS
+        assert "skipped 2 incompatible grid cells" in buf.getvalue()
+        assert made == [1, 99999, 99999]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_union_gives_each_cell_its_own_line(self, jobs, tmp_path, monkeypatch):
         # A_18 is off by one in every walk, so at p = 3, n = 2 the numerator
-        # of B_18 is not divisible by 3^2: the union at c = 4, whose walk runs
-        # to integrality's 2p^n = 18, raises, and each call is then built on
-        # its own, as above the bound.  The pool's workers are forked with
+        # of B_18 is not divisible by 3^2: each triple's union, whose walk
+        # runs to integrality's 2p^n = 18, raises, and each call is then built
+        # on its own, as above the bound.  The pool's workers are forked with
         # the patches in place
         original = hyper._walk
 
@@ -933,18 +1028,20 @@ class TestPointRunner:
         for limit in (hyper._UNION_ENTRIES, 0):
             monkeypatch.setattr(hyper, "_UNION_ENTRIES", limit)
             out = tmp_path / f"{limit}.jsonl"
-            cfg = SuiteConfig(p_list=[3], a_list=[Fraction(1, 2)], n_list=[2],
+            cfg = SuiteConfig(p_list=[3], a_list=[Fraction(1, 2)], s_list=[1, 2], n_list=[2],
                               c_list=[Fraction(4)], checks=list(cli.CHECKS), out=str(out),
                               jobs=jobs if limit else 1)
             buf = io.StringIO()
             runs.append((run_suite(cfg, stream=buf), buf.getvalue(), out.read_bytes(),
                          len(made)))
             made.clear()
-        # serially: at c = 1 a union at n and the section sums at n + 1, and
-        # at c = 4 the union, which raises, then each of the six calls; above
-        # the bound one call per cell, 3 + 6
+        # serially, per triple (s = 1, 2): the union of the three calls at
+        # c = 1 and the six at c = 4, which raises, then each of the nine
+        # calls; above the bound one call per cell, 3 + 6.  Through the pool
+        # each triple is a task and no call is counted here
         assert runs[0][:3] == runs[1][:3] and runs[0][0] == EXIT_FAIL
-        assert (runs[0][3], runs[1][3]) == ((2 + 1 + 6) if jobs == 1 else 0, 3 + 6)
+        assert (runs[0][3], runs[1][3]) == (2 * (1 + 9) if jobs == 1 else 0, 2 * (3 + 6))
         lines = [json.loads(line) for line in runs[0][2].decode().splitlines()]
-        [integrality] = [line for line in lines if line["check"] == "integrality"]
-        assert integrality["first_failure"] == {"error": "numerator not divisible by 3^2"}
+        integrality = [line for line in lines if line["check"] == "integrality"]
+        assert [line["first_failure"] for line in integrality] == [
+            {"error": "numerator not divisible by 3^2"}] * 2
