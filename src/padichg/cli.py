@@ -3,11 +3,12 @@
 The `suite` subcommand runs a Cartesian grid of congruence checks and
 writes a JSON-lines report: each cell returns its report line, and one key
 table layers flag over config file.  A check's runner returns its call
-(checker, arguments); the cells of one triple (p, a, s), at every n and c,
-start theirs and build their tables together, each union at its highest
-precision (`_point_outcomes`).  `table` emits coefficient tables (A, B,
-Bhat) or the interpolated functions at chosen points (beta along sigma,
-beta-hat along sigma-hat, with the one constant c).
+(checker, arguments).  Each triple (p, a, s) is one task, whose cells, at
+every check, c and n, start their calls and build their tables together,
+each union at its highest precision (`_point_outcomes`); one sort puts the
+lines in report order.  `table` emits coefficient tables (A, B, Bhat) or
+the interpolated functions at chosen points (beta along sigma, beta-hat
+along sigma-hat, with the one constant c).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Optional, Sequence, TextIO
 
 from .padic import PadicError, PreconditionViolated, parse_rational
@@ -120,13 +120,14 @@ def _attempt(fn: Callable, *args):
 
 
 def _point_outcomes(triple: tuple) -> list[Optional[tuple[bool, bool, str]]]:
-    """The outcome of each cell (check, n, c) of one triple (p, a, s, cells),
-    run with the HGParams of (p, a, s) or what creating them raised: None
-    when the checker raises PreconditionViolated (the cell is skipped),
-    otherwise (error, passed, line), line being the report's JSON or, for
-    any other exception, an error record.  Every cell's call is started
-    (`_start`), their tables, at every n and c, are built together where a
-    union serves them (`_quotient_calls`) and each step finishes (`_finish`)."""
+    """The outcome of each cell (check, n, c) of one task (p, a, s, cells),
+    in the order of cells, each run with the HGParams of (p, a, s) or what
+    creating them raised: None when the checker raises PreconditionViolated
+    (the cell is skipped), otherwise (error, passed, line), line being the
+    report's JSON or, for any other exception, an error record.  Every
+    cell's call is started (`_start`), their tables, at every n and c, are
+    built together where a union serves them (`_quotient_calls`) and each
+    step finishes (`_finish`)."""
     p, a, s, cells = triple
     params = _attempt(HGParams.create, a, s, p)
     ran = [params if isinstance(params, Exception) else
@@ -143,36 +144,17 @@ def _point_outcomes(triple: tuple) -> list[Optional[tuple[bool, bool, str]]]:
             for (check, n, c), got in zip(cells, ran)]
 
 
-def _grid_cells(config: SuiteConfig) -> list[tuple]:
-    """Every cell of the grid, in report order; a check that reads no c
-    runs at c = 1 only, and one that reads no n at the first n only."""
-    cells = []
-    for check in config.checks:
-        _, reads_c, reads_n = CHECKS[check]
-        c_values = config.c_list if reads_c else [Fraction(1)]
-        n_values = config.n_list if reads_n else config.n_list[:1]
-        cells += [(check, p, a, s, n, c)
-                  for p in config.p_list for a in config.a_list for s in config.s_list
-                  for c in c_values for n in n_values]
-    return cells
-
-
-# Chunks of triples per worker: the pool sends each chunk as one task.  At
-# --jobs 2 on a 2-vCPU Xeon VM (Python 3.11, sets of 7 and 11 CLI runs) on
-# grids/breadth-p5.conf (39 triples), 2, 4, 8 or 20 chunks per worker gave
-# medians of 0.42-0.49 s in no order, and one chunk per worker 0.47-0.48 s.
-_CHUNKS_PER_JOB = 8
-
-
 def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
     stream = stream if stream is not None else sys.stdout
     config.validate()
-    cells = _grid_cells(config)
-    triples: dict[tuple, list[int]] = {}  # by (p, a, s): its cells, in order
-    for i, (_, p, a, s, _, _) in enumerate(cells):  # a Fraction hashes slowly
-        triples.setdefault((p, a.numerator, a.denominator, s), []).append(i)
-    tasks = [(*cells[m[0]][1:4], [(cells[i][0], *cells[i][4:]) for i in m])  # (check, n, c)
-             for m in triples.values()]
+    # one task per triple (p, a, s), its cells (check, n, c) by check, c and
+    # n; a check that reads no c runs at c = 1 only, one that reads no n at
+    # the first n only
+    cells = [(check, n, c) for check in config.checks
+             for c in (config.c_list if CHECKS[check][1] else [Fraction(1)])
+             for n in (config.n_list if CHECKS[check][2] else config.n_list[:1])]
+    tasks = [(p, a, s, cells) for p in config.p_list for a in config.a_list
+             for s in config.s_list]
     # opened before the first cell, so that a bad path costs no work
     with nullcontext(stream) if config.out is None else open(
             config.out, "w", encoding="utf-8") as fh:
@@ -181,29 +163,27 @@ def run_suite(config: SuiteConfig, stream: Optional[TextIO] = None) -> int:
             # import time of this module
             from concurrent.futures import ProcessPoolExecutor
 
-            chunk = -(-len(tasks) // (_CHUNKS_PER_JOB * config.jobs))
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                done = list(pool.map(_point_outcomes, tasks, chunksize=chunk))
+                done = list(pool.map(_point_outcomes, tasks))
         else:
             done = list(map(_point_outcomes, tasks))
-        # each triple's outcomes back in cell order
-        outcomes = [outcome for _, outcome in sorted(zip(
-            chain.from_iterable(triples.values()), chain.from_iterable(done)), key=itemgetter(0))]
-        # report lines first, then error lines, each in cell order
-        ran = sorted(((cell[0], *outcome) for cell, outcome in zip(cells, outcomes) if outcome),
-                     key=itemgetter(1))
+        rank = {check: k for k, check in enumerate(config.checks)}
+        # report lines first, then error lines, each by check, then p, a, s,
+        # c, n: the task index, then the cell's place in the task
+        ran = sorted((got[0], rank[check], t, i, *got[1:]) for t, outcomes in enumerate(done)
+                     for i, ((check, _, _), got) in enumerate(zip(cells, outcomes)) if got)
         fh.write("".join(line + "\n" for *_, line in ran))
     stream.write(f"{'check':<18}{'pass':>6}{'fail':>6}\n")
-    for name in config.checks:
-        passed = [ok for check, _, ok, _ in ran if check == name]
+    for k, name in enumerate(config.checks):
+        passed = [ok for _, of, _, _, ok, _ in ran if of == k]
         stream.write(f"{name:<18}{sum(passed):>6}{len(passed) - sum(passed):>6}\n")
-    skipped = outcomes.count(None)
+    skipped = sum(outcomes.count(None) for outcomes in done)
     if skipped:
         stream.write(f"skipped {skipped} incompatible grid cells\n")
-    if skipped == len(cells):  # nothing was checked
+    if skipped == len(cells) * len(tasks):  # nothing was checked
         print("config error: no grid cell meets its check's hypotheses", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_FAIL if any(not ok for _, _, ok, _ in ran) else EXIT_PASS
+    return EXIT_FAIL if any(not ok for *_, ok, _ in ran) else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,7 @@ def braced_residues(params: HGParams, top: int, n: int) -> list[int]:
     """(-1)^{f_x} {1}_x/{a}_x mod p^n for x <= top.  Both braced products
     are p-adic units, so the ratio is a running unit product: by x when
     p does not divide x, and by d/(n + (x-1)d) = 1/(a + x - 1), with
-    a = n/d, when p does not divide n + (x-1)d.  A top at or past
-    sys.maxsize, which no list can hold, raises PreconditionViolated."""
-    if top >= sys.maxsize:
-        raise PreconditionViolated(f"a table longer than {sys.maxsize} terms")
+    a = n/d, when p does not divide n + (x-1)d."""
     p, q = params.p, params.q
     m = p ** n
     num, d = params.a.numerator, params.a.denominator

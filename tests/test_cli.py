@@ -1,8 +1,10 @@
 """Tests for the command line front end."""
 
+import concurrent.futures
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -55,6 +57,54 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# a small grid: its lists in any order, any checks in any order, and
+# sometimes p = 4, no prime, whose cells are error lines
+GRIDS = st.fixed_dictionaries({
+    "p_list": st.lists(st.sampled_from([2, 3, 5, 4]), min_size=1, max_size=3, unique=True),
+    "a_list": st.lists(st.sampled_from([Fraction(v) for v in "1/2 1/3 2/3 1/4 1 2".split()]),
+                       min_size=1, max_size=2, unique=True),
+    "s_list": st.lists(st.integers(1, 2), min_size=1, max_size=2, unique=True),
+    "c_list": st.lists(st.sampled_from([Fraction(v) for v in "1 4 6 -2 1/5".split()]),
+                       min_size=1, max_size=2, unique=True),
+    "n_list": st.lists(st.integers(1, 2), min_size=1, max_size=2, unique=True),
+    "checks": st.lists(st.sampled_from(list(cli.CHECKS)), min_size=1, max_size=4,
+                       unique=True)})
+
+
+def suite_alone(config):
+    """The exit code and the output of the suite of config without --out,
+    from each cell's checker run alone (`alone`): the report lines by check,
+    then p, a, s, c, n, the error lines in that order after them, then the
+    summary."""
+    lines, errors, summary, skipped, oks = [], [], [], 0, []
+    for check in config.checks:
+        _, reads_c, reads_n = cli.CHECKS[check]
+        ok = []
+        for p, a, s, c, n in itertools.product(
+                config.p_list, config.a_list, config.s_list,
+                config.c_list if reads_c else [Fraction(1)],
+                config.n_list if reads_n else config.n_list[:1]):
+            line = alone(check, p, a, s, n, c)
+            if line is None:
+                skipped += 1
+            elif line.startswith("{"):
+                lines.append(line)
+                ok.append(json.loads(line)["passed"])
+            else:
+                name = f"congruence-{check}" if check in ("dwork", "log", "hat") else check
+                errors.append(json.dumps({"check": name, "params": {
+                    "p": str(p), "a": str(a), "s": str(s), "n": str(n), "c": str(c)},
+                    "passed": False, "error": line}, sort_keys=True))
+                ok.append(False)
+        summary.append(f"{check:<18}{sum(ok):>6}{len(ok) - sum(ok):>6}")
+        oks += ok
+    if skipped:
+        summary.append(f"skipped {skipped} incompatible grid cells")
+    code = EXIT_CONFIG if not oks else EXIT_PASS if all(oks) else EXIT_FAIL
+    return code, "".join(line + "\n" for line in (
+        *lines, *errors, f"{'check':<18}{'pass':>6}{'fail':>6}", *summary))
 
 
 class TestSuite:
@@ -218,10 +268,23 @@ class TestSuite:
         assert len(rows) == 2
 
 
-    def test_jobs_serial_and_parallel_reports_identical(self, tmp_path, capsys):
+    def test_jobs_serial_and_parallel_reports_identical(self, tmp_path, capsys, monkeypatch):
         # p = 4 is no prime: its cells are recorded as error lines.  a = 1/2
         # at p = 2 is inadmissible and c = 3 is too shallow for hat at
         # p = 2: those cells are skipped
+        pools = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.workers = max_workers
+
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                pools.append((self.workers, [task[:3] for task in tasks], kwargs))
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         reports, summaries = [], []
         for jobs in ("1", "2"):
             path = tmp_path / f"jobs{jobs}.jsonl"
@@ -234,8 +297,9 @@ class TestSuite:
             summaries.append(out)
         assert reports[0] == reports[1] and summaries[0] == summaries[1]
         rows = [json.loads(line) for line in reports[0].decode().splitlines()]
-        # 24 cells, more than the pool's chunks: some task carries several cells
-        assert len(rows) + 10 > 2 * cli._CHUNKS_PER_JOB
+        # the pool of 2 workers gets the 6 triples one task at a time (no
+        # chunk size), so some worker runs several tasks
+        assert pools == [(2, [(p, Fraction(1, d), 1) for p in (2, 3, 4) for d in (2, 3)], {})]
         assert [r["check"] for r in rows if "error" in r] == (
             ["congruence-dwork"] * 2 + ["dwork-transform"] * 2 + ["congruence-hat"] * 4)
         assert [(r["params"]["p"], r["params"]["a"], r["params"]["c"])
@@ -244,6 +308,18 @@ class TestSuite:
         # dwork and dwork-transform: a = 1/2 at p = 2 and a = 1/3 at p = 3;
         # hat: those two at c = 1 and c = 3, and the other two at c = 3
         assert "skipped 10 incompatible grid cells" in summaries[0]
+
+    @settings(deadline=None, max_examples=25)
+    @given(GRIDS, st.just(1))
+    @example({"p_list": [5, 4, 3], "a_list": [Fraction(1, 3), Fraction(1, 2)], "s_list": [2, 1],
+              "c_list": [Fraction(6), Fraction(1)], "n_list": [2, 1],
+              "checks": ["ratio-identity", "hat", "braced", "dwork"]}, 2)
+    def test_report_is_each_cell_alone_in_report_order(self, grid, jobs):
+        # lines by check, then p, a, s, c, n in the order of their lists,
+        # error lines last, whichever triple's task ran a cell
+        stream = io.StringIO()
+        code = run_suite(SuiteConfig(**grid, jobs=jobs), stream)
+        assert (code, stream.getvalue()) == suite_alone(SuiteConfig(**grid))
 
     def test_serial_run_does_not_import_process_pool(self):
         # the process pool is imported only for --jobs > 1

@@ -4,7 +4,6 @@ import inspect
 import json
 import math
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -358,11 +357,6 @@ class TestBraced:
         # mod p^0 every residue is 0, so any pair would pass
         with pytest.raises(PreconditionViolated, match=f"n = {n}"):
             sweep_braced(params(Fraction(1, 2)), n)
-
-    def test_top_past_maxsize_rejected(self):
-        # no list holds the residues up to sys.maxsize
-        with pytest.raises(PreconditionViolated, match="a table longer than"):
-            braced_residues(params(Fraction(1, 2)), sys.maxsize, 1)
 
     @settings(deadline=None)
     @given(st.sampled_from([(Fraction(1, 2), 3), (Fraction(2), 5), (Fraction(1), 2)]),
